@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .consensus import Chain, proof_message
-from .encoding import enc_bytes
-from .fawkescoin import RevealMode, RevealPayload, commit_payload
+from .consensus import Chain, EraPhase, proof_message
+from .encoding import enc_bytes, enc_u32
+from .fawkescoin import ChallengeStatus, RevealMode, RevealPayload, commit_payload
 from .groups import (
     GroupParams,
     decode_point,
@@ -139,18 +139,17 @@ class Mempool:
 
 
 class Agent:
-    def __init__(self, agent_id: str, sim: "Simulation", options: dict):
+    def __init__(self, agent_id: str, sim: "Simulation", options: dict, wallet: Wallet):
         self.id = agent_id
         self.sim = sim
         self.options = options
-        self.wallet = Wallet(sim.chain.group, agent_id, sim.seed, sim.kdf_iterations)
+        self.wallet = wallet
         self.quantum = bool(options.get("quantum", False))
         self.script: dict[int, list[dict]] = {}
         for entry in options.get("script", []):
             self.script.setdefault(int(entry["height"]), []).append(entry)
         self.deferred: list[tuple[int, Callable[[], None]]] = []
         self.actions: list[str] = []
-        sim.register_address(self.wallet.pq_address(), agent_id)
 
     def log(self, text: str) -> None:
         self.actions.append(f"h{self.sim.tick_height} {text}")
@@ -232,8 +231,8 @@ class MinerAgent(Agent):
     that block: it injects a commitment record nobody can reveal or claim,
     locking the victim's output until the fine hits."""
 
-    def __init__(self, agent_id, sim, options):
-        super().__init__(agent_id, sim, options)
+    def __init__(self, agent_id, sim, options, wallet):
+        super().__init__(agent_id, sim, options, wallet)
         # committed hash -> (sigma bytes, mempool msg) for claim duty
         self.included_proofs: dict[bytes, bytes] = {}
 
@@ -265,8 +264,6 @@ class MinerAgent(Agent):
         for entry in self.script.get(height, ()):
             if "fake_lfc" in entry:
                 self._inject_fake_commitment(entry["fake_lfc"])
-        from .consensus import EraPhase
-
         in_era = chain.era_phase(height) is EraPhase.QUANTUM_ERA
         for sub in self.sim.mempool.drain_ordered():
             if sub.kind == "report":
@@ -278,8 +275,7 @@ class MinerAgent(Agent):
                 chain.try_add_tx(sub.data)
             elif sub.kind == "lfc":
                 self._include_lfc(sub.data)
-        block = chain.end_block(reports)
-        self.sim.on_block(block)
+        chain.end_block(reports)
 
     def _include_lfc(self, msg: LfcMempoolMsg) -> None:
         chain = self.sim.chain
@@ -318,8 +314,8 @@ class UserAgent(Agent):
     declarations, canary kills, and automatic fraud proofs for watched
     outputs."""
 
-    def __init__(self, agent_id, sim, options):
-        super().__init__(agent_id, sim, options)
+    def __init__(self, agent_id, sim, options, wallet):
+        super().__init__(agent_id, sim, options, wallet)
         self.watched: set[str] = set(options.get("watch", ()))
         self._fraud_responses: set[bytes] = set()
 
@@ -541,8 +537,6 @@ class UserAgent(Agent):
         self.log(f"samaritan report for {action['utxo']}")
 
     def do_registry_declare(self, action: dict) -> None:
-        from .encoding import enc_u32
-
         digest = self.sim.chain.registry.key_digest(self.sim.chain.group, self.wallet.msk)
         paths = [DerivationPath.parse(p) for p in action["paths"]]
         payload = enc_bytes(digest) + enc_u32(len(paths)) + b"".join(p.serialize() for p in paths)
@@ -553,8 +547,6 @@ class UserAgent(Agent):
     # Fraud-proof watch ------------------------------------------------------------------------
 
     def _watch_for_theft(self) -> None:
-        from .fawkescoin import ChallengeStatus
-
         chain = self.sim.chain
         for name in sorted(self.watched):
             outpoint = self.sim.grants[name]["outpoint"]
@@ -586,8 +578,8 @@ class FrontRunnerAgent(Agent):
     higher-priority competing spend.  Against commit-wait-reveal flows the
     same observation only yields a commitment that is 100 blocks too late."""
 
-    def __init__(self, agent_id, sim, options):
-        super().__init__(agent_id, sim, options)
+    def __init__(self, agent_id, sim, options, wallet):
+        super().__init__(agent_id, sim, options, wallet)
         self._seen: set[bytes] = set()
         self._fc_attempted: set[bytes] = set()
 

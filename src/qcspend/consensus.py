@@ -29,11 +29,12 @@ begin/add/end path.  Readers may query concurrently between blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .encoding import DecodeError, enc_bytes, enc_u64
+from .encoding import DecodeError, Reader, enc_bytes, enc_u64
 from .fawkescoin import (
     DEPOSIT_MODES,
     ChallengeRecord,
@@ -46,13 +47,16 @@ from .fawkescoin import (
 )
 from .groups import (
     GroupParams,
+    GroupPoint,
     PreQuantumSignature,
     address_hash,
     decode_point,
     pk_ec,
     prequantum_verify,
+    secure_group,
+    toy_group,
 )
-from .hdwallet import derive
+from .hdwallet import DerivationPath, ExtendedSecretKey, derive, read_path
 from .ledger import (
     Address,
     AddrKind,
@@ -89,7 +93,7 @@ from .lifting import (
     seedlift_verify,
     transparent_backend,
 )
-from .params import Params
+from .params import FinePolicy, Params
 from .rules import RuleViolation
 
 
@@ -298,21 +302,10 @@ class Chain:
         leaves no partial effects on failure."""
         if self._building is None:
             raise RuntimeError("no block in progress")
-        height = self._building["height"]
-        handler = {
-            TxKind.TRANSFER: self._apply_transfer,
-            TxKind.FC_COMMIT: self._apply_fc_commit,
-            TxKind.FC_REVEAL: self._apply_fc_reveal,
-            TxKind.LFC_COMMIT: self._apply_lfc_commit,
-            TxKind.LFC_REVEAL: self._apply_lfc_reveal,
-            TxKind.LFC_CLAIM: self._apply_lfc_claim,
-            TxKind.REGISTRY_DECLARE: self._apply_registry_declare,
-            TxKind.CANARY_KILL: self._apply_canary_kill,
-            TxKind.ESCROW_COVER: self._apply_escrow_cover,
-        }.get(tx.kind)
+        handler = self._HANDLERS.get(tx.kind)
         if handler is None:
             raise RuleViolation("tx-kind", f"{tx.kind} cannot appear in the transaction list")
-        handler(tx, height)
+        handler(self, tx, self._building["height"])
         self._building["txs"].append(tx)
 
     def try_add_tx(self, tx: Transaction) -> Optional[RuleViolation]:
@@ -455,6 +448,15 @@ class Chain:
     def _is_pre_quantum(self, address: Address) -> bool:
         return address.kind in (AddrKind.PK_HASH, AddrKind.PLAIN_PK)
 
+    def _is_post_quantum(self, address: Address) -> bool:
+        return address.kind is AddrKind.POST_QUANTUM
+
+    def _derived_leaf_pk(self, address: Address, parent_key: ExtendedSecretKey, path: DerivationPath) -> Optional[GroupPoint]:
+        """The public key `path` derives from `parent_key`, or None when it
+        is not the key behind `address`."""
+        pk = pk_ec(self.group, derive(self.group, parent_key, path).sk)
+        return pk if address.matches_pk(pk.encode()) else None
+
     def _mark_witness_leak(self, witness: Witness, height: int) -> None:
         if witness.kind is WitnessKind.PRE_QUANTUM:
             self.leaks.mark(witness.pk, height)
@@ -464,43 +466,63 @@ class Chain:
         for i, out in enumerate(tx.outputs):
             self._add_utxo(Utxo((txid, i), out.value, out.address, height, wait_override=out.wait_override), height)
 
+    # -- plain spends -------------------------------------------------------------------
+    # Direct transfers, escrow cover, FawkesCoin commitments and hashed/derived
+    # reveals differ only in which outputs they may spend.
+
+    def _validate_inputs(self, tx: Transaction, height: int, admits: Callable[[Address], bool], rule: str, detail: str) -> int:
+        """Check every input of a plain spend and return their total value,
+        mutating nothing.  An input whose address `admits` refuses fails
+        with `rule`."""
+        sighash = tx.sighash()
+        seen: set[Outpoint] = set()
+        total = 0
+        for txin in tx.inputs:
+            utxo = self._spendable_utxo(txin.outpoint, height)
+            if txin.outpoint in seen:
+                raise RuleViolation("tx-duplicate-input", f"{txin.outpoint[0].hex()[:16]}:{txin.outpoint[1]} is spent twice")
+            seen.add(txin.outpoint)
+            if not admits(utxo.address):
+                raise RuleViolation(rule, detail)
+            self._verify_witness(utxo.address, txin.witness, sighash)
+            total += utxo.value
+        return total
+
+    def _spend_inputs(self, tx: Transaction, height: int, total_in: int) -> int:
+        """Apply a plain spend whose inputs passed `_validate_inputs`: remove
+        them, record the keys their witnesses revealed, create the outputs.
+        Returns the fee."""
+        fee = total_in - tx.output_sum()
+        if fee < 0:
+            raise RuleViolation("tx-overspend", f"outputs {tx.output_sum()} exceed inputs {total_in}")
+        for txin in tx.inputs:
+            self._remove_utxo(txin.outpoint)
+            self._mark_witness_leak(txin.witness, height)
+        self._create_outputs(tx, height)
+        return fee
+
     # -- transaction handlers ----------------------------------------------------------
 
     def _apply_transfer(self, tx: Transaction, height: int) -> None:
         if not tx.inputs:
             raise RuleViolation("tx-empty", "a transfer needs inputs")
-        sighash = tx.sighash()
-        total_in = 0
-        spent: list[Utxo] = []
-        for txin in tx.inputs:
-            utxo = self._spendable_utxo(txin.outpoint, height)
-            if self._is_pre_quantum(utxo.address) and self.era_phase(height) is EraPhase.QUANTUM_ERA:
-                raise RuleViolation("era-direct-spend", "direct pre-quantum spending is prohibited in the quantum era")
-            self._verify_witness(utxo.address, txin.witness, sighash)
-            total_in += utxo.value
-            spent.append(utxo)
-        if tx.output_sum() > total_in:
-            raise RuleViolation("tx-overspend", f"outputs {tx.output_sum()} exceed inputs {total_in}")
-        for txin, utxo in zip(tx.inputs, spent):
-            self._remove_utxo(txin.outpoint)
-            self._mark_witness_leak(txin.witness, height)
-        self._create_outputs(tx, height)
-        self._building["fees"] += total_in - tx.output_sum()
+        in_era = self.era_phase(height) is EraPhase.QUANTUM_ERA
+        total_in = self._validate_inputs(
+            tx,
+            height,
+            lambda address: not (in_era and self._is_pre_quantum(address)),
+            "era-direct-spend",
+            "direct pre-quantum spending is prohibited in the quantum era",
+        )
+        self._building["fees"] += self._spend_inputs(tx, height, total_in)
 
     def _apply_escrow_cover(self, tx: Transaction, height: int) -> None:
         if tx.outputs:
             raise RuleViolation("cover-outputs", "an escrow cover consumes its inputs entirely")
-        sighash = tx.sighash()
-        total = 0
-        for txin in tx.inputs:
-            utxo = self._spendable_utxo(txin.outpoint, height)
-            if utxo.address.kind is not AddrKind.POST_QUANTUM:
-                raise RuleViolation("cover-pq-only", "fine coverage must come from post-quantum outputs")
-            self._verify_witness(utxo.address, txin.witness, sighash)
-            total += utxo.value
-        for txin in tx.inputs:
-            self._remove_utxo(txin.outpoint)
-        self._building["cover"] += total
+        total = self._validate_inputs(
+            tx, height, self._is_post_quantum, "cover-pq-only", "fine coverage must come from post-quantum outputs"
+        )
+        self._building["cover"] += self._spend_inputs(tx, height, total)
 
     # FawkesCoin ------------------------------------------------------------------
 
@@ -519,20 +541,10 @@ class Chain:
         committed = parse_commit_payload(tx.payload)
         if not tx.inputs:
             raise RuleViolation("fc-commit-needs-pq-fee", "the committing transaction pays its own fee")
-        sighash = tx.sighash()
-        total_in = 0
-        for txin in tx.inputs:
-            utxo = self._spendable_utxo(txin.outpoint, height)
-            if utxo.address.kind is not AddrKind.POST_QUANTUM:
-                raise RuleViolation("fc-commit-needs-pq-fee", "a post-quantum output must fund the commitment")
-            self._verify_witness(utxo.address, txin.witness, sighash)
-            total_in += utxo.value
-        if tx.output_sum() > total_in:
-            raise RuleViolation("tx-overspend", "outputs exceed inputs")
-        for txin in tx.inputs:
-            self._remove_utxo(txin.outpoint)
-        self._create_outputs(tx, height)
-        self._building["fees"] += total_in - tx.output_sum()
+        total_in = self._validate_inputs(
+            tx, height, self._is_post_quantum, "fc-commit-needs-pq-fee", "a post-quantum output must fund the commitment"
+        )
+        self._building["fees"] += self._spend_inputs(tx, height, total_in)
         # No locking in non-lifted mode: duplicate hashes are all recorded.
         self.fc_commitments.setdefault(committed, []).append(FcCommitment(committed, height, tx.txid()))
 
@@ -568,37 +580,27 @@ class Chain:
 
         if len(tx.inputs) != 1:
             raise RuleViolation("fc-reveal-shape", "hashed/derived reveals spend exactly one output")
+        total_in = self._validate_inputs(
+            tx, height, self._is_pre_quantum, "fc-reveal-prequantum", "FawkesCoin spends pre-quantum outputs"
+        )
         txin = tx.inputs[0]
-        utxo = self._spendable_utxo(txin.outpoint, height)
-        if not self._is_pre_quantum(utxo.address):
-            raise RuleViolation("fc-reveal-prequantum", "FawkesCoin spends pre-quantum outputs")
-        sighash = tx.sighash()
-        self._verify_witness(utxo.address, txin.witness, sighash)
+        utxo = self.utxos[txin.outpoint]
         wait = utxo.wait_blocks(self.params.wait_blocks, self.params.wait_floor)
 
         if mode is RevealMode.HASHED:
             leak_height = self.leaks.leak_height(txin.witness.pk)
-            commitment = self._matching_commitment(
-                tx.txid(), height, wait, max_leak_height=leak_height, ban_height=None
-            )
+            self._matching_commitment(tx.txid(), height, wait, max_leak_height=leak_height, ban_height=None)
         elif mode is RevealMode.DERIVED:
-            leaf = derive(self.group, payload.parent_key, payload.path)
-            if not utxo.address.matches_pk(pk_ec(self.group, leaf.sk).encode()):
+            if self._derived_leaf_pk(utxo.address, payload.parent_key, payload.path) is None:
                 raise RuleViolation("fc-derivation", "payload does not derive the spent key")
             ban = self.registry.ban_height(self.group, payload.parent_key)
-            commitment = self._matching_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=ban)
+            self._matching_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=ban)
         else:
             raise RuleViolation("fc-reveal-mode", f"unsupported reveal mode {mode}")
 
-        total_in = utxo.value
-        if tx.output_sum() > total_in:
-            raise RuleViolation("tx-overspend", "outputs exceed inputs")
-        self._remove_utxo(txin.outpoint)
-        self._mark_witness_leak(txin.witness, height)
+        self._building["fees"] += self._spend_inputs(tx, height, total_in)
         if mode is RevealMode.DERIVED:
             self._materialize(payload, height)
-        self._create_outputs(tx, height)
-        self._building["fees"] += total_in - tx.output_sum()
 
     def _mode_allowed(self, mode: RevealMode) -> None:
         order = {"restrictive": 0, "unrestrictive": 1, "permissive": 2}[self.params.fc_mode]
@@ -678,8 +680,7 @@ class Chain:
         spent_address = record.spent_address
         sighash = tx.sighash()
         self._verify_witness(spent_address, tx.inputs[0].witness, sighash)
-        leaf = derive(self.group, payload.parent_key, payload.path)
-        if not spent_address.matches_pk(pk_ec(self.group, leaf.sk).encode()):
+        if self._derived_leaf_pk(spent_address, payload.parent_key, payload.path) is None:
             raise RuleViolation("fp-derivation", "payload does not derive the challenged key")
         ban = self.registry.ban_height(self.group, payload.parent_key)
         # The proof is itself a derived-mode spend of u, so u's waiting
@@ -803,11 +804,8 @@ class Chain:
                 return keylift_verify(self.key_backend, address_hash(address.data), message, sig)
             return False
         if isinstance(sig, SeedLiftedSig):
-            leaf = derive(self.group, sig.msk, sig.path)
-            pk = pk_ec(self.group, leaf.sk)
-            if not address.matches_pk(pk.encode()):
-                return False
-            return seedlift_verify(self.group, self.seed_backend, pk, message, sig)
+            pk = self._derived_leaf_pk(address, sig.msk, sig.path)
+            return pk is not None and seedlift_verify(self.group, self.seed_backend, pk, message, sig)
         return False
 
     def _apply_lfc_reveal(self, tx: Transaction, height: int) -> None:
@@ -829,8 +827,7 @@ class Chain:
         sighash = tx.sighash()
         self._verify_witness(utxo.address, tx.inputs[0].witness, sighash)
         if payload.mode is RevealMode.DERIVED:
-            leaf = derive(self.group, payload.parent_key, payload.path)
-            if not utxo.address.matches_pk(pk_ec(self.group, leaf.sk).encode()):
+            if self._derived_leaf_pk(utxo.address, payload.parent_key, payload.path) is None:
                 raise RuleViolation("lfc-derivation", "payload does not derive the spent key")
         elif payload.mode is not RevealMode.HASHED:
             raise RuleViolation("lfc-reveal-mode", "lifted reveals are hashed or derived spends")
@@ -914,9 +911,6 @@ class Chain:
     def _apply_registry_declare(self, tx: Transaction, height: int) -> None:
         if tx.inputs or tx.outputs:
             raise RuleViolation("registry-shape", "a declaration is payload only")
-        from .encoding import Reader
-        from .hdwallet import read_path
-
         r = Reader(tx.payload)
         digest = r.bytes_()
         count = r.u32()
@@ -931,8 +925,6 @@ class Chain:
     def _apply_canary_kill(self, tx: Transaction, height: int) -> None:
         if self.canary.killed_at is not None:
             raise RuleViolation("canary-dead", "the canary is already dead")
-        from .encoding import Reader
-
         r = Reader(tx.payload)
         claimant = Address.read(r)
         sig_bytes = r.bytes_()
@@ -958,6 +950,18 @@ class Chain:
         self._credit(b"canary-bounty", tx.txid(), claimant, self.canary.bounty, height)
         start = self.era_start()
         self.epochs = [Epoch(EpochKind.FC, start, self.params.fc_epoch_len, 0)]
+
+    _HANDLERS = {
+        TxKind.TRANSFER: _apply_transfer,
+        TxKind.FC_COMMIT: _apply_fc_commit,
+        TxKind.FC_REVEAL: _apply_fc_reveal,
+        TxKind.LFC_COMMIT: _apply_lfc_commit,
+        TxKind.LFC_REVEAL: _apply_lfc_reveal,
+        TxKind.LFC_CLAIM: _apply_lfc_claim,
+        TxKind.REGISTRY_DECLARE: _apply_registry_declare,
+        TxKind.CANARY_KILL: _apply_canary_kill,
+        TxKind.ESCROW_COVER: _apply_escrow_cover,
+    }
 
     # -- sweeps -------------------------------------------------------------------------
 
@@ -1093,16 +1097,12 @@ class ChainConfig:
     grants: tuple[GenesisGrant, ...] = ()
 
     def build(self) -> Chain:
-        from .groups import secure_group, toy_group
-
         group = toy_group(self.group_q)
         canary_group = toy_group(self.canary_q)
         canary = CanaryRecord(self.canary_pk, self.canary_nonce, self.params.canary_bounty, self.canary_killed_at)
         return Chain(self.params, group, secure_group(), canary_group, canary, self.grants)
 
     def to_json(self) -> dict:
-        from dataclasses import asdict
-
         p = asdict(self.params)
         p["regular_paths"] = list(self.params.regular_paths)
         p["fine_policy"] = asdict(self.params.fine_policy)
@@ -1126,8 +1126,6 @@ class ChainConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ChainConfig":
-        from .params import FinePolicy
-
         pdata = dict(data["params"])
         pdata["regular_paths"] = tuple(pdata["regular_paths"])
         pdata["fine_policy"] = FinePolicy(**pdata["fine_policy"])
@@ -1193,8 +1191,6 @@ SNAPSHOT_HEADER = "qcspend-snapshot v1"
 
 
 def export_snapshot(chain: Chain, config: ChainConfig) -> str:
-    import json
-
     lines = [SNAPSHOT_HEADER]
     lines.append("config " + json.dumps(config.to_json(), sort_keys=True, separators=(",", ":")))
     for block in chain.blocks:
@@ -1206,8 +1202,6 @@ def export_snapshot(chain: Chain, config: ChainConfig) -> str:
 def verify_snapshot(text: str) -> Chain:
     """Replay a snapshot through full validation; raises RuleViolation on
     any divergence, including a wrong final state digest."""
-    import json
-
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise RuleViolation("snapshot-header", "not a snapshot file")

@@ -127,9 +127,3 @@ def parse_reveal_payload(group: GroupParams, payload: bytes) -> RevealPayload:
         challenged = r.bytes_()
     r.done()
     return RevealPayload(mode, parent_key, path, challenged)
-
-
-def reveal_payload_mode(payload: bytes) -> RevealMode:
-    if not payload:
-        raise DecodeError("empty reveal payload")
-    return RevealMode(payload[0])

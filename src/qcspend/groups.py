@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .encoding import DecodeError, enc_bytes
+from .encoding import DecodeError, Reader, enc_bytes
 
 VULNERABLE_MAX_ORDER = 1 << 24
 
@@ -264,8 +264,6 @@ class PreQuantumSignature:
 
     @staticmethod
     def decode(data: bytes) -> "PreQuantumSignature":
-        from .encoding import Reader
-
         r = Reader(data)
         nonce = r.bytes_()
         s = int.from_bytes(r.bytes_(), "big")

@@ -333,21 +333,6 @@ class Block:
     def block_hash(self) -> bytes:
         return address_hash(self.serialize())
 
-    def commitments(self) -> list[Transaction]:
-        return [t for t in self.transactions if t.kind in (TxKind.FC_COMMIT, TxKind.LFC_COMMIT)]
-
-    def reveals(self) -> list[Transaction]:
-        return [t for t in self.transactions if t.kind in (TxKind.FC_REVEAL, TxKind.LFC_REVEAL)]
-
-    def fraud_proofs(self) -> list[Transaction]:
-        from .fawkescoin import RevealMode, reveal_payload_mode
-
-        return [
-            t
-            for t in self.transactions
-            if t.kind is TxKind.FC_REVEAL and reveal_payload_mode(t.payload) is RevealMode.FRAUD_PROOF
-        ]
-
 
 GENESIS_PARENT = bytes(32)
 

@@ -40,6 +40,7 @@ from .groups import (
     GroupPoint,
     PreQuantumSignature,
     address_hash,
+    decode_point,
     h512,
     pk_ec,
     prequantum_sign,
@@ -148,12 +149,6 @@ def keylift_sign(group: GroupParams, backend: OwfBackend, sk: int, msg: bytes) -
     """Sign with the public key as the lifted secret.  Verifies against the
     32-byte address hash of the public key only."""
     pk_bytes = pk_ec(group, sk).encode()
-    return KeyLiftedSig(backend.sign(pk_bytes, msg))
-
-
-def keylift_sign_with_pk(backend: OwfBackend, pk_bytes: bytes, msg: bytes) -> KeyLiftedSig:
-    """Anyone holding the public key holds the lifted secret; this is the
-    capability the EUF-LCMA demonstration exercises."""
     return KeyLiftedSig(backend.sign(pk_bytes, msg))
 
 
@@ -413,7 +408,7 @@ def keylift_lcma_adversary(group: GroupParams, backend: OwfBackend, target: byte
 
     def run(oracles: GameOracles):
         _sig, pk_bytes = oracles.base_sign(target)
-        sk = quantum_invert(_point_from(group, pk_bytes))
+        sk = quantum_invert(decode_point(group, pk_bytes))
         assert pk_ec(group, sk).encode() == pk_bytes
         return target, keylift_sign(group, backend, sk, target)
 
@@ -446,9 +441,3 @@ def seedlift_quantum_adversary(group: GroupParams, backend: OwfBackend, target: 
         return target, SeedLiftedSig(honest.proof, honest.msk, honest.path)
 
     return run
-
-
-def _point_from(group: GroupParams, pk_bytes: bytes) -> GroupPoint:
-    from .groups import decode_point
-
-    return decode_point(group, pk_bytes)

@@ -117,7 +117,6 @@ class Simulation:
     def __init__(self, config: ScenarioConfig, seed: Optional[int] = None):
         self.config = config
         self.seed = config.seed if seed is None else seed
-        self.kdf_iterations = config.kdf_iterations
         self.tick_height = 0
         self.mempool = Mempool()
         self.grants: dict[str, dict] = {}
@@ -162,8 +161,7 @@ class Simulation:
         self.agents: dict[str, Agent] = {}
         for a in config.agents:
             kind = a.get("kind", "user")
-            agent = AGENT_KINDS[kind](a["id"], self, a)
-            agent.wallet = wallets[a["id"]]  # share the pre-built wallet
+            agent = AGENT_KINDS[kind](a["id"], self, a, wallets[a["id"]])
             self.register_address(agent.wallet.pq_address(), a["id"])
             self.agents[a["id"]] = agent
         for name in list(config.miners) + list(config.miner_overrides.values()):
@@ -201,9 +199,6 @@ class Simulation:
             if self.owner_of_address.get(utxo.address.serialize()) == agent_id:
                 mine += utxo.value
         return mine
-
-    def on_block(self, block) -> None:
-        pass  # hook kept for symmetry; miners do their own bookkeeping
 
     # -- the loop -----------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from qcspend.consensus import (
     verify_snapshot,
 )
 from qcspend.encoding import enc_bytes
+from qcspend.fawkescoin import commit_payload
 from qcspend.groups import decode_point, prequantum_sign, quantum_invert, toy_group
 from qcspend.hdwallet import path
 from qcspend.ledger import Block, Transaction, TxKind, TxOutput
@@ -170,6 +171,27 @@ class TestEraRules:
         h.mine_to(101)  # block-1 coinbase matures at height 101
         h.mine_with([tx])
         assert h.chain.utxo(outpoint) is None
+
+
+class TestDuplicateInputs:
+    @pytest.mark.parametrize("kind", [TxKind.TRANSFER, TxKind.FC_COMMIT, TxKind.ESCROW_COVER])
+    def test_outpoint_spent_twice_is_rejected_whole(self, kind):
+        h = Harness()  # FawkesCoin epoch from genesis, so commitments are open
+        h.grant_pq("fee", "alice", 5_000)
+        h.build()
+        wallet = h.wallet("alice")
+        op = h.outpoints["fee"]
+        # Counting the input twice would fund twice its value.
+        outputs = [] if kind is TxKind.ESCROW_COVER else [TxOutput(wallet.pq_address(), 10_000)]
+        payload = commit_payload(b"\x11" * 32) if kind is TxKind.FC_COMMIT else b""
+        tx = h.signed(kind, [(op, ("pq", wallet)), (op, ("pq", wallet))], outputs, payload)
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(tx)
+        assert violation is not None and violation.rule == "tx-duplicate-input"
+        assert h.chain.state_digest() == before
+        assert op in h.chain.utxos
+        assert h.chain.end_block().transactions == ()
 
 
 class TestReplayAndReorg:

@@ -394,8 +394,12 @@ class TestFraudProof:
         h.mine_with([h.fc_commit_tx("baiter", fp.txid())])
         h.mine(99)
         block = h.mine_with([fp])
-        assert [t.txid() for t in block.fraud_proofs()] == [fp.txid()]
-        assert block.reveals() == [fp]
+        fraud_proofs = [
+            t for t in block.transactions
+            if t.kind is TxKind.FC_REVEAL and RevealMode(t.payload[0]) is RevealMode.FRAUD_PROOF
+        ]
+        assert [t.txid() for t in fraud_proofs] == [fp.txid()]
+        assert [t for t in block.transactions if t.kind in (TxKind.FC_REVEAL, TxKind.LFC_REVEAL)] == [fp]
         record = h.chain.challenges[steal.txid()]
         assert record.status is ChallengeStatus.DEFEATED
         # deposit conservation: fee to the including miner, the rest to the

@@ -71,7 +71,7 @@ class TestCommit:
         assert h.chain.lfc_by_hash[committed].state is LfcState.LOCKED
         assert h.outpoints["u1"] in h.chain.lfc_locks
         assert h.chain.active_lfc(h.outpoints["u1"]).committed_hash == committed
-        assert len(h.chain.blocks[-1].commitments()) == 1
+        assert sum(t.kind in (TxKind.FC_COMMIT, TxKind.LFC_COMMIT) for t in h.chain.blocks[-1].transactions) == 1
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         with pytest.raises(RuleViolation, match="lfc-locked"):
             h.chain.add_tx(record_tx(h, b"\x99" * 32, "u1", 5))
