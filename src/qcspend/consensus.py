@@ -30,6 +30,7 @@ begin/add/end path.  Readers may query concurrently between blocks.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -95,6 +96,23 @@ from .lifting import (
 )
 from .params import FinePolicy, Params
 from .rules import RuleViolation
+
+# A lifted reveal's fee shares are paid to the miners of the blocks that
+# earned them, this many blocks later.
+FEE_SHARE_DELAY = 300
+# The closing blocks of a lifted epoch whose claims decide an extension:
+# the window `Params.proofs_per_100_blocks` counts proofs over.
+CLAIM_WINDOW = 100
+
+
+@contextmanager
+def _decoding(rule: str):
+    """The decode boundary of a handler: a parse failure (DecodeError,
+    GroupError, or a byte naming no enum member) becomes a RuleViolation."""
+    try:
+        yield
+    except ValueError as exc:
+        raise RuleViolation(rule, str(exc))
 
 
 class EraPhase(Enum):
@@ -258,7 +276,8 @@ class Chain:
     # -- utxo bookkeeping ------------------------------------------------------
 
     def _add_utxo(self, utxo: Utxo, height: int) -> None:
-        assert utxo.outpoint not in self.utxos
+        if utxo.outpoint in self.utxos:
+            raise RuleViolation("utxo-exists", f"output {utxo.outpoint[0].hex()}:{utxo.outpoint[1]} already exists")
         self.utxos[utxo.outpoint] = utxo
         self.utxo_hash_index[utxo.utxo_hash()] = utxo.outpoint
         self.utxo_value_sum += utxo.value
@@ -425,11 +444,9 @@ class Chain:
                 raise RuleViolation("witness-kind", "post-quantum output needs a post-quantum witness")
             if address_hash(witness.pk) != utxo_address.data:
                 raise RuleViolation("witness-address", "post-quantum key does not hash to the address")
-            try:
+            with _decoding("witness-malformed"):
                 pk = decode_point(self.pq_group, witness.pk)
                 sig = PreQuantumSignature.decode(witness.signature)
-            except DecodeError as exc:
-                raise RuleViolation("witness-malformed", str(exc))
             if not prequantum_verify(self.pq_group, pk, sighash, sig):
                 raise RuleViolation("witness-signature", "post-quantum signature invalid")
             return
@@ -437,11 +454,9 @@ class Chain:
             raise RuleViolation("witness-kind", "pre-quantum output needs a pre-quantum witness")
         if not utxo_address.matches_pk(witness.pk):
             raise RuleViolation("witness-address", "revealed key does not match the address")
-        try:
+        with _decoding("witness-malformed"):
             pk = decode_point(self.group, witness.pk)
             sig = PreQuantumSignature.decode(witness.signature)
-        except DecodeError as exc:
-            raise RuleViolation("witness-malformed", str(exc))
         if not prequantum_verify(self.group, pk, sighash, sig):
             raise RuleViolation("witness-signature", "pre-quantum signature invalid")
 
@@ -538,7 +553,8 @@ class Chain:
 
     def _apply_fc_commit(self, tx: Transaction, height: int) -> None:
         self._fc_epoch(height, committing=True)
-        committed = parse_commit_payload(tx.payload)
+        with _decoding("fc-commit-malformed"):
+            committed = parse_commit_payload(tx.payload)
         if not tx.inputs:
             raise RuleViolation("fc-commit-needs-pq-fee", "the committing transaction pays its own fee")
         total_in = self._validate_inputs(
@@ -569,7 +585,8 @@ class Chain:
 
     def _apply_fc_reveal(self, tx: Transaction, height: int) -> None:
         self._fc_epoch(height, committing=False)
-        payload = parse_reveal_payload(self.group, tx.payload)
+        with _decoding("fc-reveal-malformed"):
+            payload = parse_reveal_payload(self.group, tx.payload)
         mode = payload.mode
         if mode is RevealMode.FRAUD_PROOF:
             self._apply_fraud_proof(tx, payload, height)
@@ -725,7 +742,8 @@ class Chain:
         self._lfc_epoch(height, committing=True)
         if tx.inputs or tx.outputs:
             raise RuleViolation("lfc-commit-shape", "the on-chain record carries no inputs or outputs")
-        committed, utxo_hash, alpha = parse_record_payload(tx.payload)
+        with _decoding("lfc-commit-malformed"):
+            committed, utxo_hash, alpha = parse_record_payload(tx.payload)
         if committed in self.lfc_by_hash:
             raise RuleViolation("lfc-duplicate", "commitment hash already recorded")
         outpoint = self.utxo_hash_index.get(utxo_hash)
@@ -762,10 +780,8 @@ class Chain:
             raise RuleViolation("lfc-unknown-utxo", "message names no unspent output")
         if msg.outpoint in self.lfc_locks:
             raise RuleViolation("lfc-locked", "output already locked")
-        try:
+        with _decoding("lfc-proof-malformed"):
             sig = deserialize_lifted(self.group, msg.sigma)
-        except DecodeError as exc:
-            raise RuleViolation("lfc-proof-malformed", str(exc))
         if isinstance(sig, KeyLiftedSig):
             pk_known = utxo.address.kind is AddrKind.PLAIN_PK or (
                 utxo.address.kind is AddrKind.PK_HASH and self._leaked_for_address(utxo.address)
@@ -822,7 +838,8 @@ class Chain:
             raise RuleViolation("lfc-reveal-late", "the reveal window is over; the proof window is open")
         if len(tx.inputs) != 1 or tx.inputs[0].outpoint != record.outpoint:
             raise RuleViolation("lfc-reveal-shape", "the reveal spends exactly the committed output")
-        payload = parse_reveal_payload(self.group, tx.payload)
+        with _decoding("lfc-reveal-malformed"):
+            payload = parse_reveal_payload(self.group, tx.payload)
         utxo = self.utxos[record.outpoint]
         sighash = tx.sighash()
         self._verify_witness(utxo.address, tx.inputs[0].witness, sighash)
@@ -856,7 +873,8 @@ class Chain:
         self._lfc_epoch(height, committing=False)
         if tx.inputs or tx.outputs:
             raise RuleViolation("lfc-claim-shape", "a claim carries only the proof payload")
-        committed, sigma = parse_claim_payload(tx.payload)
+        with _decoding("lfc-claim-malformed"):
+            committed, sigma = parse_claim_payload(tx.payload)
         record = self.lfc_by_hash.get(committed)
         if record is None or record.state is not LfcState.LOCKED:
             raise RuleViolation("lfc-no-commitment", "claim matches no locked commitment")
@@ -911,13 +929,14 @@ class Chain:
     def _apply_registry_declare(self, tx: Transaction, height: int) -> None:
         if tx.inputs or tx.outputs:
             raise RuleViolation("registry-shape", "a declaration is payload only")
-        r = Reader(tx.payload)
-        digest = r.bytes_()
-        count = r.u32()
-        if count > self.params.registry_max_declared_paths:
-            raise RuleViolation("registry-bound", f"{count} paths exceed the declared-path bound")
-        paths = [read_path(r) for _ in range(count)]
-        r.done()
+        with _decoding("registry-malformed"):
+            r = Reader(tx.payload)
+            digest = r.bytes_()
+            count = r.u32()
+            if count > self.params.registry_max_declared_paths:
+                raise RuleViolation("registry-bound", f"{count} paths exceed the declared-path bound")
+            paths = [read_path(r) for _ in range(count)]
+            r.done()
         if len(digest) != 32:
             raise RuleViolation("registry-shape", "the key digest is 32 bytes")
         self.registry.declare(digest, paths)
@@ -925,15 +944,13 @@ class Chain:
     def _apply_canary_kill(self, tx: Transaction, height: int) -> None:
         if self.canary.killed_at is not None:
             raise RuleViolation("canary-dead", "the canary is already dead")
-        r = Reader(tx.payload)
-        claimant = Address.read(r)
-        sig_bytes = r.bytes_()
-        r.done()
-        try:
+        with _decoding("canary-malformed"):
+            r = Reader(tx.payload)
+            claimant = Address.read(r)
+            sig_bytes = r.bytes_()
+            r.done()
             pk = decode_point(self.canary_group, self.canary.challenge_pk)
             sig = PreQuantumSignature.decode(sig_bytes)
-        except DecodeError as exc:
-            raise RuleViolation("canary-malformed", str(exc))
         if not prequantum_verify(self.canary_group, pk, self.canary.nonce, sig):
             raise RuleViolation("canary-solution", "the posted solution does not verify")
         if self.params.bounty_source == "burned" and self.total_burned < self.canary.bounty:
@@ -984,13 +1001,13 @@ class Chain:
                 self._credit(b"challenge-fee", record.txid, record.reveal_miner, record.fee, height)
 
     def _lfc_fee_addendum(self, height: int) -> Optional[TxOutput]:
-        if height < 300:
+        if height < FEE_SHARE_DELAY:
             return None
-        shares = self.fee_shares_by_block.pop(height - 300, 0)
+        shares = self.fee_shares_by_block.pop(height - FEE_SHARE_DELAY, 0)
         if shares <= 0:
             return None
         self.pending_fee_pool -= shares
-        earner = self.blocks[height - 300]
+        earner = self.blocks[height - FEE_SHARE_DELAY]
         return TxOutput(earner.miner_address, shares)
 
     def _epoch_end_check(self, height: int) -> None:
@@ -1004,7 +1021,7 @@ class Chain:
         if current.kind is EpochKind.FC:
             self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len, nxt_index))
             return
-        claims = sum(1 for h in self.lfc_claim_heights if current.end - 100 <= h < current.end)
+        claims = sum(1 for h in self.lfc_claim_heights if current.end - CLAIM_WINDOW <= h < current.end)
         decision = extension_decision(
             claims,
             self.params.proofs_per_100_blocks,

@@ -16,6 +16,18 @@ prime, generator 2).
 
 Everything here is a pure function over immutable inputs; call from any
 number of threads.
+
+Fast path for the secure group, with byte-identical results:
+- `decode_point` checks subgroup membership by the Jacobi symbol when
+  p = 2q + 1, where the order-q subgroup is exactly the quadratic residues;
+  other groups keep the `pow(x, q, p)` check.
+- `prequantum_sign` memoises the signer's encoded public key per secret
+  key (at most SIGNER_CACHE_SIZE keys).
+- `prequantum_verify` caches its verdict keyed on every input: group, pk,
+  msg, nonce point and s (at most VERIFY_CACHE_SIZE entries), so replays
+  and reorgs do not redo 2048-bit work for signatures already checked.
+Both caches serve secure-group calls only; toy-group work costs less than
+a cache entry.  They are `functools.lru_cache`s, which are thread-safe.
 """
 
 from __future__ import annotations
@@ -47,6 +59,9 @@ _RFC3526_P2048 = int(
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+SIGNER_CACHE_SIZE = 256
+VERIFY_CACHE_SIZE = 1024
+
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin, deterministic for n < 3.3e24 with the fixed base set."""
@@ -70,6 +85,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0 (Cohen, Alg. 1.4.10)."""
+    a %= n
+    result = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            result = -result
+        if a & n & 2:  # quadratic reciprocity: both are 3 mod 4
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
 
 
 class GroupMode(Enum):
@@ -100,7 +130,7 @@ class GroupParams:
             raise GroupError("group order must be prime")
         if (self.p - 1) % self.q != 0:
             raise GroupError("q must divide p - 1")
-        if pow(self.g, self.q, self.p) != 1 or self.g == 1:
+        if pow(self.g, self.q, self.p) != 1 or self.g % self.p == 1:
             raise GroupError("generator must have order exactly q")
         if self.mode is GroupMode.QUANTUM_VULNERABLE and self.q > VULNERABLE_MAX_ORDER:
             raise GroupError("vulnerable groups must have order <= 2**24")
@@ -208,7 +238,13 @@ def decode_point(group: GroupParams, data: bytes) -> GroupPoint:
     value = int.from_bytes(data, "big")
     if not 1 <= value < group.p:
         raise DecodeError("point value outside Z_p*")
-    if pow(value, group.q, group.p) != 1:
+    # With p = 2q + 1, an element of order q (the generator) exists only if
+    # p is prime, and the order-q subgroup is then the quadratic residues.
+    if group.p == 2 * group.q + 1:
+        member = jacobi(value, group.p) == 1
+    else:
+        member = pow(value, group.q, group.p) == 1
+    if not member:
         raise DecodeError("point not in the prime-order subgroup")
     return GroupPoint(group, value)
 
@@ -278,12 +314,19 @@ def _challenge(group: GroupParams, nonce_point: bytes, pk: bytes, msg: bytes) ->
     return 1 + int.from_bytes(digest, "big") % (group.q - 1)
 
 
+def _encoded_pk(group: GroupParams, sk: int) -> bytes:
+    return pk_ec(group, sk).encode()
+
+
+_signer_pk = lru_cache(maxsize=SIGNER_CACHE_SIZE)(_encoded_pk)
+
+
 def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignature:
     """Deterministic hash-challenge signature; the nonce is derived from
     (sk, msg) so repeated runs of a simulation byte-match."""
     if not 0 <= sk < group.q:
         raise GroupError("secret scalar out of range")
-    pk_bytes = pk_ec(group, sk).encode()
+    pk_bytes = (_signer_pk if group.mode is GroupMode.SECURE else _encoded_pk)(group, sk)
     k = group.scalar_from_hash(h512(b"nonce" + group.encode_scalar(sk) + enc_bytes(msg)).digest)
     if k == 0:
         k = 1
@@ -292,14 +335,24 @@ def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignat
     return PreQuantumSignature(nonce_point, (k + e * sk) % group.q)
 
 
+def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, nonce_point: bytes, s: int) -> bool:
+    nonce = decode_point(group, nonce_point)
+    if not 0 <= s < group.q:
+        return False
+    e = _challenge(group, nonce_point, pk.encode(), msg)
+    return pk_ec(group, s).value == nonce.add(pk.mul(e)).value
+
+
+# typed=True: an s of 1.0 (which pow rejects) must not hit the entry of s = 1.
+_verify_cached = lru_cache(maxsize=VERIFY_CACHE_SIZE, typed=True)(_verify)
+
+
 def prequantum_verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
-    """Returns False (never raises) on malformed signature material."""
+    """Returns False (never raises) on malformed signature material,
+    including unhashable input to a secure-group call."""
     try:
-        nonce = decode_point(group, sig.nonce_point)
-        if not 0 <= sig.s < group.q:
-            return False
-        e = _challenge(group, sig.nonce_point, pk.encode(), msg)
-        return pk_ec(group, sig.s).value == nonce.add(pk.mul(e)).value
+        verify = _verify_cached if group.mode is GroupMode.SECURE else _verify
+        return verify(group, pk, msg, sig.nonce_point, sig.s)
     except (DecodeError, GroupError, AttributeError, TypeError):
         return False
 

@@ -194,6 +194,45 @@ class TestDuplicateInputs:
         assert h.chain.end_block().transactions == ()
 
 
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "kind, payload, rule, harness, height",
+        [
+            (TxKind.FC_COMMIT, b"\x00", "fc-commit-malformed", {}, 0),
+            (TxKind.FC_REVEAL, b"\x09", "fc-reveal-malformed", {}, 0),
+            (TxKind.REGISTRY_DECLARE, b"", "registry-malformed", {}, 0),
+            (TxKind.LFC_COMMIT, b"", "lfc-commit-malformed", {"fc_epoch_len": 200}, 200),
+            (TxKind.LFC_CLAIM, b"", "lfc-claim-malformed", {"fc_epoch_len": 200}, 200),
+            (TxKind.CANARY_KILL, b"\x00", "canary-malformed", {"killed_at": None}, 0),
+        ],
+        ids=["FC_COMMIT", "FC_REVEAL", "REGISTRY_DECLARE", "LFC_COMMIT", "LFC_CLAIM", "CANARY_KILL"],
+    )
+    def test_parse_failure_is_a_rule_violation(self, kind, payload, rule, harness, height):
+        h = Harness(**harness)  # FawkesCoin epoch from genesis, lifted from `height`
+        h.build()
+        h.mine_to(height)
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(Transaction(kind, (), (), payload))
+        assert violation is not None and violation.rule == rule
+        assert h.chain.state_digest() == before
+        assert h.chain.end_block().transactions == ()
+        h.mine()  # the builder is not left mid-block
+
+
+class TestUtxoPrimitives:
+    def test_adding_an_existing_outpoint_is_a_rule_violation(self):
+        h = Harness()
+        h.grant_pq("fee", "alice", 5_000)
+        h.build()
+        utxo = h.chain.utxos[h.outpoints["fee"]]
+        before = h.chain.state_digest()
+        with pytest.raises(RuleViolation) as info:
+            h.chain._add_utxo(utxo, h.chain.height)
+        assert info.value.rule == "utxo-exists"
+        assert h.chain.state_digest() == before
+
+
 class TestReplayAndReorg:
     def flow_harness(self):
         h = Harness()

@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcspend import groups
+from qcspend.encoding import DecodeError
 from qcspend.groups import (
     GroupError,
     GroupMode,
@@ -7,6 +11,7 @@ from qcspend.groups import (
     PreQuantumSignature,
     decode_point,
     h512,
+    jacobi,
     pk_ec,
     prequantum_sign,
     prequantum_verify,
@@ -145,6 +150,98 @@ class TestPreQuantumSignatures:
     def test_malformed_signature_returns_false(self):
         assert not prequantum_verify(G101, pk_ec(G101, 3), b"m", PreQuantumSignature(b"\x00\x00", 5))
         assert not prequantum_verify(G101, pk_ec(G101, 3), b"m", PreQuantumSignature(b"", 10**9))
+
+
+def encode_value(group, value):
+    return value.to_bytes(group.point_len, "big")
+
+
+class TestSubgroupCheck:
+    """decode_point's membership test must agree with pow(x, q, p) == 1,
+    by the Jacobi symbol on safe-prime groups and by pow elsewhere."""
+
+    SG = secure_group()
+
+    def assert_decodes_iff_member(self, group, value):
+        if pow(value, group.q, group.p) == 1:
+            assert decode_point(group, encode_value(group, value)).value == value
+        else:
+            with pytest.raises(DecodeError, match="^point not in the prime-order subgroup$"):
+                decode_point(group, encode_value(group, value))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=secure_group().p - 1))
+    def test_secure_group_matches_euler_criterion(self, value):
+        self.assert_decodes_iff_member(self.SG, value)
+
+    @pytest.mark.parametrize("value, member", [(1, True), (2, True), (11, False), ("p-1", False)])
+    def test_secure_group_fixed_cases(self, value, member):
+        value = self.SG.p - 1 if value == "p-1" else value
+        assert (pow(value, self.SG.q, self.SG.p) == 1) is member
+        self.assert_decodes_iff_member(self.SG, value)
+
+    @pytest.mark.parametrize("q", [11, 23, 101, 8191])
+    def test_toy_groups_exhaustive(self, q):
+        # q = 11 and 23 give safe primes (the Jacobi path); 101 and 8191
+        # give p = c*q + 1 with c > 2 (the pow path), where every value
+        # outside the subgroup must still be rejected.
+        g = toy_group(q)
+        assert (g.p == 2 * g.q + 1) is (q in (11, 23))
+        for value in range(1, g.p):
+            self.assert_decodes_iff_member(g, value)
+
+    def test_jacobi_small_moduli(self):
+        # (a/15) = (a/3)(a/5), by the Legendre symbols of each factor.
+        def legendre(a, p):
+            r = pow(a, (p - 1) // 2, p)
+            return -1 if r == p - 1 else r
+
+        for a in range(30):
+            assert jacobi(a, 15) == legendre(a, 3) * legendre(a, 5)
+
+
+class TestSecureSignatureCaches:
+    SG = secure_group()
+    SK = 123456789
+    MSG = b"cache me"
+
+    def test_changed_input_never_hits_the_cache(self):
+        pk = pk_ec(self.SG, self.SK)
+        sig = prequantum_sign(self.SG, self.SK, self.MSG)
+        other = prequantum_sign(self.SG, self.SK, b"other message")
+        assert prequantum_verify(self.SG, pk, self.MSG, sig)
+        assert prequantum_verify(self.SG, pk, self.MSG, sig)  # answered from the cache
+        assert not prequantum_verify(self.SG, pk, self.MSG, PreQuantumSignature(sig.nonce_point, sig.s + 1))
+        assert not prequantum_verify(self.SG, pk, self.MSG, PreQuantumSignature(other.nonce_point, sig.s))
+        assert not prequantum_verify(self.SG, pk, b"cache mE", sig)
+        assert not prequantum_verify(self.SG, pk_ec(self.SG, self.SK + 1), self.MSG, sig)
+
+    def test_float_s_does_not_hit_the_int_entry(self):
+        # Under the identity key, (g^s, s) verifies for any s; 2**600 is
+        # exact as a float, and 2.0**600 == 2**600 with equal hashes.
+        identity, s = pk_ec(self.SG, 0), 2**600
+        nonce = pk_ec(self.SG, s).encode()
+        assert prequantum_verify(self.SG, identity, self.MSG, PreQuantumSignature(nonce, s))
+        assert not prequantum_verify(self.SG, identity, self.MSG, PreQuantumSignature(nonce, float(s)))
+
+    def test_malformed_input_returns_false(self):
+        pk = pk_ec(self.SG, self.SK)
+        sig = prequantum_sign(self.SG, self.SK, self.MSG)
+        assert not prequantum_verify(self.SG, pk, self.MSG, None)
+        assert not prequantum_verify(self.SG, pk, ["unhashable"], sig)
+        assert not prequantum_verify(self.SG, None, self.MSG, sig)
+        assert not prequantum_verify(self.SG, pk, self.MSG, PreQuantumSignature(b"\x00", sig.s))
+
+    def test_toy_calls_skip_the_caches(self):
+        signers, verdicts = groups._signer_pk.cache_info(), groups._verify_cached.cache_info()
+        sig = prequantum_sign(G101, 13, b"toy")
+        assert prequantum_verify(G101, pk_ec(G101, 13), b"toy", sig)
+        assert groups._signer_pk.cache_info() == signers
+        assert groups._verify_cached.cache_info() == verdicts
+
+    def test_caches_are_bounded(self):
+        assert groups._signer_pk.cache_info().maxsize == groups.SIGNER_CACHE_SIZE > 0
+        assert groups._verify_cached.cache_info().maxsize == groups.VERIFY_CACHE_SIZE > 0
 
 
 class TestQuantumInvert:

@@ -204,6 +204,24 @@ class TestReveal:
         with pytest.raises(RuleViolation, match="lfc-fee-exact"):
             h.chain.add_tx(reveal)
 
+    def test_malformed_payload_is_a_rule_violation(self):
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        wallet = h.wallet("alice")
+        op = h.outpoints["u1"]
+        sk = wallet.derived_sk(path("m/0h/0/0"))
+        outputs = [TxOutput(wallet.pq_address(), U_VALUE - 1000)]
+        reveal = h.signed(TxKind.LFC_REVEAL, [(op, ("pre", wallet, sk))], outputs, b"\x09")  # no such mode
+        h.mine_with([record_tx(h, reveal.txid(), "u1", 1000)])
+        h.mine(99)
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(reveal)
+        assert violation is not None and violation.rule == "lfc-reveal-malformed"
+        assert h.chain.state_digest() == before
+        assert h.chain.end_block().transactions == ()
+
     def test_derived_reveal_materializes_registry(self):
         h = lfc_harness()
         h.build()
