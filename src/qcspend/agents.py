@@ -35,7 +35,6 @@ from .groups import (
 from .hdwallet import DerivationPath, Seed, derive, kdf
 from .ledger import (
     Address,
-    AddrKind,
     Outpoint,
     Transaction,
     TxInput,
@@ -497,7 +496,7 @@ class UserAgent(Agent):
             return
         sk = None
         if mode is RevealMode.NAKED:
-            pk = self._leaked_pk_for(utxo.address)
+            pk = chain.leaks.leaked_pk(utxo.address)
             if pk is None or not self.quantum:
                 self.log(f"steal aborted: cannot sign for {action['utxo']}")
                 return
@@ -513,14 +512,6 @@ class UserAgent(Agent):
         d_wit = self.wallet.witness_pq(skeleton.sighash())
         reveal_tx = Transaction(TxKind.FC_REVEAL, (TxInput(outpoint, u_wit), TxInput(deposit_outpoint, d_wit)), outputs, payload)
         self._fc_commit_and_schedule(reveal_tx, action, f"steal:{action['utxo']}")
-
-    def _leaked_pk_for(self, address: Address) -> Optional[bytes]:
-        if address.kind is AddrKind.PLAIN_PK:
-            return address.data
-        for pk in sorted(self.sim.chain.leaks.snapshot()):
-            if address.matches_pk(pk):
-                return pk
-        return None
 
     # Reports / registry ---------------------------------------------------------------------
 

@@ -194,7 +194,7 @@ class Chain:
         self.fc_commitments: dict[bytes, list[FcCommitment]] = {}
         self.challenges: dict[bytes, ChallengeRecord] = {}
         self.lfc_by_hash: dict[bytes, LfcCommitment] = {}  # committed hash -> record
-        self.lfc_locks: dict[Outpoint, bytes] = {}
+        self.lfc_locks: dict[Outpoint, bytes] = {}  # outpoint -> hash of its LOCKED record, and only those
         self.lfc_claim_heights: list[int] = []
         self.fee_shares_by_block: dict[int, int] = {}
 
@@ -262,16 +262,6 @@ class Chain:
 
     def utxo(self, outpoint: Outpoint) -> Optional[Utxo]:
         return self.utxos.get(outpoint)
-
-    def is_leaked(self, pk_bytes: bytes) -> bool:
-        return self.leaks.is_leaked(pk_bytes)
-
-    def mark_leaked(self, pk_bytes: bytes, height: int) -> None:
-        self.leaks.mark(pk_bytes, height)
-
-    def active_lfc(self, outpoint: Outpoint) -> Optional[LfcCommitment]:
-        committed = self.lfc_locks.get(outpoint)
-        return self.lfc_by_hash.get(committed) if committed else None
 
     # -- utxo bookkeeping ------------------------------------------------------
 
@@ -782,20 +772,10 @@ class Chain:
             raise RuleViolation("lfc-locked", "output already locked")
         with _decoding("lfc-proof-malformed"):
             sig = deserialize_lifted(self.group, msg.sigma)
-        if isinstance(sig, KeyLiftedSig):
-            pk_known = utxo.address.kind is AddrKind.PLAIN_PK or (
-                utxo.address.kind is AddrKind.PK_HASH and self._leaked_for_address(utxo.address)
-            )
-            if pk_known:
-                raise RuleViolation("lfc-keylift-leaked", "key-lifted proofs are void once the key is public")
+        if isinstance(sig, KeyLiftedSig) and self.leaks.leaked_pk(utxo.address) is not None:
+            raise RuleViolation("lfc-keylift-leaked", "key-lifted proofs are void once the key is public")
         if not self.verify_ownership(utxo.address, proof_message(msg.committed_hash, msg.alpha), msg.sigma):
             raise RuleViolation("lfc-proof-invalid", "proof of ownership does not verify")
-
-    def _leaked_for_address(self, address: Address) -> bool:
-        for pk, _h in self.leaks.snapshot().items():
-            if address.matches_pk(pk):
-                return True
-        return False
 
     def _key_public_before(self, address: Address, height: int) -> bool:
         """Was the pre-quantum key behind this address on chain strictly
@@ -803,10 +783,8 @@ class Chain:
         if address.kind is AddrKind.PLAIN_PK:
             first = self.address_first_seen.get(address.serialize())
             return first is not None and first < height
-        for pk, h in self.leaks.snapshot().items():
-            if h < height and address.matches_pk(pk):
-                return True
-        return False
+        pk = self.leaks.leaked_pk(address)
+        return pk is not None and self.leaks.leak_height(pk) < height
 
     def verify_ownership(self, address: Address, message: bytes, sigma: bytes) -> bool:
         try:
@@ -988,8 +966,9 @@ class Chain:
         if in_extension:
             return  # fines are withheld while an extension is running
         deadline = claim_deadline_age(self.params.wait_blocks, self.params.reveal_window, self.params.proof_window)
-        for record in list(self.lfc_by_hash.values()):
-            if record.state is LfcState.LOCKED and record.age(height) > deadline:
+        for committed in list(self.lfc_locks.values()):
+            record = self.lfc_by_hash[committed]
+            if record.age(height) > deadline:
                 self._expire_with_fine(record, height)
 
     def _sweep_challenges(self, height: int) -> None:
@@ -1031,17 +1010,10 @@ class Chain:
         if decision is EpochDecision.EXTEND:
             self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len, nxt_index, extension=True))
             return
-        # Rotation: settle whatever is still pending, then hand over to a
+        # Rotation: fine whatever is still locked, then hand over to a
         # FawkesCoin epoch.
-        for record in list(self.lfc_by_hash.values()):
-            if record.state is LfcState.LOCKED and record.age(height) > reveal_deadline_age(
-                self.params.wait_blocks, self.params.reveal_window
-            ):
-                self._expire_with_fine(record, height)
-            elif record.state is LfcState.LOCKED:
-                # Still inside its own reveal window at the boundary cannot
-                # happen under the commit cutoff; settle defensively.
-                self._expire_with_fine(record, height)
+        for committed in list(self.lfc_locks.values()):
+            self._expire_with_fine(self.lfc_by_hash[committed], height)
         self.epochs.append(Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len, nxt_index))
 
     def _assert_balance(self) -> None:

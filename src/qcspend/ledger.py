@@ -342,19 +342,35 @@ GENESIS_PARENT = bytes(32)
 
 class LeakTracker:
     """First-appearance heights of pre-quantum public keys.  Monotone: a
-    key never becomes un-leaked."""
+    key never becomes un-leaked.
+
+    An address index maps `address_hash(pk)` to the first key marked with
+    that hash, so `leaked_pk` answers "which leaked key is behind this
+    address" without hashing every leaked key.  The index is derived from
+    the marks: it stays out of `snapshot()` and so out of the state digest."""
 
     def __init__(self):
         self._leaked: dict[bytes, int] = {}
+        self._by_address: dict[bytes, bytes] = {}
 
     def mark(self, pk_bytes: bytes, height: int) -> None:
-        self._leaked.setdefault(pk_bytes, height)
+        if pk_bytes not in self._leaked:
+            self._leaked[pk_bytes] = height
+            self._by_address.setdefault(address_hash(pk_bytes), pk_bytes)
 
     def is_leaked(self, pk_bytes: bytes) -> bool:
         return pk_bytes in self._leaked
 
     def leak_height(self, pk_bytes: bytes) -> Optional[int]:
         return self._leaked.get(pk_bytes)
+
+    def leaked_pk(self, address: Address) -> Optional[bytes]:
+        """The leaked pre-quantum key behind `address`, or None."""
+        if address.kind is AddrKind.PK_HASH:
+            return self._by_address.get(address.data)
+        if address.kind is AddrKind.PLAIN_PK and address.data in self._leaked:
+            return address.data
+        return None
 
     def snapshot(self) -> dict[bytes, int]:
         return dict(self._leaked)

@@ -261,10 +261,6 @@ class GameResult:
     def won_all(self) -> bool:
         return self.wins == len(self.rounds)
 
-    @property
-    def won_any(self) -> bool:
-        return self.wins > 0
-
 
 class GameOracles:
     """What the adversary sees for one game round: the public key plus

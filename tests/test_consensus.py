@@ -154,7 +154,7 @@ class TestEraRules:
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         block = h.chain.end_block([pk])
         assert block.samaritan_reports == (pk,)
-        assert h.chain.is_leaked(pk)
+        assert h.chain.leaks.is_leaked(pk)
 
     def test_coinbase_cooldown(self):
         h = Harness(killed_at=None)

@@ -59,7 +59,7 @@ class TestRevealHashed:
         h.mine_with([reveal])  # included at age exactly 100
         assert h.chain.utxo(h.outpoints["u1"]) is None
         pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
-        assert h.chain.is_leaked(pk)
+        assert h.chain.leaks.is_leaked(pk)
 
     def test_reveal_at_age_99_rejected(self):
         h = era_harness()
@@ -99,7 +99,7 @@ class TestRevealHashed:
         h = era_harness()
         h.build()
         pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
-        h.chain.mark_leaked(pk, 0)  # leak strictly before the commit block
+        h.chain.leaks.mark(pk, 0)  # leak strictly before the commit block
         reveal = h.fc_flow_hashed("alice", "u1", "m/0h/0/0")
         # the commit landed at height 1, after the leak at height 0
         h.chain.begin_block("m0", h.wallet("m0").pq_address())

@@ -104,6 +104,42 @@ class TestLeakTracker:
     def test_unknown_key(self):
         assert not LeakTracker().is_leaked(b"nope")
 
+    def test_pk_hash_address_finds_its_marked_key(self):
+        t = LeakTracker()
+        pk = pk_ec(GROUP, 7).encode()
+        t.mark(pk, 3)
+        assert t.leaked_pk(pk_hash_address(pk)) == pk
+        assert t.leaked_pk(pk_hash_address(pk_ec(GROUP, 8).encode())) is None
+
+    def test_plain_pk_address_needs_a_mark(self):
+        t = LeakTracker()
+        pk = pk_ec(GROUP, 7).encode()
+        address = Address(AddrKind.PLAIN_PK, pk)
+        assert t.leaked_pk(address) is None
+        t.mark(pk, 3)
+        assert t.leaked_pk(address) == pk
+
+    def test_post_quantum_address_has_no_leaked_key(self):
+        t = LeakTracker()
+        pk = pk_ec(GROUP, 7).encode()
+        t.mark(pk, 3)
+        assert t.leaked_pk(Address(AddrKind.POST_QUANTUM, pk_hash_address(pk).data)) is None
+
+    def test_remark_keeps_first_height_for_the_address(self):
+        t = LeakTracker()
+        pk = pk_ec(GROUP, 7).encode()
+        t.mark(pk, 3)
+        t.mark(pk, 9)
+        found = t.leaked_pk(pk_hash_address(pk))
+        assert found == pk and t.leak_height(found) == 3
+
+    def test_address_index_stays_out_of_the_snapshot(self):
+        t = LeakTracker()
+        pks = [pk_ec(GROUP, sk).encode() for sk in (7, 8)]
+        for h, pk in enumerate(pks):
+            t.mark(pk, h)
+        assert t.snapshot() == {pks[0]: 0, pks[1]: 1}
+
 
 class TestSamaritanSelection:
     def test_budget_arithmetic_33_byte_keys(self):

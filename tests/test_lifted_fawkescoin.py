@@ -70,7 +70,7 @@ class TestCommit:
         _, committed = committed_flow(h)
         assert h.chain.lfc_by_hash[committed].state is LfcState.LOCKED
         assert h.outpoints["u1"] in h.chain.lfc_locks
-        assert h.chain.active_lfc(h.outpoints["u1"]).committed_hash == committed
+        assert h.chain.lfc_by_hash[h.chain.lfc_locks[h.outpoints["u1"]]].committed_hash == committed
         assert sum(t.kind in (TxKind.FC_COMMIT, TxKind.LFC_COMMIT) for t in h.chain.blocks[-1].transactions) == 1
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         with pytest.raises(RuleViolation, match="lfc-locked"):
@@ -115,7 +115,7 @@ class TestMempoolPolicy:
         h.build()
         h.mine_to(199)
         pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
-        h.chain.mark_leaked(pk, 50)
+        h.chain.leaks.mark(pk, 50)
         committed = b"\x07" * 32
         sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 9, kind="key")
         msg = LfcMempoolMsg(committed, sigma, h.outpoints["u1"], 9)
@@ -127,7 +127,7 @@ class TestMempoolPolicy:
         h.build()
         h.mine_to(199)
         pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
-        h.chain.mark_leaked(pk, 50)
+        h.chain.leaks.mark(pk, 50)
         committed = b"\x07" * 32
         sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 9, kind="seed")
         msg = LfcMempoolMsg(committed, sigma, h.outpoints["u1"], 9)
@@ -270,7 +270,7 @@ class TestClaim:
         h.build()
         h.mine_to(150)
         pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
-        h.chain.mark_leaked(pk, h.chain.height)  # leaked before the commit
+        h.chain.leaks.mark(pk, h.chain.height)  # leaked before the commit
         h.mine_to(199)
         _, committed = committed_flow(h, alpha=1000)  # the "fake" commitment
         # the adversary recovers the secret from the leaked key and forges
@@ -287,6 +287,29 @@ class TestClaim:
         h.mine(100)
         assert h.chain.lfc_by_hash[committed].state is LfcState.EXPIRED_FINED
 
+    @pytest.mark.parametrize("leak_offset, rejected", [(-1, True), (0, False)])
+    def test_keylift_claim_leak_boundary_is_the_commit_height(self, leak_offset, rejected):
+        # A key leaked strictly before the commitment's block voids a
+        # key-lifted claim; a leak in that same block does not.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        _, committed = committed_flow(h, alpha=1000)
+        record = h.chain.lfc_by_hash[committed]
+        pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
+        h.chain.leaks.mark(pk, record.height_included + leak_offset)
+        sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 1000, kind="key")
+        h.mine(201)
+        claim = Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        if rejected:
+            with pytest.raises(RuleViolation, match="lfc-claim-keylift-leaked"):
+                h.chain.add_tx(claim)
+        else:
+            h.chain.add_tx(claim)
+        h.chain.end_block()
+        assert (record.state is LfcState.LOCKED) is rejected
+
     def test_seedlift_claim_on_leaked_output_accepted(self):
         # Seed-lifted proofs are leak-immune: the same late-claim flow with
         # a seed proof stays valid.
@@ -294,7 +317,7 @@ class TestClaim:
         h.build()
         h.mine_to(150)
         pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
-        h.chain.mark_leaked(pk, h.chain.height)
+        h.chain.leaks.mark(pk, h.chain.height)
         h.mine_to(199)
         _, committed = committed_flow(h, alpha=1000)
         sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 1000, kind="seed")

@@ -86,6 +86,25 @@ class TestLfcDelay:
         assert sim.grant_outpoint("u-victim") not in sim.chain.lfc_locks
 
 
+@pytest.mark.parametrize("name", ["lfc-delay", "lfc-spammer", "epoch-mechanics"])
+def test_locks_name_exactly_the_locked_records(name):
+    # The lifted sweeps iterate `lfc_locks`, so it must name every LOCKED
+    # record and nothing else, after every block.  epoch-mechanics adds
+    # reveals, extensions and rotation settlements to the delay attack's
+    # expiry and the spammer's claim.
+    sim = Simulation(load_scenario(name))
+    blocks_with_locks = 0
+    for _ in range(sim.config.blocks):
+        sim.run(1)
+        chain = sim.chain
+        locked = {c for c, r in chain.lfc_by_hash.items() if r.state is LfcState.LOCKED}
+        assert set(chain.lfc_locks.values()) == locked
+        for outpoint, committed in chain.lfc_locks.items():
+            assert chain.lfc_by_hash[committed].outpoint == outpoint
+        blocks_with_locks += bool(locked)
+    assert blocks_with_locks and not sim.chain.lfc_locks
+
+
 class TestFraudProof:
     def test_deposit_redistribution_is_exact(self):
         sim = run("fraud-proof")
