@@ -18,6 +18,7 @@ randomness any agent needs is derived from the scenario seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .consensus import Chain, EraPhase, proof_message
@@ -34,6 +35,7 @@ from .groups import (
 )
 from .hdwallet import DerivationPath, Seed, derive, kdf
 from .ledger import (
+    NO_WITNESS,
     Address,
     Outpoint,
     Transaction,
@@ -215,9 +217,7 @@ class Agent:
         if change < 0:
             raise RuleViolation("agent-underfunded", f"{self.id} cannot pay {fee}")
         outputs = tuple(extra_outputs) + ((TxOutput(self.wallet.pq_address(), change),) if change > 0 else ())
-        skeleton = Transaction(kind, (TxInput((utxo.outpoint)),), outputs, payload)
-        witness = self.wallet.witness_pq(skeleton.sighash())
-        return Transaction(kind, (TxInput(utxo.outpoint, witness),), outputs, payload)
+        return Transaction(kind, (TxInput(utxo.outpoint),), outputs, payload).signed(self.wallet.witness_pq)
 
 
 class MinerAgent(Agent):
@@ -378,9 +378,7 @@ class UserAgent(Agent):
         fee = int(action.get("fee", 0))
         sk = self._grant_sk(action["utxo"])
         outputs = (TxOutput(self._destination(action), utxo.value - fee),)
-        skeleton = Transaction(TxKind.TRANSFER, (TxInput(outpoint),), outputs)
-        witness = self.wallet.witness_pre(sk, skeleton.sighash())
-        tx = Transaction(TxKind.TRANSFER, (TxInput(outpoint, witness),), outputs)
+        tx = Transaction(TxKind.TRANSFER, (TxInput(outpoint),), outputs).signed(partial(self.wallet.witness_pre, sk))
         self.sim.mempool.submit("tx", tx, self.id)
         self.log(f"direct spend of {action['utxo']}")
 
@@ -419,16 +417,14 @@ class UserAgent(Agent):
             deposit_outpoint = self.sim.grant_outpoint(action["deposit"])
             deposit = chain.utxo(deposit_outpoint)
             outputs = (TxOutput(self._destination(action), utxo.value + deposit.value - fee),)
-            inputs = (TxInput(outpoint), TxInput(deposit_outpoint))
-            skeleton = Transaction(TxKind.FC_REVEAL, inputs, outputs, payload)
-            u_wit = self.wallet.witness_pre(sk, skeleton.sighash()) if mode is RevealMode.NAKED else Witness(WitnessKind.NONE)
-            d_wit = self.wallet.witness_pq(skeleton.sighash())
-            return Transaction(TxKind.FC_REVEAL, (TxInput(outpoint, u_wit), TxInput(deposit_outpoint, d_wit)), outputs, payload)
+            u_signer = partial(self.wallet.witness_pre, sk) if mode is RevealMode.NAKED else lambda _: NO_WITNESS
+            tx = Transaction(TxKind.FC_REVEAL, (TxInput(outpoint), TxInput(deposit_outpoint)), outputs, payload)
+            return tx.signed(u_signer, self.wallet.witness_pq)
 
         outputs = (TxOutput(self._destination(action), utxo.value - fee),)
-        skeleton = Transaction(TxKind.FC_REVEAL, (TxInput(outpoint),), outputs, payload)
-        witness = self.wallet.witness_pre(sk, skeleton.sighash())
-        return Transaction(TxKind.FC_REVEAL, (TxInput(outpoint, witness),), outputs, payload)
+        return Transaction(TxKind.FC_REVEAL, (TxInput(outpoint),), outputs, payload).signed(
+            partial(self.wallet.witness_pre, sk)
+        )
 
     def do_fc_spend(self, action: dict) -> None:
         mode = RevealMode[action.get("mode", "hashed").upper()]
@@ -454,10 +450,10 @@ class UserAgent(Agent):
         else:
             payload = RevealPayload(RevealMode.HASHED).serialize(chain.group)
         outputs = (TxOutput(self._destination(action), utxo.value - alpha),)
-        skeleton = Transaction(TxKind.LFC_REVEAL, (TxInput(outpoint),), outputs, payload)
         sk = self._grant_sk(action["utxo"])
-        witness = self.wallet.witness_pre(sk, skeleton.sighash())
-        reveal_tx = Transaction(TxKind.LFC_REVEAL, (TxInput(outpoint, witness),), outputs, payload)
+        reveal_tx = Transaction(TxKind.LFC_REVEAL, (TxInput(outpoint),), outputs, payload).signed(
+            partial(self.wallet.witness_pre, sk)
+        )
         committed = reveal_tx.txid()
         message = proof_message(committed, alpha)
         if use_seed:
@@ -501,16 +497,7 @@ class UserAgent(Agent):
                 self.log(f"steal aborted: cannot sign for {action['utxo']}")
                 return
             sk = quantum_invert(decode_point(chain.group, pk))
-        fee = int(action.get("fee", 0))
-        deposit_outpoint = self.sim.grant_outpoint(action["deposit"])
-        deposit = chain.utxo(deposit_outpoint)
-        payload = RevealPayload(mode).serialize(chain.group)
-        outputs = (TxOutput(self.wallet.pq_address(), utxo.value + deposit.value - fee),)
-        inputs = (TxInput(outpoint), TxInput(deposit_outpoint))
-        skeleton = Transaction(TxKind.FC_REVEAL, inputs, outputs, payload)
-        u_wit = self.wallet.witness_pre(sk, skeleton.sighash()) if mode is RevealMode.NAKED else Witness(WitnessKind.NONE)
-        d_wit = self.wallet.witness_pq(skeleton.sighash())
-        reveal_tx = Transaction(TxKind.FC_REVEAL, (TxInput(outpoint, u_wit), TxInput(deposit_outpoint, d_wit)), outputs, payload)
+        reveal_tx = self._build_fc_reveal(action, mode, sk)
         self._fc_commit_and_schedule(reveal_tx, action, f"steal:{action['utxo']}")
 
     # Reports / registry ---------------------------------------------------------------------
@@ -556,9 +543,9 @@ class UserAgent(Agent):
         payload = RevealPayload(RevealMode.FRAUD_PROOF, self.wallet.msk, path, record.txid).serialize(chain.group)
         sk = self.wallet.derived_sk(path)
         outputs = (TxOutput(self.wallet.pq_address(), record.spent_value),)  # fee 0: full recovery
-        skeleton = Transaction(TxKind.FC_REVEAL, (TxInput(record.spent_outpoint),), outputs, payload)
-        witness = self.wallet.witness_pre(sk, skeleton.sighash())
-        reveal_tx = Transaction(TxKind.FC_REVEAL, (TxInput(record.spent_outpoint, witness),), outputs, payload)
+        reveal_tx = Transaction(TxKind.FC_REVEAL, (TxInput(record.spent_outpoint),), outputs, payload).signed(
+            partial(self.wallet.witness_pre, sk)
+        )
         self._fc_commit_and_schedule(reveal_tx, {}, f"fraud-proof:{name}")
         self.log(f"theft of {name} detected; fraud proof committed")
 
@@ -602,9 +589,9 @@ class FrontRunnerAgent(Agent):
                 continue
             sk = quantum_invert(decode_point(chain.group, txin.witness.pk))
             outputs = (TxOutput(self.wallet.pq_address(), utxo.value),)
-            skeleton = Transaction(TxKind.TRANSFER, (TxInput(txin.outpoint),), outputs)
-            witness = self.wallet.witness_pre(sk, skeleton.sighash())
-            steal = Transaction(TxKind.TRANSFER, (TxInput(txin.outpoint, witness),), outputs)
+            steal = Transaction(TxKind.TRANSFER, (TxInput(txin.outpoint),), outputs).signed(
+                partial(self.wallet.witness_pre, sk)
+            )
             self.sim.mempool.submit("tx", steal, self.id, priority=10)
             self.log(f"front-ran a direct spend of {utxo.value}")
 
@@ -626,9 +613,9 @@ class FrontRunnerAgent(Agent):
         sk = quantum_invert(decode_point(chain.group, txin.witness.pk))
         outputs = (TxOutput(self.wallet.pq_address(), utxo.value),)
         payload = RevealPayload(RevealMode.HASHED).serialize(chain.group)
-        skeleton = Transaction(TxKind.FC_REVEAL, (TxInput(txin.outpoint),), outputs, payload)
-        witness = self.wallet.witness_pre(sk, skeleton.sighash())
-        steal_reveal = Transaction(TxKind.FC_REVEAL, (TxInput(txin.outpoint, witness),), outputs, payload)
+        steal_reveal = Transaction(TxKind.FC_REVEAL, (TxInput(txin.outpoint),), outputs, payload).signed(
+            partial(self.wallet.witness_pre, sk)
+        )
         try:
             ctx = self.build_pq_spend(TxKind.FC_COMMIT, self.pq_fee_outpoint(), 0, commit_payload(steal_reveal.txid()))
         except RuleViolation:

@@ -30,8 +30,9 @@ begin/add/end path.  Readers may query concurrently between blocks.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -87,7 +88,7 @@ from .lifted_fawkescoin import (
 )
 from .lifting import (
     KeyLiftedSig,
-    SeedLiftedSig,
+    LiftedSignature,
     deserialize_lifted,
     keylift_verify,
     seedlift_owf,
@@ -161,6 +162,20 @@ class GenesisGrant:
     wait_override: int = 0
 
 
+@dataclass
+class _Draft:
+    """The block under construction, between begin_block and end_block."""
+
+    height: int
+    miner_id: str
+    miner_address: Address
+    parent: bytes
+    txs: list[Transaction] = field(default_factory=list)
+    fees: int = 0        # immediately-payable fees
+    cover: int = 0       # escrow-cover contributions
+    obligation: int = 0  # fine escrow owed for this block's lifted commits
+
+
 def proof_message(committed_hash: bytes, alpha: int) -> bytes:
     """What a lifted proof of ownership signs: the commitment hash and fee."""
     return enc_bytes(committed_hash) + enc_u64(alpha)
@@ -196,7 +211,7 @@ class Chain:
         self.lfc_by_hash: dict[bytes, LfcCommitment] = {}  # committed hash -> record
         self.lfc_locks: dict[Outpoint, bytes] = {}  # outpoint -> hash of its LOCKED record, and only those
         self.lfc_claim_heights: list[int] = []
-        self.fee_shares_by_block: dict[int, int] = {}
+        self.fee_shares_by_block: Counter[int] = Counter()
 
         self.epochs: list[Epoch] = []
         self.total_minted = 0
@@ -207,7 +222,7 @@ class Chain:
         self.fine_escrow_pool = 0
         self.violations: list[tuple[int, str, str]] = []
 
-        self._building: Optional[dict] = None
+        self._building: Optional[_Draft] = None
         if canary.killed_at is not None:
             start = canary.killed_at + params.era_countdown
             self.epochs = [Epoch(EpochKind.FC, start, params.fc_epoch_len, 0)]
@@ -295,16 +310,7 @@ class Chain:
     def begin_block(self, miner_id: str, miner_address: Address) -> None:
         if self._building is not None:
             raise RuntimeError("block already in progress")
-        self._building = {
-            "height": self.height + 1,
-            "miner_id": miner_id,
-            "miner_address": miner_address,
-            "parent": self.tip_hash,
-            "txs": [],
-            "fees": 0,           # immediately-payable fees
-            "cover": 0,          # escrow-cover contributions
-            "obligation": 0,     # fine escrow owed for this block's lifted commits
-        }
+        self._building = _Draft(self.height + 1, miner_id, miner_address, self.tip_hash)
 
     def add_tx(self, tx: Transaction) -> None:
         """Validate against live state and apply; raises RuleViolation and
@@ -314,8 +320,8 @@ class Chain:
         handler = self._HANDLERS.get(tx.kind)
         if handler is None:
             raise RuleViolation("tx-kind", f"{tx.kind} cannot appear in the transaction list")
-        handler(self, tx, self._building["height"])
-        self._building["txs"].append(tx)
+        handler(self, tx, self._building.height)
+        self._building.txs.append(tx)
 
     def try_add_tx(self, tx: Transaction) -> Optional[RuleViolation]:
         """Builder-side add: skip-and-log instead of raising."""
@@ -323,7 +329,7 @@ class Chain:
             self.add_tx(tx)
             return None
         except RuleViolation as violation:
-            self.violations.append((self._building["height"], violation.rule, violation.detail))
+            self.violations.append((self._building.height, violation.rule, violation.detail))
             return violation
 
     def building_fine_headroom(self) -> int:
@@ -332,26 +338,27 @@ class Chain:
         b = self._building
         if b is None:
             raise RuntimeError("no block in progress")
-        return self.params.block_reward + b["fees"] + b["cover"] - b["obligation"]
+        return self.params.block_reward + b.fees + b.cover - b.obligation
 
     def end_block(self, reports: Iterable[bytes] = ()) -> Block:
-        b = self._building
+        # The draft is released first, so a rejected block never leaves the
+        # builder stuck.
+        b, self._building = self._building, None
         if b is None:
             raise RuntimeError("no block in progress")
-        height = b["height"]
+        height = b.height
 
         accepted_reports = self._include_reports(list(reports), height)
 
-        guaranteed = self.params.block_reward + b["fees"]
-        if guaranteed + b["cover"] < b["obligation"]:
-            self._building = None
+        guaranteed = self.params.block_reward + b.fees
+        if guaranteed + b.cover < b.obligation:
             raise RuleViolation(
                 "lfc-fine-coverage",
-                f"guaranteed {guaranteed} + cover {b['cover']} < obligation {b['obligation']}",
+                f"guaranteed {guaranteed} + cover {b.cover} < obligation {b.obligation}",
             )
-        self.fine_escrow_pool += b["obligation"]
-        main_value = guaranteed + b["cover"] - b["obligation"]
-        outputs = [TxOutput(b["miner_address"], main_value)]
+        self.fine_escrow_pool += b.obligation
+        main_value = guaranteed + b.cover - b.obligation
+        outputs = [TxOutput(b.miner_address, main_value)]
         addendum = self._lfc_fee_addendum(height)
         if addendum is not None:
             outputs.append(addendum)
@@ -364,15 +371,14 @@ class Chain:
 
         block = Block(
             height,
-            b["parent"],
-            b["miner_id"],
-            b["miner_address"],
-            tuple(b["txs"]),
+            b.parent,
+            b.miner_id,
+            b.miner_address,
+            tuple(b.txs),
             tuple(accepted_reports),
             coinbase,
         )
         self.blocks.append(block)
-        self._building = None
 
         self._sweep_lfc_expiries(height)
         self._sweep_challenges(height)
@@ -519,7 +525,7 @@ class Chain:
             "era-direct-spend",
             "direct pre-quantum spending is prohibited in the quantum era",
         )
-        self._building["fees"] += self._spend_inputs(tx, height, total_in)
+        self._building.fees += self._spend_inputs(tx, height, total_in)
 
     def _apply_escrow_cover(self, tx: Transaction, height: int) -> None:
         if tx.outputs:
@@ -527,7 +533,7 @@ class Chain:
         total = self._validate_inputs(
             tx, height, self._is_post_quantum, "cover-pq-only", "fine coverage must come from post-quantum outputs"
         )
-        self._building["cover"] += self._spend_inputs(tx, height, total)
+        self._building.cover += self._spend_inputs(tx, height, total)
 
     # FawkesCoin ------------------------------------------------------------------
 
@@ -550,7 +556,7 @@ class Chain:
         total_in = self._validate_inputs(
             tx, height, self._is_post_quantum, "fc-commit-needs-pq-fee", "a post-quantum output must fund the commitment"
         )
-        self._building["fees"] += self._spend_inputs(tx, height, total_in)
+        self._building.fees += self._spend_inputs(tx, height, total_in)
         # No locking in non-lifted mode: duplicate hashes are all recorded.
         self.fc_commitments.setdefault(committed, []).append(FcCommitment(committed, height, tx.txid()))
 
@@ -605,7 +611,7 @@ class Chain:
         else:
             raise RuleViolation("fc-reveal-mode", f"unsupported reveal mode {mode}")
 
-        self._building["fees"] += self._spend_inputs(tx, height, total_in)
+        self._building.fees += self._spend_inputs(tx, height, total_in)
         if mode is RevealMode.DERIVED:
             self._materialize(payload, height)
 
@@ -665,7 +671,7 @@ class Chain:
             fee=fee,
             reveal_height=height,
             challenge_end_height=height + self.params.challenge_blocks,
-            reveal_miner=self._building["miner_address"],
+            reveal_miner=self._building.miner_address,
             spent_wait=wait,
         )
         self.challenges[record.txid] = record
@@ -705,7 +711,7 @@ class Chain:
         self._mark_witness_leak(tx.inputs[0].witness, height)
         self._materialize(payload, height)
         self._create_outputs(tx, height)
-        self._building["fees"] += fee
+        self._building.fees += fee
         owed_fee = min(record.fee, record.deposit_value)
         self._credit(b"challenge-fee", record.txid, record.reveal_miner, owed_fee, height)
         self._credit(b"deposit-payout", record.txid, tx.outputs[0].address, record.deposit_value - owed_fee, height)
@@ -750,8 +756,8 @@ class Chain:
             utxo_hash=utxo_hash,
             alpha=alpha,
             height_included=height,
-            committer_id=self._building["miner_id"],
-            committer_address=self._building["miner_address"],
+            committer_id=self._building.miner_id,
+            committer_address=self._building.miner_address,
             outpoint=outpoint,
             utxo_value=utxo.value,
             utxo_address=utxo.address,
@@ -759,7 +765,7 @@ class Chain:
         )
         self.lfc_by_hash[committed] = record
         self.lfc_locks[outpoint] = committed
-        self._building["obligation"] += fine
+        self._building.obligation += fine
 
     def validate_lfc_mempool_msg(self, msg, height: Optional[int] = None) -> None:
         """Honest-miner policy for a lifted commitment message: the proof
@@ -774,7 +780,7 @@ class Chain:
             sig = deserialize_lifted(self.group, msg.sigma)
         if isinstance(sig, KeyLiftedSig) and self.leaks.leaked_pk(utxo.address) is not None:
             raise RuleViolation("lfc-keylift-leaked", "key-lifted proofs are void once the key is public")
-        if not self.verify_ownership(utxo.address, proof_message(msg.committed_hash, msg.alpha), msg.sigma):
+        if not self.verify_ownership(utxo.address, proof_message(msg.committed_hash, msg.alpha), sig):
             raise RuleViolation("lfc-proof-invalid", "proof of ownership does not verify")
 
     def _key_public_before(self, address: Address, height: int) -> bool:
@@ -786,21 +792,15 @@ class Chain:
         pk = self.leaks.leaked_pk(address)
         return pk is not None and self.leaks.leak_height(pk) < height
 
-    def verify_ownership(self, address: Address, message: bytes, sigma: bytes) -> bool:
-        try:
-            sig = deserialize_lifted(self.group, sigma)
-        except DecodeError:
-            return False
+    def verify_ownership(self, address: Address, message: bytes, sig: LiftedSignature) -> bool:
         if isinstance(sig, KeyLiftedSig):
             if address.kind is AddrKind.PK_HASH:
                 return keylift_verify(self.key_backend, address.data, message, sig)
             if address.kind is AddrKind.PLAIN_PK:
                 return keylift_verify(self.key_backend, address_hash(address.data), message, sig)
             return False
-        if isinstance(sig, SeedLiftedSig):
-            pk = self._derived_leaf_pk(address, sig.msk, sig.path)
-            return pk is not None and seedlift_verify(self.group, self.seed_backend, pk, message, sig)
-        return False
+        pk = self._derived_leaf_pk(address, sig.msk, sig.path)
+        return pk is not None and seedlift_verify(self.group, self.seed_backend, pk, message, sig)
 
     def _apply_lfc_reveal(self, tx: Transaction, height: int) -> None:
         self._lfc_epoch(height, committing=False)
@@ -830,7 +830,6 @@ class Chain:
         if fee != record.alpha:
             raise RuleViolation("lfc-fee-exact", f"fee {fee} must equal the committed {record.alpha}")
 
-        del self.lfc_locks[record.outpoint]
         self._remove_utxo(record.outpoint)
         self._mark_witness_leak(tx.inputs[0].witness, height)
         if payload.mode is RevealMode.DERIVED:
@@ -839,13 +838,9 @@ class Chain:
 
         committer_share, revealer_share = split_fee(record.alpha)
         self.pending_fee_pool += record.alpha
-        self.fee_shares_by_block[record.height_included] = (
-            self.fee_shares_by_block.get(record.height_included, 0) + committer_share
-        )
-        self.fee_shares_by_block[height] = self.fee_shares_by_block.get(height, 0) + revealer_share
-        record.state = LfcState.REVEALED
-        record.resolved_height = height
-        self._refund_fine_escrow(record, height)
+        self.fee_shares_by_block[record.height_included] += committer_share
+        self.fee_shares_by_block[height] += revealer_share
+        self._resolve_lfc(record, LfcState.REVEALED, height)
 
     def _apply_lfc_claim(self, tx: Transaction, height: int) -> None:
         self._lfc_epoch(height, committing=False)
@@ -864,7 +859,9 @@ class Chain:
         deadline = claim_deadline_age(wait, self.params.reveal_window, self.params.proof_window)
         if age > deadline and not epoch.extension:
             raise RuleViolation("lfc-claim-late", "the proof window is over")
-        if not self.verify_ownership(record.utxo_address, proof_message(committed, record.alpha), sigma):
+        with _decoding("lfc-claim-proof"):
+            sig = deserialize_lifted(self.group, sigma)
+        if not self.verify_ownership(record.utxo_address, proof_message(committed, record.alpha), sig):
             raise RuleViolation("lfc-claim-proof", "the posted proof of ownership does not verify")
         # A key-lifted proof on an output whose key had already leaked when
         # the commitment landed proves nothing: anyone holding the public
@@ -872,35 +869,27 @@ class Chain:
         # but only here, with the proof finally on chain, can consensus
         # enforce it -- closing the route from a policy-skipping fake
         # commitment to an outright claim of a leaked output.
-        try:
-            sig = deserialize_lifted(self.group, sigma)
-        except DecodeError:  # unreachable: verify_ownership parsed it
-            raise RuleViolation("lfc-claim-proof", "malformed proof")
         if isinstance(sig, KeyLiftedSig) and self._key_public_before(record.utxo_address, record.height_included):
             raise RuleViolation("lfc-claim-keylift-leaked", "key-lifted proof on an output leaked before the commitment")
 
-        del self.lfc_locks[record.outpoint]
         utxo = self._remove_utxo(record.outpoint)
         self._credit(b"lfc-claim", committed, record.committer_address, utxo.value, height)
-        record.state = LfcState.CLAIMED_BY_MINER
-        record.resolved_height = height
         self.lfc_claim_heights.append(height)
-        self._refund_fine_escrow(record, height)
+        self._resolve_lfc(record, LfcState.CLAIMED_BY_MINER, height)
 
-    def _refund_fine_escrow(self, record: LfcCommitment, height: int) -> None:
-        if record.fine_escrow > 0:
-            self.fine_escrow_pool -= record.fine_escrow
-            self._credit(b"lfc-escrow-refund", record.committed_hash, record.committer_address, record.fine_escrow, height)
-            record.fine_escrow = 0
-
-    def _expire_with_fine(self, record: LfcCommitment, height: int) -> None:
+    def _resolve_lfc(self, record: LfcCommitment, state: LfcState, height: int) -> None:
+        """Settle a LOCKED record as `state`: unlock its output and release
+        its fine escrow, to the output's address on expiry and back to the
+        committer otherwise."""
         del self.lfc_locks[record.outpoint]
-        fine = record.fine_escrow
-        self.fine_escrow_pool -= fine
-        record.fine_escrow = 0
-        self._credit(b"lfc-fine", record.committed_hash, record.utxo_address, fine, height)
-        record.state = LfcState.EXPIRED_FINED
+        record.state = state
         record.resolved_height = height
+        self.fine_escrow_pool -= record.fine_escrow
+        if state is LfcState.EXPIRED_FINED:
+            self._credit(b"lfc-fine", record.committed_hash, record.utxo_address, record.fine_escrow, height)
+        else:
+            self._credit(b"lfc-escrow-refund", record.committed_hash, record.committer_address, record.fine_escrow, height)
+        record.fine_escrow = 0
 
     # registry / canary ------------------------------------------------------------------
 
@@ -961,15 +950,14 @@ class Chain:
     # -- sweeps -------------------------------------------------------------------------
 
     def _sweep_lfc_expiries(self, height: int) -> None:
-        epoch = self.epoch_of(height) if self.era_start() is not None and height >= self.era_start() else None
-        in_extension = epoch is not None and epoch.kind is EpochKind.LFC and epoch.extension
-        if in_extension:
+        epoch = self.epoch_of(height)
+        if epoch is not None and epoch.extension:
             return  # fines are withheld while an extension is running
         deadline = claim_deadline_age(self.params.wait_blocks, self.params.reveal_window, self.params.proof_window)
         for committed in list(self.lfc_locks.values()):
             record = self.lfc_by_hash[committed]
             if record.age(height) > deadline:
-                self._expire_with_fine(record, height)
+                self._resolve_lfc(record, LfcState.EXPIRED_FINED, height)
 
     def _sweep_challenges(self, height: int) -> None:
         for record in self.challenges.values():
@@ -990,11 +978,8 @@ class Chain:
         return TxOutput(earner.miner_address, shares)
 
     def _epoch_end_check(self, height: int) -> None:
-        start = self.era_start()
-        if start is None or not self.epochs or height < start:
-            return
         current = self.epoch_of(height)
-        if height != current.end - 1:
+        if current is None or height != current.end - 1:
             return
         nxt_index = current.index + 1
         if current.kind is EpochKind.FC:
@@ -1013,7 +998,7 @@ class Chain:
         # Rotation: fine whatever is still locked, then hand over to a
         # FawkesCoin epoch.
         for committed in list(self.lfc_locks.values()):
-            self._expire_with_fine(self.lfc_by_hash[committed], height)
+            self._resolve_lfc(self.lfc_by_hash[committed], LfcState.EXPIRED_FINED, height)
         self.epochs.append(Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len, nxt_index))
 
     def _assert_balance(self) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .encoding import Reader, enc_bytes, enc_str, enc_u32, enc_u64
 from .groups import GroupParams, address_hash, pk_ec
@@ -288,6 +288,15 @@ class Transaction:
         for o in self.outputs:
             out += o.serialize()
         return address_hash(out + enc_bytes(self.payload))
+
+    def signed(self, *signers: Callable[[bytes], Witness]) -> "Transaction":
+        """This transaction with input i's witness made by `signers[i]`
+        from the sighash."""
+        if len(signers) != len(self.inputs):
+            raise ValueError(f"{len(signers)} signers for {len(self.inputs)} inputs")
+        sighash = self.sighash()
+        inputs = tuple(TxInput(i.outpoint, sign(sighash)) for i, sign in zip(self.inputs, signers))
+        return Transaction(self.kind, inputs, self.outputs, self.payload)
 
     def output_sum(self) -> int:
         return sum(o.value for o in self.outputs)

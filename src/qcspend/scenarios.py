@@ -45,27 +45,32 @@ ADVERSARY_AGENT = {
 }
 
 
-def bundled_scenario_text(name: str) -> str:
-    if name not in BUNDLED:
-        raise ConfigError(f"no bundled scenario named {name!r}")
-    return resources.files("qcspend").joinpath(f"scenarios/{name}.json").read_text()
+def _scenario_json(name_or_path: str) -> dict:
+    """The JSON object of a bundled name, or of a scenario file at a path."""
+    if name_or_path in BUNDLED:
+        text = resources.files("qcspend").joinpath(f"scenarios/{name_or_path}.json").read_text()
+    else:
+        with open(name_or_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise ConfigError("scenario config must be a JSON object")
+    return data
 
 
 def load_scenario(name_or_path: str) -> ScenarioConfig:
     """A bundled name, or a path to a scenario JSON file."""
-    if name_or_path in BUNDLED:
-        return ScenarioConfig.from_json(bundled_scenario_text(name_or_path))
-    with open(name_or_path, "r", encoding="utf-8") as fh:
-        return ScenarioConfig.from_json(fh.read())
+    return ScenarioConfig.from_dict(_scenario_json(name_or_path))
 
 
 def run_scenario(name_or_path: str, seed: Optional[int] = None, overrides: Optional[dict] = None) -> Simulation:
-    config = load_scenario(name_or_path)
+    data = _scenario_json(name_or_path)
+    config = ScenarioConfig.from_dict(data)
     if overrides:
-        data = json.loads(bundled_scenario_text(name_or_path)) if name_or_path in BUNDLED else None
-        if data is None:
-            with open(name_or_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+        # The file's own config is checked first, so `params` is an object.
         data.setdefault("params", {}).update(overrides)
         config = ScenarioConfig.from_dict(data)
     sim = Simulation(config, seed=seed)

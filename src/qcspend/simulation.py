@@ -12,7 +12,6 @@ Genesis grants are named, so agent scripts can refer to outputs by name
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,16 +100,6 @@ class ScenarioConfig:
             miner_overrides={int(k): v for k, v in data.get("miner_overrides", {}).items()},
             grants=tuple(grants),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "ScenarioConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}")
-        if not isinstance(data, dict):
-            raise ConfigError("scenario config must be a JSON object")
-        return ScenarioConfig.from_dict(data)
 
 
 class Simulation:

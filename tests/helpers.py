@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from qcspend.agents import Wallet
 from qcspend.consensus import Chain, ChainConfig, GenesisGrant
 from qcspend.fawkescoin import RevealMode, RevealPayload, commit_payload
 from qcspend.groups import pk_ec, toy_group
 from qcspend.hdwallet import DerivationPath
-from qcspend.ledger import (
-    Address,
-    Transaction,
-    TxInput,
-    TxKind,
-    TxOutput,
-    Witness,
-    WitnessKind,
-    pk_hash_address,
-)
+from qcspend.ledger import NO_WITNESS, Address, Transaction, TxInput, TxKind, TxOutput, pk_hash_address
 from qcspend.params import Params
 
 KDF_ITERS = 8
@@ -106,17 +99,16 @@ class Harness:
     def signed(self, kind, inputs_with_signers, outputs, payload=b"") -> Transaction:
         """inputs_with_signers: list of (outpoint, signer) where signer is
         ("pre", wallet, sk), ("pq", wallet), or None."""
-        skeleton = Transaction(kind, tuple(TxInput(op) for op, _ in inputs_with_signers), tuple(outputs), payload)
-        sighash = skeleton.sighash()
-        inputs = []
-        for op, signer in inputs_with_signers:
+
+        def sign(signer):
             if signer is None:
-                inputs.append(TxInput(op, Witness(WitnessKind.NONE)))
-            elif signer[0] == "pre":
-                inputs.append(TxInput(op, signer[1].witness_pre(signer[2], sighash)))
-            else:
-                inputs.append(TxInput(op, signer[1].witness_pq(sighash)))
-        return Transaction(kind, tuple(inputs), tuple(outputs), payload)
+                return lambda _: NO_WITNESS
+            if signer[0] == "pre":
+                return partial(signer[1].witness_pre, signer[2])
+            return signer[1].witness_pq
+
+        tx = Transaction(kind, tuple(TxInput(op) for op, _ in inputs_with_signers), tuple(outputs), payload)
+        return tx.signed(*(sign(signer) for _, signer in inputs_with_signers))
 
     def fc_commit_tx(self, owner: str, committed_hash: bytes, fee: int = 0) -> Transaction:
         wallet = self.wallet(owner)

@@ -145,6 +145,17 @@ class TestEraRules:
         with pytest.raises(RuleViolation, match="samaritan-era"):
             h.chain.submit_samaritan_report(b"\x01" * h.group.point_len)
 
+    def test_rejected_reports_release_the_block_builder(self):
+        h = Harness()
+        h.grant_hashed("u1", "alice", "m/0h/0/0", 10_000)
+        h.build()
+        pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation, match="samaritan-era"):
+            h.chain.end_block([pk])
+        h.mine()
+        assert h.chain.height == 1
+
     def test_samaritan_reports_marked_leaked_pre_era(self):
         h = Harness(killed_at=None)
         h.grant_hashed("u1", "alice", "m/0h/0/0", 10_000)

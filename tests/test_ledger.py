@@ -18,6 +18,8 @@ from qcspend.ledger import (
     TxOutput,
     Utxo,
     UtxoClass,
+    Witness,
+    WitnessKind,
     classify,
     pk_hash_address,
     post_quantum_address,
@@ -226,6 +228,32 @@ class TestSerialization:
         coinbase = Transaction(TxKind.COINBASE, outputs=(TxOutput(post_quantum_address(b"k"), 50),))
         block = Block(3, b"\x01" * 32, "m0", post_quantum_address(b"k"), (), (b"\x02" * 33,), coinbase)
         assert Block.deserialize(block.serialize()) == block
+
+    def test_signed_gives_each_input_its_signers_witness(self):
+        tx = Transaction(
+            TxKind.TRANSFER,
+            (TxInput((b"\xaa" * 32, 0)), TxInput((b"\xaa" * 32, 1))),
+            (TxOutput(post_quantum_address(b"k"), 9),),
+            b"payload",
+        )
+        signed = tx.signed(
+            lambda h: Witness(WitnessKind.PRE_QUANTUM, b"first", h),
+            lambda h: Witness(WitnessKind.POST_QUANTUM, b"second", h),
+        )
+        assert signed.sighash() == tx.sighash()
+        assert [i.witness for i in signed.inputs] == [
+            Witness(WitnessKind.PRE_QUANTUM, b"first", tx.sighash()),
+            Witness(WitnessKind.POST_QUANTUM, b"second", tx.sighash()),
+        ]
+        assert [i.outpoint for i in signed.inputs] == [i.outpoint for i in tx.inputs]
+        assert (signed.kind, signed.outputs, signed.payload) == (tx.kind, tx.outputs, tx.payload)
+
+    def test_signed_needs_one_signer_per_input(self):
+        tx = Transaction(TxKind.TRANSFER, (TxInput((b"\xaa" * 32, 0)),))
+        with pytest.raises(ValueError, match="2 signers for 1 inputs"):
+            tx.signed(lambda h: Witness(WitnessKind.NONE), lambda h: Witness(WitnessKind.NONE))
+        with pytest.raises(ValueError, match="0 signers for 1 inputs"):
+            tx.signed()
 
     def test_txid_changes_with_content(self):
         a = Transaction(TxKind.TRANSFER, payload=b"x")

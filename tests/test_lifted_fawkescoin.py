@@ -337,6 +337,22 @@ class TestClaim:
         with pytest.raises(RuleViolation, match="lfc-claim-proof"):
             h.chain.add_tx(Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, bytes(sigma))))
 
+    def test_unparseable_proof_rejected_without_effects(self):
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        _, committed = committed_flow(h, alpha=1000)
+        sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 1000)
+        h.mine(201)
+        digest = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma[:-3])))
+        assert violation.rule == "lfc-claim-proof"
+        assert h.chain.state_digest() == digest
+        h.chain.end_block()
+        h.mine_with([Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))])
+        assert h.chain.lfc_by_hash[committed].state is LfcState.CLAIMED_BY_MINER
+
 
 class TestExpiry:
     def test_fine_amount_and_destination(self):

@@ -1,6 +1,8 @@
 """Assertions over the bundled scenario runs: the protocol stories the
 simulator must reproduce, with exact value accounting."""
 
+from pathlib import Path
+
 import pytest
 
 from qcspend.fawkescoin import ChallengeStatus
@@ -8,6 +10,8 @@ from qcspend.ledger import TxKind
 from qcspend.lifted_fawkescoin import LfcState
 from qcspend.scenarios import BUNDLED, load_scenario, run_adversary, run_scenario
 from qcspend.simulation import ConfigError, ScenarioConfig, Simulation
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(name):
@@ -220,6 +224,17 @@ class TestEpochMechanics:
 
     def test_balance_holds_over_the_full_run(self, sim):
         sim.chain.recompute_balance()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_final_digest_matches_golden(name, request):
+    # Every bundled scenario's end state at seed 1 (the bundled seed), so a
+    # refactor that moves any of them fails here.
+    golden = dict(line.split() for line in (DATA / "scenario_digests.golden").read_text().splitlines())
+    assert list(golden) == list(BUNDLED)
+    sim = request.getfixturevalue("epoch_sim") if name == "epoch-mechanics" else run_scenario(name, seed=1)
+    assert sim.seed == 1
+    assert sim.chain.state_digest().hex() == golden[name]
 
 
 class TestDeterminism:
