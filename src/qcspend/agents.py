@@ -263,17 +263,18 @@ class MinerAgent(Agent):
         for entry in self.script.get(height, ()):
             if "fake_lfc" in entry:
                 self._inject_fake_commitment(entry["fake_lfc"])
-        in_era = chain.era_phase(height) is EraPhase.QUANTUM_ERA
         for sub in self.sim.mempool.drain_ordered():
             if sub.kind == "report":
-                if in_era:  # reports lingering into the era are dropped
-                    chain.violations.append((height, "samaritan-era", "mempool: report dropped"))
-                else:
-                    reports.append(sub.data)
+                reports.append(sub.data)
             elif sub.kind == "tx":
                 chain.try_add_tx(sub.data)
             elif sub.kind == "lfc":
                 self._include_lfc(sub.data)
+        # Reports lingering into the era are dropped.  This is decided after
+        # the transactions, as a canary kill in this block may open the era.
+        if chain.era_phase(height) is EraPhase.QUANTUM_ERA:
+            chain.violations.extend((height, "samaritan-era", "mempool: report dropped") for _ in reports)
+            reports = []
         chain.end_block(reports)
 
     def _include_lfc(self, msg: LfcMempoolMsg) -> None:

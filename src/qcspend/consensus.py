@@ -15,7 +15,12 @@ then the sweeps (lifted-commitment expiries, challenge-period
 finalizations, epoch-end rotation/extension), then the balance assertion:
 
     sum(utxo values) + open challenge escrows + pending lifted fees
-      + fine escrow pool  ==  total minted - total burned
+      + fine escrow of locked commitments  ==  total minted
+
+Only the challenge escrow is a running counter (challenge records are
+never removed, so a sum over them would walk all history).  The pending
+lifted fees are the sum of `fee_shares_by_block`, and the fine escrow the
+sum over the records `lfc_locks` names; both are derived on read.
 
 Eras: the chain starts PRE_QUANTUM; a verified canary kill starts the
 COUNTDOWN; QUANTUM_ERA begins a fixed number of blocks later, which also
@@ -152,7 +157,6 @@ class CanaryRecord:
     nonce: bytes
     bounty: int
     killed_at: Optional[int] = None
-    killer: Optional[Address] = None
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,7 @@ class _Draft:
     miner_address: Address
     parent: bytes
     txs: list[Transaction] = field(default_factory=list)
-    fees: int = 0        # immediately-payable fees
-    cover: int = 0       # escrow-cover contributions
+    fees: int = 0        # immediately-payable fees and escrow-cover contributions
     obligation: int = 0  # fine escrow owed for this block's lifted commits
 
 
@@ -215,18 +218,18 @@ class Chain:
 
         self.epochs: list[Epoch] = []
         self.total_minted = 0
-        self.total_burned = 0
         self.utxo_value_sum = 0
         self.challenge_escrow = 0
-        self.pending_fee_pool = 0
-        self.fine_escrow_pool = 0
         self.violations: list[tuple[int, str, str]] = []
 
         self._building: Optional[_Draft] = None
         if canary.killed_at is not None:
-            start = canary.killed_at + params.era_countdown
-            self.epochs = [Epoch(EpochKind.FC, start, params.fc_epoch_len, 0)]
+            self._open_first_epoch()
         self._apply_genesis(list(genesis_grants))
+
+    def _open_first_epoch(self) -> None:
+        """Schedule the first FawkesCoin epoch, at the start of the quantum era."""
+        self.epochs = [Epoch(EpochKind.FC, self.era_start(), self.params.fc_epoch_len, 0)]
 
     # -- genesis -----------------------------------------------------------
 
@@ -277,6 +280,16 @@ class Chain:
 
     def utxo(self, outpoint: Outpoint) -> Optional[Utxo]:
         return self.utxos.get(outpoint)
+
+    @property
+    def pending_fee_pool(self) -> int:
+        """Lifted reveal fees not yet paid out to the blocks that earned them."""
+        return sum(self.fee_shares_by_block.values())
+
+    @property
+    def fine_escrow_pool(self) -> int:
+        """Delay fines escrowed against the locked lifted commitments."""
+        return sum(self.lfc_by_hash[committed].fine_escrow for committed in self.lfc_locks.values())
 
     # -- utxo bookkeeping ------------------------------------------------------
 
@@ -338,7 +351,7 @@ class Chain:
         b = self._building
         if b is None:
             raise RuntimeError("no block in progress")
-        return self.params.block_reward + b.fees + b.cover - b.obligation
+        return self.params.block_reward + b.fees - b.obligation
 
     def end_block(self, reports: Iterable[bytes] = ()) -> Block:
         # The draft is released first, so a rejected block never leaves the
@@ -350,15 +363,10 @@ class Chain:
 
         accepted_reports = self._include_reports(list(reports), height)
 
-        guaranteed = self.params.block_reward + b.fees
-        if guaranteed + b.cover < b.obligation:
-            raise RuleViolation(
-                "lfc-fine-coverage",
-                f"guaranteed {guaranteed} + cover {b.cover} < obligation {b.obligation}",
-            )
-        self.fine_escrow_pool += b.obligation
-        main_value = guaranteed + b.cover - b.obligation
-        outputs = [TxOutput(b.miner_address, main_value)]
+        income = self.params.block_reward + b.fees
+        if income < b.obligation:
+            raise RuleViolation("lfc-fine-coverage", f"reward plus fees {income} < obligation {b.obligation}")
+        outputs = [TxOutput(b.miner_address, income - b.obligation)]
         addendum = self._lfc_fee_addendum(height)
         if addendum is not None:
             outputs.append(addendum)
@@ -533,7 +541,7 @@ class Chain:
         total = self._validate_inputs(
             tx, height, self._is_post_quantum, "cover-pq-only", "fine coverage must come from post-quantum outputs"
         )
-        self._building.cover += self._spend_inputs(tx, height, total)
+        self._building.fees += self._spend_inputs(tx, height, total)
 
     # FawkesCoin ------------------------------------------------------------------
 
@@ -558,7 +566,7 @@ class Chain:
         )
         self._building.fees += self._spend_inputs(tx, height, total_in)
         # No locking in non-lifted mode: duplicate hashes are all recorded.
-        self.fc_commitments.setdefault(committed, []).append(FcCommitment(committed, height, tx.txid()))
+        self.fc_commitments.setdefault(committed, []).append(FcCommitment(committed, height))
 
     def _matching_commitment(self, committed: bytes, height: int, wait: int, *, max_leak_height: Optional[int], ban_height: Optional[int]) -> FcCommitment:
         candidates = self.fc_commitments.get(committed, [])
@@ -662,14 +670,11 @@ class Chain:
         record = ChallengeRecord(
             txid=tx.txid(),
             revealed_tx=tx,
-            mode=payload.mode,
             spent_outpoint=u_in.outpoint,
             spent_value=utxo.value,
             spent_address=utxo.address,
-            deposit_outpoint=d_in.outpoint,
             deposit_value=deposit.value,
             fee=fee,
-            reveal_height=height,
             challenge_end_height=height + self.params.challenge_blocks,
             reveal_miner=self._building.miner_address,
             spent_wait=wait,
@@ -753,13 +758,11 @@ class Chain:
         fine = self.params.fine_policy.fine(utxo.value)
         record = LfcCommitment(
             committed_hash=committed,
-            utxo_hash=utxo_hash,
             alpha=alpha,
             height_included=height,
             committer_id=self._building.miner_id,
             committer_address=self._building.miner_address,
             outpoint=outpoint,
-            utxo_value=utxo.value,
             utxo_address=utxo.address,
             fine_escrow=fine,
         )
@@ -767,7 +770,7 @@ class Chain:
         self.lfc_locks[outpoint] = committed
         self._building.obligation += fine
 
-    def validate_lfc_mempool_msg(self, msg, height: Optional[int] = None) -> None:
+    def validate_lfc_mempool_msg(self, msg) -> None:
         """Honest-miner policy for a lifted commitment message: the proof
         must verify as ownership of u over (H(tx), alpha), and a key-lifted
         proof is unusable once u is leaked."""
@@ -837,7 +840,6 @@ class Chain:
         self._create_outputs(tx, height)
 
         committer_share, revealer_share = split_fee(record.alpha)
-        self.pending_fee_pool += record.alpha
         self.fee_shares_by_block[record.height_included] += committer_share
         self.fee_shares_by_block[height] += revealer_share
         self._resolve_lfc(record, LfcState.REVEALED, height)
@@ -884,12 +886,10 @@ class Chain:
         del self.lfc_locks[record.outpoint]
         record.state = state
         record.resolved_height = height
-        self.fine_escrow_pool -= record.fine_escrow
         if state is LfcState.EXPIRED_FINED:
             self._credit(b"lfc-fine", record.committed_hash, record.utxo_address, record.fine_escrow, height)
         else:
             self._credit(b"lfc-escrow-refund", record.committed_hash, record.committer_address, record.fine_escrow, height)
-        record.fine_escrow = 0
 
     # registry / canary ------------------------------------------------------------------
 
@@ -920,20 +920,15 @@ class Chain:
             sig = PreQuantumSignature.decode(sig_bytes)
         if not prequantum_verify(self.canary_group, pk, self.canary.nonce, sig):
             raise RuleViolation("canary-solution", "the posted solution does not verify")
-        if self.params.bounty_source == "burned" and self.total_burned < self.canary.bounty:
+        if self.params.bounty_source == "burned" and self.canary.bounty > 0:
             # The discouraged funding variant: pay the bounty out of burned
-            # funds.  Its documented failure mode is exactly this: if
-            # nothing has burned yet, there is no bounty to claim.
+            # funds.  Nothing in the model burns value, so this is its
+            # documented failure mode: there is no bounty to claim.
             raise RuleViolation("canary-bounty-unfunded", "burned funds do not cover the bounty")
         self.canary.killed_at = height
-        self.canary.killer = claimant
-        if self.params.bounty_source == "burned":
-            self.total_burned -= self.canary.bounty
-        else:
-            self.total_minted += self.canary.bounty
+        self.total_minted += self.canary.bounty
         self._credit(b"canary-bounty", tx.txid(), claimant, self.canary.bounty, height)
-        start = self.era_start()
-        self.epochs = [Epoch(EpochKind.FC, start, self.params.fc_epoch_len, 0)]
+        self._open_first_epoch()
 
     _HANDLERS = {
         TxKind.TRANSFER: _apply_transfer,
@@ -973,7 +968,6 @@ class Chain:
         shares = self.fee_shares_by_block.pop(height - FEE_SHARE_DELAY, 0)
         if shares <= 0:
             return None
-        self.pending_fee_pool -= shares
         earner = self.blocks[height - FEE_SHARE_DELAY]
         return TxOutput(earner.miner_address, shares)
 
@@ -1003,9 +997,8 @@ class Chain:
 
     def _assert_balance(self) -> None:
         lhs = self.utxo_value_sum + self.challenge_escrow + self.pending_fee_pool + self.fine_escrow_pool
-        rhs = self.total_minted - self.total_burned
-        if lhs != rhs:
-            raise RuleViolation("ledger-balance", f"value {lhs} != minted-burned {rhs}")
+        if lhs != self.total_minted:
+            raise RuleViolation("ledger-balance", f"value {lhs} != minted {self.total_minted}")
 
     def recompute_balance(self) -> None:
         """Full (non-incremental) audit of the conservation identity."""
@@ -1049,7 +1042,7 @@ class Chain:
             parts.append(b"claim" + enc_u64(h))
         for addr in sorted(self.address_first_seen):
             parts.append(addr + enc_u64(self.address_first_seen[addr]))
-        parts.append(enc_u64(self.total_minted) + enc_u64(self.total_burned))
+        parts.append(enc_u64(self.total_minted) + enc_u64(0))  # burned value: the model burns none
         parts.append(enc_u64(self.challenge_escrow) + enc_u64(self.pending_fee_pool) + enc_u64(self.fine_escrow_pool))
         if self.canary.killed_at is not None:
             parts.append(b"killed" + enc_u64(self.canary.killed_at))

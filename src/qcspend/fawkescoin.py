@@ -45,7 +45,6 @@ DEPOSIT_MODES = (RevealMode.NAKED, RevealMode.LOST)
 class FcCommitment:
     committed_hash: bytes
     height_included: int
-    commit_txid: bytes
 
 
 class ChallengeStatus(Enum):
@@ -62,17 +61,14 @@ class ChallengeRecord:
 
     txid: bytes
     revealed_tx: Transaction
-    mode: RevealMode
     spent_outpoint: Outpoint
     spent_value: int
     spent_address: Address
-    deposit_outpoint: Outpoint
     deposit_value: int
     fee: int
-    reveal_height: int
     challenge_end_height: int
     reveal_miner: Address
-    spent_wait: int = 100  # the spent output's effective waiting time
+    spent_wait: int  # the spent output's effective waiting time
     status: ChallengeStatus = ChallengeStatus.OPEN
 
     @property

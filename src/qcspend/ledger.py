@@ -428,13 +428,17 @@ class KeyRegistry:
         self.regular: tuple[DerivationPath, ...] = tuple(DerivationPath.parse(p) for p in regular_paths)
         self.max_declared = max_declared
         self.declared: dict[bytes, list[DerivationPath]] = {}
-        self.entries: list[KeyRegistryEntry] = []
-        self._materialized_digests: set[bytes] = set()
+        self._by_digest: dict[bytes, KeyRegistryEntry] = {}  # in materialization order
         self._key_to_entry: dict[bytes, KeyRegistryEntry] = {}
 
     @staticmethod
     def key_digest(group: GroupParams, xsk: ExtendedSecretKey) -> bytes:
         return address_hash(xsk.serialize(group))
+
+    @property
+    def entries(self) -> Iterable[KeyRegistryEntry]:
+        """The materialized key sets, in the order they were materialized."""
+        return self._by_digest.values()
 
     def declare(self, digest: bytes, paths: list[DerivationPath]) -> None:
         if len(paths) > self.max_declared:
@@ -444,7 +448,7 @@ class KeyRegistry:
     def materialize(self, group: GroupParams, xsk: ExtendedSecretKey, height: int) -> Optional[KeyRegistryEntry]:
         """Compute K_xsk and record it; idempotent per key."""
         digest = self.key_digest(group, xsk)
-        if digest in self._materialized_digests:
+        if digest in self._by_digest:
             return None
         prefix_closed: dict[bytes, DerivationPath] = {}
         for p in list(self.regular) + self.declared.get(digest, []):
@@ -457,8 +461,7 @@ class KeyRegistry:
             keys.add(key.serialize(group))
             pks.add(pk_ec(group, key.sk).encode())
         entry = KeyRegistryEntry(digest, height, frozenset(keys), frozenset(pks))
-        self.entries.append(entry)
-        self._materialized_digests.add(digest)
+        self._by_digest[digest] = entry
         for key in keys:
             self._key_to_entry.setdefault(key, entry)
         return entry

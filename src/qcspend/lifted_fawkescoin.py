@@ -48,13 +48,11 @@ class LfcCommitment:
     transaction and is verified there."""
 
     committed_hash: bytes
-    utxo_hash: bytes
     alpha: int
     height_included: int
     committer_id: str
     committer_address: Address
     outpoint: Outpoint
-    utxo_value: int
     utxo_address: Address
     fine_escrow: int
     state: LfcState = LfcState.LOCKED

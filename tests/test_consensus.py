@@ -156,6 +156,22 @@ class TestEraRules:
         h.mine()
         assert h.chain.height == 1
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a block rejected in end_block keeps its transactions' effects (ROADMAP item 1)")
+    def test_rejected_reports_undo_the_blocks_transactions(self):
+        h = Harness()
+        h.grant_hashed("u1", "alice", "m/0h/0/0", 10_000)
+        h.grant_pq("pq-alice", "alice", 5_000)
+        h.build()
+        pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        h.chain.add_tx(h.fc_commit_tx("alice", b"\x11" * 32, fee=10))
+        with pytest.raises(RuleViolation, match="samaritan-era"):
+            h.chain.end_block([pk])
+        assert h.chain.state_digest() == before
+        h.mine()
+        h.chain.recompute_balance()
+
     def test_samaritan_reports_marked_leaked_pre_era(self):
         h = Harness(killed_at=None)
         h.grant_hashed("u1", "alice", "m/0h/0/0", 10_000)

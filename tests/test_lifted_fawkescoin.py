@@ -400,6 +400,22 @@ class TestExpiry:
         with pytest.raises(RuleViolation, match="lfc-fine-coverage"):
             h.chain.end_block()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a block rejected in end_block keeps its lifted lock (ROADMAP item 1)")
+    def test_uncovered_block_leaves_no_lock(self):
+        h = lfc_harness(block_reward=1_000)
+        h.build()
+        h.mine_to(199)
+        reveal = lfc_reveal_tx(h, "alice", "u1", "m/0h/0/0", 0)
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        h.chain.add_tx(record_tx(h, reveal.txid(), "u1", 0))
+        with pytest.raises(RuleViolation, match="lfc-fine-coverage"):
+            h.chain.end_block()
+        assert h.chain.state_digest() == before
+        assert not h.chain.lfc_locks
+        h.mine()
+        h.chain.recompute_balance()
+
     def test_escrow_cover_transaction_fills_the_gap(self):
         h = lfc_harness(block_reward=1_000)
         h.grant_pq("cover", "m0", 4_000)

@@ -1,10 +1,13 @@
 """Assertions over the bundled scenario runs: the protocol stories the
 simulator must reproduce, with exact value accounting."""
 
+import functools
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from qcspend.consensus import verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
 from qcspend.ledger import TxKind
 from qcspend.lifted_fawkescoin import LfcState
@@ -12,10 +15,27 @@ from qcspend.scenarios import BUNDLED, load_scenario, run_adversary, run_scenari
 from qcspend.simulation import ConfigError, ScenarioConfig, Simulation
 
 DATA = Path(__file__).parent / "data"
+SHORT = [name for name in BUNDLED if name != "epoch-mechanics"]
 
 
 def run(name):
     return run_scenario(name)
+
+
+def golden(filename):
+    return dict(line.split() for line in (DATA / filename).read_text().splitlines())
+
+
+@functools.cache
+def stepped_run(name):
+    """A bundled scenario at seed 1, run one block at a time, and the
+    sha256 over its state digest after each block."""
+    sim = Simulation(load_scenario(name), seed=1)
+    per_block = hashlib.sha256()
+    for _ in range(sim.config.blocks):
+        sim.run(1)
+        per_block.update(sim.chain.state_digest())
+    return sim, per_block.hexdigest()
 
 
 class TestHonestFawkesCoin:
@@ -49,6 +69,31 @@ class TestHonestFawkesCoin:
         sim.run()
         assert sim.chain.canary.killed_at is None  # alive through the run
         assert any("cannot kill" in a for a in sim.agents["carl"].actions)
+
+    def test_report_in_the_block_that_opens_the_era_is_dropped(self):
+        # The canary kill and the report land in the same block, and a zero
+        # countdown opens the era with it: the miner must drop the report.
+        config = ScenarioConfig.from_dict(
+            {
+                "name": "report-into-era",
+                "blocks": 10,
+                "params": {"era_countdown": 0},
+                "agents": [
+                    {"id": "m0", "kind": "miner"},
+                    {"id": "oracle", "kind": "user", "quantum": True,
+                     "script": [{"height": 5, "do": "kill_canary"}]},
+                    {"id": "alice", "kind": "user",
+                     "script": [{"height": 5, "do": "samaritan", "utxo": "u1"}]},
+                ],
+                "miners": ["m0"],
+                "grants": [{"name": "u1", "owner": "alice", "type": "hashed", "path": "m/0h/0/0", "value": 10_000}],
+            }
+        )
+        sim = Simulation(config)
+        sim.run()
+        assert sim.chain.height == 10 and sim.chain.canary.killed_at == 5
+        assert sim.chain.violations == [(5, "samaritan-era", "mempool: report dropped")]
+        assert verify_snapshot(sim.snapshot()).state_digest() == sim.chain.state_digest()
 
 
 class TestFrontRunner:
@@ -230,11 +275,20 @@ class TestEpochMechanics:
 def test_final_digest_matches_golden(name, request):
     # Every bundled scenario's end state at seed 1 (the bundled seed), so a
     # refactor that moves any of them fails here.
-    golden = dict(line.split() for line in (DATA / "scenario_digests.golden").read_text().splitlines())
-    assert list(golden) == list(BUNDLED)
-    sim = request.getfixturevalue("epoch_sim") if name == "epoch-mechanics" else run_scenario(name, seed=1)
+    digests = golden("scenario_digests.golden")
+    assert list(digests) == list(BUNDLED)
+    sim = request.getfixturevalue("epoch_sim") if name == "epoch-mechanics" else stepped_run(name)[0]
     assert sim.seed == 1
-    assert sim.chain.state_digest().hex() == golden[name]
+    assert sim.chain.state_digest().hex() == digests[name]
+
+
+@pytest.mark.parametrize("name", SHORT)
+def test_block_digests_match_golden(name):
+    # Every intermediate state of the short bundled scenarios, so a change
+    # that moves a state and later moves it back still fails here.
+    digests = golden("block_digests.golden")
+    assert list(digests) == SHORT
+    assert stepped_run(name)[1] == digests[name]
 
 
 class TestDeterminism:
