@@ -44,7 +44,7 @@ from .consensus import (
     replay_chain,
     verify_snapshot,
 )
-from .fawkescoin import ChallengeRecord, ChallengeStatus, FcCommitment, RevealMode
+from .fawkescoin import ChallengeRecord, ChallengeStatus, RevealMode
 from .groups import (
     GroupMode,
     GroupParams,

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .consensus import Chain, EraPhase, proof_message
 from .encoding import enc_bytes, enc_u32
-from .fawkescoin import ChallengeStatus, RevealMode, RevealPayload, commit_payload
+from .fawkescoin import RevealMode, RevealPayload, commit_payload
 from .groups import (
     GroupParams,
     decode_point,
@@ -529,10 +529,8 @@ class UserAgent(Agent):
         chain = self.sim.chain
         for name in sorted(self.watched):
             outpoint = self.sim.grants[name]["outpoint"]
-            for record in chain.challenges.values():
-                if record.spent_outpoint != outpoint or record.status is not ChallengeStatus.OPEN:
-                    continue
-                if record.txid in self._fraud_responses:
+            for record in chain.open_challenges.values():
+                if record.spent_outpoint != outpoint or record.txid in self._fraud_responses:
                     continue
                 self._fraud_responses.add(record.txid)
                 self._respond_with_fraud_proof(name, record)

@@ -17,10 +17,11 @@ finalizations, epoch-end rotation/extension), then the balance assertion:
     sum(utxo values) + open challenge escrows + pending lifted fees
       + fine escrow of locked commitments  ==  total minted
 
-Only the challenge escrow is a running counter (challenge records are
-never removed, so a sum over them would walk all history).  The pending
-lifted fees are the sum of `fee_shares_by_block`, and the fine escrow the
-sum over the records `lfc_locks` names; both are derived on read.
+Only `utxo_value_sum` and `total_minted` are running counters.  The three
+holders outside the UTXO set are derived on read: the challenge escrow
+sums the records `open_challenges` names, the pending lifted fees sum
+`fee_shares_by_block`, and the fine escrow sums the records `lfc_locks`
+names.
 
 Eras: the chain starts PRE_QUANTUM; a verified canary kill starts the
 COUNTDOWN; QUANTUM_ERA begins a fixed number of blocks later, which also
@@ -46,7 +47,6 @@ from .fawkescoin import (
     DEPOSIT_MODES,
     ChallengeRecord,
     ChallengeStatus,
-    FcCommitment,
     RevealMode,
     RevealPayload,
     parse_commit_payload,
@@ -137,7 +137,6 @@ class Epoch:
     kind: EpochKind
     start: int
     length: int
-    index: int
     extension: bool = False
 
     @property
@@ -148,14 +147,10 @@ class Epoch:
         return height - self.start
 
 
-PRE_ACTIVATION = None  # epoch_of result before the quantum era
-
-
 @dataclass
 class CanaryRecord:
     challenge_pk: bytes  # point encoding on the canary group
     nonce: bytes
-    bounty: int
     killed_at: Optional[int] = None
 
 
@@ -209,8 +204,9 @@ class Chain:
         self.address_first_seen: dict[bytes, int] = {}
         self.registry = KeyRegistry(params.regular_paths, params.registry_max_declared_paths)
 
-        self.fc_commitments: dict[bytes, list[FcCommitment]] = {}
+        self.fc_commitments: dict[bytes, list[int]] = {}  # committed hash -> inclusion heights
         self.challenges: dict[bytes, ChallengeRecord] = {}
+        self.open_challenges: dict[bytes, ChallengeRecord] = {}  # txid -> its OPEN record, and only those
         self.lfc_by_hash: dict[bytes, LfcCommitment] = {}  # committed hash -> record
         self.lfc_locks: dict[Outpoint, bytes] = {}  # outpoint -> hash of its LOCKED record, and only those
         self.lfc_claim_heights: list[int] = []
@@ -219,7 +215,6 @@ class Chain:
         self.epochs: list[Epoch] = []
         self.total_minted = 0
         self.utxo_value_sum = 0
-        self.challenge_escrow = 0
         self.violations: list[tuple[int, str, str]] = []
 
         self._building: Optional[_Draft] = None
@@ -229,7 +224,7 @@ class Chain:
 
     def _open_first_epoch(self) -> None:
         """Schedule the first FawkesCoin epoch, at the start of the quantum era."""
-        self.epochs = [Epoch(EpochKind.FC, self.era_start(), self.params.fc_epoch_len, 0)]
+        self.epochs = [Epoch(EpochKind.FC, self.era_start(), self.params.fc_epoch_len)]
 
     # -- genesis -----------------------------------------------------------
 
@@ -237,12 +232,10 @@ class Chain:
         outputs = tuple(TxOutput(g.address, g.value, g.wait_override) for g in grants)
         coinbase = Transaction(TxKind.COINBASE, outputs=outputs, payload=enc_u64(0))
         block = Block(0, GENESIS_PARENT, "genesis", Address(AddrKind.POST_QUANTUM, bytes(32)), (), (), coinbase)
-        txid = coinbase.txid()
-        for i, out in enumerate(outputs):
-            # Genesis grants skip coinbase maturity so scenarios can move
-            # immediately.
-            self._add_utxo(Utxo((txid, i), out.value, out.address, 0, coinbase=False, wait_override=out.wait_override), 0)
-            self.total_minted += out.value
+        # Genesis grants are plain outputs, not coinbase ones, so they skip
+        # coinbase maturity and scenarios can move immediately.
+        self._create_outputs(coinbase, 0)
+        self.total_minted += coinbase.output_sum()
         self.blocks.append(block)
         self._assert_balance()
 
@@ -272,7 +265,7 @@ class Chain:
     def epoch_of(self, height: int) -> Optional[Epoch]:
         start = self.era_start()
         if start is None or height < start:
-            return PRE_ACTIVATION
+            return None
         for epoch in self.epochs:
             if epoch.start <= height < epoch.end:
                 return epoch
@@ -280,6 +273,11 @@ class Chain:
 
     def utxo(self, outpoint: Outpoint) -> Optional[Utxo]:
         return self.utxos.get(outpoint)
+
+    @property
+    def challenge_escrow(self) -> int:
+        """Spent outputs and deposits escrowed by the open challenges."""
+        return sum(r.spent_value + r.deposit_value for r in self.open_challenges.values())
 
     @property
     def pending_fee_pool(self) -> int:
@@ -404,8 +402,7 @@ class Chain:
         self.begin_block(block.miner_id, block.miner_address)
         for tx in block.transactions:
             self.add_tx(tx)
-        rebuilt = self.end_block(block.samaritan_reports)
-        if rebuilt.serialize() != block.serialize():
+        if self.end_block(block.samaritan_reports) != block:
             raise RuleViolation("block-mismatch", "recomputed block differs (coinbase or reports)")
 
     # -- report inclusion ---------------------------------------------------------
@@ -432,11 +429,14 @@ class Chain:
 
     # -- witness / input validation --------------------------------------------------
 
-    def _spendable_utxo(self, outpoint: Outpoint, height: int) -> Utxo:
+    def _spendable_utxo(self, outpoint: Outpoint, height: int, lock: Optional[bytes] = None) -> Utxo:
+        """The output `outpoint` names, if a spend at `height` may consume
+        it: unspent, mature, and locked by no lifted commitment other than
+        `lock`."""
         utxo = self.utxos.get(outpoint)
         if utxo is None:
             raise RuleViolation("utxo-missing", f"{outpoint[0].hex()[:16]}:{outpoint[1]}")
-        if outpoint in self.lfc_locks:
+        if self.lfc_locks.get(outpoint, lock) != lock:
             raise RuleViolation("utxo-locked", "an unexpired lifted commitment locks this output")
         if utxo.coinbase and height - utxo.created_height < self.params.coinbase_cooldown:
             raise RuleViolation("coinbase-cooldown", f"matures at {utxo.created_height + self.params.coinbase_cooldown}")
@@ -566,26 +566,24 @@ class Chain:
         )
         self._building.fees += self._spend_inputs(tx, height, total_in)
         # No locking in non-lifted mode: duplicate hashes are all recorded.
-        self.fc_commitments.setdefault(committed, []).append(FcCommitment(committed, height))
+        self.fc_commitments.setdefault(committed, []).append(height)
 
-    def _matching_commitment(self, committed: bytes, height: int, wait: int, *, max_leak_height: Optional[int], ban_height: Optional[int]) -> FcCommitment:
-        candidates = self.fc_commitments.get(committed, [])
-        if not candidates:
+    def _check_commitment(self, committed: bytes, height: int, wait: int, *, max_leak_height: Optional[int], ban_height: Optional[int]) -> None:
+        """Require a commitment to `committed` that is at least `wait`
+        blocks old, landed no later than `max_leak_height` and strictly
+        before `ban_height` (either bound None when it does not apply)."""
+        heights = self.fc_commitments.get(committed)
+        if not heights:
             raise RuleViolation("fc-no-commitment", "reveal does not match any commitment")
-        best: Optional[FcCommitment] = None
-        for c in candidates:
-            if height - c.height_included < wait:
-                continue
-            # A hashed spend requires the key to have stayed unleaked until
-            # the commitment landed.
-            if max_leak_height is not None and max_leak_height < c.height_included:
-                continue
-            if ban_height is not None and c.height_included >= ban_height:
-                continue
-            best = c if best is None or c.height_included < best.height_included else best
-        if best is None:
+        # A hashed spend requires the key to have stayed unleaked until the
+        # commitment landed.
+        if not any(
+            height - h >= wait
+            and (max_leak_height is None or max_leak_height >= h)
+            and (ban_height is None or h < ban_height)
+            for h in heights
+        ):
             raise RuleViolation("fc-commitment-unusable", "no commitment is old enough and unencumbered")
-        return best
 
     def _apply_fc_reveal(self, tx: Transaction, height: int) -> None:
         self._fc_epoch(height, committing=False)
@@ -610,14 +608,12 @@ class Chain:
 
         if mode is RevealMode.HASHED:
             leak_height = self.leaks.leak_height(txin.witness.pk)
-            self._matching_commitment(tx.txid(), height, wait, max_leak_height=leak_height, ban_height=None)
+            self._check_commitment(tx.txid(), height, wait, max_leak_height=leak_height, ban_height=None)
         elif mode is RevealMode.DERIVED:
             if self._derived_leaf_pk(utxo.address, payload.parent_key, payload.path) is None:
                 raise RuleViolation("fc-derivation", "payload does not derive the spent key")
             ban = self.registry.ban_height(self.group, payload.parent_key)
-            self._matching_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=ban)
-        else:
-            raise RuleViolation("fc-reveal-mode", f"unsupported reveal mode {mode}")
+            self._check_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=ban)
 
         self._building.fees += self._spend_inputs(tx, height, total_in)
         if mode is RevealMode.DERIVED:
@@ -654,7 +650,7 @@ class Chain:
         self._verify_witness(deposit.address, d_in.witness, sighash)
 
         wait = utxo.wait_blocks(self.params.wait_blocks, self.params.wait_floor)
-        self._matching_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=None)
+        self._check_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=None)
 
         total_in = utxo.value + deposit.value
         fee = total_in - tx.output_sum()
@@ -679,8 +675,7 @@ class Chain:
             reveal_miner=self._building.miner_address,
             spent_wait=wait,
         )
-        self.challenges[record.txid] = record
-        self.challenge_escrow += record.escrow
+        self.challenges[record.txid] = self.open_challenges[record.txid] = record
         # The fee and the outputs stay escrowed until the challenge resolves.
 
     def _apply_fraud_proof(self, tx: Transaction, payload: RevealPayload, height: int) -> None:
@@ -703,7 +698,7 @@ class Chain:
         ban = self.registry.ban_height(self.group, payload.parent_key)
         # The proof is itself a derived-mode spend of u, so u's waiting
         # time governs its commitment age.
-        self._matching_commitment(tx.txid(), height, record.spent_wait, max_leak_height=None, ban_height=ban)
+        self._check_commitment(tx.txid(), height, record.spent_wait, max_leak_height=None, ban_height=ban)
 
         fee = record.spent_value - tx.output_sum()
         if fee < 0:
@@ -711,15 +706,20 @@ class Chain:
         # Defeat: the challenged transaction is invalidated.  The original
         # including miner is made whole from the deposit; the rest of the
         # deposit follows the fraud proof's destination.
-        record.status = ChallengeStatus.DEFEATED
-        self.challenge_escrow -= record.spent_value + record.deposit_value
         self._mark_witness_leak(tx.inputs[0].witness, height)
         self._materialize(payload, height)
         self._create_outputs(tx, height)
         self._building.fees += fee
         owed_fee = min(record.fee, record.deposit_value)
-        self._credit(b"challenge-fee", record.txid, record.reveal_miner, owed_fee, height)
+        self._resolve_challenge(record, ChallengeStatus.DEFEATED, owed_fee, height)
         self._credit(b"deposit-payout", record.txid, tx.outputs[0].address, record.deposit_value - owed_fee, height)
+
+    def _resolve_challenge(self, record: ChallengeRecord, status: ChallengeStatus, miner_fee: int, height: int) -> None:
+        """Settle an OPEN challenge as `status`: release its escrow and pay
+        the including miner `miner_fee`."""
+        del self.open_challenges[record.txid]
+        record.status = status
+        self._credit(b"challenge-fee", record.txid, record.reveal_miner, miner_fee, height)
 
     def _materialize(self, payload: RevealPayload, height: int) -> None:
         entry = self.registry.materialize(self.group, payload.parent_key, height)
@@ -821,9 +821,8 @@ class Chain:
             raise RuleViolation("lfc-reveal-shape", "the reveal spends exactly the committed output")
         with _decoding("lfc-reveal-malformed"):
             payload = parse_reveal_payload(self.group, tx.payload)
-        utxo = self.utxos[record.outpoint]
-        sighash = tx.sighash()
-        self._verify_witness(utxo.address, tx.inputs[0].witness, sighash)
+        utxo = self._spendable_utxo(record.outpoint, height, lock=committed)
+        self._verify_witness(utxo.address, tx.inputs[0].witness, tx.sighash())
         if payload.mode is RevealMode.DERIVED:
             if self._derived_leaf_pk(utxo.address, payload.parent_key, payload.path) is None:
                 raise RuleViolation("lfc-derivation", "payload does not derive the spent key")
@@ -833,11 +832,9 @@ class Chain:
         if fee != record.alpha:
             raise RuleViolation("lfc-fee-exact", f"fee {fee} must equal the committed {record.alpha}")
 
-        self._remove_utxo(record.outpoint)
-        self._mark_witness_leak(tx.inputs[0].witness, height)
+        self._spend_inputs(tx, height, utxo.value)
         if payload.mode is RevealMode.DERIVED:
             self._materialize(payload, height)
-        self._create_outputs(tx, height)
 
         committer_share, revealer_share = split_fee(record.alpha)
         self.fee_shares_by_block[record.height_included] += committer_share
@@ -920,14 +917,15 @@ class Chain:
             sig = PreQuantumSignature.decode(sig_bytes)
         if not prequantum_verify(self.canary_group, pk, self.canary.nonce, sig):
             raise RuleViolation("canary-solution", "the posted solution does not verify")
-        if self.params.bounty_source == "burned" and self.canary.bounty > 0:
+        bounty = self.params.canary_bounty
+        if self.params.bounty_source == "burned" and bounty > 0:
             # The discouraged funding variant: pay the bounty out of burned
             # funds.  Nothing in the model burns value, so this is its
             # documented failure mode: there is no bounty to claim.
             raise RuleViolation("canary-bounty-unfunded", "burned funds do not cover the bounty")
         self.canary.killed_at = height
-        self.total_minted += self.canary.bounty
-        self._credit(b"canary-bounty", tx.txid(), claimant, self.canary.bounty, height)
+        self.total_minted += bounty
+        self._credit(b"canary-bounty", tx.txid(), claimant, bounty, height)
         self._open_first_epoch()
 
     _HANDLERS = {
@@ -955,12 +953,10 @@ class Chain:
                 self._resolve_lfc(record, LfcState.EXPIRED_FINED, height)
 
     def _sweep_challenges(self, height: int) -> None:
-        for record in self.challenges.values():
-            if record.status is ChallengeStatus.OPEN and height > record.challenge_end_height:
-                record.status = ChallengeStatus.FINALIZED
-                self.challenge_escrow -= record.spent_value + record.deposit_value
+        for record in list(self.open_challenges.values()):
+            if height > record.challenge_end_height:
                 self._create_outputs(record.revealed_tx, height)
-                self._credit(b"challenge-fee", record.txid, record.reveal_miner, record.fee, height)
+                self._resolve_challenge(record, ChallengeStatus.FINALIZED, record.fee, height)
 
     def _lfc_fee_addendum(self, height: int) -> Optional[TxOutput]:
         if height < FEE_SHARE_DELAY:
@@ -975,9 +971,8 @@ class Chain:
         current = self.epoch_of(height)
         if current is None or height != current.end - 1:
             return
-        nxt_index = current.index + 1
         if current.kind is EpochKind.FC:
-            self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len, nxt_index))
+            self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len))
             return
         claims = sum(1 for h in self.lfc_claim_heights if current.end - CLAIM_WINDOW <= h < current.end)
         decision = extension_decision(
@@ -987,13 +982,13 @@ class Chain:
             self.params.extension_threshold_den,
         )
         if decision is EpochDecision.EXTEND:
-            self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len, nxt_index, extension=True))
+            self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len, extension=True))
             return
         # Rotation: fine whatever is still locked, then hand over to a
         # FawkesCoin epoch.
         for committed in list(self.lfc_locks.values()):
             self._resolve_lfc(self.lfc_by_hash[committed], LfcState.EXPIRED_FINED, height)
-        self.epochs.append(Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len, nxt_index))
+        self.epochs.append(Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len))
 
     def _assert_balance(self) -> None:
         lhs = self.utxo_value_sum + self.challenge_escrow + self.pending_fee_pool + self.fine_escrow_pool
@@ -1005,9 +1000,10 @@ class Chain:
         total = sum(u.value for u in self.utxos.values())
         if total != self.utxo_value_sum:
             raise RuleViolation("ledger-balance", "incremental utxo sum drifted")
-        escrow = sum(r.escrow for r in self.challenges.values())
+        open_records = [r for r in self.challenges.values() if r.status is ChallengeStatus.OPEN]
+        escrow = sum(r.spent_value + r.deposit_value for r in open_records)
         if escrow != self.challenge_escrow:
-            raise RuleViolation("ledger-balance", "incremental challenge escrow drifted")
+            raise RuleViolation("ledger-balance", "open-challenge index drifted from the OPEN records")
         self._assert_balance()
 
     # -- snapshot / digest ------------------------------------------------------------------
@@ -1066,15 +1062,12 @@ class ChainConfig:
     def build(self) -> Chain:
         group = toy_group(self.group_q)
         canary_group = toy_group(self.canary_q)
-        canary = CanaryRecord(self.canary_pk, self.canary_nonce, self.params.canary_bounty, self.canary_killed_at)
+        canary = CanaryRecord(self.canary_pk, self.canary_nonce, self.canary_killed_at)
         return Chain(self.params, group, secure_group(), canary_group, canary, self.grants)
 
     def to_json(self) -> dict:
-        p = asdict(self.params)
-        p["regular_paths"] = list(self.params.regular_paths)
-        p["fine_policy"] = asdict(self.params.fine_policy)
         return {
-            "params": p,
+            "params": asdict(self.params),
             "group_q": self.group_q,
             "canary_q": self.canary_q,
             "canary_pk": self.canary_pk.hex(),

@@ -41,12 +41,6 @@ class RevealMode(Enum):
 DEPOSIT_MODES = (RevealMode.NAKED, RevealMode.LOST)
 
 
-@dataclass(frozen=True)
-class FcCommitment:
-    committed_hash: bytes
-    height_included: int
-
-
 class ChallengeStatus(Enum):
     OPEN = "open"
     FINALIZED = "finalized"
@@ -70,10 +64,6 @@ class ChallengeRecord:
     reveal_miner: Address
     spent_wait: int  # the spent output's effective waiting time
     status: ChallengeStatus = ChallengeStatus.OPEN
-
-    @property
-    def escrow(self) -> int:
-        return self.spent_value + self.deposit_value if self.status is ChallengeStatus.OPEN else 0
 
 
 # -- payload codecs -----------------------------------------------------------

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import pytest
 
 from helpers import Harness
@@ -19,8 +21,7 @@ class TestCommit:
         h = era_harness()
         h.build()
         h.mine_with([h.fc_commit_tx("alice", b"\x11" * 32, fee=25)])
-        assert b"\x11" * 32 in h.chain.fc_commitments
-        assert h.chain.fc_commitments[b"\x11" * 32][0].height_included == 1
+        assert h.chain.fc_commitments[b"\x11" * 32] == [1]
 
     def test_pre_quantum_fee_source_rejected(self):
         h = era_harness()
@@ -48,6 +49,34 @@ class TestCommit:
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         with pytest.raises(RuleViolation, match="fc-commit-cutoff"):
             h.chain.add_tx(h.fc_commit_tx("alice", b"\x33" * 32))
+
+
+# (commitment heights, reveal height, leak height, ban height, accepted), all
+# with a 20-block wait.
+COMMITMENT_BOUNDS = {
+    "age-exactly-wait": ([10], 30, None, None, True),
+    "age-one-short": ([10], 29, None, None, False),
+    "leak-at-commit-height": ([10], 30, 10, None, True),
+    "leak-before-commit": ([10], 30, 9, None, False),
+    "ban-at-commit-height": ([10], 30, None, 10, False),
+    "ban-one-block-later": ([10], 30, None, 11, True),
+    "old-banned-young-too-young": ([10, 30], 45, None, 10, False),
+    "old-qualifies-young-banned": ([10, 30], 55, None, 20, True),
+    "old-qualifies-young-leaked": ([30, 10], 55, 25, None, True),
+    "old-leaked-young-too-young": ([10, 30], 45, 9, None, False),
+    "both-leaked": ([10, 30], 55, 9, None, False),
+}
+
+
+@pytest.mark.parametrize("case", COMMITMENT_BOUNDS)
+def test_commitment_bounds(case):
+    heights, height, leak, ban, accepted = COMMITMENT_BOUNDS[case]
+    h = era_harness()
+    h.build()
+    h.chain.fc_commitments[b"\x44" * 32] = heights
+    outcome = nullcontext() if accepted else pytest.raises(RuleViolation, match="fc-commitment-unusable")
+    with outcome:
+        h.chain._check_commitment(b"\x44" * 32, height, 20, max_leak_height=leak, ban_height=ban)
 
 
 class TestRevealHashed:

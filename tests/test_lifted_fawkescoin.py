@@ -4,7 +4,7 @@ from helpers import Harness
 from qcspend.consensus import proof_message
 from qcspend.fawkescoin import RevealMode, RevealPayload
 from qcspend.hdwallet import path
-from qcspend.ledger import Transaction, TxKind, TxOutput, plain_pk_address
+from qcspend.ledger import Transaction, TxKind, TxOutput, pk_hash_address, plain_pk_address
 from qcspend.lifted_fawkescoin import (
     EpochDecision,
     LfcMempoolMsg,
@@ -221,6 +221,21 @@ class TestReveal:
         assert violation is not None and violation.rule == "lfc-reveal-malformed"
         assert h.chain.state_digest() == before
         assert h.chain.end_block().transactions == ()
+
+    def test_reveal_of_an_immature_coinbase_rejected(self):
+        # A commitment does not waive coinbase maturity: the reveal spends
+        # through the same input checks as any other spend.
+        h = lfc_harness(wait_blocks=20)
+        h.build()
+        h.mine_to(199)
+        p = "m/0h/0/5"
+        h.chain.begin_block("m0", pk_hash_address(h.wallet("alice").derived_pk(path(p))))
+        h.outpoints["cb"] = (h.chain.end_block().coinbase.txid(), 0)  # block 200
+        reveal, _ = committed_flow(h, label="cb", p=p, alpha=1000)  # committed at 201
+        h.mine(19)  # next block: 221, lifted age 20, coinbase age 21
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation, match="coinbase-cooldown"):
+            h.chain.add_tx(reveal)
 
     def test_derived_reveal_materializes_registry(self):
         h = lfc_harness()

@@ -154,6 +154,25 @@ def test_locks_name_exactly_the_locked_records(name):
     assert blocks_with_locks and not sim.chain.lfc_locks
 
 
+@pytest.mark.parametrize("name", ["fraud-proof", "salvage-unrestrictive", "salvage-permissive"])
+def test_open_challenges_name_exactly_the_open_records(name):
+    # The challenge sweep, the escrow sum and the fraud-proof watch iterate
+    # `open_challenges`, so it must name every OPEN record and nothing
+    # else, after every block.  fraud-proof defeats its challenge; the
+    # salvage runs finalize theirs.
+    sim = Simulation(load_scenario(name))
+    blocks_with_open = 0
+    for _ in range(sim.config.blocks):
+        sim.run(1)
+        chain = sim.chain
+        open_txids = {t for t, r in chain.challenges.items() if r.status is ChallengeStatus.OPEN}
+        assert set(chain.open_challenges) == open_txids
+        for txid, record in chain.open_challenges.items():
+            assert chain.challenges[txid] is record
+        blocks_with_open += bool(open_txids)
+    assert blocks_with_open and sim.chain.challenges and not sim.chain.open_challenges
+
+
 class TestFraudProof:
     def test_deposit_redistribution_is_exact(self):
         sim = run("fraud-proof")
