@@ -169,7 +169,7 @@ class Agent:
         self.autonomous()
 
     def run_action(self, action: dict) -> None:
-        raise NotImplementedError
+        pass  # miner scripts are read at block-building time
 
     def autonomous(self) -> None:
         pass
@@ -219,6 +219,11 @@ class Agent:
         outputs = tuple(extra_outputs) + ((TxOutput(self.wallet.pq_address(), change),) if change > 0 else ())
         return Transaction(kind, (TxInput(utxo.outpoint),), outputs, payload).signed(self.wallet.witness_pq)
 
+    def pre_spend(self, kind: TxKind, outpoint: Outpoint, sk: int, to: Address, value: int, payload: bytes = b"") -> Transaction:
+        """Spend one pre-quantum output as a single output, signed with `sk`."""
+        tx = Transaction(kind, (TxInput(outpoint),), (TxOutput(to, value),), payload)
+        return tx.signed(partial(self.wallet.witness_pre, sk))
+
 
 class MinerAgent(Agent):
     """Builds blocks when scheduled.  Honest policy: validate lifted
@@ -234,9 +239,6 @@ class MinerAgent(Agent):
         super().__init__(agent_id, sim, options, wallet)
         # committed hash -> (sigma bytes, mempool msg) for claim duty
         self.included_proofs: dict[bytes, bytes] = {}
-
-    def run_action(self, action: dict) -> None:
-        pass  # miner scripts are read at block-building time
 
     def autonomous(self) -> None:
         # Claim duty: post sigma for own included commitments whose reveal
@@ -322,16 +324,7 @@ class UserAgent(Agent):
     # -- scripted actions ------------------------------------------------------
 
     def run_action(self, action: dict) -> None:
-        handlers = {
-            "kill_canary": self.do_kill_canary,
-            "direct_spend": self.do_direct_spend,
-            "fc_spend": self.do_fc_spend,
-            "lfc_spend": self.do_lfc_spend,
-            "steal": self.do_steal,
-            "samaritan": self.do_samaritan,
-            "registry_declare": self.do_registry_declare,
-        }
-        handlers[action["do"]](action)
+        getattr(self, "do_" + action["do"])(action)
 
     def autonomous(self) -> None:
         if self.watched:
@@ -378,8 +371,7 @@ class UserAgent(Agent):
             return
         fee = int(action.get("fee", 0))
         sk = self._grant_sk(action["utxo"])
-        outputs = (TxOutput(self._destination(action), utxo.value - fee),)
-        tx = Transaction(TxKind.TRANSFER, (TxInput(outpoint),), outputs).signed(partial(self.wallet.witness_pre, sk))
+        tx = self.pre_spend(TxKind.TRANSFER, outpoint, sk, self._destination(action), utxo.value - fee)
         self.sim.mempool.submit("tx", tx, self.id)
         self.log(f"direct spend of {action['utxo']}")
 
@@ -422,10 +414,7 @@ class UserAgent(Agent):
             tx = Transaction(TxKind.FC_REVEAL, (TxInput(outpoint), TxInput(deposit_outpoint)), outputs, payload)
             return tx.signed(u_signer, self.wallet.witness_pq)
 
-        outputs = (TxOutput(self._destination(action), utxo.value - fee),)
-        return Transaction(TxKind.FC_REVEAL, (TxInput(outpoint),), outputs, payload).signed(
-            partial(self.wallet.witness_pre, sk)
-        )
+        return self.pre_spend(TxKind.FC_REVEAL, outpoint, sk, self._destination(action), utxo.value - fee, payload)
 
     def do_fc_spend(self, action: dict) -> None:
         mode = RevealMode[action.get("mode", "hashed").upper()]
@@ -450,11 +439,8 @@ class UserAgent(Agent):
             payload = RevealPayload(RevealMode.DERIVED, self.wallet.msk, path).serialize(chain.group)
         else:
             payload = RevealPayload(RevealMode.HASHED).serialize(chain.group)
-        outputs = (TxOutput(self._destination(action), utxo.value - alpha),)
         sk = self._grant_sk(action["utxo"])
-        reveal_tx = Transaction(TxKind.LFC_REVEAL, (TxInput(outpoint),), outputs, payload).signed(
-            partial(self.wallet.witness_pre, sk)
-        )
+        reveal_tx = self.pre_spend(TxKind.LFC_REVEAL, outpoint, sk, self._destination(action), utxo.value - alpha, payload)
         committed = reveal_tx.txid()
         message = proof_message(committed, alpha)
         if use_seed:
@@ -505,8 +491,6 @@ class UserAgent(Agent):
 
     def do_samaritan(self, action: dict) -> None:
         info = self.sim.grants[action["utxo"]]
-        outpoint = self.sim.grant_outpoint(action["utxo"])
-        utxo = self.sim.chain.utxo(outpoint)
         if "path" in info:
             pk = self.wallet.derived_pk(DerivationPath.parse(info["path"]))
         else:
@@ -541,10 +525,8 @@ class UserAgent(Agent):
         path = DerivationPath.parse(info["path"])
         payload = RevealPayload(RevealMode.FRAUD_PROOF, self.wallet.msk, path, record.txid).serialize(chain.group)
         sk = self.wallet.derived_sk(path)
-        outputs = (TxOutput(self.wallet.pq_address(), record.spent_value),)  # fee 0: full recovery
-        reveal_tx = Transaction(TxKind.FC_REVEAL, (TxInput(record.spent_outpoint),), outputs, payload).signed(
-            partial(self.wallet.witness_pre, sk)
-        )
+        # Fee 0: full recovery.
+        reveal_tx = self.pre_spend(TxKind.FC_REVEAL, record.spent_outpoint, sk, self.wallet.pq_address(), record.spent_value, payload)
         self._fc_commit_and_schedule(reveal_tx, {}, f"fraud-proof:{name}")
         self.log(f"theft of {name} detected; fraud proof committed")
 
@@ -559,9 +541,6 @@ class FrontRunnerAgent(Agent):
         super().__init__(agent_id, sim, options, wallet)
         self._seen: set[bytes] = set()
         self._fc_attempted: set[bytes] = set()
-
-    def run_action(self, action: dict) -> None:
-        pass
 
     def autonomous(self) -> None:
         if not self.quantum:
@@ -587,10 +566,7 @@ class FrontRunnerAgent(Agent):
             if utxo is None:
                 continue
             sk = quantum_invert(decode_point(chain.group, txin.witness.pk))
-            outputs = (TxOutput(self.wallet.pq_address(), utxo.value),)
-            steal = Transaction(TxKind.TRANSFER, (TxInput(txin.outpoint),), outputs).signed(
-                partial(self.wallet.witness_pre, sk)
-            )
+            steal = self.pre_spend(TxKind.TRANSFER, txin.outpoint, sk, self.wallet.pq_address(), utxo.value)
             self.sim.mempool.submit("tx", steal, self.id, priority=10)
             self.log(f"front-ran a direct spend of {utxo.value}")
 
@@ -610,11 +586,8 @@ class FrontRunnerAgent(Agent):
         # a full commit-wait-reveal cycle; by then the honest reveal has
         # long spent the output.  The attempt is mounted anyway to show it.
         sk = quantum_invert(decode_point(chain.group, txin.witness.pk))
-        outputs = (TxOutput(self.wallet.pq_address(), utxo.value),)
         payload = RevealPayload(RevealMode.HASHED).serialize(chain.group)
-        steal_reveal = Transaction(TxKind.FC_REVEAL, (TxInput(txin.outpoint),), outputs, payload).signed(
-            partial(self.wallet.witness_pre, sk)
-        )
+        steal_reveal = self.pre_spend(TxKind.FC_REVEAL, txin.outpoint, sk, self.wallet.pq_address(), utxo.value, payload)
         try:
             ctx = self.build_pq_spend(TxKind.FC_COMMIT, self.pq_fee_outpoint(), 0, commit_payload(steal_reveal.txid()))
         except RuleViolation:

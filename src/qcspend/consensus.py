@@ -184,14 +184,13 @@ class Chain:
         self,
         params: Params,
         group: GroupParams,
-        pq_group: GroupParams,
         canary_group: GroupParams,
         canary: CanaryRecord,
         genesis_grants: Iterable[GenesisGrant] = (),
     ):
         self.params = params
         self.group = group
-        self.pq_group = pq_group
+        self.pq_group = secure_group()
         self.canary_group = canary_group
         self.canary = canary
         self.key_backend = transparent_backend()
@@ -202,7 +201,7 @@ class Chain:
         self.utxo_hash_index: dict[bytes, Outpoint] = {}
         self.leaks = LeakTracker()
         self.address_first_seen: dict[bytes, int] = {}
-        self.registry = KeyRegistry(params.regular_paths, params.registry_max_declared_paths)
+        self.registry = KeyRegistry(params.regular_paths)
 
         self.fc_commitments: dict[bytes, list[int]] = {}  # committed hash -> inclusion heights
         self.challenges: dict[bytes, ChallengeRecord] = {}
@@ -443,26 +442,25 @@ class Chain:
         return utxo
 
     def _verify_witness(self, utxo_address: Address, witness: Witness, sighash: bytes) -> None:
+        """The address era picks the group, the witness kind and how the
+        revealed key must match the address."""
         if utxo_address.kind is AddrKind.POST_QUANTUM:
-            if witness.kind is not WitnessKind.POST_QUANTUM:
-                raise RuleViolation("witness-kind", "post-quantum output needs a post-quantum witness")
-            if address_hash(witness.pk) != utxo_address.data:
-                raise RuleViolation("witness-address", "post-quantum key does not hash to the address")
-            with _decoding("witness-malformed"):
-                pk = decode_point(self.pq_group, witness.pk)
-                sig = PreQuantumSignature.decode(witness.signature)
-            if not prequantum_verify(self.pq_group, pk, sighash, sig):
-                raise RuleViolation("witness-signature", "post-quantum signature invalid")
-            return
-        if witness.kind is not WitnessKind.PRE_QUANTUM:
-            raise RuleViolation("witness-kind", "pre-quantum output needs a pre-quantum witness")
-        if not utxo_address.matches_pk(witness.pk):
-            raise RuleViolation("witness-address", "revealed key does not match the address")
+            era, group, kind = "post-quantum", self.pq_group, WitnessKind.POST_QUANTUM
+            owns = lambda pk: address_hash(pk) == utxo_address.data
+            mismatch = "post-quantum key does not hash to the address"
+        else:
+            era, group, kind = "pre-quantum", self.group, WitnessKind.PRE_QUANTUM
+            owns = utxo_address.matches_pk
+            mismatch = "revealed key does not match the address"
+        if witness.kind is not kind:
+            raise RuleViolation("witness-kind", f"{era} output needs a {era} witness")
+        if not owns(witness.pk):
+            raise RuleViolation("witness-address", mismatch)
         with _decoding("witness-malformed"):
-            pk = decode_point(self.group, witness.pk)
+            pk = decode_point(group, witness.pk)
             sig = PreQuantumSignature.decode(witness.signature)
-        if not prequantum_verify(self.group, pk, sighash, sig):
-            raise RuleViolation("witness-signature", "pre-quantum signature invalid")
+        if not prequantum_verify(group, pk, sighash, sig):
+            raise RuleViolation("witness-signature", f"{era} signature invalid")
 
     def _is_pre_quantum(self, address: Address) -> bool:
         return address.kind in (AddrKind.PK_HASH, AddrKind.PLAIN_PK)
@@ -543,20 +541,24 @@ class Chain:
         )
         self._building.fees += self._spend_inputs(tx, height, total)
 
-    # FawkesCoin ------------------------------------------------------------------
-
-    def _fc_epoch(self, height: int, committing: bool) -> Epoch:
+    def _epoch_gate(self, height: int, kind: EpochKind, committing: bool) -> Epoch:
+        """The epoch at `height`, if `kind` may act there (and commit, when `committing`)."""
+        fc = kind is EpochKind.FC
+        protocol = "FawkesCoin" if fc else "Lifted FawkesCoin"
         epoch = self.epoch_of(height)
         if epoch is None:
-            raise RuleViolation("epoch-preactivation", "FawkesCoin activates with the quantum era")
-        if epoch.kind is not EpochKind.FC:
-            raise RuleViolation("epoch-kind", "not a FawkesCoin epoch")
-        if committing and epoch.offset(height) >= self.params.fc_commit_window():
-            raise RuleViolation("fc-commit-cutoff", "no commitments in the last blocks of the epoch")
+            raise RuleViolation("epoch-preactivation", f"{protocol} activates with the quantum era")
+        if epoch.kind is not kind:
+            raise RuleViolation("epoch-kind", f"not a {protocol} epoch")
+        window = self.params.fc_commit_window() if fc else self.params.lfc_commit_window()
+        if committing and epoch.offset(height) >= window:
+            raise RuleViolation("fc-commit-cutoff" if fc else "lfc-commit-cutoff", "no commitments in the last blocks of the epoch")
         return epoch
 
+    # FawkesCoin ------------------------------------------------------------------
+
     def _apply_fc_commit(self, tx: Transaction, height: int) -> None:
-        self._fc_epoch(height, committing=True)
+        self._epoch_gate(height, EpochKind.FC, committing=True)
         with _decoding("fc-commit-malformed"):
             committed = parse_commit_payload(tx.payload)
         if not tx.inputs:
@@ -586,7 +588,7 @@ class Chain:
             raise RuleViolation("fc-commitment-unusable", "no commitment is old enough and unencumbered")
 
     def _apply_fc_reveal(self, tx: Transaction, height: int) -> None:
-        self._fc_epoch(height, committing=False)
+        self._epoch_gate(height, EpochKind.FC, committing=False)
         with _decoding("fc-reveal-malformed"):
             payload = parse_reveal_payload(self.group, tx.payload)
         mode = payload.mode
@@ -729,18 +731,8 @@ class Chain:
 
     # Lifted FawkesCoin ----------------------------------------------------------------
 
-    def _lfc_epoch(self, height: int, committing: bool) -> Epoch:
-        epoch = self.epoch_of(height)
-        if epoch is None:
-            raise RuleViolation("epoch-preactivation", "Lifted FawkesCoin activates with the quantum era")
-        if epoch.kind is not EpochKind.LFC:
-            raise RuleViolation("epoch-kind", "not a Lifted FawkesCoin epoch")
-        if committing and epoch.offset(height) >= self.params.lfc_commit_window():
-            raise RuleViolation("lfc-commit-cutoff", "no commitments in the last blocks of the epoch")
-        return epoch
-
     def _apply_lfc_commit(self, tx: Transaction, height: int) -> None:
-        self._lfc_epoch(height, committing=True)
+        self._epoch_gate(height, EpochKind.LFC, committing=True)
         if tx.inputs or tx.outputs:
             raise RuleViolation("lfc-commit-shape", "the on-chain record carries no inputs or outputs")
         with _decoding("lfc-commit-malformed"):
@@ -806,7 +798,7 @@ class Chain:
         return pk is not None and seedlift_verify(self.group, self.seed_backend, pk, message, sig)
 
     def _apply_lfc_reveal(self, tx: Transaction, height: int) -> None:
-        self._lfc_epoch(height, committing=False)
+        self._epoch_gate(height, EpochKind.LFC, committing=False)
         committed = tx.txid()
         record = self.lfc_by_hash.get(committed)
         if record is None or record.state is not LfcState.LOCKED:
@@ -842,7 +834,7 @@ class Chain:
         self._resolve_lfc(record, LfcState.REVEALED, height)
 
     def _apply_lfc_claim(self, tx: Transaction, height: int) -> None:
-        self._lfc_epoch(height, committing=False)
+        epoch = self._epoch_gate(height, EpochKind.LFC, committing=False)
         if tx.inputs or tx.outputs:
             raise RuleViolation("lfc-claim-shape", "a claim carries only the proof payload")
         with _decoding("lfc-claim-malformed"):
@@ -852,7 +844,6 @@ class Chain:
             raise RuleViolation("lfc-no-commitment", "claim matches no locked commitment")
         age = record.age(height)
         wait = self.params.wait_blocks
-        epoch = self.epoch_of(height)
         if age <= reveal_deadline_age(wait, self.params.reveal_window):
             raise RuleViolation("lfc-claim-early", "the spender's reveal window is still open")
         deadline = claim_deadline_age(wait, self.params.reveal_window, self.params.proof_window)
@@ -959,8 +950,6 @@ class Chain:
                 self._resolve_challenge(record, ChallengeStatus.FINALIZED, record.fee, height)
 
     def _lfc_fee_addendum(self, height: int) -> Optional[TxOutput]:
-        if height < FEE_SHARE_DELAY:
-            return None
         shares = self.fee_shares_by_block.pop(height - FEE_SHARE_DELAY, 0)
         if shares <= 0:
             return None
@@ -1063,7 +1052,7 @@ class ChainConfig:
         group = toy_group(self.group_q)
         canary_group = toy_group(self.canary_q)
         canary = CanaryRecord(self.canary_pk, self.canary_nonce, self.canary_killed_at)
-        return Chain(self.params, group, secure_group(), canary_group, canary, self.grants)
+        return Chain(self.params, group, canary_group, canary, self.grants)
 
     def to_json(self) -> dict:
         return {

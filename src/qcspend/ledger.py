@@ -424,9 +424,8 @@ class KeyRegistry:
     member.
     """
 
-    def __init__(self, regular_paths: Iterable[str], max_declared: int):
+    def __init__(self, regular_paths: Iterable[str]):
         self.regular: tuple[DerivationPath, ...] = tuple(DerivationPath.parse(p) for p in regular_paths)
-        self.max_declared = max_declared
         self.declared: dict[bytes, list[DerivationPath]] = {}
         self._by_digest: dict[bytes, KeyRegistryEntry] = {}  # in materialization order
         self._key_to_entry: dict[bytes, KeyRegistryEntry] = {}
@@ -441,8 +440,6 @@ class KeyRegistry:
         return self._by_digest.values()
 
     def declare(self, digest: bytes, paths: list[DerivationPath]) -> None:
-        if len(paths) > self.max_declared:
-            raise ValueError("declared path list exceeds the anti-spam bound")
         self.declared.setdefault(digest, []).extend(paths)
 
     def materialize(self, group: GroupParams, xsk: ExtendedSecretKey, height: int) -> Optional[KeyRegistryEntry]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, Wallet
+from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, UserAgent, Wallet
 from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
 from .groups import h512, pk_ec, toy_group
 from .hdwallet import DerivationPath
@@ -83,6 +83,8 @@ class ScenarioConfig:
             if g.get("type") not in GRANT_TYPES:
                 raise ConfigError(f"unknown grant type: {g.get('type')}")
             grants.append(dict(g))
+        for a in agents:
+            _check_script(a, {g.get("name") for g in grants}, {b.get("id") for b in agents})
         try:
             params = Params().with_overrides(**data.get("params", {}))
         except (TypeError, ValueError) as exc:
@@ -100,6 +102,25 @@ class ScenarioConfig:
             miner_overrides={int(k): v for k, v in data.get("miner_overrides", {}).items()},
             grants=tuple(grants),
         )
+
+
+def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
+    """Reject a script entry without a height, with an action the agent
+    lacks, or naming a grant or agent the scenario does not have."""
+    who = agent.get("id")
+    for entry in agent.get("script", ()):
+        if not isinstance(entry.get("height"), int):
+            raise ConfigError(f"agent {who}: script entry without an integer height: {entry}")
+        if agent.get("kind", "user") == "user" and not hasattr(UserAgent, f"do_{entry.get('do')}"):
+            raise ConfigError(f"agent {who}: unknown action {entry.get('do')!r}")
+        for name in (entry.get("utxo"), entry.get("deposit"), entry.get("fake_lfc", {}).get("utxo")):
+            if name is not None and name not in grant_names:
+                raise ConfigError(f"agent {who}: script names unknown grant {name!r}")
+        if entry.get("to") is not None and entry["to"] not in agent_ids:
+            raise ConfigError(f"agent {who}: script names unknown agent {entry['to']!r}")
+    for name in agent.get("watch", ()):
+        if name not in grant_names:
+            raise ConfigError(f"agent {who}: watches unknown grant {name!r}")
 
 
 class Simulation:

@@ -1,5 +1,8 @@
 import json
+from importlib import resources
 from pathlib import Path
+
+import pytest
 
 from qcspend.cli import main
 
@@ -33,6 +36,29 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "blocks": 1, "agents": [], "miners": [], "zorp": 1}))
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "agent, key, entry",
+        [
+            ("alice", "script", {"height": 3, "do": "bogus"}),
+            ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "nope"}),
+            ("alice", "script", {"do": "fc_spend", "utxo": "u-hashed"}),
+            ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "mode": "naked", "deposit": "nope"}),
+            ("alice", "script", {"height": 3, "do": "direct_spend", "utxo": "u-hashed", "to": "nobody"}),
+            ("m0", "script", {"height": 3, "fake_lfc": {"utxo": "nope"}}),
+            ("alice", "watch", "nope"),
+        ],
+        ids=["unknown-action", "unknown-utxo", "no-height", "unknown-deposit", "unknown-recipient",
+             "unknown-fake-lfc-utxo", "unknown-watch"],
+    )
+    def test_bad_script_entry_exits_2(self, tmp_path, capsys, agent, key, entry):
+        data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
+        next(a for a in data["agents"] if a["id"] == agent).setdefault(key, []).append(entry)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_params_override(self, tmp_path, capsys):
         code = main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", "block_reward=7"])

@@ -9,11 +9,21 @@ from qcspend.consensus import (
     replay_chain,
     verify_snapshot,
 )
-from qcspend.encoding import enc_bytes
+from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import commit_payload
 from qcspend.groups import decode_point, prequantum_sign, quantum_invert, toy_group
 from qcspend.hdwallet import path
-from qcspend.ledger import Block, Transaction, TxKind, TxOutput
+from qcspend.ledger import (
+    Block,
+    Transaction,
+    TxKind,
+    TxInput,
+    TxOutput,
+    Witness,
+    WitnessKind,
+    pk_hash_address,
+    post_quantum_address,
+)
 from qcspend.rules import RuleViolation
 
 
@@ -219,6 +229,103 @@ class TestDuplicateInputs:
         assert h.chain.state_digest() == before
         assert op in h.chain.utxos
         assert h.chain.end_block().transactions == ()
+
+
+ALICE_PATH = "m/0h/0/0"
+
+
+def _alice_sk(h):
+    return h.wallet("alice").derived_sk(path(ALICE_PATH))
+
+
+class TestWitnessRules:
+    """Every rejection of an input witness, on a post-quantum and on a
+    pre-quantum output: rule id and detail text."""
+
+    @pytest.mark.parametrize(
+        "label, witness, rule, detail",
+        [
+            ("pq", lambda h, m: h.wallet("alice").witness_pre(_alice_sk(h), m),
+             "witness-kind", "post-quantum output needs a post-quantum witness"),
+            ("pq", lambda h, m: h.wallet("bob").witness_pq(m),
+             "witness-address", "post-quantum key does not hash to the address"),
+            ("pq", lambda h, m: h.wallet("alice").witness_pq(b"another message"),
+             "witness-signature", "post-quantum signature invalid"),
+            ("pq-junk", lambda h, m: Witness(WitnessKind.POST_QUANTUM, b"junk", h.wallet("alice").witness_pq(m).signature),
+             "witness-malformed", "bad point length"),
+            ("pre", lambda h, m: h.wallet("alice").witness_pq(m),
+             "witness-kind", "pre-quantum output needs a pre-quantum witness"),
+            ("pre", lambda h, m: h.wallet("bob").witness_pre(h.wallet("bob").derived_sk(path(ALICE_PATH)), m),
+             "witness-address", "revealed key does not match the address"),
+            ("pre", lambda h, m: h.wallet("alice").witness_pre(_alice_sk(h), b"another message"),
+             "witness-signature", "pre-quantum signature invalid"),
+            ("pre-junk", lambda h, m: Witness(WitnessKind.PRE_QUANTUM, b"junk", h.wallet("alice").witness_pre(_alice_sk(h), m).signature),
+             "witness-malformed", "bad point length"),
+        ],
+        ids=["pq-kind", "pq-address", "pq-signature", "pq-malformed",
+             "pre-kind", "pre-address", "pre-signature", "pre-malformed"],
+    )
+    def test_witness_rejection(self, label, witness, rule, detail):
+        h = Harness(killed_at=None)  # before the era, so pre-quantum outputs may be spent directly
+        h.grant_pq("pq", "alice", 5_000)
+        h.grant_hashed("pre", "alice", ALICE_PATH, 5_000)
+        h.grant("pq-junk", post_quantum_address(b"junk"), 5_000)  # hashes to the address, decodes to no point
+        h.grant("pre-junk", pk_hash_address(b"junk"), 5_000)
+        h.build()
+        op = h.outpoints[label]
+        tx = Transaction(TxKind.TRANSFER, (TxInput(op),), (TxOutput(h.wallet("alice").pq_address(), 5_000),))
+        tx = tx.signed(lambda sighash: witness(h, sighash))
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation) as info:
+            h.chain.add_tx(tx)
+        assert (info.value.rule, info.value.detail) == (rule, detail)
+        assert h.chain.state_digest() == before
+
+
+class TestEpochGate:
+    """Where a FawkesCoin or lifted commitment may land.  Epochs: FawkesCoin
+    over [0, 200), lifted over [200, 600); commitments close 100 blocks
+    into each."""
+
+    @pytest.mark.parametrize(
+        "kind, killed_at, height, rule, detail",
+        [
+            (TxKind.FC_COMMIT, None, 1, "epoch-preactivation", "FawkesCoin activates with the quantum era"),
+            (TxKind.FC_COMMIT, 0, 200, "epoch-kind", "not a FawkesCoin epoch"),
+            (TxKind.FC_COMMIT, 0, 100, "fc-commit-cutoff", "no commitments in the last blocks of the epoch"),
+            (TxKind.LFC_COMMIT, None, 1, "epoch-preactivation", "Lifted FawkesCoin activates with the quantum era"),
+            (TxKind.LFC_COMMIT, 0, 1, "epoch-kind", "not a Lifted FawkesCoin epoch"),
+            (TxKind.LFC_COMMIT, 0, 300, "lfc-commit-cutoff", "no commitments in the last blocks of the epoch"),
+        ],
+        ids=["fc-preactivation", "fc-kind", "fc-cutoff", "lfc-preactivation", "lfc-kind", "lfc-cutoff"],
+    )
+    def test_commitment_outside_its_window(self, kind, killed_at, height, rule, detail):
+        h = Harness(killed_at=killed_at, fc_epoch_len=200, lfc_epoch_len=400)
+        h.build()
+        h.mine_to(height - 1)
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation) as info:
+            h.chain.add_tx(Transaction(kind, (), (), b""))
+        assert (info.value.rule, info.value.detail) == (rule, detail)
+
+
+class TestRegistryBound:
+    @pytest.mark.parametrize("count, rule", [(32, None), (33, "registry-bound")], ids=["32-paths", "33-paths"])
+    def test_declaration_bound(self, count, rule):
+        h = Harness()
+        h.build()
+        digest = bytes(32)
+        paths = [path(f"m/{i}") for i in range(count)]
+        payload = enc_bytes(digest) + enc_u32(count) + b"".join(p.serialize() for p in paths)
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(Transaction(TxKind.REGISTRY_DECLARE, payload=payload))
+        h.chain.end_block()
+        if rule is None:
+            assert violation is None and h.chain.registry.declared[digest] == paths
+        else:
+            assert (violation.rule, violation.detail) == (rule, "33 paths exceed the declared-path bound")
+            assert h.chain.registry.declared == {}
 
 
 class TestMalformedPayloads:

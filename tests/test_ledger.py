@@ -175,7 +175,7 @@ class TestKeyRegistry:
     def test_prefix_closure_example(self):
         # Regular set {m/0, m/0/1}: closure is {m, m/0, m/0/1}, so the
         # revealed key itself plus two descendants materialize.
-        registry = KeyRegistry(["m/0", "m/0/1"], max_declared=32)
+        registry = KeyRegistry(["m/0", "m/0/1"])
         xsk = ExtendedSecretKey(17, bytes(32))
         entry = registry.materialize(GROUP, xsk, height=50)
         assert len(entry.materialized_keys) == 3
@@ -183,7 +183,7 @@ class TestKeyRegistry:
         assert entry.materialized_keys == frozenset(expected)
 
     def test_declared_paths_extend_the_closure(self):
-        registry = KeyRegistry(["m/0"], max_declared=32)
+        registry = KeyRegistry(["m/0"])
         xsk = ExtendedSecretKey(17, bytes(32))
         digest = registry.key_digest(GROUP, xsk)
         registry.declare(digest, [path("m/5h/1")])
@@ -191,13 +191,8 @@ class TestKeyRegistry:
         # closure: m, m/0, m/5h, m/5h/1
         assert len(entry.materialized_keys) == 4
 
-    def test_declaration_bound(self):
-        registry = KeyRegistry([], max_declared=2)
-        with pytest.raises(ValueError):
-            registry.declare(b"\x00" * 32, [path("m/1"), path("m/2"), path("m/3")])
-
     def test_ban_height_for_materialized_members(self):
-        registry = KeyRegistry(["m/0"], max_declared=32)
+        registry = KeyRegistry(["m/0"])
         xsk = ExtendedSecretKey(23, bytes(32))
         registry.materialize(GROUP, xsk, height=77)
         child = derive(GROUP, xsk, path("m/0"))
@@ -207,7 +202,7 @@ class TestKeyRegistry:
         assert registry.ban_height(GROUP, stranger) is None
 
     def test_materialize_idempotent(self):
-        registry = KeyRegistry(["m/0"], max_declared=32)
+        registry = KeyRegistry(["m/0"])
         xsk = ExtendedSecretKey(23, bytes(32))
         assert registry.materialize(GROUP, xsk, 5) is not None
         assert registry.materialize(GROUP, xsk, 9) is None
