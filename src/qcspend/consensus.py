@@ -5,10 +5,17 @@ value-conservation ledger.
 
 Blocks are applied through one path: begin_block / add_tx / end_block.
 Block construction uses the same path (invalid candidate entries are
-skipped and logged), and replay (verify, reorg) re-applies stored blocks
+skipped and logged), and replay (verify) and reorg re-apply stored blocks
 strictly, requiring the recomputed block bytes to match.  Whatever is not
 in block bytes (sweep payouts, locks, escrows) is a deterministic function
 of them, so replaying the blocks reproduces the state digest.
+
+Every state change is recorded, as it is made, in an undo journal: the
+call that reverses it.  A transaction or block that raises is rolled
+back whole, and the journals of the last `max_reorg_depth` blocks are
+kept as their undo data, so a reorg rewinds to the fork in place and
+applies only the branch (Bitcoin Core's per-block undo data and
+DisconnectBlock play the same part).
 
 Per-block order: transactions in block order, samaritan reports, coinbase,
 then the sweeps (lifted-commitment expiries, challenge-period
@@ -36,7 +43,7 @@ begin/add/end path.  Readers may query concurrently between blocks.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -109,6 +116,16 @@ FEE_SHARE_DELAY = 300
 # The closing blocks of a lifted epoch whose claims decide an extension:
 # the window `Params.proofs_per_100_blocks` counts proofs over.
 CLAIM_WINDOW = 100
+
+_MISSING = object()
+
+
+def _restore(table: dict, key, old) -> None:
+    """Undo an assignment to `table[key]`: put back `old`, or no entry."""
+    if old is _MISSING:
+        del table[key]
+    else:
+        table[key] = old
 
 
 @contextmanager
@@ -197,6 +214,7 @@ class Chain:
         self.seed_backend = transparent_backend(seedlift_owf(group))
 
         self.blocks: list[Block] = []
+        self.tip_hash = GENESIS_PARENT  # the hash of blocks[-1], once genesis is in
         self.utxos: dict[Outpoint, Utxo] = {}
         self.utxo_hash_index: dict[bytes, Outpoint] = {}
         self.leaks = LeakTracker()
@@ -217,13 +235,21 @@ class Chain:
         self.violations: list[tuple[int, str, str]] = []
 
         self._building: Optional[_Draft] = None
+        # The undo journal: the entries of the block being built, and the
+        # journals of the last `max_reorg_depth` blocks (at least of the last
+        # one, which `apply_block` undoes on a mismatch), newest last.  A
+        # branch switch keeps those of all the blocks it applies until done.
+        self._journal: list[tuple] = []
+        self._undo: deque[list[tuple]] = deque()
+        self._undo_keep = max(params.max_reorg_depth, 1)
         if canary.killed_at is not None:
             self._open_first_epoch()
         self._apply_genesis(list(genesis_grants))
+        self._journal = []  # genesis is never undone
 
     def _open_first_epoch(self) -> None:
         """Schedule the first FawkesCoin epoch, at the start of the quantum era."""
-        self.epochs = [Epoch(EpochKind.FC, self.era_start(), self.params.fc_epoch_len)]
+        self._append(self.epochs, Epoch(EpochKind.FC, self.era_start(), self.params.fc_epoch_len))
 
     # -- genesis -----------------------------------------------------------
 
@@ -236,7 +262,73 @@ class Chain:
         self._create_outputs(coinbase, 0)
         self.total_minted += coinbase.output_sum()
         self.blocks.append(block)
+        self.tip_hash = block.block_hash()
         self._assert_balance()
+
+    # -- undo journal -----------------------------------------------------------
+    # Each primitive mutates and appends the call that reverses it: a
+    # function and its arguments, or the name of one of the chain's own
+    # methods, so that the journal holds no reference to the chain (a
+    # reference cycle would keep a discarded chain alive until the cyclic
+    # garbage collector runs).  Rolling back makes those calls newest first.
+
+    def _put(self, table: dict, key, value) -> None:
+        self._journal.append((_restore, table, key, table.get(key, _MISSING)))
+        table[key] = value
+
+    def _pop(self, table: dict, key):
+        value = table.pop(key)
+        self._journal.append((table.__setitem__, key, value))
+        return value
+
+    def _set(self, obj, attr: str, value) -> None:
+        old = getattr(obj, attr)
+        self._journal.append(("__setattr__", attr, old) if obj is self else (setattr, obj, attr, old))
+        setattr(obj, attr, value)
+
+    def _append(self, items: list, value) -> None:
+        items.append(value)
+        self._journal.append((items.pop,))
+
+    def _rollback(self, journal: list[tuple], mark: int = 0) -> None:
+        """Undo the entries of `journal` past `mark`, newest first."""
+        while len(journal) > mark:
+            undo, *args = journal.pop()
+            (getattr(self, undo) if isinstance(undo, str) else undo)(*args)
+
+    def _rewind(self, height: int) -> list[Block]:
+        """Undo the blocks above `height`, newest first, and return them in
+        chain order."""
+        depth = self.height - height
+        if self._building is not None or not 0 <= depth <= len(self._undo):
+            raise RuntimeError(f"cannot rewind {depth} blocks")
+        undone = self.blocks[height + 1 :]
+        for _ in range(depth):
+            self._rollback(self._undo.pop())
+        del self.blocks[height + 1 :]
+        self.tip_hash = self.blocks[-1].block_hash()
+        self.violations[:] = [v for v in self.violations if v[0] <= height]
+        return undone
+
+    def _switch_to(self, branch: list[Block]) -> list[Block]:
+        """Replace the blocks above the branch's parent with the branch.  If
+        a branch block fails, the branch is undone and the replaced blocks
+        applied again before the failure propagates.  Returns the replaced
+        blocks."""
+        fork_height = branch[0].height - 1
+        replaced = self._rewind(fork_height)
+        self._undo_keep += len(branch)  # every branch block stays undoable
+        try:
+            for block in branch:
+                self.apply_block(block)
+        except BaseException:
+            self._rewind(fork_height)
+            for block in replaced:
+                self.apply_block(block)
+            raise
+        finally:
+            self._undo_keep -= len(branch)
+        return replaced
 
     # -- views --------------------------------------------------------------
 
@@ -245,8 +337,11 @@ class Chain:
         return self.blocks[-1].height
 
     @property
-    def tip_hash(self) -> bytes:
-        return self.blocks[-1].block_hash()
+    def final_height(self) -> int:
+        """No reorg replaces the blocks up to this height: once the tip has
+        buried a block `max_reorg_depth` deep it is final, and only the
+        blocks above the final one keep undo data."""
+        return self.height - len(self._undo)
 
     def era_phase(self, height: Optional[int] = None) -> EraPhase:
         h = self.height if height is None else height
@@ -293,19 +388,35 @@ class Chain:
     def _add_utxo(self, utxo: Utxo, height: int) -> None:
         if utxo.outpoint in self.utxos:
             raise RuleViolation("utxo-exists", f"output {utxo.outpoint[0].hex()}:{utxo.outpoint[1]} already exists")
+        self._insert_utxo(utxo)
+        self._journal.append(("_delete_utxo", utxo.outpoint))
+        addr = utxo.address.serialize()
+        if addr not in self.address_first_seen:
+            self._put(self.address_first_seen, addr, height)
+        if utxo.address.kind is AddrKind.PLAIN_PK:
+            self._mark_leak(utxo.address.data, height)
+
+    def _remove_utxo(self, outpoint: Outpoint) -> Utxo:
+        utxo = self._delete_utxo(outpoint)
+        self._journal.append(("_insert_utxo", utxo))
+        return utxo
+
+    # The unjournaled halves: the set, its hash index and the value sum.
+
+    def _insert_utxo(self, utxo: Utxo) -> None:
         self.utxos[utxo.outpoint] = utxo
         self.utxo_hash_index[utxo.utxo_hash()] = utxo.outpoint
         self.utxo_value_sum += utxo.value
-        addr = utxo.address.serialize()
-        self.address_first_seen.setdefault(addr, height)
-        if utxo.address.kind is AddrKind.PLAIN_PK:
-            self.leaks.mark(utxo.address.data, height)
 
-    def _remove_utxo(self, outpoint: Outpoint) -> Utxo:
+    def _delete_utxo(self, outpoint: Outpoint) -> Utxo:
         utxo = self.utxos.pop(outpoint)
         self.utxo_hash_index.pop(utxo.utxo_hash(), None)
         self.utxo_value_sum -= utxo.value
         return utxo
+
+    def _mark_leak(self, pk_bytes: bytes, height: int) -> None:
+        if self.leaks.mark(pk_bytes, height):
+            self._journal.append((self.leaks.unmark, pk_bytes))
 
     def _credit(self, reason: bytes, key: bytes, address: Address, value: int, height: int) -> None:
         """Protocol payout: a deterministic synthetic output (fine, refund,
@@ -324,14 +435,21 @@ class Chain:
 
     def add_tx(self, tx: Transaction) -> None:
         """Validate against live state and apply; raises RuleViolation and
-        leaves no partial effects on failure."""
-        if self._building is None:
+        leaves no partial effects on failure (nor on any other exception)."""
+        b = self._building
+        if b is None:
             raise RuntimeError("no block in progress")
         handler = self._HANDLERS.get(tx.kind)
         if handler is None:
             raise RuleViolation("tx-kind", f"{tx.kind} cannot appear in the transaction list")
-        handler(self, tx, self._building.height)
-        self._building.txs.append(tx)
+        mark, fees, obligation = len(self._journal), b.fees, b.obligation
+        try:
+            handler(self, tx, b.height)
+        except BaseException:
+            self._rollback(self._journal, mark)
+            b.fees, b.obligation = fees, obligation
+            raise
+        b.txs.append(tx)
 
     def try_add_tx(self, tx: Transaction) -> Optional[RuleViolation]:
         """Builder-side add: skip-and-log instead of raising."""
@@ -351,11 +469,29 @@ class Chain:
         return self.params.block_reward + b.fees - b.obligation
 
     def end_block(self, reports: Iterable[bytes] = ()) -> Block:
+        """Close the block; if that raises, the whole block, its
+        transactions included, is rolled back."""
         # The draft is released first, so a rejected block never leaves the
         # builder stuck.
         b, self._building = self._building, None
         if b is None:
             raise RuntimeError("no block in progress")
+        try:
+            block = self._close_block(b, reports)
+        except BaseException:
+            self._rollback(self._journal)
+            raise
+        self.blocks.append(block)
+        self.tip_hash = block.block_hash()
+        # The block's journal becomes its undo data (`_rewind` drops the
+        # block itself).
+        self._undo.append(self._journal)
+        self._journal = []
+        while len(self._undo) > self._undo_keep:
+            self._undo.popleft()
+        return block
+
+    def _close_block(self, b: _Draft, reports: Iterable[bytes]) -> Block:
         height = b.height
 
         accepted_reports = self._include_reports(list(reports), height)
@@ -369,6 +505,7 @@ class Chain:
             outputs.append(addendum)
         coinbase = Transaction(TxKind.COINBASE, outputs=tuple(outputs), payload=enc_u64(height))
         txid = coinbase.txid()
+        self._journal.append(("__setattr__", "total_minted", self.total_minted))
         self.total_minted += self.params.block_reward
         for i, out in enumerate(coinbase.outputs):
             if out.value > 0:
@@ -383,8 +520,6 @@ class Chain:
             tuple(accepted_reports),
             coinbase,
         )
-        self.blocks.append(block)
-
         self._sweep_lfc_expiries(height)
         self._sweep_challenges(height)
         self._epoch_end_check(height)
@@ -393,15 +528,22 @@ class Chain:
 
     def apply_block(self, block: Block) -> None:
         """Strict replay: every entry must validate, and the recomputed
-        block must byte-match the given one."""
+        block must byte-match the given one.  A block that fails leaves no
+        effects."""
         if block.height != self.height + 1:
             raise RuleViolation("block-height", f"expected {self.height + 1}, got {block.height}")
         if block.parent != self.tip_hash:
             raise RuleViolation("block-parent", "parent hash does not match the tip")
         self.begin_block(block.miner_id, block.miner_address)
-        for tx in block.transactions:
-            self.add_tx(tx)
+        try:
+            for tx in block.transactions:
+                self.add_tx(tx)
+        except BaseException:
+            self._building = None
+            self._rollback(self._journal)
+            raise
         if self.end_block(block.samaritan_reports) != block:
+            self._rewind(block.height - 1)
             raise RuleViolation("block-mismatch", "recomputed block differs (coinbase or reports)")
 
     # -- report inclusion ---------------------------------------------------------
@@ -415,7 +557,7 @@ class Chain:
             pending, self.leaks, self.params.samaritan_budget_bytes, self.group.point_len
         )
         for pk in selected:
-            self.leaks.mark(pk, height)
+            self._mark_leak(pk, height)
         return selected
 
     def submit_samaritan_report(self, pk_bytes: bytes, height: Optional[int] = None) -> None:
@@ -476,7 +618,7 @@ class Chain:
 
     def _mark_witness_leak(self, witness: Witness, height: int) -> None:
         if witness.kind is WitnessKind.PRE_QUANTUM:
-            self.leaks.mark(witness.pk, height)
+            self._mark_leak(witness.pk, height)
 
     def _create_outputs(self, tx: Transaction, height: int) -> None:
         txid = tx.txid()
@@ -568,7 +710,7 @@ class Chain:
         )
         self._building.fees += self._spend_inputs(tx, height, total_in)
         # No locking in non-lifted mode: duplicate hashes are all recorded.
-        self.fc_commitments.setdefault(committed, []).append(height)
+        self._put(self.fc_commitments, committed, self.fc_commitments.get(committed, []) + [height])
 
     def _check_commitment(self, committed: bytes, height: int, wait: int, *, max_leak_height: Optional[int], ban_height: Optional[int]) -> None:
         """Require a commitment to `committed` that is at least `wait`
@@ -677,7 +819,8 @@ class Chain:
             reveal_miner=self._building.miner_address,
             spent_wait=wait,
         )
-        self.challenges[record.txid] = self.open_challenges[record.txid] = record
+        self._put(self.challenges, record.txid, record)
+        self._put(self.open_challenges, record.txid, record)
         # The fee and the outputs stay escrowed until the challenge resolves.
 
     def _apply_fraud_proof(self, tx: Transaction, payload: RevealPayload, height: int) -> None:
@@ -719,15 +862,16 @@ class Chain:
     def _resolve_challenge(self, record: ChallengeRecord, status: ChallengeStatus, miner_fee: int, height: int) -> None:
         """Settle an OPEN challenge as `status`: release its escrow and pay
         the including miner `miner_fee`."""
-        del self.open_challenges[record.txid]
-        record.status = status
+        self._pop(self.open_challenges, record.txid)
+        self._set(record, "status", status)
         self._credit(b"challenge-fee", record.txid, record.reveal_miner, miner_fee, height)
 
     def _materialize(self, payload: RevealPayload, height: int) -> None:
         entry = self.registry.materialize(self.group, payload.parent_key, height)
         if entry:
+            self._journal.append((self.registry.forget, entry))
             for pk in sorted(entry.materialized_pks):
-                self.leaks.mark(pk, height)
+                self._mark_leak(pk, height)
 
     # Lifted FawkesCoin ----------------------------------------------------------------
 
@@ -758,8 +902,8 @@ class Chain:
             utxo_address=utxo.address,
             fine_escrow=fine,
         )
-        self.lfc_by_hash[committed] = record
-        self.lfc_locks[outpoint] = committed
+        self._put(self.lfc_by_hash, committed, record)
+        self._put(self.lfc_locks, outpoint, committed)
         self._building.obligation += fine
 
     def validate_lfc_mempool_msg(self, msg) -> None:
@@ -828,9 +972,10 @@ class Chain:
         if payload.mode is RevealMode.DERIVED:
             self._materialize(payload, height)
 
+        shares = self.fee_shares_by_block
         committer_share, revealer_share = split_fee(record.alpha)
-        self.fee_shares_by_block[record.height_included] += committer_share
-        self.fee_shares_by_block[height] += revealer_share
+        self._put(shares, record.height_included, shares[record.height_included] + committer_share)
+        self._put(shares, height, shares[height] + revealer_share)
         self._resolve_lfc(record, LfcState.REVEALED, height)
 
     def _apply_lfc_claim(self, tx: Transaction, height: int) -> None:
@@ -864,16 +1009,16 @@ class Chain:
 
         utxo = self._remove_utxo(record.outpoint)
         self._credit(b"lfc-claim", committed, record.committer_address, utxo.value, height)
-        self.lfc_claim_heights.append(height)
+        self._append(self.lfc_claim_heights, height)
         self._resolve_lfc(record, LfcState.CLAIMED_BY_MINER, height)
 
     def _resolve_lfc(self, record: LfcCommitment, state: LfcState, height: int) -> None:
         """Settle a LOCKED record as `state`: unlock its output and release
         its fine escrow, to the output's address on expiry and back to the
         committer otherwise."""
-        del self.lfc_locks[record.outpoint]
-        record.state = state
-        record.resolved_height = height
+        self._pop(self.lfc_locks, record.outpoint)
+        self._set(record, "state", state)
+        self._set(record, "resolved_height", height)
         if state is LfcState.EXPIRED_FINED:
             self._credit(b"lfc-fine", record.committed_hash, record.utxo_address, record.fine_escrow, height)
         else:
@@ -894,6 +1039,8 @@ class Chain:
             r.done()
         if len(digest) != 32:
             raise RuleViolation("registry-shape", "the key digest is 32 bytes")
+        declared = self.registry.declared
+        self._journal.append((_restore, declared, digest, declared.get(digest, _MISSING)))
         self.registry.declare(digest, paths)
 
     def _apply_canary_kill(self, tx: Transaction, height: int) -> None:
@@ -914,8 +1061,8 @@ class Chain:
             # funds.  Nothing in the model burns value, so this is its
             # documented failure mode: there is no bounty to claim.
             raise RuleViolation("canary-bounty-unfunded", "burned funds do not cover the bounty")
-        self.canary.killed_at = height
-        self.total_minted += bounty
+        self._set(self.canary, "killed_at", height)
+        self._set(self, "total_minted", self.total_minted + bounty)
         self._credit(b"canary-bounty", tx.txid(), claimant, bounty, height)
         self._open_first_epoch()
 
@@ -934,6 +1081,8 @@ class Chain:
     # -- sweeps -------------------------------------------------------------------------
 
     def _sweep_lfc_expiries(self, height: int) -> None:
+        if not self.lfc_locks:
+            return
         epoch = self.epoch_of(height)
         if epoch is not None and epoch.extension:
             return  # fines are withheld while an extension is running
@@ -950,18 +1099,20 @@ class Chain:
                 self._resolve_challenge(record, ChallengeStatus.FINALIZED, record.fee, height)
 
     def _lfc_fee_addendum(self, height: int) -> Optional[TxOutput]:
-        shares = self.fee_shares_by_block.pop(height - FEE_SHARE_DELAY, 0)
+        earned = height - FEE_SHARE_DELAY
+        if earned not in self.fee_shares_by_block:
+            return None
+        shares = self._pop(self.fee_shares_by_block, earned)
         if shares <= 0:
             return None
-        earner = self.blocks[height - FEE_SHARE_DELAY]
-        return TxOutput(earner.miner_address, shares)
+        return TxOutput(self.blocks[earned].miner_address, shares)
 
     def _epoch_end_check(self, height: int) -> None:
         current = self.epoch_of(height)
         if current is None or height != current.end - 1:
             return
         if current.kind is EpochKind.FC:
-            self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len))
+            self._append(self.epochs, Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len))
             return
         claims = sum(1 for h in self.lfc_claim_heights if current.end - CLAIM_WINDOW <= h < current.end)
         decision = extension_decision(
@@ -971,13 +1122,13 @@ class Chain:
             self.params.extension_threshold_den,
         )
         if decision is EpochDecision.EXTEND:
-            self.epochs.append(Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len, extension=True))
+            self._append(self.epochs, Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len, extension=True))
             return
         # Rotation: fine whatever is still locked, then hand over to a
         # FawkesCoin epoch.
         for committed in list(self.lfc_locks.values()):
             self._resolve_lfc(self.lfc_by_hash[committed], LfcState.EXPIRED_FINED, height)
-        self.epochs.append(Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len))
+        self._append(self.epochs, Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len))
 
     def _assert_balance(self) -> None:
         lhs = self.utxo_value_sum + self.challenge_escrow + self.pending_fee_pool + self.fine_escrow_pool
@@ -1110,10 +1261,14 @@ def replay_chain(config: ChainConfig, blocks: Iterable[Block]) -> Chain:
 
 
 def reorg(chain: Chain, config: ChainConfig, branch: list[Block]) -> tuple[Chain, list[Transaction]]:
-    """Switch to an alternative branch sharing an ancestor within the
-    configured depth.  Returns the rebuilt chain and the transactions from
-    abandoned blocks (minus coinbases), which go back to the mempool.
-    Deadlines, locks, and commitments are re-derived by the replay."""
+    """Switch `chain`, in place, to an alternative branch sharing an
+    ancestor within the configured depth: the blocks above the fork are
+    undone from their journals and only the branch is applied, so the work
+    grows with the depth, not the chain.  If a branch block is invalid,
+    the original blocks are restored and its RuleViolation raised.
+    Returns the same chain and the transactions from abandoned blocks
+    (minus coinbases), which go back to the mempool.  `config` is unused;
+    callers still pass it."""
     if not branch:
         raise RuleViolation("reorg-empty", "no branch supplied")
     fork_height = branch[0].height - 1
@@ -1122,16 +1277,15 @@ def reorg(chain: Chain, config: ChainConfig, branch: list[Block]) -> tuple[Chain
         raise RuleViolation("reorg-ahead", "branch does not attach below the tip")
     if depth > chain.params.max_reorg_depth:
         raise RuleViolation("reorg-depth", f"depth {depth} exceeds the modeled bound")
+    if fork_height < chain.final_height:
+        # Reachable only after a reorg to a shorter branch lowered the tip.
+        raise RuleViolation("reorg-depth", f"block {chain.final_height} is final: an earlier tip buried it that deep")
     if branch[0].parent != chain.blocks[fork_height].block_hash():
         raise RuleViolation("reorg-parent", "branch does not attach to the named ancestor")
-    abandoned: list[Transaction] = []
+    replaced = chain._switch_to(branch)
     kept_txids = {tx.txid() for block in branch for tx in block.transactions}
-    for block in chain.blocks[fork_height + 1 :]:
-        for tx in block.transactions:
-            if tx.txid() not in kept_txids:
-                abandoned.append(tx)
-    rebuilt = replay_chain(config, chain.blocks[: fork_height + 1] + branch)
-    return rebuilt, abandoned
+    abandoned = [tx for block in replaced for tx in block.transactions if tx.txid() not in kept_txids]
+    return chain, abandoned
 
 
 # -- snapshots -----------------------------------------------------------------------

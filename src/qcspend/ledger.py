@@ -350,8 +350,9 @@ GENESIS_PARENT = bytes(32)
 
 
 class LeakTracker:
-    """First-appearance heights of pre-quantum public keys.  Monotone: a
-    key never becomes un-leaked.
+    """First-appearance heights of pre-quantum public keys.  Monotone
+    within a branch: a key never becomes un-leaked, except that a reorg
+    unmarks the keys first seen in the blocks it rewinds.
 
     An address index maps `address_hash(pk)` to the first key marked with
     that hash, so `leaked_pk` answers "which leaked key is behind this
@@ -362,10 +363,20 @@ class LeakTracker:
         self._leaked: dict[bytes, int] = {}
         self._by_address: dict[bytes, bytes] = {}
 
-    def mark(self, pk_bytes: bytes, height: int) -> None:
-        if pk_bytes not in self._leaked:
-            self._leaked[pk_bytes] = height
-            self._by_address.setdefault(address_hash(pk_bytes), pk_bytes)
+    def mark(self, pk_bytes: bytes, height: int) -> bool:
+        """Record a key's first appearance; True if it was not leaked yet."""
+        if pk_bytes in self._leaked:
+            return False
+        self._leaked[pk_bytes] = height
+        self._by_address.setdefault(address_hash(pk_bytes), pk_bytes)
+        return True
+
+    def unmark(self, pk_bytes: bytes) -> None:
+        """Undo the `mark` that first recorded `pk_bytes`."""
+        del self._leaked[pk_bytes]
+        digest = address_hash(pk_bytes)
+        if self._by_address.get(digest) == pk_bytes:
+            del self._by_address[digest]
 
     def is_leaked(self, pk_bytes: bytes) -> bool:
         return pk_bytes in self._leaked
@@ -440,7 +451,9 @@ class KeyRegistry:
         return self._by_digest.values()
 
     def declare(self, digest: bytes, paths: list[DerivationPath]) -> None:
-        self.declared.setdefault(digest, []).extend(paths)
+        # A new list, never an extended one, so a journal holding the old
+        # list can restore it.
+        self.declared[digest] = self.declared.get(digest, []) + list(paths)
 
     def materialize(self, group: GroupParams, xsk: ExtendedSecretKey, height: int) -> Optional[KeyRegistryEntry]:
         """Compute K_xsk and record it; idempotent per key."""
@@ -462,6 +475,13 @@ class KeyRegistry:
         for key in keys:
             self._key_to_entry.setdefault(key, entry)
         return entry
+
+    def forget(self, entry: KeyRegistryEntry) -> None:
+        """Undo the `materialize` that returned `entry`."""
+        del self._by_digest[entry.key_digest]
+        for key in entry.materialized_keys:
+            if self._key_to_entry.get(key) is entry:
+                del self._key_to_entry[key]
 
     def ban_height(self, group: GroupParams, xsk: ExtendedSecretKey) -> Optional[int]:
         """If this key is in some K_xsk, the height b_xsk from which

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, UserAgent, Wallet
 from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
+from .fawkescoin import RevealMode
 from .groups import h512, pk_ec, toy_group
 from .hdwallet import DerivationPath
 from .ledger import Address, pk_hash_address, plain_pk_address
@@ -106,13 +107,29 @@ class ScenarioConfig:
 
 def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
     """Reject a script entry without a height, with an action the agent
-    lacks, or naming a grant or agent the scenario does not have."""
+    lacks, naming a grant or agent the scenario does not have, or with a
+    reveal mode, signature kind or derivation path that does not parse."""
     who = agent.get("id")
     for entry in agent.get("script", ()):
         if not isinstance(entry.get("height"), int):
             raise ConfigError(f"agent {who}: script entry without an integer height: {entry}")
         if agent.get("kind", "user") == "user" and not hasattr(UserAgent, f"do_{entry.get('do')}"):
             raise ConfigError(f"agent {who}: unknown action {entry.get('do')!r}")
+        mode = entry.get("mode", "hashed")
+        if not isinstance(mode, str) or mode.upper() not in RevealMode.__members__:
+            raise ConfigError(f"agent {who}: unknown reveal mode {mode!r}")
+        if entry.get("sig", "key") not in ("key", "seed"):
+            raise ConfigError(f"agent {who}: sig must be 'key' or 'seed', not {entry['sig']!r}")
+        paths = entry.get("paths", [])
+        if not isinstance(paths, list):
+            raise ConfigError(f"agent {who}: paths must be a list: {paths!r}")
+        for text in paths + ([entry["path"]] if "path" in entry else []):
+            if not isinstance(text, str):
+                raise ConfigError(f"agent {who}: a derivation path is a string: {text!r}")
+            try:
+                DerivationPath.parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"agent {who}: bad derivation path: {exc}")
         for name in (entry.get("utxo"), entry.get("deposit"), entry.get("fake_lfc", {}).get("utxo")):
             if name is not None and name not in grant_names:
                 raise ConfigError(f"agent {who}: script names unknown grant {name!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import is_dataclass
 from functools import partial
 
 from qcspend.agents import Wallet
@@ -13,6 +14,34 @@ from qcspend.ledger import NO_WITNESS, Address, Transaction, TxInput, TxKind, Tx
 from qcspend.params import Params
 
 KDF_ITERS = 8
+
+# Chain attributes `same_state` leaves out: the undo data, and the builder's
+# log of skipped entries, which is not chain state.
+NOT_STATE = {"_journal", "_undo", "_undo_keep", "violations"}
+
+
+def _by_value(x):
+    """`x` in a form that compares by value: dicts as plain dicts (so a
+    Counter's zero entries count), lists item by item, functions by name,
+    and objects that define no equality of their own by their attributes."""
+    if isinstance(x, dict):
+        return {k: _by_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_by_value(v) for v in x]
+    if callable(x) and hasattr(x, "__qualname__"):
+        return x.__qualname__
+    if hasattr(x, "__dict__") and not is_dataclass(x) and type(x).__eq__ is object.__eq__:
+        return (type(x).__name__, _by_value(vars(x)))
+    return x
+
+
+def same_state(a, b) -> bool:
+    """Do two chains hold equal state in every attribute, the indexes that
+    `state_digest` skips included (UTXO hash index, locks, open challenges,
+    the leak tracker's address index, the registry's key index, the
+    FawkesCoin commitments)?  Undo data and violations are left out."""
+    names = (set(vars(a)) | set(vars(b))) - NOT_STATE
+    return all(_by_value(getattr(a, n, None)) == _by_value(getattr(b, n, None)) for n in names)
 
 
 class Harness:

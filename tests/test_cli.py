@@ -47,9 +47,14 @@ class TestRun:
             ("alice", "script", {"height": 3, "do": "direct_spend", "utxo": "u-hashed", "to": "nobody"}),
             ("m0", "script", {"height": 3, "fake_lfc": {"utxo": "nope"}}),
             ("alice", "watch", "nope"),
+            ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "mode": "bogus"}),
+            ("alice", "script", {"height": 3, "do": "lfc_spend", "utxo": "u-hashed", "sig": "bogus"}),
+            ("alice", "script", {"height": 3, "do": "registry_declare", "paths": ["x/y"]}),
+            ("alice", "script", {"height": 3, "do": "registry_declare", "paths": ["m/1x"]}),
         ],
         ids=["unknown-action", "unknown-utxo", "no-height", "unknown-deposit", "unknown-recipient",
-             "unknown-fake-lfc-utxo", "unknown-watch"],
+             "unknown-fake-lfc-utxo", "unknown-watch", "unknown-mode", "unknown-sig", "path-without-m",
+             "path-bad-index"],
     )
     def test_bad_script_entry_exits_2(self, tmp_path, capsys, agent, key, entry):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())

@@ -415,7 +415,6 @@ class TestExpiry:
         with pytest.raises(RuleViolation, match="lfc-fine-coverage"):
             h.chain.end_block()
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a block rejected in end_block keeps its lifted lock (ROADMAP item 1)")
     def test_uncovered_block_leaves_no_lock(self):
         h = lfc_harness(block_reward=1_000)
         h.build()

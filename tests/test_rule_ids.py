@@ -20,7 +20,7 @@ UNTESTED = {
     "lfc-no-commitment", "lfc-proof-malformed", "lfc-reveal-mode", "lfc-reveal-shape",
     "lfc-unknown-utxo", "registry-shape", "reorg-ahead", "reorg-empty", "reorg-parent",
     "samaritan-format", "snapshot-digest", "snapshot-header", "snapshot-parse", "snapshot-shape",
-    "tx-empty", "tx-kind", "tx-overspend", "utxo-locked",
+    "tx-kind", "tx-overspend", "utxo-locked",
 }
 
 
