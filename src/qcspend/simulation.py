@@ -108,7 +108,8 @@ class ScenarioConfig:
 def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
     """Reject a script entry without a height, with an action the agent
     lacks, naming a grant or agent the scenario does not have, or with a
-    reveal mode, signature kind or derivation path that does not parse."""
+    reveal mode, signature kind or derivation path that does not parse.  A
+    thief holds no key, so `steal` must name the naked or lost mode."""
     who = agent.get("id")
     for entry in agent.get("script", ()):
         if not isinstance(entry.get("height"), int):
@@ -118,6 +119,8 @@ def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
         mode = entry.get("mode", "hashed")
         if not isinstance(mode, str) or mode.upper() not in RevealMode.__members__:
             raise ConfigError(f"agent {who}: unknown reveal mode {mode!r}")
+        if entry.get("do") == "steal" and entry.get("mode", "").upper() not in ("NAKED", "LOST"):
+            raise ConfigError(f"agent {who}: steal needs mode 'naked' or 'lost', not {entry.get('mode')!r}")
         if entry.get("sig", "key") not in ("key", "seed"):
             raise ConfigError(f"agent {who}: sig must be 'key' or 'seed', not {entry['sig']!r}")
         paths = entry.get("paths", [])

@@ -51,10 +51,12 @@ class TestRun:
             ("alice", "script", {"height": 3, "do": "lfc_spend", "utxo": "u-hashed", "sig": "bogus"}),
             ("alice", "script", {"height": 3, "do": "registry_declare", "paths": ["x/y"]}),
             ("alice", "script", {"height": 3, "do": "registry_declare", "paths": ["m/1x"]}),
+            ("alice", "script", {"height": 3, "do": "steal", "utxo": "u-hashed"}),
+            ("alice", "script", {"height": 3, "do": "steal", "utxo": "u-hashed", "mode": "hashed"}),
         ],
         ids=["unknown-action", "unknown-utxo", "no-height", "unknown-deposit", "unknown-recipient",
              "unknown-fake-lfc-utxo", "unknown-watch", "unknown-mode", "unknown-sig", "path-without-m",
-             "path-bad-index"],
+             "path-bad-index", "steal-without-mode", "steal-needing-a-key"],
     )
     def test_bad_script_entry_exits_2(self, tmp_path, capsys, agent, key, entry):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())

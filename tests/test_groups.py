@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from qcspend.groups import (
 )
 
 G101 = toy_group(101)
+DATA = Path(__file__).parent / "data"
 
 # Published SHA-512 digest of the empty string (FIPS 180-4 test vector).
 SHA512_EMPTY = bytes.fromhex(
@@ -84,6 +88,57 @@ class TestPkEc:
     def test_out_of_range_rejected(self):
         with pytest.raises(GroupError):
             pk_ec(G101, G101.q)
+
+
+class TestFixedBasePkEc:
+    """On the secure group pk_ec reads a fixed-base table; it must agree
+    with pow for every scalar in [0, q)."""
+
+    SG = secure_group()
+    W = groups.FIXED_BASE_WINDOW
+    TOP = (secure_group().q - 1).bit_length() // groups.FIXED_BASE_WINDOW
+
+    def assert_matches_pow(self, x):
+        assert pk_ec(self.SG, x).value == pow(self.SG.g, x, self.SG.p)
+
+    @pytest.mark.parametrize("x", [0, 1, "q-1"])
+    def test_edges(self, x):
+        self.assert_matches_pow(self.SG.q - 1 if x == "q-1" else x)
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 100, 204, TOP - 1, TOP])
+    def test_digit_boundaries(self, i):
+        # 2^(w*i) - 1 fills every digit below position i with the top digit
+        # value; 2^(w*i) is a lone 1 at position i (TOP is the highest).
+        for x in (2 ** (self.W * i) - 1, 2 ** (self.W * i)):
+            self.assert_matches_pow(x)
+
+    def test_table_covers_every_digit_position(self):
+        table = groups._generator_table(self.SG)
+        assert len(table) == self.TOP + 1 == 410
+        assert 2 ** (self.W * self.TOP) < self.SG.q
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=secure_group().q - 1))
+    def test_any_scalar(self, x):
+        self.assert_matches_pow(x)
+
+    @pytest.mark.parametrize("bits", [512, 1024])
+    def test_seeded_wallet_nonce_and_s_sizes(self, bits):
+        rng = random.Random(bits)
+        for _ in range(16):
+            self.assert_matches_pow(rng.getrandbits(bits))
+
+    @pytest.mark.parametrize("x", [-1, "q"])
+    def test_out_of_range_rejected(self, x):
+        with pytest.raises(GroupError):
+            pk_ec(self.SG, self.SG.q if x == "q" else x)
+
+    def test_known_answers(self):
+        # Recorded with pow before the table existed: key and signature bytes.
+        known = dict(line.split() for line in (DATA / "secure_signature.golden").read_text().splitlines())
+        sk = self.SG.scalar_from_hash(h512(b"known-answer key").digest)
+        assert pk_ec(self.SG, sk).encode().hex() == known["pk"]
+        assert prequantum_sign(self.SG, sk, b"known-answer message").encode().hex() == known["signature"]
 
 
 class TestEncodings:
