@@ -54,6 +54,7 @@ from .groups import (
     address_hash,
     h512,
     pk_ec,
+    prequantum_batch_verify,
     prequantum_sign,
     prequantum_verify,
     quantum_invert,

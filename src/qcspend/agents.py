@@ -237,7 +237,8 @@ class MinerAgent(Agent):
 
     def __init__(self, agent_id, sim, options, wallet):
         super().__init__(agent_id, sim, options, wallet)
-        # committed hash -> (sigma bytes, mempool msg) for claim duty
+        # committed hash -> sigma, for claim duty: the commitments this miner
+        # included whose records are LOCKED or not on chain yet
         self.included_proofs: dict[bytes, bytes] = {}
 
     def autonomous(self) -> None:
@@ -247,11 +248,11 @@ class MinerAgent(Agent):
         deadline = reveal_deadline_age(chain.params.wait_blocks, chain.params.reveal_window)
         for committed, sigma in sorted(self.included_proofs.items()):
             record = chain.lfc_by_hash.get(committed)
-            if record is None or record.state is not LfcState.LOCKED:
-                continue
-            if record.committer_id != self.id:
-                continue
-            if record.age(self.sim.tick_height) > deadline:
+            if record is None:
+                continue  # not on chain yet: keep it
+            if record.state is not LfcState.LOCKED or record.committer_id != self.id:
+                del self.included_proofs[committed]  # settled, or not ours to claim
+            elif record.age(self.sim.tick_height) > deadline:
                 tx = Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))
                 self.sim.mempool.submit("tx", tx, self.id)
                 self.log(f"posted proof of ownership for {committed.hex()[:12]}")

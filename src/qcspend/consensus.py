@@ -47,7 +47,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .encoding import DecodeError, Reader, enc_bytes, enc_u64
 from .fawkescoin import (
@@ -60,12 +60,14 @@ from .fawkescoin import (
     parse_reveal_payload,
 )
 from .groups import (
+    BATCH_VERIFY_SIZE,
     GroupParams,
     GroupPoint,
     PreQuantumSignature,
     address_hash,
     decode_point,
     pk_ec,
+    prequantum_batch_verify,
     prequantum_verify,
     secure_group,
     toy_group,
@@ -1249,15 +1251,56 @@ class ChainConfig:
 
 
 def replay_chain(config: ChainConfig, blocks: Iterable[Block]) -> Chain:
-    """Rebuild a chain by strictly re-validating every stored block."""
+    """Rebuild a chain by strictly re-validating every stored block.
+
+    The blocks are applied in runs holding at most BATCH_VERIFY_SIZE
+    post-quantum input witnesses.  Before a run is applied, its witnesses
+    go through one `prequantum_batch_verify`; if the batch holds, consensus
+    finds each verdict in its record when it checks that witness as usual.
+    A witness that does not decode is left out of the batch, and a batch
+    that fails records nothing, so consensus then verifies one by one and
+    rejects at the same transaction with the same rule id.  Blocks without
+    post-quantum witnesses make no secure-group call here."""
     chain = config.build()
-    for block in blocks:
-        if block.height == 0:
-            if block.serialize() != chain.blocks[0].serialize():
-                raise RuleViolation("genesis-mismatch", "stored genesis differs from the config")
-            continue
-        chain.apply_block(block)
+    for run, witnesses in _witness_runs(chain.pq_group, blocks):
+        if witnesses:
+            prequantum_batch_verify(chain.pq_group, witnesses)
+        for block in run:
+            if block.height == 0:
+                if block.serialize() != chain.blocks[0].serialize():
+                    raise RuleViolation("genesis-mismatch", "stored genesis differs from the config")
+                continue
+            chain.apply_block(block)
     return chain
+
+
+def _witness_runs(group: GroupParams, blocks: Iterable[Block]) -> Iterator[tuple[list[Block], list[tuple]]]:
+    """`blocks` in consecutive runs, each with the (pk, sighash, signature)
+    of its post-quantum input witnesses that decode: at most
+    BATCH_VERIFY_SIZE of them, so a batch record holds them all while the
+    run is applied.  A block with more has the rest verified one by one."""
+    run: list[Block] = []
+    witnesses: list[tuple] = []
+    keys: dict[bytes, GroupPoint] = {}
+    for block in blocks:
+        found = []
+        for tx in block.transactions:
+            signed = [txin.witness for txin in tx.inputs if txin.witness.kind is WitnessKind.POST_QUANTUM]
+            sighash = tx.sighash() if signed else b""
+            for witness in signed:
+                try:
+                    if witness.pk not in keys:
+                        keys[witness.pk] = decode_point(group, witness.pk)
+                    found.append((keys[witness.pk], sighash, PreQuantumSignature.decode(witness.signature)))
+                except ValueError:
+                    continue  # consensus rejects it as witness-malformed
+        if run and len(witnesses) + len(found) > BATCH_VERIFY_SIZE:
+            yield run, witnesses
+            run, witnesses, keys = [], [], {}
+        run.append(block)
+        witnesses += found[: BATCH_VERIFY_SIZE - len(witnesses)]
+    if run:
+        yield run, witnesses
 
 
 def reorg(chain: Chain, config: ChainConfig, branch: list[Block]) -> tuple[Chain, list[Transaction]]:

@@ -32,19 +32,28 @@ Fast path for the secure group, with byte-identical results:
   for the stock group, built once per process by `secure_group()` (~16 ms,
   beside its primality check).  Toy groups keep `pow`, which beats any
   table at q <= 2**24.
-Both caches and the table serve secure-group calls only; toy-group work
-costs less than a cache entry.  They are `functools.lru_cache`s, which are
-thread-safe, and the table is a tuple that nothing mutates.
+- `prequantum_batch_verify` checks many signatures with one small-exponent
+  test (Bellare, Garay and Rabin, EUROCRYPT '98): one fixed-base g^x and one
+  interleaved multi-exponentiation (Straus, HAC Alg. 14.88, with Moeller's
+  sliding windows) in place of a g^s and a 512-bit pk^e per signature.  A
+  batch that holds replaces the record of verified keys that
+  `prequantum_verify` consults first (at most BATCH_VERIFY_SIZE entries).
+Both caches, the record and the table serve secure-group calls only;
+toy-group work costs less than a cache entry.  The caches are
+`functools.lru_cache`s, which are thread-safe; the record is a frozenset
+that is replaced whole, never mutated, and the table is a tuple that nothing
+mutates.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .encoding import DecodeError, Reader, enc_bytes
+from .encoding import DecodeError, Reader, enc_bytes, enc_u32
 
 VULNERABLE_MAX_ORDER = 1 << 24
 
@@ -71,6 +80,12 @@ VERIFY_CACHE_SIZE = 1024
 # Bits per digit of a fixed-base exponent.  Of 4, 5 and 6, 5 is fastest for
 # the 512-bit keys and nonces and within 3% of 6 for the ~1,024-bit s.
 FIXED_BASE_WINDOW = 5
+# Signatures per batch, and so the size bound of the batch record.
+BATCH_VERIFY_SIZE = 64
+# Bits of each batch multiplier: a batch holding a bad signature passes
+# with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
+# order verify one by one.
+BATCH_MULTIPLIER_BITS = 128
 
 
 def is_prime(n: int) -> bool:
@@ -236,6 +251,13 @@ def _generator_table(group: GroupParams) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _generator_pow(group: GroupParams, x: int) -> int:
+    """g^x mod p for x >= 0: from the fixed-base table on a SECURE group."""
+    if group.mode is GroupMode.SECURE:
+        return _fixed_base_pow(group, x)
+    return pow(group.g, x, group.p)
+
+
 def _fixed_base_pow(group: GroupParams, x: int) -> int:
     """g^x mod p by HAC Alg. 14.109: multiply each table element into the
     bucket of its digit, then fold the buckets from the highest digit down,
@@ -255,6 +277,43 @@ def _fixed_base_pow(group: GroupParams, x: int) -> int:
         b = b * buckets[digit] % p
         a = a * b % p
     return a
+
+
+def _window_width(bits: int) -> int:
+    """Sliding-window width for a `bits`-bit exponent: the one that
+    minimises the table's 2^(w-1) multiplications plus the ~bits/(w+1)
+    multiplications of the windows."""
+    return min(range(1, 8), key=lambda w: (1 << (w - 1)) + bits / (w + 1))
+
+
+def _multi_pow(p: int, pairs: list[tuple[int, int]]) -> int:
+    """The product of base^exp mod p over (base, exp >= 0) pairs, by
+    interleaved sliding windows (Straus' simultaneous exponentiation, HAC
+    Alg. 14.88, with Moeller's per-base windows): every base shares one
+    chain of squarings, and at the low bit of each of its windows a base
+    multiplies in the window's odd power from its own table."""
+    steps: dict[int, list[int]] = defaultdict(list)  # bit position -> factors
+    for base, exp in pairs:
+        width = _window_width(exp.bit_length())
+        square, odd = base * base % p, [base]  # odd[i] = base^(2i+1)
+        for _ in range((1 << (width - 1)) - 1):
+            odd.append(odd[-1] * square % p)
+        mask, position = (1 << width) - 1, 0
+        while exp:
+            if exp & 1:
+                steps[position].append(odd[(exp & mask) >> 1])
+                exp >>= width
+                position += width
+            else:
+                zeros = (exp & -exp).bit_length() - 1
+                exp >>= zeros
+                position += zeros
+    result = 1
+    for position in range(max(steps, default=-1), -1, -1):
+        result = result * result % p
+        for factor in steps.get(position, ()):
+            result = result * factor % p
+    return result
 
 
 @dataclass(frozen=True)
@@ -285,15 +344,17 @@ def decode_point(group: GroupParams, data: bytes) -> GroupPoint:
     value = int.from_bytes(data, "big")
     if not 1 <= value < group.p:
         raise DecodeError("point value outside Z_p*")
+    if not _in_subgroup(group, value):
+        raise DecodeError("point not in the prime-order subgroup")
+    return GroupPoint(group, value)
+
+
+def _in_subgroup(group: GroupParams, value: int) -> bool:
     # With p = 2q + 1, an element of order q (the generator) exists only if
     # p is prime, and the order-q subgroup is then the quadratic residues.
     if group.p == 2 * group.q + 1:
-        member = jacobi(value, group.p) == 1
-    else:
-        member = pow(value, group.q, group.p) == 1
-    if not member:
-        raise DecodeError("point not in the prime-order subgroup")
-    return GroupPoint(group, value)
+        return jacobi(value, group.p) == 1
+    return pow(value, group.q, group.p) == 1
 
 
 def pk_ec(group: GroupParams, sk: int) -> GroupPoint:
@@ -301,9 +362,7 @@ def pk_ec(group: GroupParams, sk: int) -> GroupPoint:
     Z_q, injective over [0, q)."""
     if not 0 <= sk < group.q:
         raise GroupError(f"secret scalar out of range: {sk}")
-    if group.mode is GroupMode.SECURE:
-        return GroupPoint(group, _fixed_base_pow(group, sk))
-    return GroupPoint(group, pow(group.g, sk, group.p))
+    return GroupPoint(group, _generator_pow(group, sk))
 
 
 # -- hashing ---------------------------------------------------------------
@@ -395,15 +454,94 @@ def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, nonce_point: bytes, 
 # typed=True: an s of 1.0 (which pow rejects) must not hit the entry of s = 1.
 _verify_cached = lru_cache(maxsize=VERIFY_CACHE_SIZE, typed=True)(_verify)
 
+# The keys of the last secure-group batch that held.  Like the cache, a key
+# carries the type of s, so an s of 1.0 does not match the entry of s = 1.
+_batch_verified: frozenset[tuple] = frozenset()
+
+
+def _batch_key(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> tuple:
+    return (group, pk, msg, sig.nonce_point, sig.s, type(sig.s))
+
+
+def _one_by_one(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
+    verify = _verify_cached if group.mode is GroupMode.SECURE else _verify
+    return verify(group, pk, msg, sig.nonce_point, sig.s)
+
 
 def prequantum_verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
     """Returns False (never raises) on malformed signature material,
-    including unhashable input to a secure-group call."""
+    including unhashable input to a secure-group call.  A secure-group call
+    is answered first from the record of the last batch that held."""
     try:
-        verify = _verify_cached if group.mode is GroupMode.SECURE else _verify
-        return verify(group, pk, msg, sig.nonce_point, sig.s)
+        if group.mode is GroupMode.SECURE and _batch_key(group, pk, msg, sig) in _batch_verified:
+            return True
+        return _one_by_one(group, pk, msg, sig)
     except (DecodeError, GroupError, AttributeError, TypeError):
         return False
+
+
+def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, bytes, PreQuantumSignature]]) -> bool:
+    """True only when every (pk, msg, sig) of `items` passes
+    `prequantum_verify`, up to the batch's error bound.  Returns False
+    (never raises) on malformed signature material.
+
+    Two or more items on a group of order above 2^BATCH_MULTIPLIER_BITS
+    take one small-exponent test (Bellare, Garay and Rabin):
+
+        g^(sum a_i*s_i mod q) == prod R_i^a_i * prod over keys pk^(sum a_i*e_i)
+
+    with each a_i a BATCH_MULTIPLIER_BITS-bit number hashed from the whole
+    batch, so a batch holding a bad signature passes with probability about
+    2^-128 and equal batches get equal multipliers.  Every R_i and pk must
+    first pass the subgroup test (Boyd and Pavlovski break the test
+    without it) and every s lie in [0, q).  The key exponents stay
+    unreduced: ~640 bits, against ~2,047 bits mod q.  Other batches verify
+    one by one.
+
+    On a secure group, items the record that `prequantum_verify` consults
+    first already holds are not checked again (a replay of a prefix of the
+    last replay costs nothing), and a batch that holds replaces the record
+    with its first BATCH_VERIFY_SIZE keys."""
+    global _batch_verified
+    try:
+        secure = group.mode is GroupMode.SECURE
+        unknown = [item for item in items if not (secure and _batch_key(group, *item) in _batch_verified)]
+        if len(unknown) < 2 or group.q.bit_length() <= BATCH_MULTIPLIER_BITS:
+            if not all(_one_by_one(group, *item) for item in unknown):
+                return False
+        elif not _batch_holds(group, unknown):
+            return False
+        if secure:
+            _batch_verified = frozenset(_batch_key(group, *item) for item in items[:BATCH_VERIFY_SIZE])
+        return True
+    except (DecodeError, GroupError, AttributeError, TypeError):
+        return False
+
+
+def _batch_multipliers(items: list[tuple[GroupPoint, bytes, PreQuantumSignature]]) -> list[int]:
+    """One BATCH_MULTIPLIER_BITS-bit multiplier per item, hashed from the
+    whole batch."""
+    seed = h512(b"batch" + b"".join(enc_bytes(pk.encode()) + enc_bytes(msg) + sig.encode() for pk, msg, sig in items)).digest
+    return [int.from_bytes(h512(seed + enc_u32(i)).digest[: BATCH_MULTIPLIER_BITS // 8], "big") for i in range(len(items))]
+
+
+def _batch_holds(group: GroupParams, items: list[tuple[GroupPoint, bytes, PreQuantumSignature]]) -> bool:
+    exponents: dict[int, int] = {}  # pk value -> sum of a_i*e_i over its items
+    for pk, _, sig in items:
+        decode_point(group, sig.nonce_point)
+        if not 0 <= sig.s < group.q:
+            return False
+        if pk.value not in exponents:
+            if pk.group != group or not _in_subgroup(group, pk.value):
+                return False
+            exponents[pk.value] = 0
+    pairs, s_sum = [], 0
+    for a, (pk, msg, sig) in zip(_batch_multipliers(items), items):
+        s_sum += a * sig.s
+        exponents[pk.value] += a * _challenge(group, sig.nonce_point, pk.encode(), msg)
+        pairs.append((int.from_bytes(sig.nonce_point, "big"), a))
+    pairs.extend(exponents.items())
+    return _generator_pow(group, s_sum % group.q) == _multi_pow(group.p, pairs)
 
 
 # -- the quantum adversary ---------------------------------------------------

@@ -21,17 +21,14 @@ class FinePolicy:
     rotation), which comes to 3.35% of the delayed value.
 
     The applied fraction is the closed form rounded to basis points, so
-    the fine on a value is value * 335 / 10000 rounded half-up.  A
-    prorated variant (interest over the actual delay) is exposed as an
-    alternative policy but is not what the flat rule charges.
+    the fine on a value is value * 335 / 10000 rounded half-up.
     """
 
     period_minutes: int = 25_000
     annual_doublings: int = 1
 
-    def exact_fraction(self, minutes: int | None = None) -> float:
-        t = self.period_minutes if minutes is None else minutes
-        return 2.0 ** (self.annual_doublings * t / MINUTES_PER_YEAR) - 1.0
+    def exact_fraction(self) -> float:
+        return 2.0 ** (self.annual_doublings * self.period_minutes / MINUTES_PER_YEAR) - 1.0
 
     @property
     def basis_points(self) -> int:
@@ -40,11 +37,6 @@ class FinePolicy:
     def fine(self, value: int) -> int:
         """Flat fine under the basis-point rounding rule (half-up)."""
         return (value * self.basis_points + 5_000) // 10_000
-
-    def prorated_fine(self, value: int, delay_minutes: int) -> int:
-        """Alternative policy: interest over the actual delay duration."""
-        bp = round(self.exact_fraction(delay_minutes) * 10_000)
-        return (value * bp + 5_000) // 10_000
 
 
 FC_MODES = ("restrictive", "unrestrictive", "permissive")
@@ -115,9 +107,6 @@ class Params:
         num, den = self.deposit_p_num, self.deposit_p_den
         ratio_num, ratio_den = num, den - num
         return -(-spent_value * ratio_num // ratio_den) + fee
-
-    def extension_threshold(self) -> float:
-        return self.proofs_per_100_blocks * self.extension_threshold_num / self.extension_threshold_den
 
     def fc_commit_window(self) -> int:
         return self.fc_epoch_len - self.fc_commit_cutoff

@@ -1,6 +1,11 @@
+import functools
+import json
+from dataclasses import replace
+
 import pytest
 
 from helpers import Harness
+from qcspend import consensus, groups
 from qcspend.consensus import (
     EpochKind,
     EraPhase,
@@ -11,7 +16,7 @@ from qcspend.consensus import (
 )
 from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import commit_payload
-from qcspend.groups import decode_point, prequantum_sign, quantum_invert, toy_group
+from qcspend.groups import PreQuantumSignature, decode_point, prequantum_sign, quantum_invert, toy_group
 from qcspend.hdwallet import path
 from qcspend.ledger import (
     Block,
@@ -535,3 +540,161 @@ class TestSnapshots:
         h = Harness()
         h.build()
         assert verify_snapshot(export_snapshot(h.chain, h.config)).height == 0
+
+    @staticmethod
+    def tampered(text: str, edit) -> str:
+        """`text` with its lines rewritten by `edit(lines)`."""
+        return "\n".join(edit(text.splitlines())) + "\n"
+
+    @pytest.mark.parametrize(
+        "rule, edit",
+        [
+            ("snapshot-header", lambda lines: ["qcspend-snapshot v0"] + lines[1:]),
+            ("snapshot-shape", lambda lines: lines[:-1]),
+            ("snapshot-parse", lambda lines: lines[:3] + ["block 0g"] + lines[4:]),
+            ("snapshot-digest", lambda lines: lines[:-1] + ["digest " + "00" * 32]),
+            ("block-height", lambda lines: lines[:3] + lines[4:]),
+        ],
+    )
+    def test_tampered_lines_name_their_rule(self, rule, edit):
+        h = Harness()
+        h.build()
+        h.mine(3)
+        with pytest.raises(RuleViolation) as err:
+            verify_snapshot(self.tampered(export_snapshot(h.chain, h.config), edit))
+        assert err.value.rule == rule
+
+    def test_changed_grant_is_a_genesis_mismatch(self):
+        h = Harness()
+        h.grant_pq("u1", "alice", 1_000)
+        h.build()
+        h.mine()
+
+        def edit(lines):
+            config = json.loads(lines[1][len("config ") :])
+            config["grants"][0]["value"] += 1
+            return lines[:1] + ["config " + json.dumps(config)] + lines[2:]
+
+        with pytest.raises(RuleViolation) as err:
+            verify_snapshot(self.tampered(export_snapshot(h.chain, h.config), edit))
+        assert err.value.rule == "genesis-mismatch"
+
+    def test_altered_parent_is_a_block_parent_violation(self):
+        h = Harness()
+        h.build()
+        h.mine(3)
+
+        def edit(lines):
+            block = Block.deserialize(bytes.fromhex(lines[4][len("block ") :]))
+            return lines[:4] + ["block " + replace(block, parent=bytes(32)).serialize().hex()] + lines[5:]
+
+        with pytest.raises(RuleViolation) as err:
+            verify_snapshot(self.tampered(export_snapshot(h.chain, h.config), edit))
+        assert err.value.rule == "block-parent"
+
+
+@functools.cache
+def pq_spends():
+    """A chain whose blocks 1-3 spend five post-quantum grants of alice and
+    bob, two, one and two per block, each with a post-quantum witness; and
+    its config."""
+    h = Harness()
+    owners = ["alice", "bob", "alice", "bob", "alice"]
+    for i, owner in enumerate(owners):
+        h.grant_pq(f"pq{i}", owner, 1_000 + i)
+    h.build()
+    for block in ([0, 1], [2], [3, 4]):
+        txs = []
+        for i in block:
+            wallet = h.wallet(owners[i])
+            txs.append(h.signed(TxKind.TRANSFER, [(h.outpoints[f"pq{i}"], ("pq", wallet))], [TxOutput(wallet.pq_address(), 900)]))
+        h.mine_with(txs)
+    return h.chain, h.config
+
+
+def with_pq_witness(text: str, k: int, make) -> tuple[str, int]:
+    """`text` with its k-th post-quantum witness replaced by
+    `make(witness)`, and the height of the block that holds it."""
+    lines = text.splitlines()
+    seen = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("block "):
+            continue
+        block = Block.deserialize(bytes.fromhex(line[len("block ") :]))
+        for j, tx in enumerate(block.transactions):
+            for n, txin in enumerate(tx.inputs):
+                if txin.witness.kind is not WitnessKind.POST_QUANTUM:
+                    continue
+                if seen == k:
+                    inputs = tx.inputs[:n] + (replace(txin, witness=make(txin.witness)),) + tx.inputs[n + 1 :]
+                    txs = block.transactions[:j] + (replace(tx, inputs=inputs),) + block.transactions[j + 1 :]
+                    lines[i] = "block " + replace(block, transactions=txs).serialize().hex()
+                    return "\n".join(lines) + "\n", block.height
+                seen += 1
+    raise AssertionError(f"fewer than {k + 1} post-quantum witnesses")
+
+
+def forged_s(witness: Witness) -> Witness:
+    sig = PreQuantumSignature.decode(witness.signature)
+    q = groups.secure_group().q
+    return replace(witness, signature=PreQuantumSignature(sig.nonce_point, (sig.s + 1) % q).encode())
+
+
+def one_by_one(monkeypatch) -> None:
+    """Make replays verify every witness one by one: the reference a
+    batched replay must match."""
+    monkeypatch.setattr(consensus, "prequantum_batch_verify", lambda group, items: False)
+
+
+class TestBatchedReplay:
+    def test_replay_batches_every_witness(self, monkeypatch):
+        chain, config = pq_spends()
+        batches = []
+        original = consensus.prequantum_batch_verify
+        monkeypatch.setattr(consensus, "prequantum_batch_verify", lambda g, items: batches.append(len(items)) or original(g, items))
+        monkeypatch.setattr(groups, "_batch_verified", frozenset())
+        assert verify_snapshot(export_snapshot(chain, config)).state_digest() == chain.state_digest()
+        assert batches == [5] and len(groups._batch_verified) == 5
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_forged_s_fails_at_its_block_as_one_by_one(self, k, monkeypatch):
+        chain, config = pq_spends()
+        text, height = with_pq_witness(export_snapshot(chain, config), k, forged_s)
+        monkeypatch.setattr(groups, "_batch_verified", frozenset())  # so all five go into the batch
+        with pytest.raises(RuleViolation) as batched:
+            verify_snapshot(text)
+        one_by_one(monkeypatch)
+        with pytest.raises(RuleViolation) as single:
+            verify_snapshot(text)
+        assert (batched.value.rule, batched.value.detail) == (single.value.rule, single.value.detail)
+        assert batched.value.rule == "witness-signature"
+        # Every block before the forged one replays.
+        assert replay_chain(config, chain.blocks[:height]).height == height - 1
+
+    @pytest.mark.parametrize("signature", [b"", b"\x00", b"\x00\x00\x00\x01\x07"])
+    def test_malformed_witness_is_witness_malformed(self, signature):
+        chain, config = pq_spends()
+        text, _ = with_pq_witness(export_snapshot(chain, config), 2, lambda w: replace(w, signature=signature))
+        with pytest.raises(RuleViolation) as err:
+            verify_snapshot(text)
+        assert err.value.rule == "witness-malformed"
+
+    def test_record_stays_bounded_over_a_longer_replay(self, monkeypatch):
+        # Windows of two witnesses: the five make runs of two, one and two
+        # (the block holding pq2 would overflow the first run); each replaces
+        # the record, a batch of one verified on its own.
+        chain, config = pq_spends()
+        monkeypatch.setattr(consensus, "BATCH_VERIFY_SIZE", 2)
+        monkeypatch.setattr(groups, "BATCH_VERIFY_SIZE", 2)
+        monkeypatch.setattr(groups, "_batch_verified", frozenset())
+        calls = []
+        original = consensus.prequantum_batch_verify
+
+        def batch(group, items):
+            verdict = original(group, items)
+            calls.append((len(items), verdict, len(groups._batch_verified)))
+            return verdict
+
+        monkeypatch.setattr(consensus, "prequantum_batch_verify", batch)
+        assert replay_chain(config, chain.blocks).state_digest() == chain.state_digest()
+        assert calls == [(2, True, 2), (1, True, 1), (2, True, 2)]

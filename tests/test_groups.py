@@ -16,6 +16,7 @@ from qcspend.groups import (
     h512,
     jacobi,
     pk_ec,
+    prequantum_batch_verify,
     prequantum_sign,
     prequantum_verify,
     quantum_invert,
@@ -297,6 +298,97 @@ class TestSecureSignatureCaches:
     def test_caches_are_bounded(self):
         assert groups._signer_pk.cache_info().maxsize == groups.SIGNER_CACHE_SIZE > 0
         assert groups._verify_cached.cache_info().maxsize == groups.VERIFY_CACHE_SIZE > 0
+
+
+class TestBatchVerify:
+    SG = secure_group()
+    # Valid signatures by three keys on two messages each.
+    POOL = [
+        (pk_ec(secure_group(), sk), msg, prequantum_sign(secure_group(), sk, msg))
+        for sk in (11, 2222, 333333)
+        for msg in (b"first", b"second")
+    ]
+    FORGERIES = ("none", "s", "msg", "nonce", "key")
+
+    @classmethod
+    def item(cls, index: int, forgery: str):
+        pk, msg, sig = cls.POOL[index]
+        other_pk, _, other_sig = cls.POOL[(index + 2) % len(cls.POOL)]
+        return {
+            "none": (pk, msg, sig),
+            "s": (pk, msg, PreQuantumSignature(sig.nonce_point, (sig.s + 1) % cls.SG.q)),
+            "msg": (pk, msg + b"!", sig),
+            "nonce": (pk, msg, PreQuantumSignature(other_sig.nonce_point, sig.s)),
+            "key": (other_pk, msg, sig),
+        }[forgery]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FORGERIES)), min_size=1, max_size=6))
+    def test_verdict_is_all_of_the_single_verdicts(self, drawn):
+        items = [self.item(index, forgery) for index, forgery in drawn]
+        # The single check behind the batch record, so the record cannot answer it.
+        singles = [groups._verify_cached(self.SG, pk, msg, sig.nonce_point, sig.s) for pk, msg, sig in items]
+        assert prequantum_batch_verify(self.SG, items) == all(singles)
+
+    def test_held_batch_answers_from_its_record(self, monkeypatch):
+        monkeypatch.setattr(groups, "_verify_cached", None)  # any check past the record fails
+        assert prequantum_batch_verify(self.SG, self.POOL)
+        assert all(prequantum_verify(self.SG, *item) for item in self.POOL)
+        monkeypatch.setattr(groups, "_batch_holds", None)
+        assert prequantum_batch_verify(self.SG, self.POOL[:3])  # a prefix of the last batch
+
+    def test_nonce_outside_the_subgroup_is_rejected(self):
+        # Boyd and Pavlovski's attack: R' = p - R is no quadratic residue, and
+        # s = k + e'*sk with e' hashed over R'.  Then R'^a * pk^(a*e') equals
+        # (-1)^a * g^(a*s), so the batch equation holds whenever R''s
+        # multiplier a is even; only the subgroup test rejects the batch.
+        sk, pk = 4242, pk_ec(self.SG, 4242)
+        for attempt in range(64):
+            msg, k = b"boyd-pavlovski %d" % attempt, 1_000 + attempt
+            nonce = (self.SG.p - pk_ec(self.SG, k).value).to_bytes(self.SG.point_len, "big")
+            e = groups._challenge(self.SG, nonce, pk.encode(), msg)
+            items = [self.POOL[0], (pk, msg, PreQuantumSignature(nonce, (k + e * sk) % self.SG.q))]
+            multipliers = groups._batch_multipliers(items)
+            if multipliers[1] % 2 == 0:
+                break
+        p, q = self.SG.p, self.SG.q
+        left = pow(self.SG.g, sum(a * sig.s for a, (_, _, sig) in zip(multipliers, items)) % q, p)
+        right = 1
+        for a, (key, message, sig) in zip(multipliers, items):
+            challenge = groups._challenge(self.SG, sig.nonce_point, key.encode(), message)
+            right = right * pow(int.from_bytes(sig.nonce_point, "big"), a, p) * pow(key.value, a * challenge, p) % p
+        assert left == right  # the equation alone would accept
+        assert not prequantum_batch_verify(self.SG, items)
+        assert not prequantum_verify(self.SG, *items[1])
+
+    def test_malformed_items_return_false(self):
+        pk, msg, sig = self.POOL[0]
+        for bad in (
+            (pk, msg, None),
+            (None, msg, sig),
+            (pk, ["unhashable"], sig),
+            (pk, msg, PreQuantumSignature(b"\x00", sig.s)),
+            (pk, msg, PreQuantumSignature(sig.nonce_point, -1)),
+            (pk, msg, PreQuantumSignature(sig.nonce_point, float(sig.s))),
+        ):
+            assert not prequantum_batch_verify(self.SG, [self.POOL[1], bad])
+            assert not prequantum_batch_verify(self.SG, [bad])
+
+    def test_multi_pow_matches_pow(self):
+        rng = random.Random(5)
+        p = self.SG.p
+        for bits in (0, 1, 7, 128, 640):
+            pairs = [(rng.randrange(1, p), rng.getrandbits(bits)) for _ in range(3)]
+            expected = 1
+            for base, exponent in pairs:
+                expected = expected * pow(base, exponent, p) % p
+            assert groups._multi_pow(p, pairs) == expected
+
+    def test_toy_groups_verify_one_by_one(self):
+        items = [(pk_ec(G101, sk), b"toy", prequantum_sign(G101, sk, b"toy")) for sk in (3, 5, 7)]
+        assert prequantum_batch_verify(G101, items)
+        forged = items[:2] + [(items[2][0], b"toy!", items[2][2])]
+        assert prequantum_batch_verify(G101, forged) == all(prequantum_verify(G101, *item) for item in forged)
 
 
 class TestQuantumInvert:

@@ -28,12 +28,6 @@ class TestFinePolicy:
         assert policy.fine(10) == 0
         assert policy.fine(15) == 1
 
-    def test_prorated_alternative(self):
-        policy = FinePolicy()
-        full_year = policy.prorated_fine(100_000, 525_600)
-        assert full_year == 100_000  # doubling: 100% interest
-        assert policy.prorated_fine(100_000, 25_000) == 3_350
-
 
 class TestParams:
     def test_deposit_minimum_at_half(self):

@@ -13,14 +13,13 @@ SOURCES = TESTS.parent / "src" / "qcspend"
 
 # Rule ids no test names yet.
 UNTESTED = {
-    "agent-missing-utxo", "agent-underfunded", "block-height", "block-parent", "cover-outputs",
-    "epoch-unscheduled", "fc-deposit-pq", "fc-deposit-shape", "fc-lost-witness",
-    "fc-reveal-prequantum", "fc-reveal-shape", "fp-no-target", "fp-shape", "genesis-mismatch",
-    "ledger-balance", "lfc-claim-late", "lfc-claim-shape", "lfc-commit-shape", "lfc-derivation",
-    "lfc-no-commitment", "lfc-proof-malformed", "lfc-reveal-mode", "lfc-reveal-shape",
-    "lfc-unknown-utxo", "registry-shape", "reorg-ahead", "reorg-empty", "reorg-parent",
-    "samaritan-format", "snapshot-digest", "snapshot-header", "snapshot-parse", "snapshot-shape",
-    "tx-kind", "tx-overspend", "utxo-locked",
+    "agent-missing-utxo", "agent-underfunded", "cover-outputs", "epoch-unscheduled",
+    "fc-deposit-pq", "fc-deposit-shape", "fc-lost-witness", "fc-reveal-prequantum",
+    "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance", "lfc-claim-late",
+    "lfc-claim-shape", "lfc-commit-shape", "lfc-derivation", "lfc-no-commitment",
+    "lfc-proof-malformed", "lfc-reveal-mode", "lfc-reveal-shape", "lfc-unknown-utxo",
+    "registry-shape", "reorg-ahead", "reorg-empty", "reorg-parent", "samaritan-format", "tx-kind",
+    "tx-overspend", "utxo-locked",
 }
 
 

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from qcspend.agents import MinerAgent
 from qcspend.consensus import verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
 from qcspend.ledger import TxKind
-from qcspend.lifted_fawkescoin import LfcState
+from qcspend.lifted_fawkescoin import EpochDecision, LfcState, extension_decision
 from qcspend.scenarios import BUNDLED, load_scenario, run_adversary, run_scenario
 from qcspend.simulation import ConfigError, ScenarioConfig, Simulation
 
@@ -154,6 +155,27 @@ def test_locks_name_exactly_the_locked_records(name):
     assert blocks_with_locks and not sim.chain.lfc_locks
 
 
+@pytest.mark.parametrize("name", ["lfc-delay", "lfc-spammer", "epoch-mechanics"])
+def test_included_proofs_name_only_open_commitments(name):
+    # A miner's claim duty walks `included_proofs` every tick, so it must
+    # drop the commitments that were revealed, claimed or fined, and keep
+    # only LOCKED ones and those not yet on chain.  Miners tick before the
+    # block is built, so each block is checked against the records as they
+    # stood before it.  Only epoch-mechanics has records revealed by their
+    # owners; the delay attack's fake commitment is injected, not included.
+    sim = Simulation(load_scenario(name))
+    miners = [agent for agent in sim.agents.values() if isinstance(agent, MinerAgent)]
+    held = 0
+    for _ in range(sim.config.blocks):
+        before = {committed: record.state for committed, record in sim.chain.lfc_by_hash.items()}
+        sim.run(1)
+        for miner in miners:
+            assert all(before.get(committed, LfcState.LOCKED) is LfcState.LOCKED for committed in miner.included_proofs)
+            held += len(miner.included_proofs)
+    assert held or name == "lfc-delay"
+    assert not any(record.state is LfcState.LOCKED for record in sim.chain.lfc_by_hash.values())
+
+
 @pytest.mark.parametrize("name", ["fraud-proof", "salvage-unrestrictive", "salvage-permissive"])
 def test_open_challenges_name_exactly_the_open_records(name):
     # The challenge sweep, the escrow sum and the fraud-proof watch iterate
@@ -284,7 +306,9 @@ class TestEpochMechanics:
     def test_burst_was_the_trigger(self, sim):
         trigger_epoch_end = 12_850
         claims = [h for h in sim.chain.lfc_claim_heights if trigger_epoch_end - 100 <= h < trigger_epoch_end]
-        assert len(claims) == 6 > sim.config.params.extension_threshold()
+        params = sim.config.params
+        k, num, den = params.proofs_per_100_blocks, params.extension_threshold_num, params.extension_threshold_den
+        assert len(claims) == 6 and extension_decision(len(claims), k, num, den) is EpochDecision.EXTEND
 
     def test_balance_holds_over_the_full_run(self, sim):
         sim.chain.recompute_balance()
