@@ -53,9 +53,6 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except RuleViolation as exc:
         print(f"rule violation: {exc.rule}: {exc.detail}", file=sys.stderr)
         return 1

@@ -1041,9 +1041,7 @@ class Chain:
             r.done()
         if len(digest) != 32:
             raise RuleViolation("registry-shape", "the key digest is 32 bytes")
-        declared = self.registry.declared
-        self._journal.append((_restore, declared, digest, declared.get(digest, _MISSING)))
-        self.registry.declare(digest, paths)
+        self._put(self.registry.declared, digest, self.registry.declared.get(digest, []) + paths)
 
     def _apply_canary_kill(self, tx: Transaction, height: int) -> None:
         if self.canary.killed_at is not None:
@@ -1256,11 +1254,12 @@ def replay_chain(config: ChainConfig, blocks: Iterable[Block]) -> Chain:
     The blocks are applied in runs holding at most BATCH_VERIFY_SIZE
     post-quantum input witnesses.  Before a run is applied, its witnesses
     go through one `prequantum_batch_verify`; if the batch holds, consensus
-    finds each verdict in its record when it checks that witness as usual.
-    A witness that does not decode is left out of the batch, and a batch
-    that fails records nothing, so consensus then verifies one by one and
-    rejects at the same transaction with the same rule id.  Blocks without
-    post-quantum witnesses make no secure-group call here."""
+    finds each verdict in the memo of verified signatures when it checks
+    that witness as usual.  A witness that does not decode is left out of
+    the batch, and a batch that fails memoises nothing, so consensus then
+    verifies one by one and rejects at the same transaction with the same
+    rule id.  Blocks without post-quantum witnesses make no secure-group
+    call here."""
     chain = config.build()
     for run, witnesses in _witness_runs(chain.pq_group, blocks):
         if witnesses:
@@ -1277,8 +1276,8 @@ def replay_chain(config: ChainConfig, blocks: Iterable[Block]) -> Chain:
 def _witness_runs(group: GroupParams, blocks: Iterable[Block]) -> Iterator[tuple[list[Block], list[tuple]]]:
     """`blocks` in consecutive runs, each with the (pk, sighash, signature)
     of its post-quantum input witnesses that decode: at most
-    BATCH_VERIFY_SIZE of them, so a batch record holds them all while the
-    run is applied.  A block with more has the rest verified one by one."""
+    BATCH_VERIFY_SIZE of them, so one batch covers the run.  A block with
+    more has the rest verified one by one."""
     run: list[Block] = []
     witnesses: list[tuple] = []
     keys: dict[bytes, GroupPoint] = {}

@@ -14,8 +14,8 @@ discrete-log oracle answers quickly, and SECURE groups are out of the
 oracle's reach (the stock secure group is the 2048-bit RFC 3526 safe
 prime, generator 2).
 
-Everything here is a pure function over immutable inputs; call from any
-number of threads.
+Every function here answers as a pure function over immutable inputs
+would; call from any number of threads.
 
 Fast path for the secure group, with byte-identical results:
 - `decode_point` checks subgroup membership by the Jacobi symbol when
@@ -23,9 +23,11 @@ Fast path for the secure group, with byte-identical results:
   other groups keep the `pow(x, q, p)` check.
 - `prequantum_sign` memoises the signer's encoded public key per secret
   key (at most SIGNER_CACHE_SIZE keys).
-- `prequantum_verify` caches its verdict keyed on every input: group, pk,
-  msg, nonce point and s (at most VERIFY_CACHE_SIZE entries), so replays
-  and reorgs do not redo 2048-bit work for signatures already checked.
+- `prequantum_verify` and `prequantum_batch_verify` share one memo of the
+  signatures that verified, keyed on every input: group, pk, msg, nonce
+  point, s and the type of s (at most VERIFY_CACHE_SIZE entries).  Replays
+  and reorgs therefore do not redo 2048-bit work for a signature already
+  checked, alone or in a batch.  A failed verdict is not memoised.
 - `pk_ec` raises the generator by Brickell-Gordon-McCurley-Wilson
   fixed-base windowing (HAC Alg. 14.109) from a table of
   g^(2^(FIXED_BASE_WINDOW*i)) over every bit of q: 410 elements, ~123 KiB
@@ -35,19 +37,21 @@ Fast path for the secure group, with byte-identical results:
 - `prequantum_batch_verify` checks many signatures with one small-exponent
   test (Bellare, Garay and Rabin, EUROCRYPT '98): one fixed-base g^x and one
   interleaved multi-exponentiation (Straus, HAC Alg. 14.88, with Moeller's
-  sliding windows) in place of a g^s and a 512-bit pk^e per signature.  A
-  batch that holds replaces the record of verified keys that
-  `prequantum_verify` consults first (at most BATCH_VERIFY_SIZE entries).
-Both caches, the record and the table serve secure-group calls only;
-toy-group work costs less than a cache entry.  The caches are
-`functools.lru_cache`s, which are thread-safe; the record is a frozenset
-that is replaced whole, never mutated, and the table is a tuple that nothing
-mutates.
+  sliding windows) in place of a g^s and a 512-bit pk^e per signature.  It
+  skips the items the memo holds, and a batch that holds stores all of its
+  items there.
+The memo, the signer cache and the table serve secure-group calls only;
+toy-group work costs less than a memo entry.  The signer cache is a
+`functools.lru_cache`, which is thread-safe.  The memo is a set that is
+written only under a lock and, when a write would overfill it, cleared
+whole rather than pruned entry by entry; a membership test needs no lock.
+The table is a tuple that nothing mutates.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -80,7 +84,7 @@ VERIFY_CACHE_SIZE = 1024
 # Bits per digit of a fixed-base exponent.  Of 4, 5 and 6, 5 is fastest for
 # the 512-bit keys and nonces and within 3% of 6 for the ~1,024-bit s.
 FIXED_BASE_WINDOW = 5
-# Signatures per batch, and so the size bound of the batch record.
+# Post-quantum witnesses per replay run, and so signatures per batch.
 BATCH_VERIFY_SIZE = 64
 # Bits of each batch multiplier: a batch holding a bad signature passes
 # with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
@@ -443,47 +447,33 @@ def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignat
     return PreQuantumSignature(nonce_point, (k + e * sk) % group.q)
 
 
-def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, nonce_point: bytes, s: int) -> bool:
-    nonce = decode_point(group, nonce_point)
-    if not 0 <= s < group.q:
+def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
+    nonce = decode_point(group, sig.nonce_point)
+    if not 0 <= sig.s < group.q:
         return False
-    e = _challenge(group, nonce_point, pk.encode(), msg)
-    return pk_ec(group, s).value == nonce.add(pk.mul(e)).value
+    e = _challenge(group, sig.nonce_point, pk.encode(), msg)
+    return pk_ec(group, sig.s).value == nonce.add(pk.mul(e)).value
 
 
-# typed=True: an s of 1.0 (which pow rejects) must not hit the entry of s = 1.
-_verify_cached = lru_cache(maxsize=VERIFY_CACHE_SIZE, typed=True)(_verify)
-
-# The keys of the last secure-group batch that held.  Like the cache, a key
-# carries the type of s, so an s of 1.0 does not match the entry of s = 1.
-_batch_verified: frozenset[tuple] = frozenset()
-
-
-def _batch_key(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> tuple:
-    return (group, pk, msg, sig.nonce_point, sig.s, type(sig.s))
-
-
-def _one_by_one(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
-    verify = _verify_cached if group.mode is GroupMode.SECURE else _verify
-    return verify(group, pk, msg, sig.nonce_point, sig.s)
+# The secure-group signatures that verified, alone or in a batch that held.
+# A key carries the type of s, so an s of 1.0 (which pow rejects) does not
+# match the entry of s = 1.  Writers hold the lock.
+_verified: set[tuple] = set()
+_verified_lock = threading.Lock()
 
 
 def prequantum_verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
     """Returns False (never raises) on malformed signature material,
-    including unhashable input to a secure-group call.  A secure-group call
-    is answered first from the record of the last batch that held."""
-    try:
-        if group.mode is GroupMode.SECURE and _batch_key(group, pk, msg, sig) in _batch_verified:
-            return True
-        return _one_by_one(group, pk, msg, sig)
-    except (DecodeError, GroupError, AttributeError, TypeError):
-        return False
+    including unhashable input to a secure-group call.  A batch of one:
+    a secure-group call is answered from the memo of verified signatures
+    when it holds the signature, and a signature that verifies joins it."""
+    return prequantum_batch_verify(group, [(pk, msg, sig)])
 
 
 def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, bytes, PreQuantumSignature]]) -> bool:
-    """True only when every (pk, msg, sig) of `items` passes
-    `prequantum_verify`, up to the batch's error bound.  Returns False
-    (never raises) on malformed signature material.
+    """True only when every (pk, msg, sig) of `items` verifies, up to the
+    batch's error bound.  Returns False (never raises) on malformed
+    signature material.
 
     Two or more items on a group of order above 2^BATCH_MULTIPLIER_BITS
     take one small-exponent test (Bellare, Garay and Rabin):
@@ -498,21 +488,26 @@ def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, by
     unreduced: ~640 bits, against ~2,047 bits mod q.  Other batches verify
     one by one.
 
-    On a secure group, items the record that `prequantum_verify` consults
-    first already holds are not checked again (a replay of a prefix of the
-    last replay costs nothing), and a batch that holds replaces the record
-    with its first BATCH_VERIFY_SIZE keys."""
-    global _batch_verified
+    On a secure group, items the memo already holds are not checked again,
+    and a batch that holds stores all of its items there; a failed verdict
+    is not memoised.  A write that would overfill the memo clears it first,
+    so it never holds more than VERIFY_CACHE_SIZE entries."""
     try:
-        secure = group.mode is GroupMode.SECURE
-        unknown = [item for item in items if not (secure and _batch_key(group, *item) in _batch_verified)]
+        if group.mode is not GroupMode.SECURE:
+            return all(_verify(group, *item) for item in items)
+        keys = [(group, pk, msg, sig.nonce_point, sig.s, type(sig.s)) for pk, msg, sig in items]
+        unknown = [item for item, key in zip(items, keys) if key not in _verified]
+        if not unknown:
+            return True
         if len(unknown) < 2 or group.q.bit_length() <= BATCH_MULTIPLIER_BITS:
-            if not all(_one_by_one(group, *item) for item in unknown):
+            if not all(_verify(group, *item) for item in unknown):
                 return False
         elif not _batch_holds(group, unknown):
             return False
-        if secure:
-            _batch_verified = frozenset(_batch_key(group, *item) for item in items[:BATCH_VERIFY_SIZE])
+        with _verified_lock:
+            if len(_verified) + len(keys) > VERIFY_CACHE_SIZE:
+                _verified.clear()
+            _verified.update(keys[:VERIFY_CACHE_SIZE])
         return True
     except (DecodeError, GroupError, AttributeError, TypeError):
         return False

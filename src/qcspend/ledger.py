@@ -450,11 +450,6 @@ class KeyRegistry:
         """The materialized key sets, in the order they were materialized."""
         return self._by_digest.values()
 
-    def declare(self, digest: bytes, paths: list[DerivationPath]) -> None:
-        # A new list, never an extended one, so a journal holding the old
-        # list can restore it.
-        self.declared[digest] = self.declared.get(digest, []) + list(paths)
-
     def materialize(self, group: GroupParams, xsk: ExtendedSecretKey, height: int) -> Optional[KeyRegistryEntry]:
         """Compute K_xsk and record it; idempotent per key."""
         digest = self.key_digest(group, xsk)

@@ -50,8 +50,11 @@ def _scenario_json(name_or_path: str) -> dict:
     if name_or_path in BUNDLED:
         text = resources.files("qcspend").joinpath(f"scenarios/{name_or_path}.json").read_text()
     else:
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(name_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {name_or_path}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -92,17 +92,24 @@ class ScenarioConfig:
             raise ConfigError(f"bad params: {exc}")
         return ScenarioConfig(
             name=data["name"],
-            seed=int(data.get("seed", 1)),
-            blocks=int(data["blocks"]),
-            group_q=int(data.get("group_q", 8191)),
-            canary_q=int(data.get("canary_q", 8191)),
-            kdf_iterations=int(data.get("kdf_iterations", 16)),
+            seed=_as_int(data.get("seed", 1), "seed"),
+            blocks=_as_int(data["blocks"], "blocks"),
+            group_q=_as_int(data.get("group_q", 8191), "group_q"),
+            canary_q=_as_int(data.get("canary_q", 8191), "canary_q"),
+            kdf_iterations=_as_int(data.get("kdf_iterations", 16), "kdf_iterations"),
             params=params,
             agents=tuple(agents),
             miners=tuple(data["miners"]),
-            miner_overrides={int(k): v for k, v in data.get("miner_overrides", {}).items()},
+            miner_overrides={_as_int(k, "a miner_overrides height"): v for k, v in data.get("miner_overrides", {}).items()},
             grants=tuple(grants),
         )
+
+
+def _as_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be an integer, not {value!r}") from None
 
 
 def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:

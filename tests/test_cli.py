@@ -32,6 +32,23 @@ class TestRun:
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda p: None,
+            lambda p: p.mkdir(),
+            lambda p: p.write_bytes(b'{"name": "\xff"}'),
+            lambda p: p.write_text(json.dumps({"name": "x", "blocks": "many", "agents": [], "miners": []})),
+        ],
+        ids=["missing-file", "directory", "not-utf-8", "blocks-not-an-integer"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, write):
+        bad = tmp_path / "bad.json"
+        write(bad)
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "blocks": 1, "agents": [], "miners": [], "zorp": 1}))

@@ -652,15 +652,15 @@ class TestBatchedReplay:
         batches = []
         original = consensus.prequantum_batch_verify
         monkeypatch.setattr(consensus, "prequantum_batch_verify", lambda g, items: batches.append(len(items)) or original(g, items))
-        monkeypatch.setattr(groups, "_batch_verified", frozenset())
+        monkeypatch.setattr(groups, "_verified", set())
         assert verify_snapshot(export_snapshot(chain, config)).state_digest() == chain.state_digest()
-        assert batches == [5] and len(groups._batch_verified) == 5
+        assert batches == [5] and len(groups._verified) == 5
 
     @pytest.mark.parametrize("k", range(5))
     def test_forged_s_fails_at_its_block_as_one_by_one(self, k, monkeypatch):
         chain, config = pq_spends()
         text, height = with_pq_witness(export_snapshot(chain, config), k, forged_s)
-        monkeypatch.setattr(groups, "_batch_verified", frozenset())  # so all five go into the batch
+        monkeypatch.setattr(groups, "_verified", set())  # so all five go into the batch
         with pytest.raises(RuleViolation) as batched:
             verify_snapshot(text)
         one_by_one(monkeypatch)
@@ -681,20 +681,24 @@ class TestBatchedReplay:
 
     def test_record_stays_bounded_over_a_longer_replay(self, monkeypatch):
         # Windows of two witnesses: the five make runs of two, one and two
-        # (the block holding pq2 would overflow the first run); each replaces
-        # the record, a batch of one verified on its own.
+        # (the block holding pq2 would overflow the first run), a batch of
+        # one verified on its own.  A memo of three clears itself before the
+        # third run's verdicts, which consensus still finds: no witness is
+        # checked again past its run's batch.
         chain, config = pq_spends()
         monkeypatch.setattr(consensus, "BATCH_VERIFY_SIZE", 2)
-        monkeypatch.setattr(groups, "BATCH_VERIFY_SIZE", 2)
-        monkeypatch.setattr(groups, "_batch_verified", frozenset())
-        calls = []
-        original = consensus.prequantum_batch_verify
+        monkeypatch.setattr(groups, "VERIFY_CACHE_SIZE", 3)
+        monkeypatch.setattr(groups, "_verified", set())
+        calls, singles = [], []
+        original, verify = consensus.prequantum_batch_verify, groups._verify
 
         def batch(group, items):
             verdict = original(group, items)
-            calls.append((len(items), verdict, len(groups._batch_verified)))
+            calls.append((len(items), verdict, len(groups._verified)))
             return verdict
 
         monkeypatch.setattr(consensus, "prequantum_batch_verify", batch)
+        monkeypatch.setattr(groups, "_verify", lambda *args: singles.append(args) or verify(*args))
         assert replay_chain(config, chain.blocks).state_digest() == chain.state_digest()
-        assert calls == [(2, True, 2), (1, True, 1), (2, True, 2)]
+        assert calls == [(2, True, 2), (1, True, 3), (2, True, 2)]
+        assert len(singles) == 1  # the batch of one

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -289,15 +292,72 @@ class TestSecureSignatureCaches:
         assert not prequantum_verify(self.SG, pk, self.MSG, PreQuantumSignature(b"\x00", sig.s))
 
     def test_toy_calls_skip_the_caches(self):
-        signers, verdicts = groups._signer_pk.cache_info(), groups._verify_cached.cache_info()
+        signers, verified = groups._signer_pk.cache_info(), set(groups._verified)
         sig = prequantum_sign(G101, 13, b"toy")
         assert prequantum_verify(G101, pk_ec(G101, 13), b"toy", sig)
+        assert prequantum_batch_verify(G101, [(pk_ec(G101, 13), b"toy", sig), (pk_ec(G101, 14), b"toy", sig)]) is False
         assert groups._signer_pk.cache_info() == signers
-        assert groups._verify_cached.cache_info() == verdicts
+        assert groups._verified == verified
 
-    def test_caches_are_bounded(self):
+    def test_caches_are_bounded(self, monkeypatch):
         assert groups._signer_pk.cache_info().maxsize == groups.SIGNER_CACHE_SIZE > 0
-        assert groups._verify_cached.cache_info().maxsize == groups.VERIFY_CACHE_SIZE > 0
+        monkeypatch.setattr(groups, "VERIFY_CACHE_SIZE", 3)
+        monkeypatch.setattr(groups, "_verified", set())
+        items = TestBatchVerify.POOL
+        for pk, msg, sig in items:
+            assert prequantum_verify(self.SG, pk, msg, sig)
+            assert len(groups._verified) <= 3 and (self.SG, pk, msg, sig.nonce_point, sig.s, int) in groups._verified
+        assert prequantum_batch_verify(self.SG, items[:2])
+        assert len(groups._verified) <= 3
+        assert prequantum_batch_verify(self.SG, items)  # more items than the memo holds
+        assert len(groups._verified) == 3
+
+    def test_memo_stays_bounded_under_concurrent_callers(self, monkeypatch):
+        # Stand-ins that accept every signature at once, so that the threads
+        # race on the memo alone: without its lock two writers could each
+        # see room for their keys and together overfill it.
+        monkeypatch.setattr(groups, "_verify", lambda group, pk, msg, sig: True)
+        monkeypatch.setattr(groups, "_batch_holds", lambda group, items: True)
+        sizes, errors = [], []
+
+        class Memo(set):
+            def __len__(self):
+                size = super().__len__()
+                time.sleep(0)  # hand the interpreter over between the check and the write
+                return size
+
+            def update(self, keys):
+                super().update(keys)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(groups, "VERIFY_CACHE_SIZE", 5)
+        monkeypatch.setattr(groups, "_verified", Memo())
+        pk = pk_ec(self.SG, self.SK)
+        items = [(pk, b"m%d" % i, PreQuantumSignature(b"R", i)) for i in range(40)]
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(1000):
+                    if rng.random() < 0.5:
+                        assert prequantum_verify(self.SG, *rng.choice(items))
+                    else:
+                        assert prequantum_batch_verify(self.SG, rng.sample(items, 3))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors and sizes and max(sizes) <= 5
 
 
 class TestBatchVerify:
@@ -326,16 +386,35 @@ class TestBatchVerify:
     @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FORGERIES)), min_size=1, max_size=6))
     def test_verdict_is_all_of_the_single_verdicts(self, drawn):
         items = [self.item(index, forgery) for index, forgery in drawn]
-        # The single check behind the batch record, so the record cannot answer it.
-        singles = [groups._verify_cached(self.SG, pk, msg, sig.nonce_point, sig.s) for pk, msg, sig in items]
+        # The single check behind the memo, so the memo cannot answer it.
+        singles = [groups._verify(self.SG, *item) for item in items]
         assert prequantum_batch_verify(self.SG, items) == all(singles)
 
-    def test_held_batch_answers_from_its_record(self, monkeypatch):
-        monkeypatch.setattr(groups, "_verify_cached", None)  # any check past the record fails
-        assert prequantum_batch_verify(self.SG, self.POOL)
-        assert all(prequantum_verify(self.SG, *item) for item in self.POOL)
+    @staticmethod
+    def forbid_checks(monkeypatch) -> None:
+        """Make every check past the memo fail, alone or in a batch."""
+        monkeypatch.setattr(groups, "_verify", None)
         monkeypatch.setattr(groups, "_batch_holds", None)
+
+    def test_held_batch_answers_from_its_record(self, monkeypatch):
+        monkeypatch.setattr(groups, "_verified", set())
+        assert prequantum_batch_verify(self.SG, self.POOL)
+        self.forbid_checks(monkeypatch)
+        assert all(prequantum_verify(self.SG, *item) for item in self.POOL)
         assert prequantum_batch_verify(self.SG, self.POOL[:3])  # a prefix of the last batch
+
+    def test_single_verdicts_answer_a_later_batch(self, monkeypatch):
+        monkeypatch.setattr(groups, "_verified", set())
+        assert all(prequantum_verify(self.SG, *item) for item in self.POOL[:2])
+        self.forbid_checks(monkeypatch)
+        assert prequantum_batch_verify(self.SG, self.POOL[:2])
+
+    def test_batch_verdicts_outlive_a_later_disjoint_batch(self, monkeypatch):
+        monkeypatch.setattr(groups, "_verified", set())
+        assert prequantum_batch_verify(self.SG, self.POOL[:3])
+        assert prequantum_batch_verify(self.SG, self.POOL[3:])
+        self.forbid_checks(monkeypatch)
+        assert all(prequantum_verify(self.SG, *item) for item in self.POOL)
 
     def test_nonce_outside_the_subgroup_is_rejected(self):
         # Boyd and Pavlovski's attack: R' = p - R is no quadratic residue, and

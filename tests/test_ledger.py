@@ -186,7 +186,7 @@ class TestKeyRegistry:
         registry = KeyRegistry(["m/0"])
         xsk = ExtendedSecretKey(17, bytes(32))
         digest = registry.key_digest(GROUP, xsk)
-        registry.declare(digest, [path("m/5h/1")])
+        registry.declared[digest] = [path("m/5h/1")]
         entry = registry.materialize(GROUP, xsk, height=9)
         # closure: m, m/0, m/5h, m/5h/1
         assert len(entry.materialized_keys) == 4

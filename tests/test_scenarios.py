@@ -191,6 +191,11 @@ def test_open_challenges_name_exactly_the_open_records(name):
         assert set(chain.open_challenges) == open_txids
         for txid, record in chain.open_challenges.items():
             assert chain.challenges[txid] is record
+        # A deposit reveal takes its outpoint out of `utxos`, so no second
+        # record can open on it, and the fraud-proof watch matches at most
+        # one record per watched outpoint whatever the dict's order.
+        spent = [record.spent_outpoint for record in chain.open_challenges.values()]
+        assert len(spent) == len(set(spent))
         blocks_with_open += bool(open_txids)
     assert blocks_with_open and sim.chain.challenges and not sim.chain.open_challenges
 
