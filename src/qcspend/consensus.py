@@ -1280,7 +1280,6 @@ def _witness_runs(group: GroupParams, blocks: Iterable[Block]) -> Iterator[tuple
     more has the rest verified one by one."""
     run: list[Block] = []
     witnesses: list[tuple] = []
-    keys: dict[bytes, GroupPoint] = {}
     for block in blocks:
         found = []
         for tx in block.transactions:
@@ -1288,14 +1287,12 @@ def _witness_runs(group: GroupParams, blocks: Iterable[Block]) -> Iterator[tuple
             sighash = tx.sighash() if signed else b""
             for witness in signed:
                 try:
-                    if witness.pk not in keys:
-                        keys[witness.pk] = decode_point(group, witness.pk)
-                    found.append((keys[witness.pk], sighash, PreQuantumSignature.decode(witness.signature)))
+                    found.append((decode_point(group, witness.pk), sighash, PreQuantumSignature.decode(witness.signature)))
                 except ValueError:
                     continue  # consensus rejects it as witness-malformed
         if run and len(witnesses) + len(found) > BATCH_VERIFY_SIZE:
             yield run, witnesses
-            run, witnesses, keys = [], [], {}
+            run, witnesses = [], []
         run.append(block)
         witnesses += found[: BATCH_VERIFY_SIZE - len(witnesses)]
     if run:

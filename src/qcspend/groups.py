@@ -20,7 +20,9 @@ would; call from any number of threads.
 Fast path for the secure group, with byte-identical results:
 - `decode_point` checks subgroup membership by the Jacobi symbol when
   p = 2q + 1, where the order-q subgroup is exactly the quadratic residues;
-  other groups keep the `pow(x, q, p)` check.
+  other groups keep the `pow(x, q, p)` check.  It memoises the points it
+  decodes (at most SIGNER_CACHE_SIZE encodings; a DecodeError is not
+  memoised), since a replay decodes a key once per witness.
 - `prequantum_sign` memoises the signer's encoded public key per secret
   key (at most SIGNER_CACHE_SIZE keys).
 - `prequantum_verify` and `prequantum_batch_verify` share one memo of the
@@ -34,18 +36,23 @@ Fast path for the secure group, with byte-identical results:
   for the stock group, built once per process by `secure_group()` (~16 ms,
   beside its primality check).  Toy groups keep `pow`, which beats any
   table at q <= 2**24.
+- A single verify raises the key to its challenge e <= 2^512 the same way,
+  from a per-key table of 103 elements (~30 KiB) built on the key's second
+  verify, so that the first verify of a key used once costs no more than
+  `pow` (at most KEY_TABLE_SIZE keys).  A table takes about one `pow` to
+  build and a quarter of one to read.
 - `prequantum_batch_verify` checks many signatures with one small-exponent
   test (Bellare, Garay and Rabin, EUROCRYPT '98): one fixed-base g^x and one
   interleaved multi-exponentiation (Straus, HAC Alg. 14.88, with Moeller's
   sliding windows) in place of a g^s and a 512-bit pk^e per signature.  It
   skips the items the memo holds, and a batch that holds stores all of its
   items there.
-The memo, the signer cache and the table serve secure-group calls only;
-toy-group work costs less than a memo entry.  The signer cache is a
-`functools.lru_cache`, which is thread-safe.  The memo is a set that is
-written only under a lock and, when a write would overfill it, cleared
-whole rather than pruned entry by entry; a membership test needs no lock.
-The table is a tuple that nothing mutates.
+The memo, the caches and the tables serve secure-group calls only;
+toy-group work costs less than a memo entry.  The signer and decode caches
+are `functools.lru_cache`s, which are thread-safe.  The memo and the dict
+of key tables are each written only under a lock and, when a write would
+overfill one, cleared whole rather than pruned entry by entry; a read
+needs no lock.  Every table is a tuple that nothing mutates.
 """
 
 from __future__ import annotations
@@ -90,6 +97,8 @@ BATCH_VERIFY_SIZE = 64
 # with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
 # order verify one by one.
 BATCH_MULTIPLIER_BITS = 128
+# Keys whose verifies `_key_pow` remembers: ~30 KiB of table per key.
+KEY_TABLE_SIZE = 32
 
 
 def is_prime(n: int) -> bool:
@@ -245,28 +254,36 @@ def secure_group() -> GroupParams:
 
 @lru_cache(maxsize=None)
 def _generator_table(group: GroupParams) -> tuple[int, ...]:
-    """g^(2^(FIXED_BASE_WINDOW*i)) for every digit position of a scalar in
-    [0, q): one element per position, built by repeated squaring."""
-    table, power = [], group.g
-    for _ in range(0, (group.q - 1).bit_length(), FIXED_BASE_WINDOW):
-        table.append(power)
+    """The fixed-base table of g over every bit of a scalar in [0, q)."""
+    return _power_table(group.p, group.g, (group.q - 1).bit_length())
+
+
+def _power_table(p: int, base: int, bits: int) -> tuple[int, ...]:
+    """base^(2^(FIXED_BASE_WINDOW*i)) mod p for every digit position of a
+    `bits`-bit exponent: one element per position, built by repeated
+    squaring."""
+    table = []
+    for _ in range(0, bits, FIXED_BASE_WINDOW):
+        table.append(base)
         for _ in range(FIXED_BASE_WINDOW):
-            power = power * power % group.p
+            base = base * base % p
     return tuple(table)
 
 
 def _generator_pow(group: GroupParams, x: int) -> int:
     """g^x mod p for x >= 0: from the fixed-base table on a SECURE group."""
     if group.mode is GroupMode.SECURE:
-        return _fixed_base_pow(group, x)
+        return _fixed_base_pow(_generator_table(group), group.p, x)
     return pow(group.g, x, group.p)
 
 
-def _fixed_base_pow(group: GroupParams, x: int) -> int:
-    """g^x mod p by HAC Alg. 14.109: multiply each table element into the
-    bucket of its digit, then fold the buckets from the highest digit down,
-    so that bucket d ends up raised to the power d."""
-    table, p = _generator_table(group), group.p
+def _fixed_base_pow(table: tuple[int, ...], p: int, x: int) -> int:
+    """table[0]^x mod p for x >= 0 from a `_power_table`, by HAC Alg.
+    14.109: multiply each table element into the bucket of its digit, then
+    fold the buckets from the highest digit down, so that bucket d ends up
+    raised to the power d.  An x wider than the table takes `pow`."""
+    if x >> (FIXED_BASE_WINDOW * len(table)):
+        return pow(table[0], x, p)
     mask = (1 << FIXED_BASE_WINDOW) - 1
     buckets = [1] * (mask + 1)
     for element in table:
@@ -343,6 +360,10 @@ class GroupPoint:
 
 
 def decode_point(group: GroupParams, data: bytes) -> GroupPoint:
+    return (_decoded if group.mode is GroupMode.SECURE else _decode)(group, data)
+
+
+def _decode(group: GroupParams, data: bytes) -> GroupPoint:
     if len(data) != group.point_len:
         raise DecodeError("bad point length")
     value = int.from_bytes(data, "big")
@@ -351,6 +372,10 @@ def decode_point(group: GroupParams, data: bytes) -> GroupPoint:
     if not _in_subgroup(group, value):
         raise DecodeError("point not in the prime-order subgroup")
     return GroupPoint(group, value)
+
+
+# A DecodeError leaves no entry: lru_cache stores only returned values.
+_decoded = lru_cache(maxsize=SIGNER_CACHE_SIZE)(_decode)
 
 
 def _in_subgroup(group: GroupParams, value: int) -> bool:
@@ -452,7 +477,36 @@ def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSigna
     if not 0 <= sig.s < group.q:
         return False
     e = _challenge(group, sig.nonce_point, pk.encode(), msg)
-    return pk_ec(group, sig.s).value == nonce.add(pk.mul(e)).value
+    return pk_ec(group, sig.s).value == nonce.value * _key_pow(pk, e) % group.p
+
+
+# The keys of secure-group verifies: None after a key's first verify, its
+# fixed-base table from its second on.  Writers hold the lock.
+_key_tables: dict[tuple[GroupParams, int], tuple[int, ...] | None] = {}
+_key_tables_lock = threading.Lock()
+
+
+def _key_pow(pk: GroupPoint, e: int) -> int:
+    """pk^e mod p, as `pk.mul(e)`.  On a SECURE group a key's first call
+    records the key, its second builds the key's fixed-base table over
+    every bit of a challenge (e <= 2^512, from a 512-bit hash), and later
+    calls read the table.  A write that would overfill the dict clears it
+    first, so it never holds more than KEY_TABLE_SIZE keys."""
+    group = pk.group
+    if group.mode is not GroupMode.SECURE:
+        return pk.mul(e).value
+    key = (group, pk.value)
+    table = _key_tables.get(key)
+    if table is None:
+        if key in _key_tables:
+            table = _power_table(group.p, pk.value, min(group.q - 1, 1 << 512).bit_length())
+        with _key_tables_lock:
+            if len(_key_tables) >= KEY_TABLE_SIZE and key not in _key_tables:
+                _key_tables.clear()
+            _key_tables[key] = table
+        if table is None:
+            return pk.mul(e).value
+    return _fixed_base_pow(table, group.p, e % group.q)
 
 
 # The secure-group signatures that verified, alone or in a batch that held.

@@ -69,7 +69,7 @@ class ScenarioConfig:
             if required not in data:
                 raise ConfigError(f"missing scenario field: {required}")
         agents = []
-        for a in data["agents"]:
+        for a in _shaped(data["agents"], list, dict, "agents"):
             bad = set(a) - _AGENT_KEYS
             if bad:
                 raise ConfigError(f"unknown agent fields: {sorted(bad)}")
@@ -77,7 +77,7 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown agent kind: {a.get('kind')}")
             agents.append(dict(a))
         grants = []
-        for g in data.get("grants", []):
+        for g in _shaped(data.get("grants", []), list, dict, "grants"):
             bad = set(g) - _GRANT_KEYS
             if bad:
                 raise ConfigError(f"unknown grant fields: {sorted(bad)}")
@@ -99,8 +99,11 @@ class ScenarioConfig:
             kdf_iterations=_as_int(data.get("kdf_iterations", 16), "kdf_iterations"),
             params=params,
             agents=tuple(agents),
-            miners=tuple(data["miners"]),
-            miner_overrides={_as_int(k, "a miner_overrides height"): v for k, v in data.get("miner_overrides", {}).items()},
+            miners=tuple(_shaped(data["miners"], list, str, "miners")),
+            miner_overrides={
+                _as_int(k, "a miner_overrides height"): v
+                for k, v in _shaped(data.get("miner_overrides", {}), dict, str, "miner_overrides").items()
+            },
             grants=tuple(grants),
         )
 
@@ -112,13 +115,21 @@ def _as_int(value, field: str) -> int:
         raise ConfigError(f"{field} must be an integer, not {value!r}") from None
 
 
+def _shaped(value, shape: type, entry: type, field: str):
+    """`value`, if it is a `shape` (list or dict) whose entries (a dict's
+    values) are each an `entry`."""
+    if not isinstance(value, shape) or not all(isinstance(item, entry) for item in (value.values() if shape is dict else value)):
+        raise ConfigError(f"{field} must be a {shape.__name__} of {entry.__name__} entries, not {value!r}")
+    return value
+
+
 def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
     """Reject a script entry without a height, with an action the agent
     lacks, naming a grant or agent the scenario does not have, or with a
     reveal mode, signature kind or derivation path that does not parse.  A
     thief holds no key, so `steal` must name the naked or lost mode."""
     who = agent.get("id")
-    for entry in agent.get("script", ()):
+    for entry in _shaped(agent.get("script", []), list, dict, f"agent {who}: script"):
         if not isinstance(entry.get("height"), int):
             raise ConfigError(f"agent {who}: script entry without an integer height: {entry}")
         if agent.get("kind", "user") == "user" and not hasattr(UserAgent, f"do_{entry.get('do')}"):
@@ -145,7 +156,7 @@ def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
                 raise ConfigError(f"agent {who}: script names unknown grant {name!r}")
         if entry.get("to") is not None and entry["to"] not in agent_ids:
             raise ConfigError(f"agent {who}: script names unknown agent {entry['to']!r}")
-    for name in agent.get("watch", ()):
+    for name in _shaped(agent.get("watch", []), list, str, f"agent {who}: watch"):
         if name not in grant_names:
             raise ConfigError(f"agent {who}: watches unknown grant {name!r}")
 

@@ -84,6 +84,38 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("agents", 5),
+            ("grants", 5),
+            ("grants", [5]),
+            ("miners", 5),
+            ("miners", [["m0"]]),
+            ("miner_overrides", [1]),
+            ("miner_overrides", {"3": ["m0"]}),
+        ],
+        ids=["agents-int", "grants-int", "grant-int", "miners-int", "miner-list", "overrides-list", "override-list"],
+    )
+    def test_misshaped_field_exits_2(self, tmp_path, capsys, field, value):
+        data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be a ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("script", 5), ("script", [5]), ("watch", 5)], ids=["script-int", "entry-int", "watch-int"])
+    def test_misshaped_agent_field_exits_2(self, tmp_path, capsys, key, value):
+        data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
+        next(a for a in data["agents"] if a["id"] == "alice")[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: agent alice: {key} must be a ") and "Traceback" not in err
+
     def test_params_override(self, tmp_path, capsys):
         code = main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", "block_reward=7"])
         assert code == 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import Harness
+from helpers import Harness, same_state
 from qcspend import consensus, groups
 from qcspend.consensus import (
     EpochKind,
@@ -452,6 +452,28 @@ class TestReplayAndReorg:
             side.end_block()
         with pytest.raises(RuleViolation, match="reorg-depth"):
             reorg(h.chain, h.config, side.blocks[2:])
+
+    @pytest.mark.parametrize("rule", ["reorg-empty", "reorg-ahead", "reorg-parent"])
+    def test_misattached_branch_rejected(self, rule):
+        h = self.flow_harness()
+        h.mine(4)
+        tip = h.chain.height
+        # A side chain forking below the tip's parent, mined by another miner,
+        # so its blocks differ from the chain's from height tip - 1 on.
+        side = replay_chain(h.config, h.chain.blocks[: tip - 1])
+        for _ in range(4):
+            side.begin_block("m1", h.wallet("m1").pq_address())
+            side.end_block()
+        branch = {
+            "reorg-empty": [],
+            "reorg-ahead": side.blocks[tip + 2 :],  # its first block sits above tip + 1
+            "reorg-parent": side.blocks[tip:],  # its parent is the side's block tip - 1, not the chain's
+        }[rule]
+        digest = h.chain.state_digest()
+        with pytest.raises(RuleViolation) as raised:
+            reorg(h.chain, h.config, branch)
+        assert raised.value.rule == rule
+        assert h.chain.state_digest() == digest and same_state(h.chain, replay_chain(h.config, h.chain.blocks))
 
 
 class TestBoundedReorgSafety:

@@ -1,3 +1,4 @@
+import builtins
 import random
 import sys
 import threading
@@ -14,6 +15,7 @@ from qcspend.groups import (
     GroupError,
     GroupMode,
     GroupParams,
+    GroupPoint,
     PreQuantumSignature,
     decode_point,
     h512,
@@ -145,6 +147,163 @@ class TestFixedBasePkEc:
         assert prequantum_sign(self.SG, sk, b"known-answer message").encode().hex() == known["signature"]
 
 
+class TestKeyTable:
+    """From a key's second secure verify on, pk^e comes from the key's own
+    fixed-base table; it must agree with pow for every challenge."""
+
+    SG = secure_group()
+    W = groups.FIXED_BASE_WINDOW
+    TOP = (2**512).bit_length() // groups.FIXED_BASE_WINDOW  # highest digit position of a challenge
+    SK = 987654321
+    PK = pk_ec(secure_group(), SK)
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(groups, "_key_tables", {})
+
+    @staticmethod
+    def forbid_pow(monkeypatch):
+        """Fail any `pow` in groups: a key with a table needs none."""
+
+        def no_pow(*args):
+            raise AssertionError("pow called")
+
+        monkeypatch.setattr(groups, "pow", no_pow, raising=False)
+
+    def tabled(self, pk: GroupPoint) -> tuple[int, ...]:
+        """The key's table, built by its first two calls."""
+        for _ in range(2):
+            groups._key_pow(pk, 1)
+        table = groups._key_tables[(pk.group, pk.value)]
+        assert isinstance(table, tuple)
+        return table
+
+    def test_table_covers_every_challenge(self):
+        assert len(self.tabled(self.PK)) == self.TOP + 1 == 103
+
+    # 1; 2^512, the largest challenge; 2^515 - 1, the top digit value at
+    # every position of the table; and at positions 1, 2 and TOP, 2^(w*i) - 1
+    # (the top digit value at every position below i) and 2^(w*i) (a lone 1).
+    EDGES = [1, 2**512, 2**515 - 1, 2**5 - 1, 2**5, 2**10 - 1, 2**10, 2**510 - 1, 2**510]
+
+    @pytest.mark.parametrize("e", EDGES, ids=["1", "2^512", "2^515-1", "2^5-1", "2^5", "2^10-1", "2^10", "2^510-1", "2^510"])
+    def test_edges(self, e, monkeypatch):
+        self.tabled(self.PK)
+        power = builtins.pow(self.PK.value, e, self.SG.p)
+        self.forbid_pow(monkeypatch)
+        assert groups._key_pow(self.PK, e) == power
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=2**512))
+    def test_any_challenge(self, e):
+        self.tabled(self.PK)
+        assert groups._key_pow(self.PK, e) == pow(self.PK.value, e, self.SG.p)
+
+    def test_wider_exponent_takes_pow(self, monkeypatch):
+        table, calls = self.tabled(self.PK), []
+        monkeypatch.setattr(groups, "pow", lambda *args: calls.append(args) or builtins.pow(*args), raising=False)
+        x = 2 ** (self.W * len(table))
+        assert groups._fixed_base_pow(table, self.SG.p, x) == builtins.pow(self.PK.value, x, self.SG.p)
+        assert calls == [(self.PK.value, x, self.SG.p)]
+
+    def test_second_verify_builds_the_table(self, monkeypatch):
+        key = (self.SG, self.PK.value)
+        sigs = [(msg, prequantum_sign(self.SG, self.SK, msg)) for msg in (b"one", b"two", b"three")]
+        assert groups._verify(self.SG, self.PK, *sigs[0])
+        assert groups._key_tables == {key: None}
+        assert groups._verify(self.SG, self.PK, *sigs[1])
+        assert len(groups._key_tables[key]) == self.TOP + 1
+        monkeypatch.setattr(groups, "_power_table", None)  # the third verify reads it
+        self.forbid_pow(monkeypatch)
+        assert groups._verify(self.SG, self.PK, *sigs[2])
+
+    def test_forgeries_are_rejected_with_a_table(self):
+        other = pk_ec(self.SG, self.SK + 1)
+        self.tabled(self.PK)
+        self.tabled(other)
+        msg = b"tabled"
+        sig = prequantum_sign(self.SG, self.SK, msg)
+        assert groups._verify(self.SG, self.PK, msg, sig)
+        assert not groups._verify(self.SG, self.PK, msg, PreQuantumSignature(sig.nonce_point, (sig.s + 1) % self.SG.q))
+        assert not groups._verify(self.SG, self.PK, msg + b"!", sig)
+        assert not groups._verify(self.SG, other, msg, sig)
+
+    def test_tables_are_kept_per_group(self):
+        # One key value in two secure groups: each group's table serves only
+        # that group.
+        small = GroupParams.generate(2**61 - 1, GroupMode.SECURE)
+        value = pk_ec(small, 123456789).value
+        e = 2**60 + 12345
+        for group in (self.SG, small) * 3:
+            assert groups._key_pow(GroupPoint(group, value), e) == pow(value, e, group.p)
+        assert {key[0] for key in groups._key_tables} == {self.SG, small}
+
+    def test_toy_keys_keep_pow(self):
+        pk = pk_ec(G101, 13)
+        for msg in (b"a", b"b", b"c"):
+            assert groups._verify(G101, pk, msg, prequantum_sign(G101, 13, msg))
+        assert groups._key_tables == {}
+
+    def test_known_answer_verifies_with_a_table(self):
+        known = dict(line.split() for line in (DATA / "secure_signature.golden").read_text().splitlines())
+        sk = self.SG.scalar_from_hash(h512(b"known-answer key").digest)
+        pk = decode_point(self.SG, bytes.fromhex(known["pk"]))
+        sig = PreQuantumSignature.decode(bytes.fromhex(known["signature"]))
+        assert pk == pk_ec(self.SG, sk)
+        for _ in range(3):
+            assert groups._verify(self.SG, pk, b"known-answer message", sig)
+        assert isinstance(groups._key_tables[(self.SG, pk.value)], tuple)
+
+    def test_tables_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(groups, "KEY_TABLE_SIZE", 3)
+        points = [pk_ec(self.SG, sk) for sk in range(2, 9)]
+        for pk in points + points[:2] + points[:2]:
+            assert groups._key_pow(pk, 2**100 + 7) == pow(pk.value, 2**100 + 7, self.SG.p)
+            assert len(groups._key_tables) <= 3 and (self.SG, pk.value) in groups._key_tables
+
+    def test_tables_stay_bounded_under_concurrent_callers(self, monkeypatch):
+        # A stand-in table builder, so that the threads race on the dict
+        # alone: without its lock two writers could each see room for their
+        # key and together overfill it.
+        monkeypatch.setattr(groups, "_power_table", lambda p, base, bits: (base,))
+        sizes, errors = [], []
+
+        class Tables(dict):
+            def __len__(self):
+                size = super().__len__()
+                time.sleep(0)  # hand the interpreter over between the check and the write
+                return size
+
+            def __setitem__(self, key, table):
+                super().__setitem__(key, table)
+                sizes.append(super().__len__())
+
+        monkeypatch.setattr(groups, "KEY_TABLE_SIZE", 5)
+        monkeypatch.setattr(groups, "_key_tables", Tables())
+        points = [GroupPoint(self.SG, value) for value in range(2, 42)]
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(1000):
+                    pk = rng.choice(points)
+                    assert groups._key_pow(pk, 1) == pk.value
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors and sizes and max(sizes) <= 5
+
 class TestEncodings:
     @pytest.mark.parametrize("q", [101, 257, 8191])
     def test_point_len_is_scalar_len_plus_one(self, q):
@@ -275,6 +434,16 @@ class TestSecureSignatureCaches:
         assert not prequantum_verify(self.SG, pk, b"cache mE", sig)
         assert not prequantum_verify(self.SG, pk_ec(self.SG, self.SK + 1), self.MSG, sig)
 
+    def test_decodes_are_memoised_and_failures_are_not(self):
+        good, bad = pk_ec(self.SG, self.SK + 7).encode(), encode_value(self.SG, self.SG.p - 1)
+        before = groups._decoded.cache_info()
+        assert decode_point(self.SG, good) is decode_point(self.SG, good)
+        for _ in range(2):
+            with pytest.raises(DecodeError, match="^point not in the prime-order subgroup$"):
+                decode_point(self.SG, bad)
+        after = groups._decoded.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 3)
+
     def test_float_s_does_not_hit_the_int_entry(self):
         # Under the identity key, (g^s, s) verifies for any s; 2**600 is
         # exact as a float, and 2.0**600 == 2**600 with equal hashes.
@@ -292,15 +461,18 @@ class TestSecureSignatureCaches:
         assert not prequantum_verify(self.SG, pk, self.MSG, PreQuantumSignature(b"\x00", sig.s))
 
     def test_toy_calls_skip_the_caches(self):
-        signers, verified = groups._signer_pk.cache_info(), set(groups._verified)
+        signers, decoded, verified = groups._signer_pk.cache_info(), groups._decoded.cache_info(), set(groups._verified)
         sig = prequantum_sign(G101, 13, b"toy")
         assert prequantum_verify(G101, pk_ec(G101, 13), b"toy", sig)
         assert prequantum_batch_verify(G101, [(pk_ec(G101, 13), b"toy", sig), (pk_ec(G101, 14), b"toy", sig)]) is False
+        assert decode_point(G101, pk_ec(G101, 13).encode()).value == pk_ec(G101, 13).value
         assert groups._signer_pk.cache_info() == signers
+        assert groups._decoded.cache_info() == decoded
         assert groups._verified == verified
 
     def test_caches_are_bounded(self, monkeypatch):
         assert groups._signer_pk.cache_info().maxsize == groups.SIGNER_CACHE_SIZE > 0
+        assert groups._decoded.cache_info().maxsize == groups.SIGNER_CACHE_SIZE
         monkeypatch.setattr(groups, "VERIFY_CACHE_SIZE", 3)
         monkeypatch.setattr(groups, "_verified", set())
         items = TestBatchVerify.POOL

@@ -18,8 +18,7 @@ UNTESTED = {
     "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance", "lfc-claim-late",
     "lfc-claim-shape", "lfc-commit-shape", "lfc-derivation", "lfc-no-commitment",
     "lfc-proof-malformed", "lfc-reveal-mode", "lfc-reveal-shape", "lfc-unknown-utxo",
-    "registry-shape", "reorg-ahead", "reorg-empty", "reorg-parent", "samaritan-format", "tx-kind",
-    "tx-overspend", "utxo-locked",
+    "registry-shape", "samaritan-format", "tx-kind", "tx-overspend", "utxo-locked",
 }
 
 
