@@ -60,7 +60,6 @@ from .fawkescoin import (
     parse_reveal_payload,
 )
 from .groups import (
-    BATCH_VERIFY_SIZE,
     GroupParams,
     GroupPoint,
     PreQuantumSignature,
@@ -109,12 +108,11 @@ from .lifting import (
     seedlift_verify,
     transparent_backend,
 )
-from .params import FinePolicy, Params
+from .params import FEE_SHARE_DELAY, FinePolicy, Params
 from .rules import RuleViolation
 
-# A lifted reveal's fee shares are paid to the miners of the blocks that
-# earned them, this many blocks later.
-FEE_SHARE_DELAY = 300
+# Post-quantum witnesses per replay run, and so signatures per batch.
+BATCH_VERIFY_SIZE = 64
 # The closing blocks of a lifted epoch whose claims decide an extension:
 # the window `Params.proofs_per_100_blocks` counts proofs over.
 CLAIM_WINDOW = 100
@@ -228,7 +226,6 @@ class Chain:
         self.open_challenges: dict[bytes, ChallengeRecord] = {}  # txid -> its OPEN record, and only those
         self.lfc_by_hash: dict[bytes, LfcCommitment] = {}  # committed hash -> record
         self.lfc_locks: dict[Outpoint, bytes] = {}  # outpoint -> hash of its LOCKED record, and only those
-        self.lfc_claim_heights: list[int] = []
         self.fee_shares_by_block: Counter[int] = Counter()
 
         self.epochs: list[Epoch] = []
@@ -507,8 +504,7 @@ class Chain:
             outputs.append(addendum)
         coinbase = Transaction(TxKind.COINBASE, outputs=tuple(outputs), payload=enc_u64(height))
         txid = coinbase.txid()
-        self._journal.append(("__setattr__", "total_minted", self.total_minted))
-        self.total_minted += self.params.block_reward
+        self._set(self, "total_minted", self.total_minted + self.params.block_reward)
         for i, out in enumerate(coinbase.outputs):
             if out.value > 0:
                 self._add_utxo(Utxo((txid, i), out.value, out.address, height, coinbase=True), height)
@@ -924,15 +920,6 @@ class Chain:
         if not self.verify_ownership(utxo.address, proof_message(msg.committed_hash, msg.alpha), sig):
             raise RuleViolation("lfc-proof-invalid", "proof of ownership does not verify")
 
-    def _key_public_before(self, address: Address, height: int) -> bool:
-        """Was the pre-quantum key behind this address on chain strictly
-        before `height`?"""
-        if address.kind is AddrKind.PLAIN_PK:
-            first = self.address_first_seen.get(address.serialize())
-            return first is not None and first < height
-        pk = self.leaks.leaked_pk(address)
-        return pk is not None and self.leaks.leak_height(pk) < height
-
     def verify_ownership(self, address: Address, message: bytes, sig: LiftedSignature) -> bool:
         if isinstance(sig, KeyLiftedSig):
             if address.kind is AddrKind.PK_HASH:
@@ -943,18 +930,27 @@ class Chain:
         pk = self._derived_leaf_pk(address, sig.msk, sig.path)
         return pk is not None and seedlift_verify(self.group, self.seed_backend, pk, message, sig)
 
+    def _locked_record(self, committed: bytes, height: int, revealing: bool) -> LfcCommitment:
+        """The LOCKED record of `committed`, if its age at `height` lets the
+        spender reveal (`revealing`) or the committer claim: the reveal
+        window belongs to the spender, the ages past it to the claim."""
+        record = self.lfc_by_hash.get(committed)
+        if record is None or record.state is not LfcState.LOCKED:
+            raise RuleViolation("lfc-no-commitment", f"{'reveal' if revealing else 'claim'} matches no locked commitment")
+        age = record.age(height)
+        in_window = age <= reveal_deadline_age(self.params.wait_blocks, self.params.reveal_window)
+        if revealing and age < self.params.wait_blocks:
+            raise RuleViolation("lfc-reveal-early", f"age {age} below the waiting time")
+        if revealing and not in_window:
+            raise RuleViolation("lfc-reveal-late", "the reveal window is over; the proof window is open")
+        if in_window and not revealing:
+            raise RuleViolation("lfc-claim-early", "the spender's reveal window is still open")
+        return record
+
     def _apply_lfc_reveal(self, tx: Transaction, height: int) -> None:
         self._epoch_gate(height, EpochKind.LFC, committing=False)
         committed = tx.txid()
-        record = self.lfc_by_hash.get(committed)
-        if record is None or record.state is not LfcState.LOCKED:
-            raise RuleViolation("lfc-no-commitment", "reveal matches no locked commitment")
-        age = record.age(height)
-        wait = self.params.wait_blocks
-        if age < wait:
-            raise RuleViolation("lfc-reveal-early", f"age {age} below the waiting time")
-        if age > reveal_deadline_age(wait, self.params.reveal_window):
-            raise RuleViolation("lfc-reveal-late", "the reveal window is over; the proof window is open")
+        record = self._locked_record(committed, height, revealing=True)
         if len(tx.inputs) != 1 or tx.inputs[0].outpoint != record.outpoint:
             raise RuleViolation("lfc-reveal-shape", "the reveal spends exactly the committed output")
         with _decoding("lfc-reveal-malformed"):
@@ -986,15 +982,9 @@ class Chain:
             raise RuleViolation("lfc-claim-shape", "a claim carries only the proof payload")
         with _decoding("lfc-claim-malformed"):
             committed, sigma = parse_claim_payload(tx.payload)
-        record = self.lfc_by_hash.get(committed)
-        if record is None or record.state is not LfcState.LOCKED:
-            raise RuleViolation("lfc-no-commitment", "claim matches no locked commitment")
-        age = record.age(height)
-        wait = self.params.wait_blocks
-        if age <= reveal_deadline_age(wait, self.params.reveal_window):
-            raise RuleViolation("lfc-claim-early", "the spender's reveal window is still open")
-        deadline = claim_deadline_age(wait, self.params.reveal_window, self.params.proof_window)
-        if age > deadline and not epoch.extension:
+        record = self._locked_record(committed, height, revealing=False)
+        deadline = claim_deadline_age(self.params.wait_blocks, self.params.reveal_window, self.params.proof_window)
+        if record.age(height) > deadline and not epoch.extension:
             raise RuleViolation("lfc-claim-late", "the proof window is over")
         with _decoding("lfc-claim-proof"):
             sig = deserialize_lifted(self.group, sigma)
@@ -1005,13 +995,16 @@ class Chain:
         # key can produce one.  Miners reject such commitments up front,
         # but only here, with the proof finally on chain, can consensus
         # enforce it -- closing the route from a policy-skipping fake
-        # commitment to an outright claim of a leaked output.
-        if isinstance(sig, KeyLiftedSig) and self._key_public_before(record.utxo_address, record.height_included):
-            raise RuleViolation("lfc-claim-keylift-leaked", "key-lifted proof on an output leaked before the commitment")
+        # commitment to an outright claim of a leaked output.  The key's
+        # leak height decides, not its output's: a key public long before
+        # may be paid an output in the commitment's own block.
+        if isinstance(sig, KeyLiftedSig):
+            pk = self.leaks.leaked_pk(record.utxo_address)
+            if pk is not None and self.leaks.leak_height(pk) < record.height_included:
+                raise RuleViolation("lfc-claim-keylift-leaked", "key-lifted proof on an output leaked before the commitment")
 
         utxo = self._remove_utxo(record.outpoint)
         self._credit(b"lfc-claim", committed, record.committer_address, utxo.value, height)
-        self._append(self.lfc_claim_heights, height)
         self._resolve_lfc(record, LfcState.CLAIMED_BY_MINER, height)
 
     def _resolve_lfc(self, record: LfcCommitment, state: LfcState, height: int) -> None:
@@ -1114,7 +1107,7 @@ class Chain:
         if current.kind is EpochKind.FC:
             self._append(self.epochs, Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len))
             return
-        claims = sum(1 for h in self.lfc_claim_heights if current.end - CLAIM_WINDOW <= h < current.end)
+        claims = sum(1 for h in self._claim_heights() if current.end - CLAIM_WINDOW <= h < current.end)
         decision = extension_decision(
             claims,
             self.params.proofs_per_100_blocks,
@@ -1129,6 +1122,11 @@ class Chain:
         for committed in list(self.lfc_locks.values()):
             self._resolve_lfc(self.lfc_by_hash[committed], LfcState.EXPIRED_FINED, height)
         self._append(self.epochs, Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len))
+
+    def _claim_heights(self) -> Iterator[int]:
+        """The heights of the lifted claims: a claimed record never changes
+        state again."""
+        return (r.resolved_height for r in self.lfc_by_hash.values() if r.state is LfcState.CLAIMED_BY_MINER)
 
     def _assert_balance(self) -> None:
         lhs = self.utxo_value_sum + self.challenge_escrow + self.pending_fee_pool + self.fine_escrow_pool
@@ -1174,7 +1172,7 @@ class Chain:
             parts.append(epoch.kind.value.encode() + enc_u64(epoch.start) + enc_u64(epoch.length) + bytes([epoch.extension]))
         for block_height in sorted(self.fee_shares_by_block):
             parts.append(enc_u64(block_height) + enc_u64(self.fee_shares_by_block[block_height]))
-        for h in self.lfc_claim_heights:
+        for h in sorted(self._claim_heights()):
             parts.append(b"claim" + enc_u64(h))
         for addr in sorted(self.address_first_seen):
             parts.append(addr + enc_u64(self.address_first_seen[addr]))

@@ -91,8 +91,6 @@ VERIFY_CACHE_SIZE = 1024
 # Bits per digit of a fixed-base exponent.  Of 4, 5 and 6, 5 is fastest for
 # the 512-bit keys and nonces and within 3% of 6 for the ~1,024-bit s.
 FIXED_BASE_WINDOW = 5
-# Post-quantum witnesses per replay run, and so signatures per batch.
-BATCH_VERIFY_SIZE = 64
 # Bits of each batch multiplier: a batch holding a bad signature passes
 # with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
 # order verify one by one.

@@ -12,12 +12,12 @@ Lifecycle of one commitment (ages are blocks since inclusion):
                                           to the UTXO's address
 
 Under an epoch extension, claims stay open until the extension ends and
-pending fines are withheld rather than paid.
+pending fines are withheld rather than paid.  The extension decision
+counts the claims from the records CLAIMED_BY_MINER, by the heights that
+resolved them.
 
 Wire formats:
 
-* mempool message: committed tx hash, serialized proof of ownership, the
-  spent outpoint in the clear, and the fee amount
 * on-chain record (the transaction payload): committed tx hash, H(u),
   fee amount -- the proof never touches the chain on the honest path
 * claim payload: committed tx hash plus the byte-exact proof
@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Optional
 
 from .encoding import DecodeError, Reader, enc_bytes, enc_u64
-from .ledger import Address, Outpoint, enc_outpoint, read_outpoint
+from .ledger import Address, Outpoint
 
 
 class LfcState(Enum):
@@ -91,30 +91,18 @@ def extension_decision(claims_in_last_100: int, k: int, threshold_num: int, thre
     return EpochDecision.ROTATE
 
 
-# -- wire formats ---------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class LfcMempoolMsg:
+    """A lifted commitment as the mempool holds it: the proof of ownership
+    and the spent outpoint in the clear.  It never goes on the wire."""
+
     committed_hash: bytes
     sigma: bytes
     outpoint: Outpoint
     alpha: int
 
-    def serialize(self) -> bytes:
-        return (
-            enc_bytes(self.committed_hash)
-            + enc_bytes(self.sigma)
-            + enc_outpoint(self.outpoint)
-            + enc_u64(self.alpha)
-        )
 
-    @staticmethod
-    def deserialize(data: bytes) -> "LfcMempoolMsg":
-        r = Reader(data)
-        msg = LfcMempoolMsg(r.bytes_(), r.bytes_(), read_outpoint(r), r.u64())
-        r.done()
-        return msg
+# -- wire formats ---------------------------------------------------------------
 
 
 def record_payload(committed_hash: bytes, utxo_hash: bytes, alpha: int) -> bytes:

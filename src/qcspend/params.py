@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 MINUTES_PER_YEAR = 525_600
+# A lifted reveal's fee shares are paid to the miners of the blocks that
+# earned them, this many blocks later.  The committer's share is earned at
+# the commitment, so every reveal must land within this many blocks of it.
+FEE_SHARE_DELAY = 300
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,8 @@ class Params:
             raise ValueError("lifted epoch too short for its commit cutoff")
         if self.fc_epoch_len <= self.fc_commit_cutoff:
             raise ValueError("fawkescoin epoch too short for its commit cutoff")
+        if self.wait_blocks + self.reveal_window > FEE_SHARE_DELAY:
+            raise ValueError(f"a reveal past {FEE_SHARE_DELAY} blocks would miss its committer's fee share payout")
 
     def deposit_minimum(self, spent_value: int, fee: int) -> int:
         """Smallest acceptable deposit: spent_value * p/(1-p) + fee,

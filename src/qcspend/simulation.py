@@ -18,7 +18,7 @@ from typing import Optional
 from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, UserAgent, Wallet
 from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
 from .fawkescoin import RevealMode
-from .groups import h512, pk_ec, toy_group
+from .groups import GroupError, h512, pk_ec, toy_group
 from .hdwallet import DerivationPath
 from .ledger import Address, pk_hash_address, plain_pk_address
 from .params import Params
@@ -75,6 +75,10 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown agent fields: {sorted(bad)}")
             if a.get("kind", "user") not in AGENT_KINDS:
                 raise ConfigError(f"unknown agent kind: {a.get('kind')}")
+            if not isinstance(a.get("id"), str):
+                raise ConfigError(f"an agent id is a string, not {a.get('id')!r}")
+            if not isinstance(a.get("quantum", False), bool):
+                raise ConfigError(f"agent {a['id']}: quantum must be true or false, not {a['quantum']!r}")
             agents.append(dict(a))
         grants = []
         for g in _shaped(data.get("grants", []), list, dict, "grants"):
@@ -83,6 +87,11 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown grant fields: {sorted(bad)}")
             if g.get("type") not in GRANT_TYPES:
                 raise ConfigError(f"unknown grant type: {g.get('type')}")
+            for key in ("name", "owner"):
+                if not isinstance(g.get(key), str):
+                    raise ConfigError(f"a grant {key} is a string, not {g.get(key)!r}")
+            _as_int(g.get("value"), f"grant {g['name']}: value", least=0)
+            _as_int(g.get("wait", 0), f"grant {g['name']}: wait", least=0)
             grants.append(dict(g))
         for a in agents:
             _check_script(a, {g.get("name") for g in grants}, {b.get("id") for b in agents})
@@ -90,13 +99,13 @@ class ScenarioConfig:
             params = Params().with_overrides(**data.get("params", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad params: {exc}")
-        return ScenarioConfig(
+        config = ScenarioConfig(
             name=data["name"],
             seed=_as_int(data.get("seed", 1), "seed"),
             blocks=_as_int(data["blocks"], "blocks"),
-            group_q=_as_int(data.get("group_q", 8191), "group_q"),
-            canary_q=_as_int(data.get("canary_q", 8191), "canary_q"),
-            kdf_iterations=_as_int(data.get("kdf_iterations", 16), "kdf_iterations"),
+            group_q=_group_order(data.get("group_q", 8191), "group_q"),
+            canary_q=_group_order(data.get("canary_q", 8191), "canary_q"),
+            kdf_iterations=_as_int(data.get("kdf_iterations", 16), "kdf_iterations", least=1),
             params=params,
             agents=tuple(agents),
             miners=tuple(_shaped(data["miners"], list, str, "miners")),
@@ -106,13 +115,29 @@ class ScenarioConfig:
             },
             grants=tuple(grants),
         )
+        if not config.miners:
+            raise ConfigError("miners must name at least one miner")
+        return config
 
 
-def _as_int(value, field: str) -> int:
+def _as_int(value, field: str, least: Optional[int] = None) -> int:
     try:
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{field} must be an integer, not {value!r}") from None
+    if least is not None and n < least:
+        raise ConfigError(f"{field} must be at least {least}, not {value!r}")
+    return n
+
+
+def _group_order(value, field: str) -> int:
+    """`value`, if it is the order of a toy group."""
+    q = _as_int(value, field)
+    try:
+        toy_group(q)
+    except GroupError as exc:
+        raise ConfigError(f"{field} {q}: {exc}") from None
+    return q
 
 
 def _shaped(value, shape: type, entry: type, field: str):
@@ -139,6 +164,12 @@ def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
             raise ConfigError(f"agent {who}: unknown reveal mode {mode!r}")
         if entry.get("do") == "steal" and entry.get("mode", "").upper() not in ("NAKED", "LOST"):
             raise ConfigError(f"agent {who}: steal needs mode 'naked' or 'lost', not {entry.get('mode')!r}")
+        fake = entry.get("fake_lfc", {})
+        if not isinstance(fake, dict):
+            raise ConfigError(f"agent {who}: fake_lfc must be an object, not {fake!r}")
+        for source, key in ((entry, "fee"), (entry, "commit_fee"), (entry, "alpha"), (fake, "alpha")):
+            if key in source:
+                _as_int(source[key], f"agent {who}: {key}", least=0)
         if entry.get("sig", "key") not in ("key", "seed"):
             raise ConfigError(f"agent {who}: sig must be 'key' or 'seed', not {entry['sig']!r}")
         paths = entry.get("paths", [])
@@ -151,7 +182,7 @@ def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
                 DerivationPath.parse(text)
             except ValueError as exc:
                 raise ConfigError(f"agent {who}: bad derivation path: {exc}")
-        for name in (entry.get("utxo"), entry.get("deposit"), entry.get("fake_lfc", {}).get("utxo")):
+        for name in (entry.get("utxo"), entry.get("deposit"), fake.get("utxo")):
             if name is not None and name not in grant_names:
                 raise ConfigError(f"agent {who}: script names unknown grant {name!r}")
         if entry.get("to") is not None and entry["to"] not in agent_ids:

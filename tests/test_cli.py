@@ -116,6 +116,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: agent alice: {key} must be a ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(miners=[]),
+            lambda d: d["grants"][0].update(value="x"),
+            lambda d: d["grants"][0].update(wait="x"),
+            lambda d: d["grants"][0].update(value=-5),
+            lambda d: d["agents"][1].update(id=["oracle"]),
+            lambda d: d["grants"][2].update(name=["pq-alice"]),
+            lambda d: d["grants"][2].update(owner=["alice"]),
+            lambda d: d["agents"][2]["script"][0].update(fee="x"),
+            lambda d: d.update(group_q=100),
+            lambda d: d.update(kdf_iterations=0),
+            lambda d: d["agents"][1].update(quantum="no"),
+            lambda d: d["agents"][0].setdefault("script", []).append({"height": 3, "fake_lfc": 5}),
+        ],
+        ids=["no-miners", "grant-value-text", "grant-wait-text", "grant-value-negative", "agent-id-list",
+             "grant-name-list", "grant-owner-list", "script-fee-text", "group-q-not-a-group", "kdf-iterations-zero",
+             "quantum-text", "fake-lfc-not-an-object"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, edit):
+        data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_params_override(self, tmp_path, capsys):
         code = main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", "block_reward=7"])
         assert code == 0

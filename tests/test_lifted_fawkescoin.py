@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import Harness
-from qcspend.consensus import proof_message
+from helpers import Harness, same_state
+from qcspend.consensus import proof_message, replay_chain
 from qcspend.fawkescoin import RevealMode, RevealPayload
 from qcspend.hdwallet import path
 from qcspend.ledger import Transaction, TxKind, TxOutput, pk_hash_address, plain_pk_address
@@ -14,6 +14,7 @@ from qcspend.lifted_fawkescoin import (
     record_payload,
     split_fee,
 )
+from qcspend.lifting import KeyLiftedSig
 from qcspend.rules import RuleViolation
 
 U_VALUE = 100_000
@@ -29,14 +30,15 @@ def lfc_harness(**overrides):
     return h
 
 
-def lfc_reveal_tx(h, owner, label, p, alpha, derived=False):
+def lfc_reveal_tx(h, owner, label, p, alpha, derived=False, payload=None):
+    """A reveal of `label` paying `alpha`: hashed, derived, or carrying the
+    given RevealPayload."""
     wallet = h.wallet(owner)
     op = h.outpoints[label]
     utxo = h.chain.utxos[op]
-    if derived:
-        payload = RevealPayload(RevealMode.DERIVED, wallet.msk, path(p)).serialize(h.group)
-    else:
-        payload = RevealPayload(RevealMode.HASHED).serialize(h.group)
+    if payload is None:
+        payload = RevealPayload(RevealMode.DERIVED, wallet.msk, path(p)) if derived else RevealPayload(RevealMode.HASHED)
+    payload = payload.serialize(h.group)
     outputs = [TxOutput(wallet.pq_address(), utxo.value - alpha)]
     sk = wallet.derived_sk(path(p))
     return h.signed(TxKind.LFC_REVEAL, [(op, ("pre", wallet, sk))], outputs, payload)
@@ -325,6 +327,36 @@ class TestClaim:
         h.chain.end_block()
         assert (record.state is LfcState.LOCKED) is rejected
 
+    def test_keylift_claim_on_a_plain_key_output_leaked_earlier_rejected(self):
+        # The key leaked at 50.  Block 200 pays an output to its plain-key
+        # address and, after that, a fake commitment locks the new output.
+        # The output is as old as the commitment, but its key was public
+        # long before, so a key-lifted claim -- which anyone holding the
+        # public key can forge -- proves nothing.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        alice = h.wallet("alice")
+        pk = alice.derived_pk(path("m/0h/0/5"))
+        h.chain.leaks.mark(pk, 50)
+        transfer = h.signed(TxKind.TRANSFER, [(h.outpoints["fee-alice"], ("pq", alice))], [TxOutput(plain_pk_address(pk), 5_000)])
+        h.outpoints["plain"] = (transfer.txid(), 0)
+        committed = b"\x07" * 32
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        h.chain.add_tx(transfer)
+        h.chain.add_tx(record_tx(h, committed, "plain", 0))
+        h.chain.end_block()
+        record = h.chain.lfc_by_hash[committed]
+        assert record.height_included == 200
+        forged = KeyLiftedSig(h.chain.key_backend.sign(pk, proof_message(committed, 0))).serialize()
+        h.mine(200)  # next block: age 201, inside the proof window
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation, match="lfc-claim-keylift-leaked"):
+            h.chain.add_tx(Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, forged)))
+        h.chain.end_block()
+        assert record.state is LfcState.LOCKED
+        assert h.chain.utxos[h.outpoints["plain"]].value == 5_000
+
     def test_seedlift_claim_on_leaked_output_accepted(self):
         # Seed-lifted proofs are leak-immune: the same late-claim flow with
         # a seed proof stays valid.
@@ -479,6 +511,24 @@ class TestFeeAggregation:
         assert h.chain.blocks[-1].coinbase.outputs[1].value == 1_500
         h.chain.recompute_balance()
 
+    def test_reveal_at_the_last_age_is_paid_in_its_own_block(self):
+        # The longest allowed wait plus reveal window, 200 + 100, reaches
+        # the payout height: the reveal at age 300 adds the committer's
+        # share, and the same block's coinbase pays it.
+        h = lfc_harness(wait_blocks=200, reveal_window=100)
+        h.build()
+        h.mine_to(199)
+        reveal = lfc_reveal_tx(h, "alice", "u1", "m/0h/0/0", 1000)
+        h.mine_with([record_tx(h, reveal.txid(), "u1", 1000)], miner="earner")
+        commit_height = h.chain.height
+        h.mine(299)
+        block = h.mine_with([reveal])
+        assert block.height == commit_height + 300
+        assert block.coinbase.outputs[1] == TxOutput(h.wallet("earner").pq_address(), 500)
+        assert commit_height not in h.chain.fee_shares_by_block
+        assert h.chain.pending_fee_pool == 500  # the revealer's share, due 300 blocks on
+        h.chain.recompute_balance()
+
     def test_no_commitments_no_addendum(self):
         h = lfc_harness()
         h.build()
@@ -565,3 +615,90 @@ class TestExtensionDecision:
         assert len(record.serialize()) <= 64 + 40
         for block in h.chain.blocks:
             assert not any(t.kind is TxKind.LFC_CLAIM for t in block.transactions)
+
+
+def aged_record(h, reveal, label="u1", age=100):
+    """Mine a record committing `reveal` on `label`, then blocks until
+    the next block is at lifted age `age`; returns `reveal`."""
+    h.mine_with([record_tx(h, reveal.txid(), label, 1000)])
+    h.mine(age - 1)
+    return reveal
+
+
+def claim_tx(h, committed, outputs=()):
+    sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 1000)
+    return Transaction(TxKind.LFC_CLAIM, outputs=tuple(outputs), payload=claim_payload(committed, sigma))
+
+
+def late_claim(h):
+    """A claim at age deadline + 1: `add_tx` sees the record still LOCKED,
+    since the end-of-block sweep that expires it runs after."""
+    _, committed = committed_flow(h)
+    h.mine(300)
+    return claim_tx(h, committed)
+
+
+def reveal_with(h, mode, p="m/0h/0/0"):
+    """A reveal of u1 (key m/0h/0/0) whose payload has `mode`, deriving `p`."""
+    payload = RevealPayload(mode, h.wallet("alice").msk, path(p)) if mode is RevealMode.DERIVED else RevealPayload(mode)
+    return lfc_reveal_tx(h, "alice", "u1", "m/0h/0/0", 1000, payload=payload)
+
+
+class TestRuleIds:
+    """Each lifted rule id, reached with the smallest input that raises it.
+    A rejection leaves the digest as it was, the block still closes, and
+    the chain equals a clean replay of its blocks."""
+
+    @pytest.mark.parametrize(
+        "make, rule, detail",
+        [
+            (lambda h: lfc_reveal_tx(h, "alice", "u1", "m/0h/0/0", 1000), "lfc-no-commitment", "reveal matches no locked commitment"),
+            (lambda h: claim_tx(h, b"\x07" * 32), "lfc-no-commitment", "claim matches no locked commitment"),
+            (lambda h: aged_record(h, lfc_reveal_tx(h, "alice", "u2", "m/0h/0/1", 1000), label="u1"), "lfc-reveal-shape", None),
+            (lambda h: aged_record(h, reveal_with(h, RevealMode.NAKED)), "lfc-reveal-mode", None),
+            (lambda h: aged_record(h, reveal_with(h, RevealMode.DERIVED, p="m/0h/0/1")), "lfc-derivation", None),
+            (lambda h: claim_tx(h, b"\x07" * 32, [TxOutput(h.wallet("m0").pq_address(), 1)]), "lfc-claim-shape", None),
+            (late_claim, "lfc-claim-late", None),
+            (
+                lambda h: Transaction(TxKind.LFC_COMMIT, outputs=(TxOutput(h.wallet("m0").pq_address(), 1),), payload=record_tx(h, b"\x07" * 32, "u1", 5).payload),
+                "lfc-commit-shape",
+                None,
+            ),
+            (lambda h: Transaction(TxKind.LFC_COMMIT, payload=record_payload(b"\x07" * 32, b"\x00" * 32, 5)), "lfc-unknown-utxo", None),
+        ],
+        ids=["reveal-no-commitment", "claim-no-commitment", "reveal-shape", "reveal-mode", "derivation",
+             "claim-shape", "claim-late", "commit-shape", "record-unknown-utxo"],
+    )
+    def test_rejected_transaction(self, make, rule, detail):
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        tx = make(h)
+        digest = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(tx)
+        assert violation is not None and violation.rule == rule
+        assert detail is None or violation.detail == detail
+        assert h.chain.state_digest() == digest
+        assert h.chain.end_block().transactions == ()
+        assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
+
+    @pytest.mark.parametrize(
+        "make, rule",
+        [
+            (lambda h: LfcMempoolMsg(b"\x07" * 32, sigma_for(h, "alice", "m/0h/0/0", b"\x07" * 32, 9), (b"\x00" * 32, 0), 9), "lfc-unknown-utxo"),
+            (lambda h: LfcMempoolMsg(b"\x07" * 32, b"\x09", h.outpoints["u1"], 9), "lfc-proof-malformed"),
+        ],
+        ids=["message-unknown-utxo", "proof-malformed"],
+    )
+    def test_rejected_mempool_message(self, make, rule):
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        msg = make(h)
+        digest = h.chain.state_digest()
+        with pytest.raises(RuleViolation) as raised:
+            h.chain.validate_lfc_mempool_msg(msg)
+        assert raised.value.rule == rule
+        assert h.chain.state_digest() == digest
+        assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))

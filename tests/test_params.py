@@ -50,6 +50,15 @@ class TestParams:
         with pytest.raises(ValueError, match="unknown params"):
             Params().with_overrides(nonsense=1)
 
+    def test_reveal_window_past_the_fee_share_payout_rejected(self):
+        # A reveal later than FEE_SHARE_DELAY blocks after its commitment
+        # would add the committer's share after the block that pays it.
+        assert Params(wait_blocks=200, reveal_window=100).reveal_window == 100
+        with pytest.raises(ValueError, match="fee share"):
+            Params(wait_blocks=250, reveal_window=100)
+        with pytest.raises(ValueError, match="fee share"):
+            Params().with_overrides(wait_blocks=201)
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             Params(fc_mode="lenient")

@@ -15,10 +15,8 @@ SOURCES = TESTS.parent / "src" / "qcspend"
 UNTESTED = {
     "agent-missing-utxo", "agent-underfunded", "cover-outputs", "epoch-unscheduled",
     "fc-deposit-pq", "fc-deposit-shape", "fc-lost-witness", "fc-reveal-prequantum",
-    "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance", "lfc-claim-late",
-    "lfc-claim-shape", "lfc-commit-shape", "lfc-derivation", "lfc-no-commitment",
-    "lfc-proof-malformed", "lfc-reveal-mode", "lfc-reveal-shape", "lfc-unknown-utxo",
-    "registry-shape", "samaritan-format", "tx-kind", "tx-overspend", "utxo-locked",
+    "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance", "registry-shape",
+    "samaritan-format", "tx-kind", "tx-overspend", "utxo-locked",
 }
 
 

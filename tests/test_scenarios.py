@@ -310,7 +310,10 @@ class TestEpochMechanics:
 
     def test_burst_was_the_trigger(self, sim):
         trigger_epoch_end = 12_850
-        claims = [h for h in sim.chain.lfc_claim_heights if trigger_epoch_end - 100 <= h < trigger_epoch_end]
+        claims = [
+            r for r in sim.chain.lfc_by_hash.values()
+            if r.state is LfcState.CLAIMED_BY_MINER and trigger_epoch_end - 100 <= r.resolved_height < trigger_epoch_end
+        ]
         params = sim.config.params
         k, num, den = params.proofs_per_100_blocks, params.extension_threshold_num, params.extension_threshold_den
         assert len(claims) == 6 and extension_decision(len(claims), k, num, den) is EpochDecision.EXTEND

@@ -130,7 +130,8 @@ def test_main_chain_exercises_every_journaled_mutation(main):
     assert len(list(chain.registry.entries)) == 1 and len(chain.registry.declared) == 1
     assert [e.kind.value for e in chain.epochs] == ["fc", "lfc", "fc"]
     assert sum(len(b.coinbase.outputs) == 2 for b in chain.blocks) == 2  # both lifted fee payouts
-    assert not chain.fee_shares_by_block and chain.lfc_claim_heights == [60]
+    claims = [r.resolved_height for r in chain.lfc_by_hash.values() if r.state is LfcState.CLAIMED_BY_MINER]
+    assert not chain.fee_shares_by_block and claims == [60]
 
 
 def test_reorgs_at_every_depth_match_a_clean_replay(main):
