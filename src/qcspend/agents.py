@@ -78,6 +78,11 @@ class Wallet:
     def derived_pk(self, path: DerivationPath) -> bytes:
         return pk_ec(self.group, self.derived_sk(path)).encode()
 
+    def grant_sk(self, grant: dict) -> int:
+        """The key of a scenario grant: derived along its path, or else a
+        raw key labelled by its name."""
+        return self.derived_sk(grant["path"]) if grant["path"] else self.raw_sk(grant["name"])
+
     def raw_sk(self, label: str) -> int:
         """A standalone (non-derived) key: what a pre-HD-wallet output or
         an imported key looks like."""
@@ -143,12 +148,11 @@ class Agent:
     def __init__(self, agent_id: str, sim: "Simulation", options: dict, wallet: Wallet):
         self.id = agent_id
         self.sim = sim
-        self.options = options
         self.wallet = wallet
-        self.quantum = bool(options.get("quantum", False))
+        self.quantum = options["quantum"]
         self.script: dict[int, list[dict]] = {}
-        for entry in options.get("script", []):
-            self.script.setdefault(int(entry["height"]), []).append(entry)
+        for entry in options["script"]:
+            self.script.setdefault(entry["height"], []).append(entry)
         self.deferred: list[tuple[int, Callable[[], None]]] = []
         self.actions: list[str] = []
 
@@ -181,7 +185,7 @@ class Agent:
         reserved = set()
         for actions in self.script.values():
             for action in actions:
-                name = action.get("deposit")
+                name = action["deposit"]
                 if name:
                     reserved.add(self.sim.grant_outpoint(name))
         return reserved
@@ -221,6 +225,8 @@ class Agent:
 
     def pre_spend(self, kind: TxKind, outpoint: Outpoint, sk: int, to: Address, value: int, payload: bytes = b"") -> Transaction:
         """Spend one pre-quantum output as a single output, signed with `sk`."""
+        if value < 0:
+            raise RuleViolation("agent-underfunded", f"{self.id} cannot pay a fee past the output's value")
         tx = Transaction(kind, (TxInput(outpoint),), (TxOutput(to, value),), payload)
         return tx.signed(partial(self.wallet.witness_pre, sk))
 
@@ -264,7 +270,7 @@ class MinerAgent(Agent):
         chain.begin_block(self.id, self.wallet.pq_address())
         reports: list[bytes] = []
         for entry in self.script.get(height, ()):
-            if "fake_lfc" in entry:
+            if entry["fake_lfc"]:
                 self._inject_fake_commitment(entry["fake_lfc"])
         for sub in self.sim.mempool.drain_ordered():
             if sub.kind == "report":
@@ -305,7 +311,7 @@ class MinerAgent(Agent):
         if utxo is None or chain.params.fine_policy.fine(utxo.value) > chain.building_fine_headroom():
             return
         committed = h512(b"fake-commitment:" + self.id.encode() + enc_bytes(utxo.utxo_hash())).left
-        record_tx = Transaction(TxKind.LFC_COMMIT, payload=record_payload(committed, utxo.utxo_hash(), int(fake.get("alpha", 0))))
+        record_tx = Transaction(TxKind.LFC_COMMIT, payload=record_payload(committed, utxo.utxo_hash(), fake["alpha"]))
         if chain.try_add_tx(record_tx) is None:
             self.log(f"delay attack: fake commitment locks {fake['utxo']}")
 
@@ -319,7 +325,7 @@ class UserAgent(Agent):
 
     def __init__(self, agent_id, sim, options, wallet):
         super().__init__(agent_id, sim, options, wallet)
-        self.watched: set[str] = set(options.get("watch", ()))
+        self.watched: set[str] = set(options["watch"])
         self._fraud_responses: set[bytes] = set()
 
     # -- scripted actions ------------------------------------------------------
@@ -352,35 +358,36 @@ class UserAgent(Agent):
 
     def _grant_sk(self, name: str) -> Optional[int]:
         info = self.sim.grants[name]
-        if info.get("lost"):
-            return None
-        if "path" in info:
-            return self.wallet.derived_sk(DerivationPath.parse(info["path"]))
-        return self.wallet.raw_sk(info["raw_label"])
+        return None if info["lost"] else self.wallet.grant_sk(info)
 
     def _destination(self, action: dict) -> Address:
-        to = action.get("to")
+        to = action["to"]
         if to:
             return self.sim.agents[to].wallet.pq_address()
         return self.wallet.pq_address()
 
+    def _gone(self, action: dict, what: str) -> bool:
+        """Has an output `action` spends left the chain?  Logs `what` failed."""
+        for name in (action["utxo"], action["deposit"]):
+            if name is not None and self.sim.chain.utxo(self.sim.grant_outpoint(name)) is None:
+                self.log(f"{what} failed: {name} already gone")
+                return True
+        return False
+
     def do_direct_spend(self, action: dict) -> None:
+        if self._gone(action, "direct spend"):
+            return
         outpoint = self.sim.grant_outpoint(action["utxo"])
         utxo = self.sim.chain.utxo(outpoint)
-        if utxo is None:
-            self.log(f"direct spend failed: {action['utxo']} already gone")
-            return
-        fee = int(action.get("fee", 0))
         sk = self._grant_sk(action["utxo"])
-        tx = self.pre_spend(TxKind.TRANSFER, outpoint, sk, self._destination(action), utxo.value - fee)
+        tx = self.pre_spend(TxKind.TRANSFER, outpoint, sk, self._destination(action), utxo.value - action["fee"])
         self.sim.mempool.submit("tx", tx, self.id)
         self.log(f"direct spend of {action['utxo']}")
 
     # FawkesCoin ------------------------------------------------------------------------
 
-    def _fc_commit_and_schedule(self, reveal_tx: Transaction, action: dict, describe: str) -> None:
+    def _fc_commit_and_schedule(self, reveal_tx: Transaction, commit_fee: int, describe: str) -> None:
         chain = self.sim.chain
-        commit_fee = int(action.get("commit_fee", 0))
         ctx = self.build_pq_spend(TxKind.FC_COMMIT, self.pq_fee_outpoint(), commit_fee, commit_payload(reveal_tx.txid()))
         self.sim.mempool.submit("tx", ctx, self.id)
         wait = chain.params.wait_blocks
@@ -400,16 +407,18 @@ class UserAgent(Agent):
         group = chain.group
         outpoint = self.sim.grant_outpoint(action["utxo"])
         utxo = chain.utxo(outpoint)
-        fee = int(action.get("fee", 0))
+        fee = action["fee"]
         info = self.sim.grants[action["utxo"]]
         if mode is RevealMode.DERIVED:
-            payload = RevealPayload(mode, self.wallet.msk, DerivationPath.parse(info["path"])).serialize(group)
+            payload = RevealPayload(mode, self.wallet.msk, info["path"]).serialize(group)
         else:
             payload = RevealPayload(mode).serialize(group)
 
         if mode in (RevealMode.NAKED, RevealMode.LOST):
             deposit_outpoint = self.sim.grant_outpoint(action["deposit"])
             deposit = chain.utxo(deposit_outpoint)
+            if utxo.value + deposit.value < fee:
+                raise RuleViolation("agent-underfunded", f"{self.id} cannot pay {fee}")
             outputs = (TxOutput(self._destination(action), utxo.value + deposit.value - fee),)
             u_signer = partial(self.wallet.witness_pre, sk) if mode is RevealMode.NAKED else lambda _: NO_WITNESS
             tx = Transaction(TxKind.FC_REVEAL, (TxInput(outpoint), TxInput(deposit_outpoint)), outputs, payload)
@@ -418,25 +427,29 @@ class UserAgent(Agent):
         return self.pre_spend(TxKind.FC_REVEAL, outpoint, sk, self._destination(action), utxo.value - fee, payload)
 
     def do_fc_spend(self, action: dict) -> None:
-        mode = RevealMode[action.get("mode", "hashed").upper()]
+        if self._gone(action, "fc spend"):
+            return
+        mode = RevealMode[action["mode"].upper()]
         sk = self._grant_sk(action["utxo"]) if mode is not RevealMode.LOST else None
         if mode is RevealMode.NAKED and sk is None:
             self.log(f"cannot spend {action['utxo']} as naked: the key is gone")
             return
         reveal_tx = self._build_fc_reveal(action, mode, sk)
-        self._fc_commit_and_schedule(reveal_tx, action, f"{mode.name.lower()}:{action['utxo']}")
+        self._fc_commit_and_schedule(reveal_tx, action["commit_fee"], f"{mode.name.lower()}:{action['utxo']}")
 
     # Lifted FawkesCoin ---------------------------------------------------------------------
 
     def do_lfc_spend(self, action: dict) -> None:
+        if self._gone(action, "lifted spend"):
+            return
         chain = self.sim.chain
         outpoint = self.sim.grant_outpoint(action["utxo"])
         utxo = chain.utxo(outpoint)
-        alpha = int(action.get("alpha", 0))
+        alpha = action["alpha"]
         info = self.sim.grants[action["utxo"]]
-        use_seed = action.get("sig", "key") == "seed"
+        use_seed = action["sig"] == "seed"
         if use_seed:
-            path = DerivationPath.parse(info["path"])
+            path = info["path"]
             payload = RevealPayload(RevealMode.DERIVED, self.wallet.msk, path).serialize(chain.group)
         else:
             payload = RevealPayload(RevealMode.HASHED).serialize(chain.group)
@@ -451,7 +464,7 @@ class UserAgent(Agent):
         msg = LfcMempoolMsg(committed, sigma, outpoint, alpha)
         self.sim.mempool.submit("lfc", msg, self.id)
         self.log(f"lifted commitment for {action['utxo']} (alpha={alpha})")
-        if action.get("abandon"):
+        if action["abandon"]:
             self.log("spam: this commitment will never be revealed")
             return
         self._await_lfc_inclusion(committed, reveal_tx, action["utxo"])
@@ -471,13 +484,11 @@ class UserAgent(Agent):
     # Theft ------------------------------------------------------------------------------
 
     def do_steal(self, action: dict) -> None:
+        if self._gone(action, "steal"):
+            return
         chain = self.sim.chain
         mode = RevealMode[action["mode"].upper()]
-        outpoint = self.sim.grant_outpoint(action["utxo"])
-        utxo = chain.utxo(outpoint)
-        if utxo is None:
-            self.log(f"steal failed: {action['utxo']} gone")
-            return
+        utxo = chain.utxo(self.sim.grant_outpoint(action["utxo"]))
         sk = None
         if mode is RevealMode.NAKED:
             pk = chain.leaks.leaked_pk(utxo.address)
@@ -486,23 +497,19 @@ class UserAgent(Agent):
                 return
             sk = quantum_invert(decode_point(chain.group, pk))
         reveal_tx = self._build_fc_reveal(action, mode, sk)
-        self._fc_commit_and_schedule(reveal_tx, action, f"steal:{action['utxo']}")
+        self._fc_commit_and_schedule(reveal_tx, action["commit_fee"], f"steal:{action['utxo']}")
 
     # Reports / registry ---------------------------------------------------------------------
 
     def do_samaritan(self, action: dict) -> None:
-        info = self.sim.grants[action["utxo"]]
-        if "path" in info:
-            pk = self.wallet.derived_pk(DerivationPath.parse(info["path"]))
-        else:
-            pk = pk_ec(self.sim.chain.group, self.wallet.raw_sk(info["raw_label"])).encode()
+        pk = pk_ec(self.sim.chain.group, self.wallet.grant_sk(self.sim.grants[action["utxo"]])).encode()
         self.sim.chain.submit_samaritan_report(pk, self.sim.tick_height)
         self.sim.mempool.submit("report", pk, self.id)
         self.log(f"samaritan report for {action['utxo']}")
 
     def do_registry_declare(self, action: dict) -> None:
         digest = self.sim.chain.registry.key_digest(self.sim.chain.group, self.wallet.msk)
-        paths = [DerivationPath.parse(p) for p in action["paths"]]
+        paths = action["paths"]
         payload = enc_bytes(digest) + enc_u32(len(paths)) + b"".join(p.serialize() for p in paths)
         tx = Transaction(TxKind.REGISTRY_DECLARE, payload=payload)
         self.sim.mempool.submit("tx", tx, self.id)
@@ -523,12 +530,12 @@ class UserAgent(Agent):
     def _respond_with_fraud_proof(self, name: str, record) -> None:
         chain = self.sim.chain
         info = self.sim.grants[name]
-        path = DerivationPath.parse(info["path"])
+        path = info["path"]
         payload = RevealPayload(RevealMode.FRAUD_PROOF, self.wallet.msk, path, record.txid).serialize(chain.group)
         sk = self.wallet.derived_sk(path)
         # Fee 0: full recovery.
         reveal_tx = self.pre_spend(TxKind.FC_REVEAL, record.spent_outpoint, sk, self.wallet.pq_address(), record.spent_value, payload)
-        self._fc_commit_and_schedule(reveal_tx, {}, f"fraud-proof:{name}")
+        self._fc_commit_and_schedule(reveal_tx, 0, f"fraud-proof:{name}")
         self.log(f"theft of {name} detected; fraud proof committed")
 
 

@@ -108,7 +108,7 @@ from .lifting import (
     seedlift_verify,
     transparent_backend,
 )
-from .params import FEE_SHARE_DELAY, FinePolicy, Params
+from .params import FEE_SHARE_DELAY, Params, check_fields, toy_order
 from .rules import RuleViolation
 
 # Post-quantum witnesses per replay run, and so signatures per batch.
@@ -1224,26 +1224,24 @@ class ChainConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ChainConfig":
-        pdata = dict(data["params"])
-        pdata["regular_paths"] = tuple(pdata["regular_paths"])
-        pdata["fine_policy"] = FinePolicy(**pdata["fine_policy"])
-        grants = tuple(
-            GenesisGrant(
-                Address(AddrKind[g["address_kind"]], bytes.fromhex(g["address_data"])),
-                g["value"],
-                g["wait_override"],
-            )
-            for g in data["grants"]
-        )
-        return ChainConfig(
-            params=Params(**pdata),
-            group_q=data["group_q"],
-            canary_q=data["canary_q"],
-            canary_pk=bytes.fromhex(data["canary_pk"]),
-            canary_nonce=bytes.fromhex(data["canary_nonce"]),
-            canary_killed_at=data.get("canary_killed_at"),
-            grants=grants,
-        )
+        """The config that `to_json` wrote, checked against SNAPSHOT_CONFIG."""
+        config = check_fields(data, SNAPSHOT_CONFIG, "snapshot config")
+        grants = [check_fields(g, SNAPSHOT_GRANT, "snapshot grant") for g in config.pop("grants")]
+        return ChainConfig(**config, grants=tuple(
+            GenesisGrant(Address(AddrKind[g["address_kind"]], g["address_data"]), g["value"], g["wait_override"]) for g in grants
+        ))
+
+
+# A snapshot's config line and its grants, as tables for `check_fields`.
+SNAPSHOT_CONFIG = {
+    "params": (Params, ...), "group_q": (toy_order, ...), "canary_q": (toy_order, ...),
+    "canary_pk": (bytes.fromhex, ...), "canary_nonce": (bytes.fromhex, ...), "canary_killed_at": (int, None),
+    "grants": ([dict], ...),
+}
+SNAPSHOT_GRANT = {
+    "address_kind": (set(AddrKind.__members__), ...), "address_data": (bytes.fromhex, ...),
+    "value": (int, ...), "wait_override": (int, ...),
+}
 
 
 def replay_chain(config: ChainConfig, blocks: Iterable[Block]) -> Chain:

@@ -118,6 +118,8 @@ class DerivationPath:
 
     @staticmethod
     def parse(text: str) -> "DerivationPath":
+        if not isinstance(text, str):
+            raise TypeError(f"a derivation path is a string, not {text!r}")
         parts = text.strip().split("/")
         if not parts or parts[0] != "m":
             raise DecodeError(f"path must start with 'm': {text!r}")

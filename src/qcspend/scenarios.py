@@ -9,7 +9,7 @@ into a per-agent report of actions and net profit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -45,8 +45,8 @@ ADVERSARY_AGENT = {
 }
 
 
-def _scenario_json(name_or_path: str) -> dict:
-    """The JSON object of a bundled name, or of a scenario file at a path."""
+def load_scenario(name_or_path: str) -> ScenarioConfig:
+    """A bundled name, or a path to a scenario JSON file."""
     if name_or_path in BUNDLED:
         text = resources.files("qcspend").joinpath(f"scenarios/{name_or_path}.json").read_text()
     else:
@@ -59,23 +59,13 @@ def _scenario_json(name_or_path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}")
-    if not isinstance(data, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    return data
-
-
-def load_scenario(name_or_path: str) -> ScenarioConfig:
-    """A bundled name, or a path to a scenario JSON file."""
-    return ScenarioConfig.from_dict(_scenario_json(name_or_path))
+    return ScenarioConfig.from_dict(data)
 
 
 def run_scenario(name_or_path: str, seed: Optional[int] = None, overrides: Optional[dict] = None) -> Simulation:
-    data = _scenario_json(name_or_path)
-    config = ScenarioConfig.from_dict(data)
+    config = load_scenario(name_or_path)
     if overrides:
-        # The file's own config is checked first, so `params` is an object.
-        data.setdefault("params", {}).update(overrides)
-        config = ScenarioConfig.from_dict(data)
+        config = replace(config, params=config.params.with_overrides(**overrides))
     sim = Simulation(config, seed=seed)
     sim.run()
     return sim

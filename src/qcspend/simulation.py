@@ -15,35 +15,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, UserAgent, Wallet
+from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, Wallet
 from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
-from .fawkescoin import RevealMode
-from .groups import GroupError, h512, pk_ec, toy_group
+from .groups import h512, pk_ec, toy_group
 from .hdwallet import DerivationPath
 from .ledger import Address, pk_hash_address, plain_pk_address
-from .params import Params
+from .params import ConfigError, Params, check_fields, toy_order
 
-
-class ConfigError(ValueError):
-    pass
-
-
-_SCENARIO_KEYS = {
-    "name",
-    "seed",
-    "blocks",
-    "group_q",
-    "canary_q",
-    "kdf_iterations",
-    "params",
-    "agents",
-    "miners",
-    "miner_overrides",
-    "grants",
+# The fields a user's scripted action needs besides `height` and `do`; a
+# spend in the naked or lost mode needs a `deposit` as well.
+ACTIONS = {
+    "kill_canary": (), "registry_declare": ("paths",), "samaritan": ("utxo",),
+    "direct_spend": ("utxo",), "fc_spend": ("utxo",), "lfc_spend": ("utxo",), "steal": ("utxo",),
 }
-_AGENT_KEYS = {"id", "kind", "quantum", "script", "watch"}
-_GRANT_KEYS = {"name", "owner", "type", "path", "value", "wait", "lost"}
-GRANT_TYPES = ("hashed", "derived_plain", "raw_hashed", "raw_plain", "pq")
+DEPOSIT_MODES = ("naked", "lost")
+
+# The objects of a scenario file, as tables for `check_fields`.
+SCENARIO = {
+    "name": (str, ...), "seed": (int, 1), "blocks": (int, ...),
+    "group_q": (toy_order, 8191), "canary_q": (toy_order, 8191), "kdf_iterations": (int, 16),
+    "params": (Params, Params()),
+    "agents": ([dict], ...), "grants": ([dict], ()),
+    "miners": ([str], ...), "miner_overrides": (dict, {}),
+}
+AGENT = {
+    "id": (str, ...), "kind": (set(AGENT_KINDS), "user"), "quantum": (bool, False),
+    "script": ([dict], ()), "watch": ([str], ()),
+}
+GRANT = {
+    "name": (str, ...), "owner": (str, ...),
+    "type": ({"hashed", "derived_plain", "raw_hashed", "raw_plain", "pq"}, ...), "path": (DerivationPath.parse, None),
+    "value": (int, ...), "wait": (int, 0), "lost": (bool, False),
+}
+SCRIPT_ENTRY = {
+    "height": (int, ...), "do": (set(ACTIONS), None),
+    "utxo": (str, None), "deposit": (str, None), "to": (str, None),
+    "mode": ({"hashed", "derived", *DEPOSIT_MODES}, "hashed"), "sig": ({"key", "seed"}, "key"),
+    "fee": (int, 0), "commit_fee": (int, 0), "alpha": (int, 0),
+    "abandon": (bool, False), "paths": ([DerivationPath.parse], None),
+    "fake_lfc": ({"utxo": (str, ...), "alpha": (int, 0)}, None),
+}
 
 
 @dataclass(frozen=True)
@@ -62,134 +73,64 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        unknown = set(data) - _SCENARIO_KEYS
-        if unknown:
-            raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-        for required in ("name", "blocks", "agents", "miners"):
-            if required not in data:
-                raise ConfigError(f"missing scenario field: {required}")
-        agents = []
-        for a in _shaped(data["agents"], list, dict, "agents"):
-            bad = set(a) - _AGENT_KEYS
-            if bad:
-                raise ConfigError(f"unknown agent fields: {sorted(bad)}")
-            if a.get("kind", "user") not in AGENT_KINDS:
-                raise ConfigError(f"unknown agent kind: {a.get('kind')}")
-            if not isinstance(a.get("id"), str):
-                raise ConfigError(f"an agent id is a string, not {a.get('id')!r}")
-            if not isinstance(a.get("quantum", False), bool):
-                raise ConfigError(f"agent {a['id']}: quantum must be true or false, not {a['quantum']!r}")
-            agents.append(dict(a))
-        grants = []
-        for g in _shaped(data.get("grants", []), list, dict, "grants"):
-            bad = set(g) - _GRANT_KEYS
-            if bad:
-                raise ConfigError(f"unknown grant fields: {sorted(bad)}")
-            if g.get("type") not in GRANT_TYPES:
-                raise ConfigError(f"unknown grant type: {g.get('type')}")
-            for key in ("name", "owner"):
-                if not isinstance(g.get(key), str):
-                    raise ConfigError(f"a grant {key} is a string, not {g.get(key)!r}")
-            _as_int(g.get("value"), f"grant {g['name']}: value", least=0)
-            _as_int(g.get("wait", 0), f"grant {g['name']}: wait", least=0)
-            grants.append(dict(g))
+        """The scenario of a JSON object, each object checked against its
+        table above and each name it uses against its agents and grants."""
+        config = check_fields(data, SCENARIO, "scenario")
+        agents = [check_fields(a, AGENT, "agent", f"agent {a.get('id')}: ") for a in config["agents"]]
+        grants = [check_fields(g, GRANT, "grant", f"grant {g.get('name')}: ") for g in config["grants"]]
+        kinds = {a["id"]: a["kind"] for a in agents}
+        by_name = {g["name"]: g for g in grants}
+        if len(kinds) < len(agents) or len(by_name) < len(grants):
+            raise ConfigError("agent ids and grant names must be unique")
+        for g in grants:
+            if g["owner"] not in kinds:
+                raise ConfigError(f"grant {g['name']} names unknown owner {g['owner']}")
+            if (g["path"] is None) == (g["type"] in ("hashed", "derived_plain")):
+                raise ConfigError(f"grant {g['name']}: hashed and derived_plain grants have a path, and no others")
         for a in agents:
-            _check_script(a, {g.get("name") for g in grants}, {b.get("id") for b in agents})
-        try:
-            params = Params().with_overrides(**data.get("params", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad params: {exc}")
-        config = ScenarioConfig(
-            name=data["name"],
-            seed=_as_int(data.get("seed", 1), "seed"),
-            blocks=_as_int(data["blocks"], "blocks"),
-            group_q=_group_order(data.get("group_q", 8191), "group_q"),
-            canary_q=_group_order(data.get("canary_q", 8191), "canary_q"),
-            kdf_iterations=_as_int(data.get("kdf_iterations", 16), "kdf_iterations", least=1),
-            params=params,
-            agents=tuple(agents),
-            miners=tuple(_shaped(data["miners"], list, str, "miners")),
-            miner_overrides={
-                _as_int(k, "a miner_overrides height"): v
-                for k, v in _shaped(data.get("miner_overrides", {}), dict, str, "miner_overrides").items()
-            },
-            grants=tuple(grants),
-        )
-        if not config.miners:
+            a["script"] = tuple(_check_entry(entry, a, by_name, kinds) for entry in a["script"])
+            for name in a["watch"]:
+                if by_name.get(name, {}).get("path") is None:
+                    raise ConfigError(f"agent {a['id']}: watches {name!r}, no grant with a derivation path")
+        overrides = config["miner_overrides"]
+        if not all(height.isdecimal() and isinstance(miner, str) for height, miner in overrides.items()):
+            raise ConfigError(f"miner_overrides must be a map from block heights to miner ids, not {overrides!r}")
+        config["miner_overrides"] = {int(height): miner for height, miner in overrides.items()}
+        for name in config["miners"] + tuple(config["miner_overrides"].values()):
+            if kinds.get(name) != "miner":
+                raise ConfigError(f"miner schedule names non-miner agent {name}")
+        if not config["miners"]:
             raise ConfigError("miners must name at least one miner")
-        return config
+        if config["kdf_iterations"] < 1:
+            raise ConfigError("kdf_iterations must be at least 1")
+        return ScenarioConfig(**{**config, "agents": tuple(agents), "grants": tuple(grants)})
 
 
-def _as_int(value, field: str, least: Optional[int] = None) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be an integer, not {value!r}") from None
-    if least is not None and n < least:
-        raise ConfigError(f"{field} must be at least {least}, not {value!r}")
-    return n
-
-
-def _group_order(value, field: str) -> int:
-    """`value`, if it is the order of a toy group."""
-    q = _as_int(value, field)
-    try:
-        toy_group(q)
-    except GroupError as exc:
-        raise ConfigError(f"{field} {q}: {exc}") from None
-    return q
-
-
-def _shaped(value, shape: type, entry: type, field: str):
-    """`value`, if it is a `shape` (list or dict) whose entries (a dict's
-    values) are each an `entry`."""
-    if not isinstance(value, shape) or not all(isinstance(item, entry) for item in (value.values() if shape is dict else value)):
-        raise ConfigError(f"{field} must be a {shape.__name__} of {entry.__name__} entries, not {value!r}")
-    return value
-
-
-def _check_script(agent: dict, grant_names: set, agent_ids: set) -> None:
-    """Reject a script entry without a height, with an action the agent
-    lacks, naming a grant or agent the scenario does not have, or with a
-    reveal mode, signature kind or derivation path that does not parse.  A
-    thief holds no key, so `steal` must name the naked or lost mode."""
-    who = agent.get("id")
-    for entry in _shaped(agent.get("script", []), list, dict, f"agent {who}: script"):
-        if not isinstance(entry.get("height"), int):
-            raise ConfigError(f"agent {who}: script entry without an integer height: {entry}")
-        if agent.get("kind", "user") == "user" and not hasattr(UserAgent, f"do_{entry.get('do')}"):
-            raise ConfigError(f"agent {who}: unknown action {entry.get('do')!r}")
-        mode = entry.get("mode", "hashed")
-        if not isinstance(mode, str) or mode.upper() not in RevealMode.__members__:
-            raise ConfigError(f"agent {who}: unknown reveal mode {mode!r}")
-        if entry.get("do") == "steal" and entry.get("mode", "").upper() not in ("NAKED", "LOST"):
-            raise ConfigError(f"agent {who}: steal needs mode 'naked' or 'lost', not {entry.get('mode')!r}")
-        fake = entry.get("fake_lfc", {})
-        if not isinstance(fake, dict):
-            raise ConfigError(f"agent {who}: fake_lfc must be an object, not {fake!r}")
-        for source, key in ((entry, "fee"), (entry, "commit_fee"), (entry, "alpha"), (fake, "alpha")):
-            if key in source:
-                _as_int(source[key], f"agent {who}: {key}", least=0)
-        if entry.get("sig", "key") not in ("key", "seed"):
-            raise ConfigError(f"agent {who}: sig must be 'key' or 'seed', not {entry['sig']!r}")
-        paths = entry.get("paths", [])
-        if not isinstance(paths, list):
-            raise ConfigError(f"agent {who}: paths must be a list: {paths!r}")
-        for text in paths + ([entry["path"]] if "path" in entry else []):
-            if not isinstance(text, str):
-                raise ConfigError(f"agent {who}: a derivation path is a string: {text!r}")
-            try:
-                DerivationPath.parse(text)
-            except ValueError as exc:
-                raise ConfigError(f"agent {who}: bad derivation path: {exc}")
-        for name in (entry.get("utxo"), entry.get("deposit"), fake.get("utxo")):
-            if name is not None and name not in grant_names:
-                raise ConfigError(f"agent {who}: script names unknown grant {name!r}")
-        if entry.get("to") is not None and entry["to"] not in agent_ids:
-            raise ConfigError(f"agent {who}: script names unknown agent {entry['to']!r}")
-    for name in _shaped(agent.get("watch", []), list, str, f"agent {who}: watch"):
-        if name not in grant_names:
-            raise ConfigError(f"agent {who}: watches unknown grant {name!r}")
+def _check_entry(data: dict, agent: dict, grants: dict, kinds: dict) -> dict:
+    """A script entry of `agent`, checked: a user's entry gives an action
+    and the fields it needs, and each grant or agent it names exists.  A
+    spend takes a pre-quantum grant, with a derivation path to reveal the
+    path or sign with the seed.  A thief holds no key, so `steal` must name
+    the naked or lost mode."""
+    who = f"agent {agent['id']}: "
+    entry = check_fields(data, SCRIPT_ENTRY, "script entry", who)
+    do, mode = entry["do"], entry["mode"]
+    if agent["kind"] == "user":
+        needs = ("do",) + ACTIONS.get(do, ()) + (("deposit",) if mode in DEPOSIT_MODES else ())
+        missing = [key for key in needs if entry[key] is None]
+        if missing:
+            raise ConfigError(f"{who}script entry needs {missing}: {data}")
+        if do == "steal" and mode not in DEPOSIT_MODES:
+            raise ConfigError(f"{who}steal needs mode 'naked' or 'lost', not {mode!r}")
+    for name in (entry["utxo"], entry["deposit"], (entry["fake_lfc"] or {}).get("utxo")):
+        if name is not None and name not in grants:
+            raise ConfigError(f"{who}script names unknown grant {name!r}")
+    spent = grants.get(entry["utxo"], {})
+    if spent.get("type") == "pq" or (mode == "derived" or entry["sig"] == "seed") and spent.get("path") is None:
+        raise ConfigError(f"{who}cannot {do} {entry['utxo']!r}, a {spent.get('type')} grant: {data}")
+    if entry["to"] is not None and entry["to"] not in kinds:
+        raise ConfigError(f"{who}script names unknown agent {entry['to']!r}")
+    return entry
 
 
 class Simulation:
@@ -198,7 +139,7 @@ class Simulation:
         self.seed = config.seed if seed is None else seed
         self.tick_height = 0
         self.mempool = Mempool()
-        self.grants: dict[str, dict] = {}
+        self.grants = {g["name"]: dict(g) for g in config.grants}
         self.owner_of_address: dict[bytes, str] = {}
 
         canary_sk = int.from_bytes(h512(b"canary:%d" % self.seed).digest, "big")
@@ -211,15 +152,7 @@ class Simulation:
             a["id"]: Wallet(toy_group(config.group_q), a["id"], self.seed, config.kdf_iterations)
             for a in config.agents
         }
-        grant_list = []
-        for g in config.grants:
-            owner = g["owner"]
-            if owner not in wallets:
-                raise ConfigError(f"grant {g['name']} names unknown owner {owner}")
-            address, info = self._grant_address(wallets[owner], g)
-            grant_list.append(GenesisGrant(address, int(g["value"]), int(g.get("wait", 0))))
-            info.update({"owner": owner, "lost": bool(g.get("lost", False)), "value": int(g["value"]), "type": g["type"]})
-            self.grants[g["name"]] = info
+        grants = [GenesisGrant(self._grant_address(wallets[g["owner"]], g), g["value"], g["wait"]) for g in config.grants]
 
         self.chain_config = ChainConfig(
             params=config.params,
@@ -227,7 +160,7 @@ class Simulation:
             canary_q=config.canary_q,
             canary_pk=canary_pk,
             canary_nonce=nonce,
-            grants=tuple(grant_list),
+            grants=tuple(grants),
         )
         self.chain: Chain = self.chain_config.build()
 
@@ -239,30 +172,17 @@ class Simulation:
 
         self.agents: dict[str, Agent] = {}
         for a in config.agents:
-            kind = a.get("kind", "user")
-            agent = AGENT_KINDS[kind](a["id"], self, a, wallets[a["id"]])
+            agent = AGENT_KINDS[a["kind"]](a["id"], self, a, wallets[a["id"]])
             self.register_address(agent.wallet.pq_address(), a["id"])
             self.agents[a["id"]] = agent
-        for name in list(config.miners) + list(config.miner_overrides.values()):
-            if name not in self.agents or not isinstance(self.agents[name], MinerAgent):
-                raise ConfigError(f"miner schedule names non-miner agent {name}")
         self.initial_holdings = {agent_id: self.holdings(agent_id) for agent_id in self.agents}
         self.blocks_run = 0
 
-    def _grant_address(self, wallet: Wallet, g: dict) -> tuple[Address, dict]:
-        gtype = g["type"]
-        if gtype in ("hashed", "derived_plain"):
-            if "path" not in g:
-                raise ConfigError(f"grant {g['name']} needs a derivation path")
-            pk = wallet.derived_pk(DerivationPath.parse(g["path"]))
-            address = pk_hash_address(pk) if gtype == "hashed" else plain_pk_address(pk)
-            return address, {"path": g["path"]}
-        if gtype in ("raw_hashed", "raw_plain"):
-            label = g["name"]
-            pk = pk_ec(wallet.group, wallet.raw_sk(label)).encode()
-            address = pk_hash_address(pk) if gtype == "raw_hashed" else plain_pk_address(pk)
-            return address, {"raw_label": label}
-        return wallet.pq_address(), {}
+    def _grant_address(self, wallet: Wallet, g: dict) -> Address:
+        if g["type"] == "pq":
+            return wallet.pq_address()
+        pk = pk_ec(wallet.group, wallet.grant_sk(g)).encode()
+        return pk_hash_address(pk) if g["type"] in ("hashed", "raw_hashed") else plain_pk_address(pk)
 
     # -- helpers agents rely on -------------------------------------------------
 

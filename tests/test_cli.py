@@ -70,10 +70,19 @@ class TestRun:
             ("alice", "script", {"height": 3, "do": "registry_declare", "paths": ["m/1x"]}),
             ("alice", "script", {"height": 3, "do": "steal", "utxo": "u-hashed"}),
             ("alice", "script", {"height": 3, "do": "steal", "utxo": "u-hashed", "mode": "hashed"}),
+            ("alice", "script", {"height": 3, "do": "fc_spend"}),
+            ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "comit_fee": 5}),
+            ("m0", "script", {"height": 3, "fake_lfc": {"utxo": "u-hashed", "alpah": 5}}),
+            ("alice", "script", {"height": 3, "do": "lfc_spend", "utxo": "u-hashed", "abandon": "no"}),
+            ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "mode": "naked"}),
+            ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "mode": "fraud_proof"}),
+            ("alice", "script", {"height": 3, "do": "direct_spend", "utxo": "pq-alice"}),
         ],
         ids=["unknown-action", "unknown-utxo", "no-height", "unknown-deposit", "unknown-recipient",
              "unknown-fake-lfc-utxo", "unknown-watch", "unknown-mode", "unknown-sig", "path-without-m",
-             "path-bad-index", "steal-without-mode", "steal-needing-a-key"],
+             "path-bad-index", "steal-without-mode", "steal-needing-a-key", "fc-spend-without-utxo",
+             "entry-typo", "fake-lfc-typo", "abandon-text", "naked-without-deposit", "fraud-proof-mode",
+             "spend-of-a-pq-grant"],
     )
     def test_bad_script_entry_exits_2(self, tmp_path, capsys, agent, key, entry):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
@@ -131,10 +140,22 @@ class TestRun:
             lambda d: d.update(kdf_iterations=0),
             lambda d: d["agents"][1].update(quantum="no"),
             lambda d: d["agents"][0].setdefault("script", []).append({"height": 3, "fake_lfc": 5}),
+            lambda d: d["params"].update(block_reward="x"),
+            lambda d: d["params"].update(coinbase_cooldown="x"),
+            lambda d: d["params"].update(regular_paths=["m/x"]),
+            lambda d: d["params"].update(fine_policy={"period_minutes": "x"}),
+            lambda d: d["params"].update(era_countdown=True),
+            lambda d: d["grants"][0].update(path=[1]),
+            lambda d: d["grants"][2].update(path="m/0"),
+            lambda d: d["grants"].append(dict(d["grants"][0])),
+            lambda d: d.update(name=5),
+            lambda d: d.update(blocks=2.5),
         ],
         ids=["no-miners", "grant-value-text", "grant-wait-text", "grant-value-negative", "agent-id-list",
              "grant-name-list", "grant-owner-list", "script-fee-text", "group-q-not-a-group", "kdf-iterations-zero",
-             "quantum-text", "fake-lfc-not-an-object"],
+             "quantum-text", "fake-lfc-not-an-object", "block-reward-text", "cooldown-text", "regular-path-bad",
+             "fine-policy-text", "countdown-bool", "grant-path-list", "pq-grant-path", "grant-name-twice",
+             "name-int", "blocks-float"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, edit):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
@@ -150,6 +171,50 @@ class TestRun:
         assert code == 0
         snapshot = (tmp_path / "snapshot.txt").read_text()
         assert '"block_reward":7' in snapshot
+
+    @pytest.mark.parametrize("override", ["block_reward=x", "nope=1", "fc_mode=lenient", "wait_blocks=250"])
+    def test_bad_params_override_exits_2(self, tmp_path, capsys, override):
+        assert main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_fine_policy_object_is_a_fine_policy(self, tmp_path, capsys):
+        # A scenario's fine_policy object used to stay a dict, which the
+        # delay attack's fine could not be computed from.
+        data = json.loads(resources.files("qcspend").joinpath("scenarios/lfc-delay.json").read_text())
+        data["params"]["fine_policy"] = {"period_minutes": 25_000, "annual_doublings": 1}
+        scenario = tmp_path / "lfc-delay.json"
+        scenario.write_text(json.dumps(data))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == 0
+        main(["run", "lfc-delay", "--out", str(tmp_path / "stock")])
+        for name in ("report.txt", "snapshot.txt"):
+            assert (tmp_path / "o" / name).read_text() == (tmp_path / "stock" / name).read_text()
+        assert main(["verify", str(tmp_path / "o" / "snapshot.txt")]) == 0
+
+    @pytest.mark.parametrize(
+        "entries, code, text",
+        [
+            ([{"height": 3, "do": "direct_spend", "utxo": "u-hashed"}], 0, "fc spend failed: u-hashed already gone"),
+            (
+                [{"height": 3, "do": "direct_spend", "utxo": "u-hashed"}, {"height": 4, "do": "lfc_spend", "utxo": "u-hashed"}],
+                0,
+                "lifted spend failed: u-hashed already gone",
+            ),
+            ([{"height": 3, "do": "fc_spend", "utxo": "u-hashed", "fee": 10**9}], 1, "rule violation: agent-underfunded"),
+            ([{"height": 3, "do": "direct_spend", "utxo": "u-hashed", "fee": 50_001}], 1, "rule violation: agent-underfunded"),
+        ],
+        ids=["fc-spend-of-a-gone-output", "lfc-spend-of-a-gone-output", "fc-fee-past-the-value", "direct-fee-past-the-value"],
+    )
+    def test_action_that_cannot_be_made(self, tmp_path, capsys, entries, code, text):
+        # A gone output is logged and skipped; a fee larger than the output
+        # is a rule violation (exit 1), not a traceback.
+        data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
+        next(a for a in data["agents"] if a["id"] == "alice")["script"][:0] = entries
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(data))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == code
+        out, err = capsys.readouterr()
+        assert text in out + err and "Traceback" not in err
 
     def test_determinism_across_runs(self, tmp_path):
         main(["run", "fraud-proof", "--out", str(tmp_path / "a")])
@@ -213,6 +278,35 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.txt")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.update(group_q=100),
+            lambda c: c["grants"][0].update(value="x"),
+            lambda c: c.update(canary_killed_at="x"),
+            lambda c: c["params"].update(block_reward="x"),
+            lambda c: c["params"].update(max_reorg_depth="x"),
+            lambda c: c["params"].update(regular_paths=["m/x"]),
+            lambda c: c["params"]["fine_policy"].update(period_minutes="x"),
+            lambda c: c.update(canary_pk="zz"),
+            lambda c: c.update(zorp=1),
+        ],
+        ids=["group-q-not-a-group", "grant-value-text", "killed-at-text", "block-reward-text", "reorg-depth-text",
+             "regular-path-bad", "fine-policy-text", "canary-pk-not-hex", "unknown-field"],
+    )
+    def test_bad_config_is_a_parse_failure(self, tmp_path, capsys, edit):
+        main(["run", "honest-fc", "--out", str(tmp_path)])
+        lines = (tmp_path / "snapshot.txt").read_text().splitlines()
+        config = json.loads(lines[1][len("config ") :])
+        edit(config)
+        lines[1] = "config " + json.dumps(config)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: snapshot-parse:") and "Traceback" not in err
 
     def test_empty_chain_snapshot(self, tmp_path):
         from qcspend.scenarios import load_scenario

@@ -358,6 +358,29 @@ class TestMalformedPayloads:
         h.mine()  # the builder is not left mid-block
 
 
+class TestShapeRules:
+    @pytest.mark.parametrize(
+        "rule, act",
+        [
+            ("tx-kind", lambda h, to: h.chain.add_tx(Transaction(TxKind.COINBASE, (), (TxOutput(to, 1),)))),
+            ("samaritan-format", lambda h, to: h.chain.submit_samaritan_report(b"\x01")),
+            ("registry-shape", lambda h, to: h.chain.add_tx(Transaction(TxKind.REGISTRY_DECLARE, payload=enc_bytes(bytes(31)) + enc_u32(0)))),
+            ("cover-outputs", lambda h, to: h.chain.add_tx(Transaction(TxKind.ESCROW_COVER, (), (TxOutput(to, 1),)))),
+        ],
+        ids=["coinbase-in-the-list", "one-byte-report", "31-byte-digest", "cover-with-an-output"],
+    )
+    def test_misshapen_input_names_its_rule(self, rule, act):
+        h = Harness(killed_at=None)  # pre-era, where reports are taken
+        h.build()
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation) as err:
+            act(h, h.wallet("m0").pq_address())
+        assert err.value.rule == rule
+        assert h.chain.state_digest() == before
+        assert h.chain.end_block().transactions == ()
+
+
 class TestUtxoPrimitives:
     def test_adding_an_existing_outpoint_is_a_rule_violation(self):
         h = Harness()

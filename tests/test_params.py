@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qcspend.params import FinePolicy, Params
+from qcspend.params import ConfigError, FinePolicy, Params
 
 
 class TestFinePolicy:
@@ -72,3 +72,18 @@ class TestParams:
         assert p.era_countdown == 8_000
         assert p.canary_bounty == 20_000
         assert p.coinbase_cooldown == 100
+
+    def test_overrides_are_json_values_normalized(self):
+        p = Params().with_overrides(regular_paths=["m/1"], fine_policy={"period_minutes": 100})
+        assert p.regular_paths == ("m/1",)
+        assert p.fine_policy == FinePolicy(period_minutes=100, annual_doublings=1)
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"block_reward": True}, {"block_reward": -1}, {"block_reward": 2**64}, {"regular_paths": ("m/1",)},
+         {"bounty_source": "treasury"}, {"fine_policy": {"period": 1}}, {"fine_policy": {"period_minutes": 10**9}}],
+        ids=["bool", "negative", "past-u64", "tuple", "unknown-source", "unknown-fine-field", "fine-overflows"],
+    )
+    def test_mistyped_override_rejected(self, override):
+        with pytest.raises(ConfigError):
+            Params().with_overrides(**override)

@@ -13,10 +13,9 @@ SOURCES = TESTS.parent / "src" / "qcspend"
 
 # Rule ids no test names yet.
 UNTESTED = {
-    "agent-missing-utxo", "agent-underfunded", "cover-outputs", "epoch-unscheduled",
-    "fc-deposit-pq", "fc-deposit-shape", "fc-lost-witness", "fc-reveal-prequantum",
-    "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance", "registry-shape",
-    "samaritan-format", "tx-kind", "tx-overspend", "utxo-locked",
+    "epoch-unscheduled", "fc-deposit-pq", "fc-deposit-shape", "fc-lost-witness",
+    "fc-reveal-prequantum", "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance",
+    "tx-overspend", "utxo-locked",
 }
 
 

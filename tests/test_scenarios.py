@@ -12,6 +12,7 @@ from qcspend.consensus import verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
 from qcspend.ledger import TxKind
 from qcspend.lifted_fawkescoin import EpochDecision, LfcState, extension_decision
+from qcspend.rules import RuleViolation
 from qcspend.scenarios import BUNDLED, load_scenario, run_adversary, run_scenario
 from qcspend.simulation import ConfigError, ScenarioConfig, Simulation
 
@@ -376,6 +377,51 @@ class TestAdversaryReports:
             run_adversary("Gremlin")
 
 
+class TestAgentFailures:
+    def test_fc_spend_without_a_fee_source(self):
+        config = ScenarioConfig.from_dict(
+            {
+                "name": "no-fee-source",
+                "blocks": 5,
+                "agents": [
+                    {"id": "m0", "kind": "miner"},
+                    {"id": "alice", "script": [{"height": 3, "do": "fc_spend", "utxo": "u1"}]},
+                ],
+                "miners": ["m0"],
+                "grants": [{"name": "u1", "owner": "alice", "type": "hashed", "path": "m/0h/0/0", "value": 10_000}],
+            }
+        )
+        with pytest.raises(RuleViolation) as err:
+            Simulation(config).run()
+        assert err.value.rule == "agent-missing-utxo"
+
+    def test_naked_spend_whose_deposit_is_gone_is_skipped(self):
+        # The first reveal spends the deposit both spends name.
+        naked = {"do": "fc_spend", "mode": "naked", "deposit": "d"}
+        config = ScenarioConfig.from_dict(
+            {
+                "name": "deposit-gone",
+                "blocks": 141,
+                "params": {"era_countdown": 15},
+                "agents": [
+                    {"id": "m0", "kind": "miner"},
+                    {"id": "oracle", "quantum": True, "script": [{"height": 5, "do": "kill_canary"}]},
+                    {"id": "alice", "script": [{"height": 25, "utxo": "u1", **naked}, {"height": 140, "utxo": "u2", **naked}]},
+                ],
+                "miners": ["m0"],
+                "grants": [
+                    {"name": "u1", "owner": "alice", "type": "derived_plain", "path": "m/0h/0/0", "value": 10_000},
+                    {"name": "u2", "owner": "alice", "type": "derived_plain", "path": "m/0h/0/1", "value": 10_000},
+                    {"name": "d", "owner": "alice", "type": "pq", "value": 20_000},
+                    {"name": "fee", "owner": "alice", "type": "pq", "value": 5_000},
+                ],
+            }
+        )
+        sim = Simulation(config)
+        sim.run()
+        assert sim.agents["alice"].actions[-2:] == ["h125 revealed naked:u1", "h140 fc spend failed: d already gone"]
+
+
 class TestConfigStrictness:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario fields"):
@@ -392,6 +438,12 @@ class TestConfigStrictness:
             ScenarioConfig.from_dict(
                 {"name": "x", "blocks": 1, "agents": [], "miners": [], "params": {"nope": 3}}
             )
+
+    def test_actions_are_the_user_agents_methods(self):
+        from qcspend.agents import UserAgent
+        from qcspend.simulation import ACTIONS
+
+        assert set(ACTIONS) == {name[len("do_") :] for name in dir(UserAgent) if name.startswith("do_")}
 
     def test_all_bundled_parse(self):
         for name in BUNDLED:
