@@ -32,10 +32,12 @@ from .groups import (
     prequantum_sign,
     quantum_invert,
     secure_group,
+    signer_pk,
 )
 from .hdwallet import DerivationPath, Seed, derive, kdf
 from .ledger import (
     NO_WITNESS,
+    AddrKind,
     Address,
     Outpoint,
     Transaction,
@@ -54,7 +56,8 @@ from .rules import RuleViolation
 class Wallet:
     """One agent's key material: an HD wallet on the pre-quantum group
     (seed derived from the scenario seed and agent id) plus one
-    post-quantum key on the secure group."""
+    post-quantum key on the secure group, whose encoding and address hash
+    are computed once: the encoding from the memo `prequantum_sign` reads."""
 
     def __init__(self, group: GroupParams, agent_id: str, scenario_seed: int, kdf_iterations: int = 64):
         self.group = group
@@ -64,13 +67,14 @@ class Wallet:
         self.seed = Seed(tag[:24], b"")
         self.msk = kdf(group, self.seed, kdf_iterations)
         self.pq_sk = int.from_bytes(h512(b"pq:" + tag).digest, "big") % self.pq_group.q
-        self.pq_pk = pk_ec(self.pq_group, self.pq_sk).encode()
+        self.pq_pk = signer_pk(self.pq_group, self.pq_sk)
+        self._pq_hash = post_quantum_address(self.pq_pk).data
         self._raw_sks: dict[str, int] = {}
 
     # -- addresses ---------------------------------------------------------
 
     def pq_address(self) -> Address:
-        return post_quantum_address(self.pq_pk)
+        return Address(AddrKind.POST_QUANTUM, self._pq_hash)
 
     def derived_sk(self, path: DerivationPath) -> int:
         return derive(self.group, self.msk, path).sk

@@ -29,6 +29,7 @@ from .canary_game import (
     sweep_w,
 )
 from .consensus import verify_snapshot
+from .params import check_fields
 from .rules import RuleViolation
 from .scenarios import BUNDLED, run_scenario
 from .simulation import ConfigError
@@ -66,17 +67,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _game_from_spec(data: dict) -> GameSpec:
-    try:
-        return GameSpec.of(
-            EntityTimeline(int(data["faster"]["t_bounty"]), int(data["faster"]["t_loot"])),
-            EntityTimeline(int(data["slower"]["t_bounty"]), int(data["slower"]["t_loot"])),
-            int(data["w"]),
-            int(data.get("bounty", 10)),
-            int(data.get("loot", 1000)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad game spec: {exc}")
+# The object of a `canary --spec` file, as a table for `check_fields`.
+TIMELINE = {"t_bounty": (int, ...), "t_loot": (int, ...)}
+GAME_SPEC = {"faster": (TIMELINE, ...), "slower": (TIMELINE, ...), "w": (int, ...), "bounty": (int, 10), "loot": (int, 1000)}
+
+
+def _game_from_spec(data) -> GameSpec:
+    spec = check_fields(data, GAME_SPEC, "game spec", "bad game spec: ")
+    return GameSpec.of(EntityTimeline(**spec["faster"]), EntityTimeline(**spec["slower"]), spec["w"], spec["bounty"], spec["loot"])
 
 
 def _print_game(game: GameSpec) -> None:

@@ -24,23 +24,27 @@ Fast path for the secure group, with byte-identical results:
   decodes (at most SIGNER_CACHE_SIZE encodings; a DecodeError is not
   memoised), since a replay decodes a key once per witness.
 - `prequantum_sign` memoises the signer's encoded public key per secret
-  key (at most SIGNER_CACHE_SIZE keys).
+  key (at most SIGNER_CACHE_SIZE keys); `signer_pk` reads and fills the same
+  memo, so a wallet that takes its key from it raises that key once.
 - `prequantum_verify` and `prequantum_batch_verify` share one memo of the
   signatures that verified, keyed on every input: group, pk, msg, nonce
   point, s and the type of s (at most VERIFY_CACHE_SIZE entries).  Replays
   and reorgs therefore do not redo 2048-bit work for a signature already
   checked, alone or in a batch.  A failed verdict is not memoised.
-- `pk_ec` raises the generator by Brickell-Gordon-McCurley-Wilson
-  fixed-base windowing (HAC Alg. 14.109) from a table of
-  g^(2^(FIXED_BASE_WINDOW*i)) over every bit of q: 410 elements, ~123 KiB
-  for the stock group, built once per process by `secure_group()` (~16 ms,
-  beside its primality check).  Toy groups keep `pow`, which beats any
-  table at q <= 2**24.
-- A single verify raises the key to its challenge e <= 2^512 the same way,
-  from a per-key table of 103 elements (~30 KiB) built on the key's second
-  verify, so that the first verify of a key used once costs no more than
-  `pow` (at most KEY_TABLE_SIZE keys).  A table takes about one `pow` to
-  build and a quarter of one to read.
+- `pk_ec` raises the generator by a Lim-Lee fixed-base comb (HAC Alg.
+  14.117) whose tables are split by 512-bit chunks of the exponent, so a
+  512-bit nonce or key costs about half of a ~1,024-bit s: 8 tables of 256
+  elements, ~0.6 MiB for the stock group, built once per process by
+  `secure_group()` (~54 ms on one 2-vCPU Xeon host, beside its primality
+  check).  An exponent
+  wider than the comb takes `pow`.  Toy groups keep `pow`, which beats
+  any table at q <= 2**24.
+- A single verify raises the key to its challenge e <= 2^512 from a
+  per-key Brickell-Gordon-McCurley-Wilson table (HAC Alg. 14.109) of 103
+  elements (~30 KiB), built on the key's first verify (at most
+  KEY_TABLE_SIZE keys).  Building a table costs about three quarters of a
+  `pow` and reading it a quarter, so a key used once pays a few percent
+  more than `pow` and every later verify of it a quarter.
 - `prequantum_batch_verify` checks many signatures with one small-exponent
   test (Bellare, Garay and Rabin, EUROCRYPT '98): one fixed-base g^x and one
   interleaved multi-exponentiation (Straus, HAC Alg. 14.88, with Moeller's
@@ -88,9 +92,23 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SIGNER_CACHE_SIZE = 256
 VERIFY_CACHE_SIZE = 1024
-# Bits per digit of a fixed-base exponent.  Of 4, 5 and 6, 5 is fastest for
-# the 512-bit keys and nonces and within 3% of 6 for the ~1,024-bit s.
+# Bits per digit of a key table's exponent.  Of 4, 5 and 6, 5 is fastest for
+# the 512-bit challenges.
 FIXED_BASE_WINDOW = 5
+# The generator's comb (Lim and Lee): an exponent is read in chunks of
+# COMB_CHUNK_BITS bits, each cut into 8 rows so that one bit of every row
+# makes a one-byte table index, and each row into COMB_COLUMNS columns.  A
+# table of 256 elements serves each chunk and column.  A g^x costs one
+# squaring per bit of a column, and per bit one multiplication for each
+# column of each chunk that x reaches: about 95 multiplications for a
+# 512-bit nonce or key, about 160 for a ~1,024-bit s.  The stock group's
+# comb holds 2,048 elements, ~0.6 MiB.
+COMB_CHUNK_BITS = 512
+COMB_COLUMNS = 2
+_COMB_ROWS = 8
+_ROW_BITS = COMB_CHUNK_BITS // _COMB_ROWS
+_COLUMN_BITS = _ROW_BITS // COMB_COLUMNS
+_CHUNK_BYTES, _ROW_BYTES = COMB_CHUNK_BITS // 8, _ROW_BITS // 8
 # Bits of each batch multiplier: a batch holding a bad signature passes
 # with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
 # order verify one by one.
@@ -243,36 +261,81 @@ def toy_group(q: int = 101) -> GroupParams:
 @lru_cache(maxsize=None)
 def secure_group() -> GroupParams:
     """2048-bit safe-prime group; the dlog oracle refuses to touch it.
-    Its fixed-base table is built here, so the first `pk_ec` costs no more
-    than the next."""
+    Its comb table is built here, so the first `pk_ec` costs no more than
+    the next."""
     group = GroupParams(p=_RFC3526_P2048, q=(_RFC3526_P2048 - 1) // 2, g=2, mode=GroupMode.SECURE)
-    _generator_table(group)
+    _generator_comb(group)
     return group
 
 
-@lru_cache(maxsize=None)
-def _generator_table(group: GroupParams) -> tuple[int, ...]:
-    """The fixed-base table of g over every bit of a scalar in [0, q)."""
-    return _power_table(group.p, group.g, (group.q - 1).bit_length())
-
-
-def _power_table(p: int, base: int, bits: int) -> tuple[int, ...]:
-    """base^(2^(FIXED_BASE_WINDOW*i)) mod p for every digit position of a
+def _power_table(p: int, base: int, bits: int, step: int = FIXED_BASE_WINDOW) -> tuple[int, ...]:
+    """base^(2^(step*i)) mod p for every `step`-bit digit position of a
     `bits`-bit exponent: one element per position, built by repeated
     squaring."""
     table = []
-    for _ in range(0, bits, FIXED_BASE_WINDOW):
+    for _ in range(0, bits, step):
         table.append(base)
-        for _ in range(FIXED_BASE_WINDOW):
+        for _ in range(step):
             base = base * base % p
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _generator_comb(group: GroupParams) -> tuple[tuple[int, ...], ...]:
+    """The comb tables of g over every bit of a scalar in [0, q), one per
+    chunk and column, chunk by chunk.  Bit r of an index selects row r:
+    entry i of the table of chunk c and column j is the product of
+    g^(2^(COMB_CHUNK_BITS*c + _ROW_BITS*r + _COLUMN_BITS*j)) over the bits
+    r set in i."""
+    chunks = -(-(group.q - 1).bit_length() // COMB_CHUNK_BITS)
+    powers = _power_table(group.p, group.g, chunks * COMB_CHUNK_BITS, _COLUMN_BITS)
+    tables = []
+    for first in range(0, len(powers), _COMB_ROWS * COMB_COLUMNS):  # a chunk
+        for column in range(COMB_COLUMNS):
+            table = [1]
+            for base in powers[first + column : first + _COMB_ROWS * COMB_COLUMNS : COMB_COLUMNS]:
+                table += [element * base % group.p for element in table]
+            tables.append(tuple(table))
+    return tuple(tables)
+
+
 def _generator_pow(group: GroupParams, x: int) -> int:
-    """g^x mod p for x >= 0: from the fixed-base table on a SECURE group."""
+    """g^x mod p for x >= 0: from the comb on a SECURE group, unless x is
+    wider than the comb."""
     if group.mode is GroupMode.SECURE:
-        return _fixed_base_pow(_generator_table(group), group.p, x)
+        tables = _generator_comb(group)
+        if x.bit_length() <= len(tables) // COMB_COLUMNS * COMB_CHUNK_BITS:
+            return _comb_pow(tables, group.p, x)
     return pow(group.g, x, group.p)
+
+
+# The transpose of one chunk of an exponent into its index stream (see
+# `_comb_pow`): _SPREAD[b] has bit u of the byte b as bit 8u, and byte
+# _ROW_BYTES*r + i of a chunk (bits 8i to 8i + 7 of row r) is spread from
+# bit _COMB_SHIFTS[_ROW_BYTES*r + i] = 8*8i + r of the stream on, so that
+# its bit u lands as bit r of stream byte 8i + u.
+_SPREAD = tuple(sum((b >> u & 1) << 8 * u for u in range(8)) for b in range(256))
+_COMB_SHIFTS = tuple(8 * 8 * (n % _ROW_BYTES) + n // _ROW_BYTES for n in range(_CHUNK_BYTES))
+
+
+def _comb_pow(tables: tuple[tuple[int, ...], ...], p: int, x: int) -> int:
+    """The comb's base to the power x, mod p, for x >= 0 no wider than the
+    comb, by HAC Alg. 14.117 over the chunks that x reaches.  Byte k of a
+    chunk's index stream holds bit k of each row of the chunk, row r as bit
+    r.  Table t of the comb reads bytes _COLUMN_BITS*t to
+    _COLUMN_BITS*(t + 1) - 1 of the chunks' streams, one byte per step."""
+    data = x.to_bytes(-(-x.bit_length() // COMB_CHUNK_BITS) * _CHUNK_BYTES, "little")
+    stream = b""
+    for start in range(0, len(data), _CHUNK_BYTES):
+        chunk = zip(data[start : start + _CHUNK_BYTES], _COMB_SHIFTS)
+        stream += sum(_SPREAD[byte] << shift for byte, shift in chunk).to_bytes(_CHUNK_BYTES, "little")
+    columns = [(tables[t], stream[_COLUMN_BITS * t : _COLUMN_BITS * (t + 1)]) for t in range(len(stream) // _COLUMN_BITS)]
+    result = 1
+    for k in range(_COLUMN_BITS - 1, -1, -1):
+        result = result * result % p
+        for table, indices in columns:
+            result = result * table[indices[k]] % p
+    return result
 
 
 def _fixed_base_pow(table: tuple[int, ...], p: int, x: int) -> int:
@@ -417,8 +480,9 @@ def h512(data: bytes) -> Hash512:
 
 
 def address_hash(data: bytes) -> bytes:
-    """Canonical 32-byte hash used for addresses and commitments."""
-    return h512(data).left
+    """Canonical 32-byte hash used for addresses and commitments: the left
+    half of h512(data)."""
+    return hashlib.sha512(data).digest()[:32]
 
 
 # -- Schnorr-style signature stand-in ---------------------------------------
@@ -456,12 +520,18 @@ def _encoded_pk(group: GroupParams, sk: int) -> bytes:
 _signer_pk = lru_cache(maxsize=SIGNER_CACHE_SIZE)(_encoded_pk)
 
 
+def signer_pk(group: GroupParams, sk: int) -> bytes:
+    """pk_ec(group, sk).encode(), memoised per secret key on a SECURE group:
+    the key that `prequantum_sign` puts into its challenge."""
+    return (_signer_pk if group.mode is GroupMode.SECURE else _encoded_pk)(group, sk)
+
+
 def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignature:
     """Deterministic hash-challenge signature; the nonce is derived from
     (sk, msg) so repeated runs of a simulation byte-match."""
     if not 0 <= sk < group.q:
         raise GroupError("secret scalar out of range")
-    pk_bytes = (_signer_pk if group.mode is GroupMode.SECURE else _encoded_pk)(group, sk)
+    pk_bytes = signer_pk(group, sk)
     k = group.scalar_from_hash(h512(b"nonce" + group.encode_scalar(sk) + enc_bytes(msg)).digest)
     if k == 0:
         k = 1
@@ -478,32 +548,29 @@ def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSigna
     return pk_ec(group, sig.s).value == nonce.value * _key_pow(pk, e) % group.p
 
 
-# The keys of secure-group verifies: None after a key's first verify, its
-# fixed-base table from its second on.  Writers hold the lock.
-_key_tables: dict[tuple[GroupParams, int], tuple[int, ...] | None] = {}
+# The fixed-base tables of the keys of secure-group verifies.  Writers hold
+# the lock.
+_key_tables: dict[tuple[GroupParams, int], tuple[int, ...]] = {}
 _key_tables_lock = threading.Lock()
 
 
 def _key_pow(pk: GroupPoint, e: int) -> int:
     """pk^e mod p, as `pk.mul(e)`.  On a SECURE group a key's first call
-    records the key, its second builds the key's fixed-base table over
-    every bit of a challenge (e <= 2^512, from a 512-bit hash), and later
-    calls read the table.  A write that would overfill the dict clears it
-    first, so it never holds more than KEY_TABLE_SIZE keys."""
+    builds the key's fixed-base table over every bit of a challenge
+    (e <= 2^512, from a 512-bit hash), and every call reads it.  A write
+    that would overfill the dict clears it first, so it never holds more
+    than KEY_TABLE_SIZE keys."""
     group = pk.group
     if group.mode is not GroupMode.SECURE:
         return pk.mul(e).value
     key = (group, pk.value)
     table = _key_tables.get(key)
     if table is None:
-        if key in _key_tables:
-            table = _power_table(group.p, pk.value, min(group.q - 1, 1 << 512).bit_length())
+        table = _power_table(group.p, pk.value, min(group.q - 1, 1 << 512).bit_length())
         with _key_tables_lock:
             if len(_key_tables) >= KEY_TABLE_SIZE and key not in _key_tables:
                 _key_tables.clear()
             _key_tables[key] = table
-        if table is None:
-            return pk.mul(e).value
     return _fixed_base_pow(table, group.p, e % group.q)
 
 
@@ -537,8 +604,9 @@ def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, by
     2^-128 and equal batches get equal multipliers.  Every R_i and pk must
     first pass the subgroup test (Boyd and Pavlovski break the test
     without it) and every s lie in [0, q).  The key exponents stay
-    unreduced: ~640 bits, against ~2,047 bits mod q.  Other batches verify
-    one by one.
+    unreduced: ~640 bits, against ~2,047 bits mod q.  So does the sum of the
+    a_i*s_i while it is below q: ~1,160 bits for the ~1,024-bit s of 512-bit
+    keys.  Other batches verify one by one.
 
     On a secure group, items the memo already holds are not checked again,
     and a batch that holds stores all of its items there; a failed verdict
@@ -588,7 +656,7 @@ def _batch_holds(group: GroupParams, items: list[tuple[GroupPoint, bytes, PreQua
         exponents[pk.value] += a * _challenge(group, sig.nonce_point, pk.encode(), msg)
         pairs.append((int.from_bytes(sig.nonce_point, "big"), a))
     pairs.extend(exponents.items())
-    return _generator_pow(group, s_sum % group.q) == _multi_pow(group.p, pairs)
+    return _generator_pow(group, s_sum if s_sum < group.q else s_sum % group.q) == _multi_pow(group.p, pairs)
 
 
 # -- the quantum adversary ---------------------------------------------------

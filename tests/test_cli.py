@@ -256,6 +256,24 @@ class TestCanary:
     def test_needs_table_or_spec(self, capsys):
         assert main(["canary"]) == 2
 
+    SPEC = {"faster": {"t_bounty": 0, "t_loot": 4}, "slower": {"t_bounty": 5, "t_loot": 9}, "w": 3}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"w": 2.7}, "w must be a count, not 2.7"),
+            ({"bounty": True}, "bounty must be a count, not True"),
+            ({"lot": 1000}, "unknown game spec fields: ['lot']"),
+            ({"slower": {"t_bounty": 5, "t_loot": "9"}}, "t_loot must be a count, not '9'"),
+        ],
+        ids=["float-w", "boolean-bounty", "unknown-key", "text-time"],
+    )
+    def test_bad_spec_field_errors(self, tmp_path, capsys, change, message):
+        spec = tmp_path / "game.json"
+        spec.write_text(json.dumps({**self.SPEC, **change}))
+        assert main(["canary", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: bad game spec: {message}\n"
+
 
 class TestVerify:
     def test_valid_snapshot(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcspend import groups
+from qcspend.agents import Wallet
 from qcspend.encoding import DecodeError
 from qcspend.groups import (
     GroupError,
@@ -97,15 +98,29 @@ class TestPkEc:
 
 
 class TestFixedBasePkEc:
-    """On the secure group pk_ec reads a fixed-base table; it must agree
-    with pow for every scalar in [0, q)."""
+    """On the secure group pk_ec reads the generator's comb; it must agree
+    with pow for every scalar in [0, q), and the comb for every exponent it
+    covers."""
 
     SG = secure_group()
     W = groups.FIXED_BASE_WINDOW
     TOP = (secure_group().q - 1).bit_length() // groups.FIXED_BASE_WINDOW
+    CHUNKS = 4  # chunks of the stock group's comb: 4 * 512 bits >= 2,047
+    ROWS, ROW_BITS = 8, groups.COMB_CHUNK_BITS // 8
+    COLUMN_BITS = ROW_BITS // groups.COMB_COLUMNS
 
     def assert_matches_pow(self, x):
         assert pk_ec(self.SG, x).value == pow(self.SG.g, x, self.SG.p)
+
+    def assert_comb_matches_pow(self, x):
+        assert groups._generator_pow(self.SG, x) == pow(self.SG.g, x, self.SG.p)
+
+    def lone_bits(self) -> list[int]:
+        """g^(2^n) mod p for each bit n of the comb, by repeated squaring."""
+        powers = [self.SG.g]
+        while len(powers) < self.CHUNKS * groups.COMB_CHUNK_BITS:
+            powers.append(powers[-1] ** 2 % self.SG.p)
+        return powers
 
     @pytest.mark.parametrize("x", [0, 1, "q-1"])
     def test_edges(self, x):
@@ -118,15 +133,58 @@ class TestFixedBasePkEc:
         for x in (2 ** (self.W * i) - 1, 2 ** (self.W * i)):
             self.assert_matches_pow(x)
 
-    def test_table_covers_every_digit_position(self):
-        table = groups._generator_table(self.SG)
-        assert len(table) == self.TOP + 1 == 410
-        assert 2 ** (self.W * self.TOP) < self.SG.q
+    def test_comb_covers_every_chunk_row_and_column(self):
+        comb, p, chunk, lone_bits = groups._generator_comb(self.SG), self.SG.p, groups.COMB_CHUNK_BITS, self.lone_bits()
+        assert len(comb) == self.CHUNKS * groups.COMB_COLUMNS
+        assert (self.CHUNKS - 1) * chunk < (self.SG.q - 1).bit_length() <= self.CHUNKS * chunk
+        assert sum(map(len, comb)) == 2048
+        for c in range(self.CHUNKS):
+            for j in range(groups.COMB_COLUMNS):
+                table = comb[c * groups.COMB_COLUMNS + j]
+                assert len(table) == 2**self.ROWS and table[0] == 1
+                rows = [lone_bits[chunk * c + self.ROW_BITS * r + self.COLUMN_BITS * j] for r in range(self.ROWS)]
+                for r in range(self.ROWS):
+                    assert table[2**r] == rows[r]
+                everything = 1
+                for element in rows:
+                    everything = everything * element % p
+                assert table[-1] == everything
+
+    @pytest.mark.parametrize("c", range(CHUNKS + 1))
+    def test_chunk_boundaries(self, c):
+        # 2^(512c) - 1 fills every chunk below c; 2^(512c) is a lone 1 at the
+        # bottom of chunk c.  At c = 4 it is wider than the comb.
+        for x in (2 ** (groups.COMB_CHUNK_BITS * c) - 1, 2 ** (groups.COMB_CHUNK_BITS * c)):
+            self.assert_comb_matches_pow(x)
+
+    def test_lone_bit_in_every_row_and_column(self):
+        lone_bits = self.lone_bits()
+        for c in range(self.CHUNKS):
+            for r in range(self.ROWS):
+                for j in range(groups.COMB_COLUMNS):
+                    for k in (0, self.COLUMN_BITS - 1):
+                        n = groups.COMB_CHUNK_BITS * c + self.ROW_BITS * r + self.COLUMN_BITS * j + k
+                        assert groups._generator_pow(self.SG, 2**n) == lone_bits[n]
+
+    def test_wider_exponent_takes_pow(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(groups, "pow", lambda *args: calls.append(args) or builtins.pow(*args), raising=False)
+        x = 2 ** (self.CHUNKS * groups.COMB_CHUNK_BITS) + 12345
+        assert groups._generator_pow(self.SG, x) == builtins.pow(self.SG.g, x, self.SG.p)
+        assert calls == [(self.SG.g, x, self.SG.p)]
+        calls.clear()
+        assert groups._generator_pow(self.SG, x - 1 - 12345) == builtins.pow(self.SG.g, x - 1 - 12345, self.SG.p)
+        assert calls == []  # 2^2048 - 1 is the widest exponent the comb covers
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=secure_group().q - 1))
     def test_any_scalar(self, x):
         self.assert_matches_pow(x)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=CHUNKS * groups.COMB_CHUNK_BITS).flatmap(lambda bits: st.integers(0, 2**bits - 1)))
+    def test_any_exponent_the_comb_covers(self, x):
+        self.assert_comb_matches_pow(x)
 
     @pytest.mark.parametrize("bits", [512, 1024])
     def test_seeded_wallet_nonce_and_s_sizes(self, bits):
@@ -148,7 +206,7 @@ class TestFixedBasePkEc:
 
 
 class TestKeyTable:
-    """From a key's second secure verify on, pk^e comes from the key's own
+    """From a key's first secure verify on, pk^e comes from the key's own
     fixed-base table; it must agree with pow for every challenge."""
 
     SG = secure_group()
@@ -171,9 +229,8 @@ class TestKeyTable:
         monkeypatch.setattr(groups, "pow", no_pow, raising=False)
 
     def tabled(self, pk: GroupPoint) -> tuple[int, ...]:
-        """The key's table, built by its first two calls."""
-        for _ in range(2):
-            groups._key_pow(pk, 1)
+        """The key's table, built by its first call."""
+        groups._key_pow(pk, 1)
         table = groups._key_tables[(pk.group, pk.value)]
         assert isinstance(table, tuple)
         return table
@@ -206,16 +263,14 @@ class TestKeyTable:
         assert groups._fixed_base_pow(table, self.SG.p, x) == builtins.pow(self.PK.value, x, self.SG.p)
         assert calls == [(self.PK.value, x, self.SG.p)]
 
-    def test_second_verify_builds_the_table(self, monkeypatch):
+    def test_first_verify_builds_the_table(self, monkeypatch):
         key = (self.SG, self.PK.value)
-        sigs = [(msg, prequantum_sign(self.SG, self.SK, msg)) for msg in (b"one", b"two", b"three")]
+        sigs = [(msg, prequantum_sign(self.SG, self.SK, msg)) for msg in (b"one", b"two")]
         assert groups._verify(self.SG, self.PK, *sigs[0])
-        assert groups._key_tables == {key: None}
-        assert groups._verify(self.SG, self.PK, *sigs[1])
-        assert len(groups._key_tables[key]) == self.TOP + 1
-        monkeypatch.setattr(groups, "_power_table", None)  # the third verify reads it
+        assert list(groups._key_tables) == [key] and len(groups._key_tables[key]) == self.TOP + 1
+        monkeypatch.setattr(groups, "_power_table", None)  # the next verify reads it
         self.forbid_pow(monkeypatch)
-        assert groups._verify(self.SG, self.PK, *sigs[2])
+        assert groups._verify(self.SG, self.PK, *sigs[1])
 
     def test_forgeries_are_rejected_with_a_table(self):
         other = pk_ec(self.SG, self.SK + 1)
@@ -470,6 +525,15 @@ class TestSecureSignatureCaches:
         assert groups._decoded.cache_info() == decoded
         assert groups._verified == verified
 
+    def test_wallet_signs_with_its_memoised_key(self, monkeypatch):
+        wallet = Wallet(G101, "signer", 11, 8)
+        scalars, original = [], groups.pk_ec
+        monkeypatch.setattr(groups, "pk_ec", lambda group, sk: scalars.append(sk) or original(group, sk))
+        witness = wallet.witness_pq(b"sighash")
+        assert scalars and wallet.pq_sk not in scalars  # only the nonce is raised
+        assert witness.pk == original(self.SG, wallet.pq_sk).encode()
+        assert prequantum_verify(self.SG, decode_point(self.SG, witness.pk), b"sighash", PreQuantumSignature.decode(witness.signature))
+
     def test_caches_are_bounded(self, monkeypatch):
         assert groups._signer_pk.cache_info().maxsize == groups.SIGNER_CACHE_SIZE > 0
         assert groups._decoded.cache_info().maxsize == groups.SIGNER_CACHE_SIZE
@@ -624,6 +688,18 @@ class TestBatchVerify:
         ):
             assert not prequantum_batch_verify(self.SG, [self.POOL[1], bad])
             assert not prequantum_batch_verify(self.SG, [bad])
+
+    def test_sum_past_q_is_reduced(self, monkeypatch):
+        # Keys just below q give s of ~2,047 bits, so the sum of the a_i*s_i
+        # passes q; the forged twin is checked first, as a verdict that
+        # holds is memoised.
+        monkeypatch.setattr(groups, "_verified", set())
+        q = self.SG.q
+        items = [(pk_ec(self.SG, sk), msg, prequantum_sign(self.SG, sk, msg)) for sk, msg in ((q - 3, b"wide"), (q - 5, b"wider"))]
+        assert sum(a * sig.s for a, (_, _, sig) in zip(groups._batch_multipliers(items), items)) >= q
+        pk, msg, sig = items[1]
+        assert not prequantum_batch_verify(self.SG, [items[0], (pk, msg, PreQuantumSignature(sig.nonce_point, (sig.s + 1) % q))])
+        assert prequantum_batch_verify(self.SG, items)
 
     def test_multi_pow_matches_pow(self):
         rng = random.Random(5)
