@@ -17,6 +17,7 @@ randomness any agent needs is derived from the scenario seed.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -63,10 +64,10 @@ class Wallet:
         self.group = group
         self.pq_group = secure_group()
         self.kdf_iterations = kdf_iterations
-        tag = h512(b"wallet:%d:" % scenario_seed + agent_id.encode()).digest
+        tag = hashlib.sha512(b"wallet:%d:" % scenario_seed + agent_id.encode()).digest()
         self.seed = Seed(tag[:24], b"")
         self.msk = kdf(group, self.seed, kdf_iterations)
-        self.pq_sk = int.from_bytes(h512(b"pq:" + tag).digest, "big") % self.pq_group.q
+        self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % self.pq_group.q
         self.pq_pk = signer_pk(self.pq_group, self.pq_sk)
         self._pq_hash = post_quantum_address(self.pq_pk).data
         self._raw_sks: dict[str, int] = {}
@@ -91,7 +92,7 @@ class Wallet:
         """A standalone (non-derived) key: what a pre-HD-wallet output or
         an imported key looks like."""
         if label not in self._raw_sks:
-            digest = h512(b"raw:" + label.encode() + self.seed.entropy).digest
+            digest = hashlib.sha512(b"raw:" + label.encode() + self.seed.entropy).digest()
             self._raw_sks[label] = int.from_bytes(digest, "big") % self.group.q
         return self._raw_sks[label]
 

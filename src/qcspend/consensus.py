@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
-from .encoding import DecodeError, Reader, enc_bytes, enc_u64
+from .encoding import U32, U64, DecodeError, Reader, enc_bytes, enc_u64
 from .fawkescoin import (
     DEPOSIT_MODES,
     ChallengeRecord,
@@ -1147,40 +1147,37 @@ class Chain:
     # -- snapshot / digest ------------------------------------------------------------------
 
     def state_digest(self) -> bytes:
-        parts: list[bytes] = [enc_u64(self.height)]
-        for outpoint in sorted(self.utxos):
-            parts.append(self.utxos[outpoint].serialize())
-        for pk, h in sorted(self.leaks.snapshot().items()):
-            parts.append(enc_bytes(pk) + enc_u64(h))
+        # Heights are packed unchecked (a chain cannot outgrow u64); the
+        # sums of value are encoded checked.
+        pack_u32, pack_u64 = U32.pack, U64.pack
+        utxos = self.utxos
+        parts: list[bytes] = [pack_u64(self.height)]
+        parts += [utxos[outpoint].serialize() for outpoint in sorted(utxos)]
+        parts += [b"".join((pack_u32(len(pk)), pk, pack_u64(h))) for pk, h in sorted(self.leaks.snapshot().items())]
         for committed in sorted(self.lfc_by_hash):
             r = self.lfc_by_hash[committed]
-            parts.append(
-                enc_bytes(committed)
-                + r.state.value.encode()
-                + enc_u64(r.height_included)
-                + enc_u64(r.resolved_height if r.resolved_height is not None else 0)
-            )
+            resolved = r.resolved_height if r.resolved_height is not None else 0
+            parts.append(enc_bytes(committed) + r.state.value.encode() + pack_u64(r.height_included) + pack_u64(resolved))
         for txid in sorted(self.challenges):
             record = self.challenges[txid]
-            parts.append(enc_bytes(txid) + record.status.value.encode() + enc_u64(record.challenge_end_height))
+            parts.append(enc_bytes(txid) + record.status.value.encode() + pack_u64(record.challenge_end_height))
         for entry in self.registry.entries:
-            parts.append(enc_bytes(entry.key_digest) + enc_u64(entry.included_height))
+            parts.append(enc_bytes(entry.key_digest) + pack_u64(entry.included_height))
         for digest in sorted(self.registry.declared):
             for p in self.registry.declared[digest]:
                 parts.append(enc_bytes(digest) + p.serialize())
         for epoch in self.epochs:
-            parts.append(epoch.kind.value.encode() + enc_u64(epoch.start) + enc_u64(epoch.length) + bytes([epoch.extension]))
+            parts.append(epoch.kind.value.encode() + pack_u64(epoch.start) + pack_u64(epoch.length) + bytes([epoch.extension]))
         for block_height in sorted(self.fee_shares_by_block):
-            parts.append(enc_u64(block_height) + enc_u64(self.fee_shares_by_block[block_height]))
-        for h in sorted(self._claim_heights()):
-            parts.append(b"claim" + enc_u64(h))
-        for addr in sorted(self.address_first_seen):
-            parts.append(addr + enc_u64(self.address_first_seen[addr]))
+            parts.append(pack_u64(block_height) + enc_u64(self.fee_shares_by_block[block_height]))
+        parts += [b"claim" + pack_u64(h) for h in sorted(self._claim_heights())]
+        first_seen = self.address_first_seen
+        parts += [addr + pack_u64(first_seen[addr]) for addr in sorted(first_seen)]
         parts.append(enc_u64(self.total_minted) + enc_u64(0))  # burned value: the model burns none
         parts.append(enc_u64(self.challenge_escrow) + enc_u64(self.pending_fee_pool) + enc_u64(self.fine_escrow_pool))
         if self.canary.killed_at is not None:
-            parts.append(b"killed" + enc_u64(self.canary.killed_at))
-        return address_hash(b"".join(enc_bytes(p) for p in parts))
+            parts.append(b"killed" + pack_u64(self.canary.killed_at))
+        return address_hash(b"".join([pack_u32(len(p)) + p for p in parts]))
 
 
 @dataclass(frozen=True)

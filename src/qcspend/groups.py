@@ -509,7 +509,7 @@ class PreQuantumSignature:
 def _challenge(group: GroupParams, nonce_point: bytes, pk: bytes, msg: bytes) -> int:
     # Challenges live in [1, q): a zero challenge would make the signature
     # key-independent, which actually bites at toy group sizes.
-    digest = h512(enc_bytes(nonce_point) + enc_bytes(pk) + enc_bytes(msg)).digest
+    digest = hashlib.sha512(enc_bytes(nonce_point) + enc_bytes(pk) + enc_bytes(msg)).digest()
     return 1 + int.from_bytes(digest, "big") % (group.q - 1)
 
 
@@ -532,7 +532,7 @@ def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignat
     if not 0 <= sk < group.q:
         raise GroupError("secret scalar out of range")
     pk_bytes = signer_pk(group, sk)
-    k = group.scalar_from_hash(h512(b"nonce" + group.encode_scalar(sk) + enc_bytes(msg)).digest)
+    k = group.scalar_from_hash(hashlib.sha512(b"nonce" + group.encode_scalar(sk) + enc_bytes(msg)).digest())
     if k == 0:
         k = 1
     nonce_point = pk_ec(group, k).encode()
@@ -636,8 +636,10 @@ def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, by
 def _batch_multipliers(items: list[tuple[GroupPoint, bytes, PreQuantumSignature]]) -> list[int]:
     """One BATCH_MULTIPLIER_BITS-bit multiplier per item, hashed from the
     whole batch."""
-    seed = h512(b"batch" + b"".join(enc_bytes(pk.encode()) + enc_bytes(msg) + sig.encode() for pk, msg, sig in items)).digest
-    return [int.from_bytes(h512(seed + enc_u32(i)).digest[: BATCH_MULTIPLIER_BITS // 8], "big") for i in range(len(items))]
+    batch = b"batch" + b"".join(enc_bytes(pk.encode()) + enc_bytes(msg) + sig.encode() for pk, msg, sig in items)
+    seed = hashlib.sha512(batch).digest()
+    size = BATCH_MULTIPLIER_BITS // 8
+    return [int.from_bytes(hashlib.sha512(seed + enc_u32(i)).digest()[:size], "big") for i in range(len(items))]
 
 
 def _batch_holds(group: GroupParams, items: list[tuple[GroupPoint, bytes, PreQuantumSignature]]) -> bool:

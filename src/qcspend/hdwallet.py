@@ -25,11 +25,13 @@ Pure and immutable throughout; thread-safe.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .encoding import DecodeError, Reader, enc_u32
-from .groups import GroupParams, GroupPoint, h512, pk_ec
+from .encoding import U32, DecodeError, Reader
+from .groups import GroupParams, GroupPoint, pk_ec
 
 DEFAULT_KDF_ITERATIONS = 2048
 
@@ -65,6 +67,9 @@ class ExtendedPublicKey:
 
 def to_xpk(group: GroupParams, xsk: ExtendedSecretKey) -> ExtendedPublicKey:
     return ExtendedPublicKey(pk_ec(group, xsk.sk), xsk.chain_code)
+
+
+_STEP = struct.Struct(">IB")  # a step's index and its hardened flag
 
 
 @dataclass(frozen=True)
@@ -104,10 +109,8 @@ class DerivationPath:
         return [self.prefix(n) for n in range(len(self.steps) + 1)]
 
     def serialize(self) -> bytes:
-        out = enc_u32(len(self.steps))
-        for s in self.steps:
-            out += enc_u32(s.index) + bytes([1 if s.hardened else 0])
-        return out
+        # A step's index is checked to fit in 32 bits when the step is made.
+        return b"".join([U32.pack(len(self.steps))] + [_STEP.pack(s.index, 1 if s.hardened else 0) for s in self.steps])
 
     @staticmethod
     def deserialize(data: bytes) -> "DerivationPath":
@@ -141,9 +144,9 @@ def path(text: str) -> DerivationPath:
 
 
 def _child(group: GroupParams, parent: ExtendedSecretKey, key_material: bytes, index: int) -> ExtendedSecretKey:
-    digest = h512(parent.chain_code + key_material + index.to_bytes(4, "big"))
-    sk = (group.scalar_from_hash(digest.left) + parent.sk) % group.q
-    return ExtendedSecretKey(sk, digest.right)
+    digest = hashlib.sha512(parent.chain_code + key_material + index.to_bytes(4, "big")).digest()
+    sk = (group.scalar_from_hash(digest[:32]) + parent.sk) % group.q
+    return ExtendedSecretKey(sk, digest[32:])
 
 
 def child_nonhardened(group: GroupParams, parent: ExtendedSecretKey, index: int) -> ExtendedSecretKey:
@@ -174,9 +177,9 @@ def public_child(group: GroupParams, parent: ExtendedPublicKey, step: Derivation
     answer."""
     if step.hardened:
         raise ValueError("hardened derivation is impossible from a public key")
-    digest = h512(parent.chain_code + parent.pk.encode() + step.index.to_bytes(4, "big"))
-    offset = pk_ec(group, group.scalar_from_hash(digest.left))
-    return ExtendedPublicKey(offset.add(parent.pk), digest.right)
+    digest = hashlib.sha512(parent.chain_code + parent.pk.encode() + step.index.to_bytes(4, "big")).digest()
+    offset = pk_ec(group, group.scalar_from_hash(digest[:32]))
+    return ExtendedPublicKey(offset.add(parent.pk), digest[32:])
 
 
 # -- seed KDF ----------------------------------------------------------------
@@ -202,7 +205,7 @@ def kdf_pre(seed: Seed, iterations: int = DEFAULT_KDF_ITERATIONS) -> bytes:
         raise ValueError("iteration count must be positive")
     data = seed.material()
     for _ in range(iterations - 1):
-        data = h512(data).digest
+        data = hashlib.sha512(data).digest()
     return data
 
 
@@ -215,7 +218,7 @@ def xsk_from_digest(group: GroupParams, digest: bytes) -> ExtendedSecretKey:
 def kdf_pq(group: GroupParams, data: bytes) -> ExtendedSecretKey:
     """The final hash application, mapped to an extended key as
     (left 32 bytes mod q, right 32 bytes)."""
-    return xsk_from_digest(group, h512(data).digest)
+    return xsk_from_digest(group, hashlib.sha512(data).digest())
 
 
 def kdf(group: GroupParams, seed: Seed, iterations: int = DEFAULT_KDF_ITERATIONS) -> ExtendedSecretKey:

@@ -31,6 +31,7 @@ harness instance is single-threaded.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -41,7 +42,6 @@ from .groups import (
     PreQuantumSignature,
     address_hash,
     decode_point,
-    h512,
     pk_ec,
     prequantum_sign,
     quantum_invert,
@@ -116,7 +116,7 @@ class TransparentBackend:
 
     @staticmethod
     def _binding(secret: bytes, msg: bytes) -> bytes:
-        return h512(b"transparent-bind" + enc_bytes(secret) + enc_bytes(msg)).digest
+        return hashlib.sha512(b"transparent-bind" + enc_bytes(secret) + enc_bytes(msg)).digest()
 
     @staticmethod
     def extract(sig: ProofSig) -> bytes:
@@ -294,7 +294,7 @@ def euf_lcma_game(scheme, adversary, rounds: int = 1, *, base_oracle: bool = Tru
     """
     results = []
     for i in range(rounds):
-        tag = h512(b"euf-game" + seed.to_bytes(8, "big") + i.to_bytes(8, "big")).digest
+        tag = hashlib.sha512(b"euf-game" + seed.to_bytes(8, "big") + i.to_bytes(8, "big")).digest()
         secret, public = scheme.keygen(tag)
         oracles = GameOracles(scheme, secret, public, base_oracle)
         try:

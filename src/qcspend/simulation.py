@@ -12,6 +12,7 @@ Genesis grants are named, so agent scripts can refer to outputs by name
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,7 +143,7 @@ class Simulation:
         self.grants = {g["name"]: dict(g) for g in config.grants}
         self.owner_of_address: dict[bytes, str] = {}
 
-        canary_sk = int.from_bytes(h512(b"canary:%d" % self.seed).digest, "big")
+        canary_sk = int.from_bytes(hashlib.sha512(b"canary:%d" % self.seed).digest(), "big")
         canary_group = toy_group(config.canary_q)
         canary_pk = pk_ec(canary_group, canary_sk % canary_group.q).encode()
         nonce = h512(b"canary-nonce:%d" % self.seed).left
@@ -175,7 +176,7 @@ class Simulation:
             agent = AGENT_KINDS[a["kind"]](a["id"], self, a, wallets[a["id"]])
             self.register_address(agent.wallet.pq_address(), a["id"])
             self.agents[a["id"]] = agent
-        self.initial_holdings = {agent_id: self.holdings(agent_id) for agent_id in self.agents}
+        self.initial_holdings = self.holdings()
         self.blocks_run = 0
 
     def _grant_address(self, wallet: Wallet, g: dict) -> Address:
@@ -192,12 +193,15 @@ class Simulation:
     def grant_outpoint(self, name: str):
         return self.grants[name]["outpoint"]
 
-    def holdings(self, agent_id: str) -> int:
-        mine = 0
+    def holdings(self) -> dict[str, int]:
+        """Every agent's total value in the live UTXO set, from one scan."""
+        totals = dict.fromkeys(self.agents, 0)
+        owner_of = self.owner_of_address
         for utxo in self.chain.utxos.values():
-            if self.owner_of_address.get(utxo.address.serialize()) == agent_id:
-                mine += utxo.value
-        return mine
+            owner = owner_of.get(utxo.address.serialize())
+            if owner in totals:
+                totals[owner] += utxo.value
+        return totals
 
     # -- the loop -----------------------------------------------------------------
 
@@ -220,7 +224,8 @@ class Simulation:
     # -- outputs --------------------------------------------------------------------
 
     def profits(self) -> dict[str, int]:
-        return {a: self.holdings(a) - self.initial_holdings[a] for a in self.agents}
+        final = self.holdings()
+        return {a: final[a] - self.initial_holdings[a] for a in self.agents}
 
     def report(self) -> str:
         lines = [
@@ -230,12 +235,14 @@ class Simulation:
             f"final-height {self.chain.height}",
             f"era {self.chain.era_phase().value}",
         ]
-        profits = self.profits()
+        final = self.holdings()
         for agent_id, agent in self.agents.items():
-            sign = "+" if profits[agent_id] >= 0 else ""
+            initial = self.initial_holdings[agent_id]
+            profit = final[agent_id] - initial
+            sign = "+" if profit >= 0 else ""
             lines.append(
-                f"agent {agent_id} kind={type(agent).__name__} initial={self.initial_holdings[agent_id]}"
-                f" final={self.holdings(agent_id)} profit={sign}{profits[agent_id]}"
+                f"agent {agent_id} kind={type(agent).__name__} initial={initial}"
+                f" final={final[agent_id]} profit={sign}{profit}"
             )
             for action in agent.actions:
                 lines.append(f"  action {action}")
