@@ -3,6 +3,7 @@ simulator must reproduce, with exact value accounting."""
 
 import functools
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,18 @@ def test_final_digest_matches_golden(name, request):
     sim = request.getfixturevalue("epoch_sim") if name == "epoch-mechanics" else stepped_run(name)[0]
     assert sim.seed == 1
     assert sim.chain.state_digest().hex() == digests[name]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_report_matches_golden(name, request):
+    # Every bundled scenario's report at seed 1.  Its action lines say which
+    # agent acted at which height, and a change to how agents are ticked can
+    # move them without moving any digest.
+    sections = re.split(r"(?m)^(?=scenario )", (DATA / "scenario_reports.golden").read_text())[1:]
+    reports = {section.split(None, 2)[1]: section for section in sections}
+    assert list(reports) == list(BUNDLED)
+    sim = request.getfixturevalue("epoch_sim") if name == "epoch-mechanics" else stepped_run(name)[0]
+    assert sim.report() == reports[name]
 
 
 @pytest.mark.parametrize("name", SHORT)
