@@ -82,12 +82,9 @@ from .ledger import (
     AddrKind,
     Block,
     KeyRegistry,
-    KnowledgeModel,
     Transaction,
     TxKind,
     Utxo,
-    UtxoClass,
-    classify,
 )
 from .lifted_fawkescoin import EpochDecision, LfcCommitment, LfcMempoolMsg, LfcState, extension_decision, split_fee
 from .lifting import (

@@ -2,14 +2,18 @@
 agents (honest and adversarial), and the tick loop that produces one block
 per tick.
 
-Timing model. At tick h every agent runs once, in configuration order,
-observing the chain as of height h-1 and the pending submission pool;
-then the scheduled miner builds block h from the pool.  Submissions made
-during tick h are eligible for block h itself, so an adversary placed
-after its victim in the agent order sees the victim's submission before
-it is mined -- that is the whole mempool-listening threat model -- and
-can outbid it with a higher priority.  Entry order inside a block is
-(priority desc, submission sequence), so identical runs are byte-identical.
+Timing model. At tick h every agent with work due runs once, in
+configuration order, observing the chain as of height h-1 and the pending
+submission pool; then the scheduled miner builds block h from the pool.
+Work is due when a deferral or a scripted action falls on h, or when the
+agent has a standing duty that reads the chain or the pool every tick
+(`Agent.on_duty`); an agent with none is skipped, which changes nothing.
+Submissions made during tick h are eligible for block h itself, so an
+adversary placed after its victim in the agent order sees the victim's
+submission before it is mined -- that is the whole mempool-listening
+threat model -- and can outbid it with a higher priority.  Entry order
+inside a block is (priority desc, submission sequence), so identical
+runs are byte-identical.
 
 Agents never mutate the chain; they only read it and submit.  All
 randomness any agent needs is derived from the scenario seed.
@@ -158,24 +162,38 @@ class Agent:
         self.script: dict[int, list[dict]] = {}
         for entry in options["script"]:
             self.script.setdefault(entry["height"], []).append(entry)
-        self.deferred: list[tuple[int, Callable[[], None]]] = []
+        # tick height -> the deferrals due then, in the order they were made.
+        # Ticks come at consecutive heights, so each one looks up only its own.
+        self.deferred: dict[int, list[Callable[[], None]]] = {}
         self.actions: list[str] = []
 
     def log(self, text: str) -> None:
         self.actions.append(f"h{self.sim.tick_height} {text}")
 
     def defer(self, height: int, fn: Callable[[], None]) -> None:
-        self.deferred.append((height, fn))
+        """Run `fn` at the tick of `height`, or at the next tick if that one
+        has already begun."""
+        due = max(height, self.sim.tick_height + 1)
+        self.deferred.setdefault(due, []).append(fn)
+
+    def has_work(self, height: int) -> bool:
+        """Is anything due at tick `height`: a deferral, a scripted action or
+        a standing duty?  An agent with none is not ticked."""
+        return height in self.deferred or height in self.script or self.on_duty()
+
+    def on_duty(self) -> bool:
+        """Does `autonomous` have anything to look at this tick?  It runs
+        only then."""
+        return False
 
     def on_tick(self) -> None:
         height = self.sim.tick_height
-        due = [fn for h, fn in self.deferred if h <= height]
-        self.deferred = [(h, fn) for h, fn in self.deferred if h > height]
-        for fn in due:
+        for fn in self.deferred.pop(height, ()):
             fn()
         for action in self.script.get(height, ()):
             self.run_action(action)
-        self.autonomous()
+        if self.on_duty():
+            self.autonomous()
 
     def run_action(self, action: dict) -> None:
         pass  # miner scripts are read at block-building time
@@ -251,6 +269,9 @@ class MinerAgent(Agent):
         # committed hash -> sigma, for claim duty: the commitments this miner
         # included whose records are LOCKED or not on chain yet
         self.included_proofs: dict[bytes, bytes] = {}
+
+    def on_duty(self) -> bool:
+        return bool(self.included_proofs)
 
     def autonomous(self) -> None:
         # Claim duty: post sigma for own included commitments whose reveal
@@ -338,9 +359,11 @@ class UserAgent(Agent):
     def run_action(self, action: dict) -> None:
         getattr(self, "do_" + action["do"])(action)
 
+    def on_duty(self) -> bool:
+        return bool(self.watched)
+
     def autonomous(self) -> None:
-        if self.watched:
-            self._watch_for_theft()
+        self._watch_for_theft()
 
     # Canary ---------------------------------------------------------------------
 
@@ -475,14 +498,15 @@ class UserAgent(Agent):
         self._await_lfc_inclusion(committed, reveal_tx, action["utxo"])
 
     def _await_lfc_inclusion(self, committed: bytes, reveal_tx: Transaction, name: str) -> None:
+        """Schedule the reveal once the commitment is on chain.  The miner of
+        this tick drains the whole mempool into its block, so a commitment
+        that is not on chain at the next tick was dropped for good."""
         chain = self.sim.chain
 
         def check():
             record = chain.lfc_by_hash.get(committed)
-            if record is None:
-                self.defer(self.sim.tick_height + 1, check)
-                return
-            self.defer(record.height_included + chain.params.wait_blocks, lambda: self._submit_reveal(reveal_tx, f"lifted:{name}"))
+            if record is not None:
+                self.defer(record.height_included + chain.params.wait_blocks, lambda: self._submit_reveal(reveal_tx, f"lifted:{name}"))
 
         self.defer(self.sim.tick_height + 1, check)
 
@@ -555,9 +579,10 @@ class FrontRunnerAgent(Agent):
         self._seen: set[bytes] = set()
         self._fc_attempted: set[bytes] = set()
 
+    def on_duty(self) -> bool:
+        return self.quantum
+
     def autonomous(self) -> None:
-        if not self.quantum:
-            return
         for sub in self.sim.mempool.view():
             if sub.kind != "tx" or sub.agent_id == self.id:
                 continue

@@ -359,9 +359,11 @@ class Chain:
         start = self.era_start()
         if start is None or height < start:
             return None
-        for epoch in self.epochs:
-            if epoch.start <= height < epoch.end:
-                return epoch
+        for epoch in reversed(self.epochs):  # most queries are for the newest epoch
+            if epoch.start <= height:
+                if height < epoch.end:
+                    return epoch
+                break
         raise RuleViolation("epoch-unscheduled", f"height {height} beyond the built schedule")
 
     def utxo(self, outpoint: Outpoint) -> Optional[Utxo]:

@@ -134,9 +134,13 @@ class DerivationPath:
 
 
 def read_path(r: Reader) -> DerivationPath:
-    n = r.u32()
-    steps = tuple(DerivationStep(r.u32(), r.u8() == 1) for _ in range(n))
-    return DerivationPath(steps)
+    steps = []
+    for _ in range(r.u32()):
+        index, hardened = r.u32(), r.u8()
+        if hardened > 1:  # one path, one encoding
+            raise DecodeError(f"hardened flag {hardened} is neither 0 nor 1")
+        steps.append(DerivationStep(index, hardened == 1))
+    return DerivationPath(tuple(steps))
 
 
 def path(text: str) -> DerivationPath:

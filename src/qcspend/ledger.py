@@ -1,7 +1,6 @@
-"""UTXO set primitives: addresses, outputs, the six-way UTXO taxonomy,
-transactions and blocks with their canonical byte layouts, leaked-key
-tracking, good-Samaritan report selection, and the registry of known
-derived keys.
+"""UTXO set primitives: addresses, outputs, transactions and blocks with
+their canonical byte layouts, leaked-key tracking, good-Samaritan report
+selection, and the registry of known derived keys.
 
 Wire layouts (all length-prefixed per `encoding`):
 
@@ -153,73 +152,6 @@ class Utxo:
         if self.wait_override == 0:
             return default
         return max(self.wait_override, floor)
-
-
-# -- taxonomy -----------------------------------------------------------------
-
-
-class UtxoClass(Enum):
-    HASHED = "hashed"
-    DERIVED = "derived"
-    NAKED = "naked"
-    LOST = "lost"
-    STEALABLE = "stealable"
-    DOOMED = "doomed"
-    POST_QUANTUM = "post_quantum"
-
-
-class MalformedKnowledge(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class KnowledgeModel:
-    """Who knows what about one UTXO.  This is a simulation-side oracle:
-    "hashed" is a fact about the adversary's ignorance and cannot be read
-    off the chain (the chain-side approximation is leak tracking).
-
-    `adversary_knows_unrecoverable` is the certainty bit: the adversary
-    knows the owner holds no derivation seed (either the keys were never
-    derived or the seed is gone).
-    """
-
-    owner_seed: bool
-    owner_sk: bool
-    owner_pk: bool
-    adversary_pk: bool
-    adversary_knows_unrecoverable: bool
-
-    def validate(self) -> None:
-        if self.owner_seed and not self.owner_sk:
-            raise MalformedKnowledge("a seed holder can derive the secret key")
-        if self.owner_sk and not self.owner_pk:
-            raise MalformedKnowledge("a secret-key holder can compute the public key")
-        if self.adversary_knows_unrecoverable and self.owner_seed:
-            raise MalformedKnowledge("the adversary cannot know a falsehood")
-
-
-def classify(utxo: Utxo, knowledge: KnowledgeModel) -> UtxoClass:
-    """Total classification over (knowledge, address kind); contradictory
-    knowledge raises MalformedKnowledge.
-
-    A UTXO can be both hashed and derived (seed held, public key secret);
-    the function reports HASHED then, the stronger protection, and the
-    seed capability is still visible in the knowledge model itself.
-    """
-    knowledge.validate()
-    if utxo.address.kind is AddrKind.POST_QUANTUM:
-        return UtxoClass.POST_QUANTUM
-    if not knowledge.owner_pk and not knowledge.adversary_pk:
-        return UtxoClass.DOOMED
-    if knowledge.owner_sk and not knowledge.adversary_pk:
-        return UtxoClass.HASHED
-    if knowledge.owner_seed:
-        return UtxoClass.DERIVED
-    if knowledge.adversary_knows_unrecoverable and knowledge.adversary_pk:
-        return UtxoClass.STEALABLE
-    if knowledge.owner_sk:
-        return UtxoClass.NAKED
-    return UtxoClass.LOST
 
 
 # -- transactions ----------------------------------------------------------------

@@ -215,10 +215,11 @@ class Simulation:
     def run(self, blocks: Optional[int] = None) -> None:
         n = self.config.blocks if blocks is None else blocks
         for _ in range(n):
-            self.tick_height = self.chain.height + 1
+            height = self.tick_height = self.chain.height + 1
             for agent in self.agents.values():
-                agent.on_tick()
-            self.scheduled_miner(self.tick_height).build_block()
+                if agent.has_work(height):
+                    agent.on_tick()
+            self.scheduled_miner(height).build_block()
             self.blocks_run += 1
 
     # -- outputs --------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from qcspend.groups import pk_ec, toy_group
@@ -9,90 +7,20 @@ from qcspend.ledger import (
     AddrKind,
     Block,
     KeyRegistry,
-    KnowledgeModel,
     LeakTracker,
-    MalformedKnowledge,
     Transaction,
     TxInput,
     TxKind,
     TxOutput,
     Utxo,
-    UtxoClass,
     Witness,
     WitnessKind,
-    classify,
     pk_hash_address,
     post_quantum_address,
     select_samaritan_reports,
 )
 
 GROUP = toy_group(101)
-
-
-def make_utxo(kind=AddrKind.PK_HASH, value=100):
-    data = bytes(32) if kind in (AddrKind.PK_HASH, AddrKind.POST_QUANTUM) else pk_ec(GROUP, 5).encode()
-    return Utxo((bytes(32), 0), value, Address(kind, data), 0)
-
-
-class TestClassify:
-    def test_derived_example(self):
-        # owner holds the seed, adversary holds the public key
-        model = KnowledgeModel(True, True, True, adversary_pk=True, adversary_knows_unrecoverable=False)
-        assert classify(make_utxo(), model) is UtxoClass.DERIVED
-
-    def test_hashed_example(self):
-        # owner holds sk and pk; the adversary has nothing
-        model = KnowledgeModel(False, True, True, adversary_pk=False, adversary_knows_unrecoverable=False)
-        assert classify(make_utxo(), model) is UtxoClass.HASHED
-
-    def test_lost_example(self):
-        # nobody knows sk; adversary has pk but no certainty it is lost
-        model = KnowledgeModel(False, False, False, adversary_pk=True, adversary_knows_unrecoverable=False)
-        assert classify(make_utxo(), model) is UtxoClass.LOST
-
-    def test_naked(self):
-        model = KnowledgeModel(False, True, True, adversary_pk=True, adversary_knows_unrecoverable=False)
-        assert classify(make_utxo(), model) is UtxoClass.NAKED
-
-    def test_stealable(self):
-        model = KnowledgeModel(False, True, True, adversary_pk=True, adversary_knows_unrecoverable=True)
-        assert classify(make_utxo(), model) is UtxoClass.STEALABLE
-
-    def test_doomed(self):
-        model = KnowledgeModel(False, False, False, adversary_pk=False, adversary_knows_unrecoverable=True)
-        assert classify(make_utxo(), model) is UtxoClass.DOOMED
-
-    def test_hashed_and_derived_reports_hashed(self):
-        model = KnowledgeModel(True, True, True, adversary_pk=False, adversary_knows_unrecoverable=False)
-        assert classify(make_utxo(), model) is UtxoClass.HASHED
-
-    def test_post_quantum_address(self):
-        model = KnowledgeModel(False, False, False, adversary_pk=False, adversary_knows_unrecoverable=False)
-        assert classify(make_utxo(AddrKind.POST_QUANTUM), model) is UtxoClass.POST_QUANTUM
-
-    def test_total_over_all_32_combinations(self):
-        utxo = make_utxo()
-        outcomes = {}
-        for bits in itertools.product((False, True), repeat=5):
-            model = KnowledgeModel(*bits)
-            try:
-                outcomes[bits] = classify(utxo, model)
-            except MalformedKnowledge:
-                outcomes[bits] = "rejected"
-        # seed without sk, sk without pk, or certainty about a seed the
-        # owner actually holds: all contradictory, all rejected.
-        for bits, outcome in outcomes.items():
-            owner_seed, owner_sk, owner_pk, _adv_pk, cert = bits
-            contradictory = (owner_seed and not owner_sk) or (owner_sk and not owner_pk) or (cert and owner_seed)
-            assert (outcome == "rejected") == contradictory, bits
-        # And the function is deterministic: same inputs, same answers.
-        for bits in outcomes:
-            model = KnowledgeModel(*bits)
-            try:
-                again = classify(utxo, model)
-            except MalformedKnowledge:
-                again = "rejected"
-            assert outcomes[bits] == again
 
 
 class TestLeakTracker:

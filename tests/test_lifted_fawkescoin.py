@@ -644,10 +644,25 @@ def reveal_with(h, mode, p="m/0h/0/0"):
     return lfc_reveal_tx(h, "alice", "u1", "m/0h/0/0", 1000, payload=payload)
 
 
+def spend_locked(h):
+    """A plain transfer of u1 after a record has locked it."""
+    committed_flow(h)
+    wallet = h.wallet("alice")
+    sk = wallet.derived_sk(path("m/0h/0/0"))
+    return h.signed(TxKind.TRANSFER, [(h.outpoints["u1"], ("pre", wallet, sk))], [TxOutput(wallet.pq_address(), U_VALUE)])
+
+
+def overspend(h):
+    """A transfer of alice's 5,000 post-quantum fee output paying 5,001."""
+    wallet = h.wallet("alice")
+    return h.signed(TxKind.TRANSFER, [(h.outpoints["fee-alice"], ("pq", wallet))], [TxOutput(wallet.pq_address(), 5_001)])
+
+
 class TestRuleIds:
-    """Each lifted rule id, reached with the smallest input that raises it.
-    A rejection leaves the digest as it was, the block still closes, and
-    the chain equals a clean replay of its blocks."""
+    """Each lifted rule id, and the spend rules a lock or an overspend
+    reaches, with the smallest input that raises it.  A rejection leaves the
+    digest as it was, the block still closes, and the chain equals a clean
+    replay of its blocks."""
 
     @pytest.mark.parametrize(
         "make, rule, detail",
@@ -665,9 +680,11 @@ class TestRuleIds:
                 None,
             ),
             (lambda h: Transaction(TxKind.LFC_COMMIT, payload=record_payload(b"\x07" * 32, b"\x00" * 32, 5)), "lfc-unknown-utxo", None),
+            (spend_locked, "utxo-locked", "an unexpired lifted commitment locks this output"),
+            (overspend, "tx-overspend", "outputs 5001 exceed inputs 5000"),
         ],
         ids=["reveal-no-commitment", "claim-no-commitment", "reveal-shape", "reveal-mode", "derivation",
-             "claim-shape", "claim-late", "commit-shape", "record-unknown-utxo"],
+             "claim-shape", "claim-late", "commit-shape", "record-unknown-utxo", "utxo-locked", "overspend"],
     )
     def test_rejected_transaction(self, make, rule, detail):
         h = lfc_harness()
@@ -681,6 +698,22 @@ class TestRuleIds:
         assert detail is None or violation.detail == detail
         assert h.chain.state_digest() == digest
         assert h.chain.end_block().transactions == ()
+        assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
+
+    def test_unscheduled_height(self):
+        # The schedule is built one epoch ahead of the tip, so no block
+        # reaches past it; a query for a later height is refused.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        digest = h.chain.state_digest()
+        last = h.chain.epochs[-1]
+        assert h.chain.epoch_of(last.end - 1) is last
+        with pytest.raises(RuleViolation) as raised:
+            h.chain.epoch_of(last.end)
+        assert raised.value.rule == "epoch-unscheduled"
+        assert h.chain.state_digest() == digest
+        h.mine()
         assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
 
     @pytest.mark.parametrize(

@@ -13,9 +13,8 @@ SOURCES = TESTS.parent / "src" / "qcspend"
 
 # Rule ids no test names yet.
 UNTESTED = {
-    "epoch-unscheduled", "fc-deposit-pq", "fc-deposit-shape", "fc-lost-witness",
-    "fc-reveal-prequantum", "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance",
-    "tx-overspend", "utxo-locked",
+    "fc-deposit-pq", "fc-deposit-shape", "fc-lost-witness", "fc-reveal-prequantum",
+    "fc-reveal-shape", "fp-no-target", "fp-shape", "ledger-balance",
 }
 
 

@@ -159,12 +159,13 @@ def test_locks_name_exactly_the_locked_records(name):
 
 @pytest.mark.parametrize("name", ["lfc-delay", "lfc-spammer", "epoch-mechanics"])
 def test_included_proofs_name_only_open_commitments(name):
-    # A miner's claim duty walks `included_proofs` every tick, so it must
-    # drop the commitments that were revealed, claimed or fined, and keep
-    # only LOCKED ones and those not yet on chain.  Miners tick before the
-    # block is built, so each block is checked against the records as they
-    # stood before it.  Only epoch-mechanics has records revealed by their
-    # owners; the delay attack's fake commitment is injected, not included.
+    # A miner's claim duty walks `included_proofs` at every tick while it
+    # holds any, so it must drop the commitments that were revealed, claimed
+    # or fined, and keep only LOCKED ones and those not yet on chain.  Such a
+    # miner ticks before the block is built, so each block is checked against
+    # the records as they stood before it.  Only epoch-mechanics has records
+    # revealed by their owners; the delay attack's fake commitment is
+    # injected, not included.
     sim = Simulation(load_scenario(name))
     miners = [agent for agent in sim.agents.values() if isinstance(agent, MinerAgent)]
     held = 0

@@ -1,0 +1,94 @@
+"""The tick schedule: `Simulation.run` ticks an agent only when a
+deferral or a scripted action falls due, or a standing duty reads the
+chain every tick; deferrals due at one tick run in the order they were
+made."""
+
+import json
+from importlib import resources
+
+from qcspend.agents import Agent
+from qcspend.scenarios import load_scenario
+from qcspend.simulation import ScenarioConfig, Simulation
+
+
+def bundled(name: str) -> dict:
+    return json.loads(resources.files("qcspend").joinpath(f"scenarios/{name}.json").read_text())
+
+
+def ticked_heights(sim: Simulation, monkeypatch) -> dict[str, list[int]]:
+    """Run `sim` to its end and return, per agent, the heights it was ticked at."""
+    ticks = {agent_id: [] for agent_id in sim.agents}
+    on_tick = Agent.on_tick
+
+    def recording(agent):
+        ticks[agent.id].append(agent.sim.tick_height)
+        on_tick(agent)
+
+    monkeypatch.setattr(Agent, "on_tick", recording)
+    sim.run()
+    return ticks
+
+
+def test_deferrals_due_in_one_tick_run_in_insertion_order():
+    sim = Simulation(load_scenario("honest-fc"))
+    alice = sim.agents["alice"]
+    ran = []
+    sim.run(2)
+    alice.defer(4, lambda: ran.append(("first", sim.tick_height)))
+    alice.defer(4, lambda: ran.append(("second", sim.tick_height)))
+    # Made during tick 3 for tick 3, so due at tick 4, after the two above.
+    alice.defer(3, lambda: alice.defer(3, lambda: ran.append(("third", sim.tick_height))))
+    alice.defer(4, lambda: ran.append(("fourth", sim.tick_height)))
+    sim.run(2)
+    assert ran == [("first", 4), ("second", 4), ("fourth", 4), ("third", 4)]
+    assert not alice.deferred
+
+
+def test_deferral_for_a_past_height_runs_on_the_next_tick():
+    sim = Simulation(load_scenario("honest-fc"))
+    alice = sim.agents["alice"]
+    sim.run(10)
+    ran = []
+    alice.defer(3, lambda: ran.append(sim.tick_height))
+    assert not ran
+    sim.run(1)
+    assert ran == [11]
+
+
+def test_agent_with_nothing_due_is_not_ticked(monkeypatch):
+    # honest-fc: the oracle acts once, alice commits twice and reveals each
+    # commitment once its wait is over, and the miner never includes a
+    # lifted commitment, so it has no claim duty.
+    ticks = ticked_heights(Simulation(load_scenario("honest-fc")), monkeypatch)
+    assert ticks == {"m0": [], "oracle": [5], "alice": [25, 26, 125, 126]}
+
+
+def test_standing_duties_tick_every_height(monkeypatch):
+    # A fraud-proof watcher and a quantum front-runner read the chain or the
+    # pool every tick; a front-runner without a quantum computer does not.
+    data = bundled("front-runner")
+    data["agents"] += [{"id": "watcher", "kind": "user", "watch": ["u-watched"]}, {"id": "idle-runner", "kind": "front_runner"}]
+    data["grants"].append({"name": "u-watched", "owner": "watcher", "type": "hashed", "path": "m/0h/0/0", "value": 1})
+    sim = Simulation(ScenarioConfig.from_dict(data))
+    ticks = ticked_heights(sim, monkeypatch)
+    every = list(range(1, data["blocks"] + 1))
+    assert ticks["eve"] == every and ticks["watcher"] == every
+    assert ticks["idle-runner"] == []
+
+
+def test_dropped_lifted_commitment_leaves_no_deferral():
+    # A key-lifted commitment on a plain-key output is void, so the miner
+    # drops it; the owner checks for it once, at the next tick, and then
+    # waits for nothing.
+    data = bundled("lfc-spammer")
+    data["agents"][2]["script"][0]["abandon"] = False
+    data["grants"][0]["type"] = "derived_plain"
+    sim = Simulation(ScenarioConfig.from_dict(data))
+    spammer = sim.agents["spammer"]
+    sim.run(430)
+    assert [rule for _, rule, _ in sim.chain.violations] == ["lfc-keylift-leaked"]
+    assert not sim.chain.lfc_by_hash
+    assert list(spammer.deferred) == [431]
+    sim.run(1)
+    assert spammer.deferred == {}
+    assert spammer.actions == ["h430 lifted commitment for u1 (alpha=1000)"]

@@ -2,11 +2,14 @@
 its encoded bytes and hashes, and the decoders under byte mutation."""
 
 import hashlib
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from helpers import Harness
+from qcspend.consensus import verify_snapshot
 from qcspend.encoding import DecodeError
 from qcspend.hdwallet import DerivationPath
 from qcspend.ledger import (
@@ -21,6 +24,8 @@ from qcspend.ledger import (
     Witness,
     WitnessKind,
 )
+from qcspend.lifting import deserialize_lifted, serialize_lifted
+from qcspend.rules import RuleViolation
 from qcspend.scenarios import run_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -197,3 +202,55 @@ def test_unknown_tags_raise_decode_error_with_the_enum_message():
     for pos, enum_name in cases:
         with pytest.raises(DecodeError, match=f"^200 is not a valid {enum_name}$"):
             Transaction.deserialize(tx[:pos] + b"\xc8" + tx[pos + 1 :])
+
+
+def test_lifted_signature_decoder_fuzz():
+    h = Harness()
+    h.build()
+    wallet = h.wallet("alice")
+    p = DerivationPath.parse("m/0h/0/1")
+    message = b"fuzz" * 8
+    sigmas = [wallet.keylift_proof(h.chain, wallet.derived_sk(p), message), wallet.seedlift_proof(h.chain, p, message)]
+    for data in sigmas:
+        decoded = 0
+        for mutant in mutants(data, [0]):
+            try:
+                sig = deserialize_lifted(h.group, mutant)
+            except DecodeError:
+                continue
+            assert serialize_lifted(h.group, sig) == mutant
+            decoded += 1
+        assert decoded
+
+
+def snapshot_mutants(text: str, rng: random.Random, flips: int):
+    """Characters replaced at `flips` positions drawn by `rng`, each line
+    dropped, doubled or cut in half, and a few lines appended."""
+    for pos in rng.sample(range(len(text)), flips):
+        for ch in "0f g\n":
+            if ch != text[pos]:
+                yield text[:pos] + ch + text[pos + 1 :]
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        yield "".join(lines[:i] + lines[i + 1 :])
+        yield "".join(lines[: i + 1] + lines[i:])
+        yield "".join(lines[:i]) + line[: len(line) // 2]
+    for tail in ("block 00\n", "digest " + "0" * 128 + "\n", "config {}\n", "\x00"):
+        yield text + tail
+
+
+def test_snapshot_verifier_fuzz():
+    # front-runner-direct is the smallest bundled snapshot (24 lines), so a
+    # full replay of a mutant takes ~2 ms.
+    text = run_scenario("front-runner-direct").snapshot()
+    digest = verify_snapshot(text).state_digest()
+    rejected = accepted = 0
+    for mutant in snapshot_mutants(text, random.Random(20261019), 500):
+        try:
+            chain = verify_snapshot(mutant)
+        except RuleViolation:
+            rejected += 1
+            continue
+        assert chain.state_digest() == digest
+        accepted += 1
+    assert rejected > 10 * accepted
