@@ -6,8 +6,10 @@ value-conservation ledger.
 Blocks are applied through one path: begin_block / add_tx / end_block.
 Block construction uses the same path (invalid candidate entries are
 skipped and logged), and replay (verify) and reorg re-apply stored blocks
-strictly, requiring the recomputed block bytes to match.  Whatever is not
-in block bytes (sweep payouts, locks, escrows) is a deterministic function
+strictly.  Of a stored block's fields only two are recomputed, the
+coinbase and the accepted samaritan reports, and both must equal the
+stored ones; the others are the replay's inputs.  Whatever is not in
+block bytes (sweep payouts, locks, escrows) is a deterministic function
 of them, so replaying the blocks reproduces the state digest.
 
 Every state change is recorded, as it is made, in an undo journal: the
@@ -86,6 +88,7 @@ from .ledger import (
     Utxo,
     Witness,
     WitnessKind,
+    _block_bytes,
     select_samaritan_reports,
 )
 from .lifted_fawkescoin import (
@@ -216,6 +219,8 @@ class Chain:
         self.blocks: list[Block] = []
         self.tip_hash = GENESIS_PARENT  # the hash of blocks[-1], once genesis is in
         self.utxos: dict[Outpoint, Utxo] = {}
+        # H(u) -> outpoint, for the pre-quantum outputs only: the ones a
+        # lifted commitment can lock.
         self.utxo_hash_index: dict[bytes, Outpoint] = {}
         self.leaks = LeakTracker()
         self.address_first_seen: dict[bytes, int] = {}
@@ -406,12 +411,14 @@ class Chain:
 
     def _insert_utxo(self, utxo: Utxo) -> None:
         self.utxos[utxo.outpoint] = utxo
-        self.utxo_hash_index[utxo.utxo_hash()] = utxo.outpoint
+        if self._is_pre_quantum(utxo.address):
+            self.utxo_hash_index[utxo.utxo_hash()] = utxo.outpoint
         self.utxo_value_sum += utxo.value
 
     def _delete_utxo(self, outpoint: Outpoint) -> Utxo:
         utxo = self.utxos.pop(outpoint)
-        self.utxo_hash_index.pop(utxo.utxo_hash(), None)
+        if self._is_pre_quantum(utxo.address):
+            del self.utxo_hash_index[utxo.utxo_hash()]
         self.utxo_value_sum -= utxo.value
         return utxo
 
@@ -478,24 +485,33 @@ class Chain:
         if b is None:
             raise RuntimeError("no block in progress")
         try:
-            block = self._close_block(b, reports)
+            coinbase, encoded, accepted = self._close_block(b, reports)
         except BaseException:
             self._rollback(self._journal)
             raise
+        block = Block(b.height, b.parent, b.miner_id, b.miner_address, tuple(b.txs), accepted, coinbase)
+        self._link_block(block, encoded)
+        return block
+
+    def _link_block(self, block: Block, coinbase: bytes) -> None:
+        """Append `block`, which has closed, as the tip; `coinbase` is the
+        encoding of its coinbase."""
         self.blocks.append(block)
-        self.tip_hash = block.block_hash()
+        self.tip_hash = address_hash(_block_bytes(block, coinbase))  # block.block_hash(), from the one encoding
         # The block's journal becomes its undo data (`_rewind` drops the
         # block itself).
         self._undo.append(self._journal)
         self._journal = []
         while len(self._undo) > self._undo_keep:
             self._undo.popleft()
-        return block
 
-    def _close_block(self, b: _Draft, reports: Iterable[bytes]) -> Block:
+    def _close_block(self, b: _Draft, reports: Iterable[bytes]) -> tuple[Transaction, bytes, tuple[bytes, ...]]:
+        """Apply the end of block `b`: the reports, the coinbase, the sweeps
+        and the balance check.  Returns the coinbase, its encoding and the
+        accepted reports, the fields of the block that the chain computes."""
         height = b.height
 
-        accepted_reports = self._include_reports(list(reports), height)
+        accepted_reports = tuple(self._include_reports(list(reports), height))
 
         income = self.params.block_reward + b.fees
         if income < b.obligation:
@@ -505,31 +521,25 @@ class Chain:
         if addendum is not None:
             outputs.append(addendum)
         coinbase = Transaction(TxKind.COINBASE, outputs=tuple(outputs), payload=enc_u64(height))
-        txid = coinbase.txid()
+        encoded = coinbase.serialize()
+        txid = address_hash(encoded)  # coinbase.txid(), from the one encoding
         self._set(self, "total_minted", self.total_minted + self.params.block_reward)
         for i, out in enumerate(coinbase.outputs):
             if out.value > 0:
                 self._add_utxo(Utxo((txid, i), out.value, out.address, height, coinbase=True), height)
 
-        block = Block(
-            height,
-            b.parent,
-            b.miner_id,
-            b.miner_address,
-            tuple(b.txs),
-            tuple(accepted_reports),
-            coinbase,
-        )
         self._sweep_lfc_expiries(height)
         self._sweep_challenges(height)
         self._epoch_end_check(height)
         self._assert_balance()
-        return block
+        return coinbase, encoded, accepted_reports
 
     def apply_block(self, block: Block) -> None:
         """Strict replay: every entry must validate, and the recomputed
-        block must byte-match the given one.  A block that fails leaves no
-        effects."""
+        coinbase and reports must equal the block's (its height, parent,
+        miner and transactions are the replay's inputs).  A block that
+        fails leaves no effects, its undo data included; one that applies
+        joins the chain as given."""
         if block.height != self.height + 1:
             raise RuleViolation("block-height", f"expected {self.height + 1}, got {block.height}")
         if block.parent != self.tip_hash:
@@ -538,13 +548,15 @@ class Chain:
         try:
             for tx in block.transactions:
                 self.add_tx(tx)
+            b, self._building = self._building, None
+            coinbase, encoded, accepted = self._close_block(b, block.samaritan_reports)
+            if coinbase != block.coinbase or accepted != block.samaritan_reports:
+                raise RuleViolation("block-mismatch", "recomputed block differs (coinbase or reports)")
         except BaseException:
             self._building = None
             self._rollback(self._journal)
             raise
-        if self.end_block(block.samaritan_reports) != block:
-            self._rewind(block.height - 1)
-            raise RuleViolation("block-mismatch", "recomputed block differs (coinbase or reports)")
+        self._link_block(block, encoded)
 
     # -- report inclusion ---------------------------------------------------------
 
@@ -885,12 +897,13 @@ class Chain:
             raise RuleViolation("lfc-duplicate", "commitment hash already recorded")
         outpoint = self.utxo_hash_index.get(utxo_hash)
         if outpoint is None:
+            # The index holds the pre-quantum outputs only.
+            if any(u.utxo_hash() == utxo_hash for u in self.utxos.values() if self._is_post_quantum(u.address)):
+                raise RuleViolation("lfc-commit-pq-utxo", "lifted commitments spend pre-quantum outputs")
             raise RuleViolation("lfc-unknown-utxo", "H(u) matches no unspent output")
         if outpoint in self.lfc_locks:
             raise RuleViolation("lfc-locked", "an unexpired commitment already locks this output")
         utxo = self.utxos[outpoint]
-        if not self._is_pre_quantum(utxo.address):
-            raise RuleViolation("lfc-commit-pq-utxo", "lifted commitments spend pre-quantum outputs")
         fine = self.params.fine_policy.fine(utxo.value)
         record = LfcCommitment(
             committed_hash=committed,
@@ -1344,6 +1357,8 @@ def verify_snapshot(text: str) -> Chain:
         raise RuleViolation("snapshot-header", "not a snapshot file")
     if len(lines) < 3 or not lines[1].startswith("config ") or not lines[-1].startswith("digest "):
         raise RuleViolation("snapshot-shape", "expected config, blocks, digest")
+    if not all(line.startswith("block ") for line in lines[2:-1]):
+        raise RuleViolation("snapshot-shape", "expected a block line")
     try:
         config = ChainConfig.from_json(json.loads(lines[1][len("config ") :]))
         blocks = [Block.deserialize(bytes.fromhex(line[len("block ") :])) for line in lines[2:-1]]

@@ -649,8 +649,11 @@ def _batch_holds(group: GroupParams, items: list[tuple[GroupPoint, bytes, PreQua
         if not 0 <= sig.s < group.q:
             return False
         if pk.value not in exponents:
-            if pk.group != group or not _in_subgroup(group, pk.value):
+            if pk.group != group:
                 return False
+            # The subgroup test, answered by the decode memo for a key the
+            # caller decoded: a key off the subgroup raises DecodeError.
+            decode_point(group, pk.encode())
             exponents[pk.value] = 0
     pairs, s_sum = [], 0
     for a, (pk, msg, sig) in zip(_batch_multipliers(items), items):

@@ -26,6 +26,7 @@ Pure and immutable throughout; thread-safe.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -70,6 +71,9 @@ def to_xpk(group: GroupParams, xsk: ExtendedSecretKey) -> ExtendedPublicKey:
 
 
 _STEP = struct.Struct(">IB")  # a step's index and its hardened flag
+# A path's one spelling: "m", then per step "/", a decimal index with no
+# leading zero and, if hardened, "h".
+_PATH_TEXT = re.compile(r"m(/(0|[1-9][0-9]*)h?)*")
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,15 @@ class DerivationPath:
     def parse(text: str) -> "DerivationPath":
         if not isinstance(text, str):
             raise TypeError(f"a derivation path is a string, not {text!r}")
-        parts = text.strip().split("/")
-        if not parts or parts[0] != "m":
-            raise DecodeError(f"path must start with 'm': {text!r}")
+        if not _PATH_TEXT.fullmatch(text):
+            raise DecodeError(f"a path is m, then /index or /indexh per step, in decimal with no leading zero: {text!r}")
         steps = []
-        for part in parts[1:]:
+        for part in text.split("/")[1:]:
             hardened = part.endswith("h")
-            steps.append(DerivationStep(int(part[:-1] if hardened else part), hardened))
+            index = int(part[:-1] if hardened else part)
+            if index >= 1 << 32:
+                raise DecodeError(f"path index {index} does not fit in 32 bits")
+            steps.append(DerivationStep(index, hardened))
         return DerivationPath(tuple(steps))
 
 

@@ -347,25 +347,7 @@ class Block:
     coinbase: Transaction
 
     def serialize(self) -> bytes:
-        parent = self.parent
-        miner_id = self.miner_id.encode("utf-8")
-        try:
-            head = _U64_U32.pack(self.height, len(parent))
-        except struct.error:
-            enc_u64(self.height)
-            raise
-        buf = bytearray(head)
-        buf += b"".join((parent, U32.pack(len(miner_id)), miner_id, self.miner_address.serialize()))
-        # The transactions and the reports: a count, then length-prefixed items.
-        for items in ([tx.serialize() for tx in self.transactions], self.samaritan_reports):
-            buf += U32.pack(len(items))
-            for item in items:
-                buf += U32.pack(len(item))
-                buf += item
-        encoded = self.coinbase.serialize()
-        buf += U32.pack(len(encoded))
-        buf += encoded
-        return bytes(buf)
+        return _block_bytes(self, self.coinbase.serialize())
 
     @staticmethod
     def deserialize(data: bytes) -> "Block":
@@ -396,6 +378,30 @@ class Block:
 
     def block_hash(self) -> bytes:
         return address_hash(self.serialize())
+
+
+def _block_bytes(block: Block, coinbase: bytes) -> bytes:
+    """The bytes of `block`, whose coinbase encodes as `coinbase`: a chain
+    that has just encoded a coinbase for its txid hashes the block without
+    encoding the coinbase again."""
+    parent = block.parent
+    miner_id = block.miner_id.encode("utf-8")
+    try:
+        head = _U64_U32.pack(block.height, len(parent))
+    except struct.error:
+        enc_u64(block.height)
+        raise
+    buf = bytearray(head)
+    buf += b"".join((parent, U32.pack(len(miner_id)), miner_id, block.miner_address.serialize()))
+    # The transactions and the reports: a count, then length-prefixed items.
+    for items in ([tx.serialize() for tx in block.transactions], block.samaritan_reports):
+        buf += U32.pack(len(items))
+        for item in items:
+            buf += U32.pack(len(item))
+            buf += item
+    buf += U32.pack(len(coinbase))
+    buf += coinbase
+    return bytes(buf)
 
 
 GENESIS_PARENT = bytes(32)

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from functools import partial
 
 from qcspend.agents import Wallet
 from qcspend.consensus import Chain, ChainConfig, GenesisGrant
+from qcspend.encoding import enc_u64
 from qcspend.fawkescoin import RevealMode, RevealPayload, commit_payload
 from qcspend.groups import pk_ec, toy_group
 from qcspend.hdwallet import DerivationPath
-from qcspend.ledger import NO_WITNESS, Address, Transaction, TxInput, TxKind, TxOutput, pk_hash_address
+from qcspend.ledger import NO_WITNESS, Address, Block, Transaction, TxInput, TxKind, TxOutput, pk_hash_address
 from qcspend.params import Params
 
 KDF_ITERS = 8
@@ -42,6 +43,25 @@ def same_state(a, b) -> bool:
     FawkesCoin commitments)?  Undo data and violations are left out."""
     names = (set(vars(a)) | set(vars(b))) - NOT_STATE
     return all(_by_value(getattr(a, n, None)) == _by_value(getattr(b, n, None)) for n in names)
+
+
+def differing_in(block: Block, field: str, address: Address) -> Block:
+    """`block` with one field that a replay recomputes changed: its first
+    coinbase output's `value`, or its `address` (to `address`), the coinbase
+    `payload`, or the samaritan `reports` (each stored twice; selection
+    keeps one)."""
+    coinbase = block.coinbase
+    first, rest = coinbase.outputs[0], coinbase.outputs[1:]
+    if field == "value":
+        coinbase = replace(coinbase, outputs=(replace(first, value=first.value + 1),) + rest)
+    elif field == "address":
+        coinbase = replace(coinbase, outputs=(replace(first, address=address),) + rest)
+    elif field == "payload":
+        coinbase = replace(coinbase, payload=enc_u64(block.height + 1))
+    else:
+        assert field == "reports" and block.samaritan_reports
+        return replace(block, samaritan_reports=block.samaritan_reports * 2)
+    return replace(block, coinbase=coinbase)
 
 
 class Harness:

@@ -77,12 +77,13 @@ class TestRun:
             ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "mode": "naked"}),
             ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "mode": "fraud_proof"}),
             ("alice", "script", {"height": 3, "do": "direct_spend", "utxo": "pq-alice"}),
+            ("alice", "script", {"height": 3, "do": "registry_declare", "paths": ["m/05"]}),
         ],
         ids=["unknown-action", "unknown-utxo", "no-height", "unknown-deposit", "unknown-recipient",
              "unknown-fake-lfc-utxo", "unknown-watch", "unknown-mode", "unknown-sig", "path-without-m",
              "path-bad-index", "steal-without-mode", "steal-needing-a-key", "fc-spend-without-utxo",
              "entry-typo", "fake-lfc-typo", "abandon-text", "naked-without-deposit", "fraud-proof-mode",
-             "spend-of-a-pq-grant"],
+             "spend-of-a-pq-grant", "path-leading-zero"],
     )
     def test_bad_script_entry_exits_2(self, tmp_path, capsys, agent, key, entry):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())

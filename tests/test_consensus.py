@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import Harness, same_state
+from helpers import Harness, differing_in, same_state
 from qcspend import consensus, groups
 from qcspend.consensus import (
     EpochKind,
@@ -427,6 +427,48 @@ class TestReplayAndReorg:
         with pytest.raises(RuleViolation, match="block-mismatch"):
             fresh.apply_block(doctored)
 
+    @pytest.mark.parametrize("field", ["value", "address", "payload", "reports"])
+    def test_block_differing_in_a_recomputed_field_rejected(self, field):
+        # Pre-quantum, so that a block may carry a report, and longer than
+        # the reorg depth, so that the undo data is full.
+        h = Harness(killed_at=None)
+        h.build()
+        h.mine(h.params.max_reorg_depth + 2)
+        good = h.mine_with([], [h.wallet("dave").derived_pk(path("m/0h/0/0"))])
+        chain = replay_chain(h.config, h.chain.blocks[:-1])
+        digest, final = chain.state_digest(), chain.final_height
+        with pytest.raises(RuleViolation) as raised:
+            chain.apply_block(differing_in(good, field, h.wallet("m1").pq_address()))
+        assert raised.value.rule == "block-mismatch"
+        assert chain.state_digest() == digest and chain.final_height == final
+        assert same_state(chain, replay_chain(h.config, h.chain.blocks[:-1]))
+        chain.apply_block(good)
+        assert same_state(chain, h.chain)
+
+    def test_rejected_block_keeps_the_reorg_depth(self):
+        # A block rejected as it closes leaves the undo data as it was, so a
+        # chain whose undo data is full can still reorg `max_reorg_depth`
+        # deep.  Appending such a block and then rewinding it would drop the
+        # oldest journal and make one more block final per rejection.
+        h = Harness()
+        h.build()
+        depth = h.params.max_reorg_depth
+        h.mine(depth + 5)
+        good = h.chain.blocks[-1]
+        chain = replay_chain(h.config, h.chain.blocks[:-1])
+        final = chain.final_height
+        assert final == chain.height - depth
+        for field in ("value", "address", "payload"):
+            with pytest.raises(RuleViolation, match="block-mismatch"):
+                chain.apply_block(differing_in(good, field, h.wallet("m1").pq_address()))
+            assert chain.final_height == final
+        side = replay_chain(h.config, chain.blocks[: final + 1])
+        for _ in range(depth + 1):
+            side.begin_block("m1", h.wallet("m1").pq_address())
+            side.end_block()
+        reorg(chain, h.config, side.blocks[final + 1 :])
+        assert same_state(chain, replay_chain(h.config, side.blocks))
+
     def test_depth_3_reorg_preserves_fc_flow(self):
         h = self.flow_harness()
         reveal = h.fc_flow_hashed("alice", "u1", "m/0h/0/0", fee=10)
@@ -608,6 +650,34 @@ class TestSnapshots:
         with pytest.raises(RuleViolation) as err:
             verify_snapshot(self.tampered(export_snapshot(h.chain, h.config), edit))
         assert err.value.rule == rule
+
+    @pytest.mark.parametrize("prefix", ["bl0ck ", "0lock "])
+    def test_block_line_needs_its_prefix(self, prefix):
+        h = Harness()
+        h.build()
+        h.mine(3)
+
+        def edit(lines):
+            return lines[:3] + [prefix + lines[3][len("block ") :]] + lines[4:]
+
+        with pytest.raises(RuleViolation) as err:
+            verify_snapshot(self.tampered(export_snapshot(h.chain, h.config), edit))
+        assert err.value.rule == "snapshot-shape"
+
+    def test_respelled_regular_path_is_a_parse_error(self):
+        h = Harness()
+        h.build()
+        h.mine()
+
+        def edit(lines):
+            config = json.loads(lines[1][len("config ") :])
+            assert config["params"]["regular_paths"][0] == "m/0h/0/0"
+            config["params"]["regular_paths"][0] = "m/0h/0/00"
+            return lines[:1] + ["config " + json.dumps(config)] + lines[2:]
+
+        with pytest.raises(RuleViolation) as err:
+            verify_snapshot(self.tampered(export_snapshot(h.chain, h.config), edit))
+        assert err.value.rule == "snapshot-parse"
 
     def test_changed_grant_is_a_genesis_mismatch(self):
         h = Harness()

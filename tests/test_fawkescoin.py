@@ -1,8 +1,10 @@
 from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
-from helpers import Harness
+from helpers import Harness, same_state
+from qcspend.consensus import replay_chain
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload
 from qcspend.hdwallet import DerivationPath, path
 from qcspend.ledger import Transaction, TxInput, TxKind, TxOutput, plain_pk_address
@@ -483,3 +485,123 @@ class TestFraudProof:
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         with pytest.raises(RuleViolation, match="fp-derivation"):
             h.chain.add_tx(fp)
+
+
+def rule_harness():
+    """A permissive in-era chain with a plain-key and a hashed output of the
+    owner, the owner's post-quantum deposit and fee, and a thief's."""
+    h = Harness(challenge_blocks=150)
+    h.grant("u-naked", plain_pk_address(h.wallet("owner").derived_pk(path("m/0h/0/0"))), 10_000)
+    h.grant_hashed("u-hashed", "owner", "m/0h/0/1", 10_000)
+    h.grant_pq("d1", "owner", 10_000)
+    h.grant_pq("fee", "owner", 4_000)
+    h.grant_pq("d-thief", "thief", 10_500)
+    h.grant_pq("fee-thief", "thief", 2_000)
+    h.build()
+    return h
+
+
+def fc_reveal(h, mode, inputs, payload=None):
+    """A reveal in `mode` spending `inputs` (label, signer) to the owner."""
+    owner = h.wallet("owner")
+    total = sum(h.chain.utxos[h.outpoints[label]].value for label, _ in inputs)
+    payload = payload or RevealPayload(mode)
+    outputs = [TxOutput(owner.pq_address(), total)]
+    return h.signed(TxKind.FC_REVEAL, [(h.outpoints[label], signer) for label, signer in inputs], outputs, payload.serialize(h.group))
+
+
+def owner_pre(h, p="m/0h/0/0"):
+    return ("pre", h.wallet("owner"), h.wallet("owner").derived_sk(path(p)))
+
+
+def fraud_proof(h, target, inputs):
+    """A fraud proof by the owner naming `target`, spending `inputs`."""
+    payload = RevealPayload(RevealMode.FRAUD_PROOF, h.wallet("owner").msk, path("m/0h/0/0"), target)
+    return fc_reveal(h, RevealMode.FRAUD_PROOF, inputs, payload)
+
+
+def open_challenge(h):
+    """The thief's naked spend of u-naked, with the owner's key its oracle
+    recovered, lands and opens a challenge; returns its txid."""
+    thief = h.wallet("thief")
+    op, dep = h.outpoints["u-naked"], h.outpoints["d-thief"]
+    outputs = [TxOutput(thief.pq_address(), 20_000)]
+    steal = h.signed(TxKind.FC_REVEAL, [(op, owner_pre(h)), (dep, ("pq", thief))], outputs, RevealPayload(RevealMode.NAKED).serialize(h.group))
+    h.mine_with([h.fc_commit_tx("thief", steal.txid())])
+    h.mine(99)
+    h.mine_with([steal])
+    return steal.txid()
+
+
+class TestRuleIds:
+    """Each FawkesCoin reveal rule id with the smallest input that raises
+    it: a rejection leaves the digest as it was, the block still closes,
+    and the chain equals a clean replay of its blocks."""
+
+    @pytest.mark.parametrize(
+        "make, rule",
+        [
+            (lambda h: fc_reveal(h, RevealMode.HASHED, []), "fc-reveal-shape"),
+            (lambda h: fc_reveal(h, RevealMode.HASHED, [("u-hashed", owner_pre(h, "m/0h/0/1")), ("u-naked", owner_pre(h))]), "fc-reveal-shape"),
+            (lambda h: fc_reveal(h, RevealMode.HASHED, [("fee", ("pq", h.wallet("owner")))]), "fc-reveal-prequantum"),
+            (lambda h: fc_reveal(h, RevealMode.NAKED, [("fee", None), ("d1", None)]), "fc-reveal-prequantum"),
+            (lambda h: fc_reveal(h, RevealMode.NAKED, [("u-naked", owner_pre(h))]), "fc-deposit-shape"),
+            (lambda h: fc_reveal(h, RevealMode.NAKED, [("u-naked", None), ("u-hashed", None)]), "fc-deposit-pq"),
+            (lambda h: fc_reveal(h, RevealMode.LOST, [("u-naked", owner_pre(h)), ("d1", None)]), "fc-lost-witness"),
+            (lambda h: fraud_proof(h, b"\x07" * 32, []), "fp-no-target"),
+            (lambda h: fraud_proof(h, open_challenge(h), [("fee", ("pq", h.wallet("owner")))]), "fp-shape"),
+        ],
+        ids=["hashed-no-input", "hashed-two-inputs", "hashed-pq-output", "deposit-pq-output", "deposit-one-input",
+             "deposit-not-pq", "lost-with-witness", "fp-no-target", "fp-wrong-input"],
+    )
+    def test_rejected_transaction(self, make, rule):
+        h = rule_harness()
+        tx = make(h)
+        digest = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(tx)
+        assert violation is not None and violation.rule == rule
+        assert h.chain.state_digest() == digest
+        assert h.chain.end_block().transactions == ()
+        assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
+
+    def test_fraud_proof_without_outputs(self):
+        h = rule_harness()
+        target = open_challenge(h)
+        record = h.chain.challenges[target]
+        tx = replace(fraud_proof(h, target, [("u-hashed", None)]), inputs=(TxInput(record.spent_outpoint),), outputs=())
+        digest = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(tx)
+        assert violation is not None and (violation.rule, violation.detail) == ("fp-shape", "a fraud proof needs a destination for the deposit")
+        assert h.chain.state_digest() == digest
+        assert h.chain.end_block().transactions == ()
+        assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
+
+    def test_ledger_balance(self):
+        # Only a corrupted chain reaches it: here the running UTXO sum is one
+        # off.  The balance check runs as the block closes, so the whole
+        # block, its transfer included, is rolled back, built or replayed.
+        h = rule_harness()
+        owner = h.wallet("owner")
+        transfer = h.signed(TxKind.TRANSFER, [(h.outpoints["fee"], ("pq", owner))], [TxOutput(owner.pq_address(), 3_990)])
+        digest, height = h.chain.state_digest(), h.chain.height
+        h.chain.utxo_value_sum += 1
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        h.chain.add_tx(transfer)
+        with pytest.raises(RuleViolation) as raised:
+            h.chain.end_block()
+        assert raised.value.rule == "ledger-balance"
+        assert h.chain.height == height and h.chain.state_digest() == digest
+        h.chain.utxo_value_sum -= 1
+        block = h.mine_with([transfer])
+        assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
+
+        chain = replay_chain(h.config, h.chain.blocks[:-1])
+        chain.utxo_value_sum += 1
+        with pytest.raises(RuleViolation, match="ledger-balance"):
+            chain.apply_block(block)
+        chain.utxo_value_sum -= 1
+        assert same_state(chain, replay_chain(h.config, h.chain.blocks[:-1]))
+        chain.apply_block(block)
+        assert same_state(chain, h.chain)

@@ -676,6 +676,33 @@ class TestBatchVerify:
         assert not prequantum_batch_verify(self.SG, items)
         assert not prequantum_verify(self.SG, *items[1])
 
+    def test_key_outside_the_subgroup_is_rejected(self, monkeypatch):
+        # The same attack on the key: pk' = p - pk is no quadratic residue,
+        # and pk'^(a*e) equals (-1)^(a*e) * pk^(a*e), so the equation holds
+        # whenever a*e is even.  The key's subgroup test comes from the
+        # decode memo, which must not hold pk' (a decode of it fails).
+        monkeypatch.setattr(groups, "_verified", set())
+        sk, k = 4242, 1_000
+        forged_key = GroupPoint(self.SG, self.SG.p - pk_ec(self.SG, sk).value)
+        for attempt in range(64):
+            msg = b"off-subgroup key %d" % attempt
+            nonce = pk_ec(self.SG, k).encode()
+            e = groups._challenge(self.SG, nonce, forged_key.encode(), msg)
+            items = [self.POOL[0], (forged_key, msg, PreQuantumSignature(nonce, (k + e * sk) % self.SG.q))]
+            if groups._batch_multipliers(items)[1] * e % 2 == 0:
+                break
+        p, q = self.SG.p, self.SG.q
+        multipliers = groups._batch_multipliers(items)
+        left = pow(self.SG.g, sum(a * sig.s for a, (_, _, sig) in zip(multipliers, items)) % q, p)
+        right = 1
+        for a, (key, message, sig) in zip(multipliers, items):
+            challenge = groups._challenge(self.SG, sig.nonce_point, key.encode(), message)
+            right = right * pow(int.from_bytes(sig.nonce_point, "big"), a, p) * pow(key.value, a * challenge, p) % p
+        assert left == right  # the equation alone would accept
+        assert not prequantum_batch_verify(self.SG, items)
+        with pytest.raises(DecodeError, match="^point not in the prime-order subgroup$"):
+            decode_point(self.SG, forged_key.encode())
+
     def test_malformed_items_return_false(self):
         pk, msg, sig = self.POOL[0]
         for bad in (

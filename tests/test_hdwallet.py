@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcspend.encoding import DecodeError
 from qcspend.groups import pk_ec, toy_group
 from qcspend.hdwallet import (
     DerivationPath,
@@ -138,6 +139,20 @@ class TestPathAlgebra:
     def test_string_roundtrip(self):
         for text in ("m", "m/0h/5/12h", "m/4294967295h"):
             assert str(path(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "m/0h/0/ 5", "m/0h/0/05", "m/00/0/7", "m/1_0", " m/0h ", "m/0h\n", "m/+1", "m/-1", "m/0H", "m/0hh",
+            "m/h", "m/", "m//1", "m/1/", "M/1", "n/1", "", "/1", "m/\u0661", "m/4294967296", "m/4294967296h",
+        ],
+    )
+    def test_one_spelling_per_path(self, text):
+        # Only "m" and "/" plus a decimal index with no leading zero per
+        # step, "h" after a hardened one.  A scenario path or a snapshot's
+        # regular paths spelled any other way are a DecodeError here.
+        with pytest.raises(DecodeError):
+            path(text)
 
     @settings(max_examples=100, deadline=None)
     @given(p=paths)

@@ -11,7 +11,7 @@ import pytest
 from qcspend.agents import MinerAgent
 from qcspend.consensus import verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
-from qcspend.ledger import TxKind
+from qcspend.ledger import Block, TxKind
 from qcspend.lifted_fawkescoin import EpochDecision, LfcState, extension_decision
 from qcspend.rules import RuleViolation
 from qcspend.scenarios import BUNDLED, load_scenario, run_adversary, run_scenario
@@ -355,6 +355,21 @@ def test_block_digests_match_golden(name):
     digests = golden("block_digests.golden")
     assert list(digests) == SHORT
     assert stepped_run(name)[1] == digests[name]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_snapshot_blocks_reencode_and_replay_to_the_tip(name, request):
+    # A replay keeps each stored block as it decoded it, so every block
+    # line must be the bytes its block encodes to, and the replayed tip
+    # hash must be the built chain's.
+    sim = request.getfixturevalue("epoch_sim") if name == "epoch-mechanics" else stepped_run(name)[0]
+    text = sim.snapshot()
+    lines = [bytes.fromhex(line[len("block ") :]) for line in text.splitlines() if line.startswith("block ")]
+    assert len(lines) == len(sim.chain.blocks)
+    for data in lines:
+        assert Block.deserialize(data).serialize() == data
+    assert sim.chain.tip_hash == sim.chain.blocks[-1].block_hash()
+    assert verify_snapshot(text).tip_hash == sim.chain.tip_hash
 
 
 class TestDeterminism:

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from helpers import Harness, same_state
+from helpers import Harness, differing_in, same_state
 from qcspend.consensus import Chain, proof_message, reorg, replay_chain
 from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload
 from qcspend.groups import decode_point, prequantum_sign, quantum_invert, toy_group
 from qcspend.hdwallet import path
-from qcspend.ledger import Block, Transaction, TxKind, TxOutput, plain_pk_address
+from qcspend.ledger import AddrKind, Block, Transaction, TxKind, TxOutput, plain_pk_address
 from qcspend.lifted_fawkescoin import LfcState, claim_payload, record_payload
 from qcspend.rules import RuleViolation
 
@@ -197,6 +197,21 @@ class TestAtomicity:
         assert same_state(chain, self.chain_at(main, 53))
         chain.apply_block(good)
 
+    @pytest.mark.parametrize("field", ["value", "address", "payload", "reports"])
+    def test_block_differing_in_a_recomputed_field_leaves_no_effects(self, main, field):
+        blocks = main.chain.blocks
+        # Block 1 carries the samaritan report; the first lifted fee payout
+        # has a second coinbase output.
+        height = 1 if field == "reports" else next(b.height for b in blocks if len(b.coinbase.outputs) == 2)
+        chain = self.chain_at(main, height - 1)
+        digest, final = chain.state_digest(), chain.final_height
+        with pytest.raises(RuleViolation, match="block-mismatch"):
+            chain.apply_block(differing_in(blocks[height], field, main.wallet("m1").pq_address()))
+        assert chain.state_digest() == digest and chain.final_height == final
+        assert same_state(chain, self.chain_at(main, height - 1))
+        chain.apply_block(blocks[height])
+        assert same_state(chain, self.chain_at(main, height))
+
     def test_handler_that_mutates_then_raises_leaves_no_effects(self, main, monkeypatch):
         chain = self.chain_at(main, 13)
         good = main.chain.blocks[14]  # the hashed reveal, which pays a fee
@@ -271,3 +286,26 @@ def test_rewound_blocks_take_their_violations(main):
     side.end_block()
     reorg(chain, config, side.blocks[31:])
     assert [v[:2] for v in chain.violations] == [(30, "tx-empty")]
+
+
+def test_hash_index_names_the_live_pre_quantum_outputs(main):
+    """The H(u) index maps the hash of every live pre-quantum output to its
+    outpoint, and holds nothing else, after a build, a rewind and a reorg."""
+    config, blocks = main.config, main.chain.blocks
+
+    def check(chain):
+        live = [u for u in chain.utxos.values() if u.address.kind is not AddrKind.POST_QUANTUM]
+        assert live and len(live) < len(chain.utxos)  # post-quantum outputs stay out
+        assert chain.utxo_hash_index == {u.utxo_hash(): u.outpoint for u in live}
+
+    check(main.chain)
+    chain = replay_chain(config, blocks[:61])
+    chain._rewind(47)  # undoes the lifted commitments, the reveal and the claim
+    check(chain)
+    side = replay_chain(config, blocks[:48])
+    side.begin_block("m1", main.wallet("m1").pq_address())
+    side.end_block()
+    reorg(chain, config, blocks[48:61])
+    check(chain)
+    reorg(chain, config, side.blocks[48:])
+    check(chain)
