@@ -94,6 +94,7 @@ from .lifting import (
     euf_lcma_game,
     keylift_sign,
     keylift_verify,
+    lifted_backends,
     seedlift_sign,
     seedlift_verify,
     transparent_backend,

@@ -107,9 +107,8 @@ from .lifting import (
     LiftedSignature,
     deserialize_lifted,
     keylift_verify,
-    seedlift_owf,
+    lifted_backends,
     seedlift_verify,
-    transparent_backend,
 )
 from .params import FEE_SHARE_DELAY, Params, check_fields, toy_order
 from .rules import RuleViolation
@@ -213,8 +212,7 @@ class Chain:
         self.pq_group = secure_group()
         self.canary_group = canary_group
         self.canary = canary
-        self.key_backend = transparent_backend()
-        self.seed_backend = transparent_backend(seedlift_owf(group))
+        self.key_backend, self.seed_backend = lifted_backends(group)
 
         self.blocks: list[Block] = []
         self.tip_hash = GENESIS_PARENT  # the hash of blocks[-1], once genesis is in
@@ -897,10 +895,7 @@ class Chain:
             raise RuleViolation("lfc-duplicate", "commitment hash already recorded")
         outpoint = self.utxo_hash_index.get(utxo_hash)
         if outpoint is None:
-            # The index holds the pre-quantum outputs only.
-            if any(u.utxo_hash() == utxo_hash for u in self.utxos.values() if self._is_post_quantum(u.address)):
-                raise RuleViolation("lfc-commit-pq-utxo", "lifted commitments spend pre-quantum outputs")
-            raise RuleViolation("lfc-unknown-utxo", "H(u) matches no unspent output")
+            raise RuleViolation("lfc-unknown-utxo", "H(u) names no unspent pre-quantum output")
         if outpoint in self.lfc_locks:
             raise RuleViolation("lfc-locked", "an unexpired commitment already locks this output")
         utxo = self.utxos[outpoint]

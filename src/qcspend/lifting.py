@@ -16,10 +16,12 @@ that proves knowledge of a preimage of a one-way function:
   the signed message so it cannot be swapped or truncated.
 
 The only bundled backend is `TransparentBackend`, which is deliberately
-insecure: its "proof" simply reveals the preimage plus a binding hash.
-That is enough to execute every protocol rule and the extractability-shaped
-tests at desk scale.  A production argument-of-knowledge system would slot
-in behind the same three-method interface.
+insecure: its "proof" simply reveals the preimage plus a binding hash, so
+one seed-lifted proof hands out the lifting secret of every key of its
+wallet (`seedlift_harvest_adversary`).  That is enough to execute every
+protocol rule at desk scale.  A zero-knowledge argument-of-knowledge
+system would slot in behind the same two-method interface, in place of
+the transparent pair that `lifted_backends` returns.
 
 Serialized signature layout (transparent-backend proof shape): one tag
 byte (1 = key-lifted, 2 = seed-lifted), then length-prefixed proof fields,
@@ -35,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .encoding import DecodeError, Reader, enc_bytes
+from .encoding import DecodeError, Reader, bytes_at, enc_bytes
 from .groups import (
     GroupParams,
     GroupPoint,
@@ -63,65 +65,48 @@ KEY_LIFTED_TAG = 1
 SEED_LIFTED_TAG = 2
 
 
-@dataclass(frozen=True)
-class ProofSig:
-    """Transparent-backend proof: the revealed preimage and a binding hash."""
-
-    secret: bytes
-    binding: bytes
-
-    def serialize(self) -> bytes:
-        return enc_bytes(self.secret) + enc_bytes(self.binding)
-
-    @staticmethod
-    def read(r: Reader) -> "ProofSig":
-        return ProofSig(r.bytes_(), r.bytes_())
-
-
 class OwfBackend(Protocol):
     """Proof-of-preimage-knowledge backend instantiated with a one-way
-    function.  verify(owf(x), m, sign(x, m)) must hold for all x, m."""
+    function f.  verify(f(x), m, sign(x, m)) must hold for all x, m.  The
+    proof bytes are the backend's own format: verify parses them itself
+    and returns False, never raises, on bytes it cannot parse."""
 
-    def owf(self, x: bytes) -> bytes: ...
+    def sign(self, secret: bytes, msg: bytes) -> bytes: ...
 
-    def sign(self, secret: bytes, msg: bytes) -> ProofSig: ...
-
-    def verify(self, public: bytes, msg: bytes, sig: ProofSig) -> bool: ...
+    def verify(self, public: bytes, msg: bytes, proof: bytes) -> bool: ...
 
 
 class TransparentBackend:
     """Test stand-in for the argument-of-knowledge scheme.
 
-    INSECURE BY DESIGN: the proof contains the secret in the clear, which
-    is what makes the extractability-shaped tests executable.  Never a
-    model of the real construction's privacy, only of its interface.
+    INSECURE BY DESIGN: the proof, enc_bytes(secret) + enc_bytes(binding),
+    contains the secret in the clear, so it gives no zero knowledge.  It
+    models the real construction's interface only, never its privacy.
     """
 
     def __init__(self, owf: Callable[[bytes], bytes]):
         self._owf = owf
 
-    def owf(self, x: bytes) -> bytes:
-        return self._owf(x)
+    def sign(self, secret: bytes, msg: bytes) -> bytes:
+        return enc_bytes(secret) + enc_bytes(self._binding(secret, msg))
 
-    def sign(self, secret: bytes, msg: bytes) -> ProofSig:
-        return ProofSig(secret, self._binding(secret, msg))
-
-    def verify(self, public: bytes, msg: bytes, sig: ProofSig) -> bool:
+    def verify(self, public: bytes, msg: bytes, proof: bytes) -> bool:
+        r = Reader(proof)
         try:
-            if self._owf(sig.secret) != public:
-                return False
-            return sig.binding == self._binding(sig.secret, msg)
-        except (TypeError, AttributeError):
+            secret, binding = r.bytes_(), r.bytes_()
+            r.done()
+        except DecodeError:
             return False
+        return self._owf(secret) == public and binding == self._binding(secret, msg)
+
+    @staticmethod
+    def revealed_secret(proof: bytes) -> bytes:
+        """The leak: the preimage a transparent proof opens with."""
+        return Reader(proof).bytes_()
 
     @staticmethod
     def _binding(secret: bytes, msg: bytes) -> bytes:
         return hashlib.sha512(b"transparent-bind" + enc_bytes(secret) + enc_bytes(msg)).digest()
-
-    @staticmethod
-    def extract(sig: ProofSig) -> bytes:
-        """The extractor: a valid proof yields a preimage of the public."""
-        return sig.secret
 
 
 def transparent_backend(owf: Callable[[bytes], bytes] = address_hash) -> TransparentBackend:
@@ -134,15 +119,21 @@ def seedlift_owf(group: GroupParams) -> Callable[[bytes], bytes]:
     return lambda x: kdf_pq(group, x).serialize(group)
 
 
+def lifted_backends(group: GroupParams) -> tuple[OwfBackend, OwfBackend]:
+    """The (key-lifting, seed-lifting) backends over `group`: the one place
+    the backend is chosen."""
+    return transparent_backend(), transparent_backend(seedlift_owf(group))
+
+
 # -- key-lifting ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KeyLiftedSig:
-    proof: ProofSig
+    proof: bytes
 
     def serialize(self) -> bytes:
-        return bytes([KEY_LIFTED_TAG]) + self.proof.serialize()
+        return bytes([KEY_LIFTED_TAG]) + self.proof
 
 
 def keylift_sign(group: GroupParams, backend: OwfBackend, sk: int, msg: bytes) -> KeyLiftedSig:
@@ -171,14 +162,14 @@ def _seedlift_message(msg: bytes, p: DerivationPath) -> bytes:
 
 @dataclass(frozen=True)
 class SeedLiftedSig:
-    proof: ProofSig
+    proof: bytes
     msk: ExtendedSecretKey
     path: DerivationPath
 
     def serialize(self, group: GroupParams) -> bytes:
         return (
             bytes([SEED_LIFTED_TAG])
-            + self.proof.serialize()
+            + self.proof
             + enc_bytes(self.msk.serialize(group))
             + self.path.serialize()
         )
@@ -225,10 +216,17 @@ def serialize_lifted(group: GroupParams, sig: LiftedSignature) -> bytes:
     return sig.serialize(group)
 
 
+def _proof_at(data: bytes, pos: int) -> tuple[bytes, int]:
+    # A proof is two length-prefixed fields, kept as one raw span.
+    _, end = bytes_at(data, pos)
+    _, end = bytes_at(data, end)
+    return data[pos:end], end
+
+
 def deserialize_lifted(group: GroupParams, data: bytes) -> LiftedSignature:
     r = Reader(data)
     tag = r.u8()
-    proof = ProofSig.read(r)
+    proof = r.walk(_proof_at)
     if tag == KEY_LIFTED_TAG:
         r.done()
         return KeyLiftedSig(proof)
@@ -324,7 +322,7 @@ class KeyLiftedScheme:
 
     def __init__(self, group: GroupParams, backend: OwfBackend | None = None):
         self.group = group
-        self.backend = backend or transparent_backend()
+        self.backend = backend or lifted_backends(group)[0]
 
     def keygen(self, tag: bytes):
         sk = self.group.scalar_from_hash(tag)
@@ -350,7 +348,7 @@ class SeedLiftedScheme:
 
     def __init__(self, group: GroupParams, backend: OwfBackend | None = None, iterations: int = 64, max_path_len: int = 4):
         self.group = group
-        self.backend = backend or transparent_backend(seedlift_owf(group))
+        self.backend = backend or lifted_backends(group)[1]
         self.iterations = iterations
         self.max_path_len = max_path_len
 
@@ -427,7 +425,7 @@ def seedlift_quantum_adversary(group: GroupParams, backend: OwfBackend, target: 
         # path.  The derivation equation holds; the backend proof cannot,
         # because no preimage of the fabricated master key is known.
         fake_msk = ExtendedSecretKey(leaf_sk, bytes(32))
-        fake_proof = ProofSig(bytes(64), TransparentBackend._binding(bytes(64), _seedlift_message(target, DerivationPath())))
+        fake_proof = backend.sign(bytes(64), _seedlift_message(target, DerivationPath()))
         attempt = SeedLiftedSig(fake_proof, fake_msk, DerivationPath())
         if seedlift_verify(group, backend, pk, target, attempt):
             return target, attempt
@@ -435,5 +433,24 @@ def seedlift_quantum_adversary(group: GroupParams, backend: OwfBackend, target: 
         # binding over (message, path) rejects it.
         honest = oracles.lifted_sign(b"some other message")
         return target, SeedLiftedSig(honest.proof, honest.msk, honest.path)
+
+    return run
+
+
+def seedlift_harvest_adversary(group: GroupParams, backend: OwfBackend):
+    """Reads the lifting secret out of one honest seed-lifted proof.
+
+    The transparent proof opens with the preimage `kdf_pre(seed)`, so one
+    lifted query, and no base-oracle access, yields a proof over a fresh
+    message for the same path.  It wins against the transparent backend
+    (the plain EUF-CMA game); a zero-knowledge backend hides the preimage.
+    """
+
+    def run(oracles: GameOracles):
+        target = b"harvest target"
+        honest = oracles.lifted_sign(b"harvested message")
+        secret = TransparentBackend.revealed_secret(honest.proof)
+        proof = backend.sign(secret, _seedlift_message(target, honest.path))
+        return target, SeedLiftedSig(proof, kdf_pq(group, secret), honest.path)
 
     return run

@@ -3,18 +3,19 @@ import pytest
 from helpers import Harness, same_state
 from qcspend.consensus import proof_message, replay_chain
 from qcspend.fawkescoin import RevealMode, RevealPayload
-from qcspend.hdwallet import path
-from qcspend.ledger import Transaction, TxKind, TxOutput, pk_hash_address, plain_pk_address
+from qcspend.hdwallet import kdf_pq, path
+from qcspend.ledger import Transaction, TxKind, TxOutput, Utxo, pk_hash_address, plain_pk_address
 from qcspend.lifted_fawkescoin import (
     EpochDecision,
     LfcMempoolMsg,
     LfcState,
     claim_payload,
     extension_decision,
+    parse_claim_payload,
     record_payload,
     split_fee,
 )
-from qcspend.lifting import KeyLiftedSig
+from qcspend.lifting import KeyLiftedSig, SeedLiftedSig, TransparentBackend, _seedlift_message, deserialize_lifted, serialize_lifted
 from qcspend.rules import RuleViolation
 
 U_VALUE = 100_000
@@ -92,8 +93,22 @@ class TestCommit:
         h.build()
         h.mine_to(199)
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
-        with pytest.raises(RuleViolation, match="lfc-commit-pq-utxo"):
+        with pytest.raises(RuleViolation, match="lfc-unknown-utxo"):
             h.chain.add_tx(record_tx(h, b"\x01" * 32, "fee-alice", 5))
+
+    def test_unknown_utxo_hashes_no_output(self, monkeypatch):
+        # A miss of the H(u) index is decided by the lookup alone, not by
+        # hashing the live outputs.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        calls = []
+        utxo_hash = Utxo.utxo_hash
+        monkeypatch.setattr(Utxo, "utxo_hash", lambda u: calls.append(u) or utxo_hash(u))
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation, match="lfc-unknown-utxo"):
+            h.chain.add_tx(Transaction(TxKind.LFC_COMMIT, payload=record_payload(b"\x01" * 32, b"\x00" * 32, 5)))
+        assert calls == []
 
     def test_fc_epoch_rejects_lfc_commit(self):
         h = lfc_harness()
@@ -399,6 +414,39 @@ class TestClaim:
         h.chain.end_block()
         h.mine_with([Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))])
         assert h.chain.lfc_by_hash[committed].state is LfcState.CLAIMED_BY_MINER
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: a transparent seed-lifted proof reveals kdf_pre(seed), "
+        "the lifting secret of every key of the wallet; only a zero-knowledge backend stops this theft",
+    )
+    def test_claim_with_a_harvested_seed_secret_rejected(self):
+        # Alice's seed-lifted proof for u1 lands on chain in a claim.  Eve
+        # reads the secret out of it, locks alice's sibling output u2 with a
+        # fake commitment and claims u2 with a proof for its path.
+        h = lfc_harness(lfc_epoch_len=1000)
+        h.build()
+        h.mine_to(199)
+        _, committed = committed_flow(h, alpha=1000)
+        sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 1000, kind="seed")
+        h.mine(201)
+        h.mine_with([Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))])
+        (claim,) = (t for t in h.chain.blocks[-1].transactions if t.kind is TxKind.LFC_CLAIM)
+        harvested = deserialize_lifted(h.group, parse_claim_payload(claim.payload)[1])
+        secret = TransparentBackend.revealed_secret(harvested.proof)
+
+        fake = b"\x07" * 32
+        h.mine_with([record_tx(h, fake, "u2", 0)], miner="eve")
+        record = h.chain.lfc_by_hash[fake]
+        h.mine(201, miner="eve")
+        sibling = path("m/0h/0/1")
+        proof = h.chain.seed_backend.sign(secret, _seedlift_message(proof_message(fake, 0), sibling))
+        forged = serialize_lifted(h.group, SeedLiftedSig(proof, kdf_pq(h.group, secret), sibling))
+        h.chain.begin_block("eve", h.wallet("eve").pq_address())
+        assert h.chain.try_add_tx(Transaction(TxKind.LFC_CLAIM, payload=claim_payload(fake, forged))) is not None
+        h.chain.end_block()
+        assert record.state is LfcState.LOCKED
 
 
 class TestExpiry:

@@ -1,31 +1,32 @@
 import pytest
 
+from qcspend.encoding import enc_bytes
 from qcspend.groups import address_hash, h512, pk_ec, toy_group
 from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf, path
 from qcspend.lifting import (
     KeyLiftedScheme,
     KeyLiftedSig,
-    ProofSig,
     SeedLiftedScheme,
     SeedLiftedSig,
+    TransparentBackend,
     deserialize_lifted,
     euf_lcma_game,
     keylift_lcma_adversary,
     keylift_sign,
     keylift_verify,
+    lifted_backends,
     null_adversary,
     replay_adversary,
+    seedlift_harvest_adversary,
     seedlift_owf,
     seedlift_quantum_adversary,
     seedlift_sign,
     seedlift_verify,
     serialize_lifted,
-    transparent_backend,
 )
 
 GROUP = toy_group(101)
-KEY_BACKEND = transparent_backend()
-SEED_BACKEND = transparent_backend(seedlift_owf(GROUP))
+KEY_BACKEND, SEED_BACKEND = lifted_backends(GROUP)
 KDF_ITERS = 32  # desk-scale iteration count; the chain split is what matters
 
 
@@ -46,8 +47,38 @@ class TestTransparentBackend:
         for i in range(64):
             secret = h512(b"x%d" % i).digest
             sig = KEY_BACKEND.sign(secret, b"m")
-            extracted = KEY_BACKEND.extract(sig)
-            assert KEY_BACKEND.owf(extracted) == address_hash(secret)
+            assert TransparentBackend.revealed_secret(sig) == secret
+
+
+# Each backend of the factory, with the one-way function it proves a preimage of.
+_KEY, _SEED = lifted_backends(toy_group())
+FACTORY_ROWS = [(_KEY, address_hash), (_SEED, seedlift_owf(toy_group()))]
+
+
+@pytest.mark.parametrize("backend, owf", FACTORY_ROWS, ids=["key", "seed"])
+class TestBackendContract:
+    """What every backend `lifted_backends` returns keeps, whatever its
+    proof bytes.  ROADMAP item 2's backend, once it takes the place of
+    the transparent pair, must pass them unchanged."""
+
+    def test_round_trip_32_secrets(self, backend, owf):
+        for i in range(32):
+            secret = h512(b"contract%d" % i).digest
+            msg = secret[:i]
+            assert backend.verify(owf(secret), msg, backend.sign(secret, msg))
+
+    def test_mangled_proof_rejected_without_raising(self, backend, owf):
+        secret, msg = h512(b"contract").digest, b"the message"
+        proof, public = backend.sign(secret, msg), owf(secret)
+        flips = [proof[:i] + bytes([proof[i] ^ 0xFF]) + proof[i + 1 :] for i in range(len(proof))]
+        truncations = [proof[:i] for i in range(len(proof))]
+        extensions = [proof + bytes([b]) for b in range(256)]
+        for bad in flips + truncations + extensions:
+            assert backend.verify(public, msg, bad) is False
+
+    def test_proof_bound_to_its_message(self, backend, owf):
+        secret, msg = h512(b"contract").digest, b"the message"
+        assert not backend.verify(owf(secret), msg + b"x", backend.sign(secret, msg))
 
 
 class TestKeyLifting:
@@ -64,7 +95,7 @@ class TestKeyLifting:
 
     def test_extracted_secret_is_public_key(self):
         sig = keylift_sign(GROUP, KEY_BACKEND, 21, b"m")
-        assert KEY_BACKEND.extract(sig.proof) == pk_ec(GROUP, 21).encode()
+        assert TransparentBackend.revealed_secret(sig.proof) == pk_ec(GROUP, 21).encode()
 
     def test_round_trip_128_random_cases(self):
         for i in range(128):
@@ -203,6 +234,16 @@ class TestUnforgeabilityGames:
         assert result.wins == 0
         assert all(r.reason == "verify-rejected" for r in result.rounds)
 
+    def test_seedlift_harvest_adversary_wins_without_base_oracle(self):
+        """Today's result, pinned: the transparent proof opens with
+        kdf_pre(seed), so one lifted query forges for any message, and the
+        factory's seed backend loses the plain EUF-CMA game in every round.
+        ROADMAP item 2's zero-knowledge backend is what turns this to 0."""
+        scheme = SeedLiftedScheme(toy_group(), iterations=16)
+        adversary = seedlift_harvest_adversary(scheme.group, scheme.backend)
+        result = euf_lcma_game(scheme, adversary, rounds=10, base_oracle=False)
+        assert result.won_all
+
     def test_malformed_output_recorded(self):
         scheme = KeyLiftedScheme(GROUP, KEY_BACKEND)
         result = euf_lcma_game(scheme, lambda o: ("not-bytes", None), rounds=1)
@@ -222,4 +263,4 @@ class TestSerialization:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(Exception):
-            deserialize_lifted(GROUP, b"\x07" + ProofSig(b"", b"").serialize())
+            deserialize_lifted(GROUP, b"\x07" + enc_bytes(b"") + enc_bytes(b""))

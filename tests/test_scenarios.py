@@ -1,6 +1,7 @@
 """Assertions over the bundled scenario runs: the protocol stories the
 simulator must reproduce, with exact value accounting."""
 
+import dataclasses
 import functools
 import hashlib
 import re
@@ -370,6 +371,21 @@ def test_snapshot_blocks_reencode_and_replay_to_the_tip(name, request):
         assert Block.deserialize(data).serialize() == data
     assert sim.chain.tip_hash == sim.chain.blocks[-1].block_hash()
     assert verify_snapshot(text).tip_hash == sim.chain.tip_hash
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="ROADMAP item 4: nothing pins the tip block's bytes, since the state digest "
+    "covers no block hash and only a child's parent link pins a block; snapshot v2 fixes it",
+)
+def test_altered_tip_block_rejected():
+    lines = stepped_run("front-runner-direct")[0].snapshot().splitlines()
+    tip = Block.deserialize(bytes.fromhex(lines[-2][len("block ") :]))
+    assert tip.miner_id == "m0"
+    lines[-2] = "block " + dataclasses.replace(tip, miner_id="x0").serialize().hex()
+    with pytest.raises(RuleViolation):
+        verify_snapshot("\n".join(lines) + "\n")
 
 
 class TestDeterminism:
