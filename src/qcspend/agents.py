@@ -7,7 +7,7 @@ configuration order, observing the chain as of height h-1 and the pending
 submission pool; then the scheduled miner builds block h from the pool.
 Work is due when a deferral or a scripted action falls on h, or when the
 agent has a standing duty that reads the chain or the pool every tick
-(`Agent.on_duty`); an agent with none is skipped, which changes nothing.
+(each kind's `on_duty`); an agent with none is skipped, which changes nothing.
 Submissions made during tick h are eligible for block h itself, so an
 adversary placed after its victim in the agent order sees the victim's
 submission before it is mined -- that is the whole mempool-listening
@@ -154,6 +154,8 @@ class Mempool:
 
 
 class Agent:
+    """Each kind defines `on_duty`: does its `autonomous` step run this tick?"""
+
     def __init__(self, agent_id: str, sim: "Simulation", options: dict, wallet: Wallet):
         self.id = agent_id
         self.sim = sim
@@ -181,11 +183,6 @@ class Agent:
         a standing duty?  An agent with none is not ticked."""
         return height in self.deferred or height in self.script or self.on_duty()
 
-    def on_duty(self) -> bool:
-        """Does `autonomous` have anything to look at this tick?  It runs
-        only then."""
-        return False
-
     def on_tick(self) -> None:
         height = self.sim.tick_height
         for fn in self.deferred.pop(height, ()):
@@ -197,9 +194,6 @@ class Agent:
 
     def run_action(self, action: dict) -> None:
         pass  # miner scripts are read at block-building time
-
-    def autonomous(self) -> None:
-        pass
 
     # -- shared transaction builders -------------------------------------------
 
@@ -232,18 +226,16 @@ class Agent:
             raise RuleViolation("agent-missing-utxo", f"{self.id} has no spendable post-quantum output")
         return min(candidates, key=lambda u: (u.created_height, u.outpoint)).outpoint
 
-    def build_pq_spend(
-        self, kind: TxKind, fee_outpoint: Outpoint, fee: int, payload: bytes, extra_outputs: tuple[TxOutput, ...] = ()
-    ) -> Transaction:
-        """A post-quantum-funded transaction (commitment or transfer):
-        change returns to the agent's post-quantum address."""
+    def build_pq_spend(self, kind: TxKind, fee_outpoint: Outpoint, fee: int, payload: bytes) -> Transaction:
+        """A post-quantum-funded transaction (a commitment) that pays `fee`:
+        its change returns to the agent's post-quantum address."""
         utxo = self.sim.chain.utxo(fee_outpoint)
         if utxo is None:
             raise RuleViolation("agent-missing-utxo", f"{self.id} lost track of a fee source")
-        change = utxo.value - fee - sum(o.value for o in extra_outputs)
+        change = utxo.value - fee
         if change < 0:
             raise RuleViolation("agent-underfunded", f"{self.id} cannot pay {fee}")
-        outputs = tuple(extra_outputs) + ((TxOutput(self.wallet.pq_address(), change),) if change > 0 else ())
+        outputs = (TxOutput(self.wallet.pq_address(), change),) if change > 0 else ()
         return Transaction(kind, (TxInput(utxo.outpoint),), outputs, payload).signed(self.wallet.witness_pq)
 
     def pre_spend(self, kind: TxKind, outpoint: Outpoint, sk: int, to: Address, value: int, payload: bytes = b"") -> Transaction:

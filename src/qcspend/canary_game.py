@@ -284,7 +284,7 @@ def canonical_games(bounty: int = 10, loot: int = 1000) -> dict[int, GameSpec]:
     }
 
 
-def _payoff_symbol(game: GameSpec, who: Player, out: Outcome) -> str:
+def _payoff_symbol(who: Player, out: Outcome) -> str:
     parts = []
     if out.bounty_to is who:
         parts.append("b")
@@ -293,7 +293,7 @@ def _payoff_symbol(game: GameSpec, who: Player, out: Outcome) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def render_payoff_table(bounty: int = 10, loot: int = 1000) -> str:
+def render_payoff_table() -> str:
     """The full 7-timeline table: event pattern, scenario group, and the
     four strategy cells with pure Nash equilibria starred."""
     lines = [
@@ -303,13 +303,13 @@ def render_payoff_table(bounty: int = 10, loot: int = 1000) -> str:
         "cells: (faster payoff, slower payoff); * = pure Nash equilibrium",
         "",
     ]
-    for tl, game in canonical_games(bounty, loot).items():
+    for tl, game in canonical_games().items():
         cls = classify_timeline(game)
         matrix = payoff_matrix(game)
         lines.append(f"timeline TL{tl}  scenario {cls.scenario}  pattern {' '.join(cls.pattern)}")
         for profile in PROFILES:
             out = outcome(game, *profile)
-            cell = f"({_payoff_symbol(game, Player.FASTER, out)}, {_payoff_symbol(game, Player.SLOWER, out)})"
+            cell = f"({_payoff_symbol(Player.FASTER, out)}, {_payoff_symbol(Player.SLOWER, out)})"
             star = "  *" if profile in matrix.equilibria else ""
             lines.append(f"  ({profile[0].value},{profile[1].value}) {cell}{star}")
         lines.append("")

@@ -110,7 +110,7 @@ from .lifting import (
     lifted_backends,
     seedlift_verify,
 )
-from .params import FEE_SHARE_DELAY, Params, check_fields, toy_order
+from .params import FC_MODES, FEE_SHARE_DELAY, Params, check_fields, toy_order
 from .rules import RuleViolation
 
 # Post-quantum witnesses per replay run, and so signatures per batch.
@@ -259,10 +259,10 @@ class Chain:
         outputs = tuple(TxOutput(g.address, g.value, g.wait_override) for g in grants)
         coinbase = Transaction(TxKind.COINBASE, outputs=outputs, payload=enc_u64(0))
         block = Block(0, GENESIS_PARENT, "genesis", Address(AddrKind.POST_QUANTUM, bytes(32)), (), (), coinbase)
+        self._mint(coinbase.output_sum())
         # Genesis grants are plain outputs, not coinbase ones, so they skip
         # coinbase maturity and scenarios can move immediately.
         self._create_outputs(coinbase, 0)
-        self.total_minted += coinbase.output_sum()
         self.blocks.append(block)
         self.tip_hash = block.block_hash()
         self._assert_balance()
@@ -424,6 +424,12 @@ class Chain:
         if self.leaks.mark(pk_bytes, height):
             self._journal.append((self.leaks.unmark, pk_bytes))
 
+    def _mint(self, value: int) -> None:
+        """Add `value` to the supply, which the state digest encodes as a u64."""
+        if self.total_minted + value >= 1 << 64:
+            raise RuleViolation("supply-bound", f"minting {value} would take the supply past 2^64 - 1")
+        self._set(self, "total_minted", self.total_minted + value)
+
     def _credit(self, reason: bytes, key: bytes, address: Address, value: int, height: int) -> None:
         """Protocol payout: a deterministic synthetic output (fine, refund,
         claim, deposit redistribution...)."""
@@ -514,6 +520,8 @@ class Chain:
         income = self.params.block_reward + b.fees
         if income < b.obligation:
             raise RuleViolation("lfc-fine-coverage", f"reward plus fees {income} < obligation {b.obligation}")
+        # Minted before the coinbase is encoded, whose outputs the supply bounds.
+        self._mint(self.params.block_reward)
         outputs = [TxOutput(b.miner_address, income - b.obligation)]
         addendum = self._lfc_fee_addendum(height)
         if addendum is not None:
@@ -521,7 +529,6 @@ class Chain:
         coinbase = Transaction(TxKind.COINBASE, outputs=tuple(outputs), payload=enc_u64(height))
         encoded = coinbase.serialize()
         txid = address_hash(encoded)  # coinbase.txid(), from the one encoding
-        self._set(self, "total_minted", self.total_minted + self.params.block_reward)
         for i, out in enumerate(coinbase.outputs):
             if out.value > 0:
                 self._add_utxo(Utxo((txid, i), out.value, out.address, height, coinbase=True), height)
@@ -657,13 +664,19 @@ class Chain:
             total += utxo.value
         return total
 
+    @staticmethod
+    def _fee(tx: Transaction, total_in: int) -> int:
+        """The fee of `tx` out of inputs worth `total_in`, which its outputs may not exceed."""
+        fee = total_in - tx.output_sum()
+        if fee < 0:
+            raise RuleViolation("tx-overspend", f"outputs {tx.output_sum()} exceed inputs {total_in}")
+        return fee
+
     def _spend_inputs(self, tx: Transaction, height: int, total_in: int) -> int:
         """Apply a plain spend whose inputs passed `_validate_inputs`: remove
         them, record the keys their witnesses revealed, create the outputs.
         Returns the fee."""
-        fee = total_in - tx.output_sum()
-        if fee < 0:
-            raise RuleViolation("tx-overspend", f"outputs {tx.output_sum()} exceed inputs {total_in}")
+        fee = self._fee(tx, total_in)
         for txin in tx.inputs:
             self._remove_utxo(txin.outpoint)
             self._mark_witness_leak(txin.witness, height)
@@ -774,7 +787,7 @@ class Chain:
             self._materialize(payload, height)
 
     def _mode_allowed(self, mode: RevealMode) -> None:
-        order = {"restrictive": 0, "unrestrictive": 1, "permissive": 2}[self.params.fc_mode]
+        order = FC_MODES.index(self.params.fc_mode)
         if mode is RevealMode.NAKED and order < 1:
             raise RuleViolation("fc-mode", "naked spends need unrestrictive mode")
         if mode is RevealMode.LOST and order < 2:
@@ -806,10 +819,7 @@ class Chain:
         wait = utxo.wait_blocks(self.params.wait_blocks, self.params.wait_floor)
         self._check_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=None)
 
-        total_in = utxo.value + deposit.value
-        fee = total_in - tx.output_sum()
-        if fee < 0:
-            raise RuleViolation("tx-overspend", "outputs exceed inputs")
+        fee = self._fee(tx, utxo.value + deposit.value)
         minimum = self.params.deposit_minimum(utxo.value, fee)
         if deposit.value < minimum:
             raise RuleViolation("fc-deposit-low", f"deposit {deposit.value} below the minimum {minimum}")
@@ -855,9 +865,7 @@ class Chain:
         # time governs its commitment age.
         self._check_commitment(tx.txid(), height, record.spent_wait, max_leak_height=None, ban_height=ban)
 
-        fee = record.spent_value - tx.output_sum()
-        if fee < 0:
-            raise RuleViolation("tx-overspend", "outputs exceed the recovered value")
+        fee = self._fee(tx, record.spent_value)
         # Defeat: the challenged transaction is invalidated.  The original
         # including miner is made whole from the deposit; the rest of the
         # deposit follows the fraud proof's destination.
@@ -1065,7 +1073,7 @@ class Chain:
             # documented failure mode: there is no bounty to claim.
             raise RuleViolation("canary-bounty-unfunded", "burned funds do not cover the bounty")
         self._set(self.canary, "killed_at", height)
-        self._set(self, "total_minted", self.total_minted + bounty)
+        self._mint(bounty)
         self._credit(b"canary-bounty", tx.txid(), claimant, bounty, height)
         self._open_first_epoch()
 

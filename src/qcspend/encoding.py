@@ -43,10 +43,6 @@ def enc_bytes(b: bytes) -> bytes:
     return enc_u32(len(b)) + b
 
 
-def enc_str(s: str) -> bytes:
-    return enc_bytes(s.encode("utf-8"))
-
-
 def decode_utf8(b: bytes) -> str:
     try:
         return b.decode("utf-8")
@@ -104,9 +100,6 @@ class Reader:
     def bytes_(self) -> bytes:
         value, self._pos = bytes_at(self._data, self._pos)
         return value
-
-    def str_(self) -> str:
-        return decode_utf8(self.bytes_())
 
     def walk(self, read_at):
         """Run an offset walker `read_at(data, pos) -> (value, pos)` from

@@ -41,10 +41,10 @@ Fast path for the secure group, with byte-identical results:
   any table at q <= 2**24.
 - A single verify raises the key to its challenge e <= 2^512 from a
   per-key Brickell-Gordon-McCurley-Wilson table (HAC Alg. 14.109) of 103
-  elements (~30 KiB), built on the key's first verify (at most
-  KEY_TABLE_SIZE keys).  Building a table costs about three quarters of a
-  `pow` and reading it a quarter, so a key used once pays a few percent
-  more than `pow` and every later verify of it a quarter.
+  elements (~30 KiB), built on the key's first verify and kept for the
+  KEY_TABLE_SIZE keys verified last.  Building a table costs about three
+  quarters of a `pow` and reading it a quarter, so a key used once pays a
+  few percent more than `pow` and every later verify of it a quarter.
 - `prequantum_batch_verify` checks many signatures with one small-exponent
   test (Bellare, Garay and Rabin, EUROCRYPT '98): one fixed-base g^x and one
   interleaved multi-exponentiation (Straus, HAC Alg. 14.88, with Moeller's
@@ -53,9 +53,9 @@ Fast path for the secure group, with byte-identical results:
   items there.
 The memo, the caches and the tables serve secure-group calls only;
 toy-group work costs less than a memo entry.  The signer and decode caches
-are `functools.lru_cache`s, which are thread-safe.  The memo and the dict
-of key tables are each written only under a lock and, when a write would
-overfill one, cleared whole rather than pruned entry by entry; a read
+and the key tables are `functools.lru_cache`s, which are thread-safe.  Only
+the memo takes a lock: it is written only under it and, when a write
+would overfill it, cleared whole rather than pruned entry by entry; a read
 needs no lock.  Every table is a tuple that nothing mutates.
 """
 
@@ -113,7 +113,7 @@ _CHUNK_BYTES, _ROW_BYTES = COMB_CHUNK_BITS // 8, _ROW_BITS // 8
 # with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
 # order verify one by one.
 BATCH_MULTIPLIER_BITS = 128
-# Keys whose verifies `_key_pow` remembers: ~30 KiB of table per key.
+# Keys whose tables `_key_table` keeps: ~30 KiB of table per key.
 KEY_TABLE_SIZE = 32
 
 
@@ -548,30 +548,20 @@ def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSigna
     return pk_ec(group, sig.s).value == nonce.value * _key_pow(pk, e) % group.p
 
 
-# The fixed-base tables of the keys of secure-group verifies.  Writers hold
-# the lock.
-_key_tables: dict[tuple[GroupParams, int], tuple[int, ...]] = {}
-_key_tables_lock = threading.Lock()
-
-
 def _key_pow(pk: GroupPoint, e: int) -> int:
-    """pk^e mod p, as `pk.mul(e)`.  On a SECURE group a key's first call
-    builds the key's fixed-base table over every bit of a challenge
-    (e <= 2^512, from a 512-bit hash), and every call reads it.  A write
-    that would overfill the dict clears it first, so it never holds more
-    than KEY_TABLE_SIZE keys."""
+    """pk^e mod p, as `pk.mul(e)`: on a SECURE group, from the key's table."""
     group = pk.group
     if group.mode is not GroupMode.SECURE:
         return pk.mul(e).value
-    key = (group, pk.value)
-    table = _key_tables.get(key)
-    if table is None:
-        table = _power_table(group.p, pk.value, min(group.q - 1, 1 << 512).bit_length())
-        with _key_tables_lock:
-            if len(_key_tables) >= KEY_TABLE_SIZE and key not in _key_tables:
-                _key_tables.clear()
-            _key_tables[key] = table
-    return _fixed_base_pow(table, group.p, e % group.q)
+    return _fixed_base_pow(_key_table(group, pk.value), group.p, e % group.q)
+
+
+@lru_cache(maxsize=KEY_TABLE_SIZE)
+def _key_table(group: GroupParams, value: int) -> tuple[int, ...]:
+    """The fixed-base table of the key `value` over every bit of a
+    challenge (e <= 2^512, from a 512-bit hash), built on the key's first
+    verify."""
+    return _power_table(group.p, value, min(group.q - 1, 1 << 512).bit_length())
 
 
 # The secure-group signatures that verified, alone or in a batch that held.

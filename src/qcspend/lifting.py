@@ -283,7 +283,7 @@ class GameOracles:
         return self._scheme.lifted_sign(self._secret, msg)
 
 
-def euf_lcma_game(scheme, adversary, rounds: int = 1, *, base_oracle: bool = True, seed: int = 0) -> GameResult:
+def euf_lcma_game(scheme, adversary, rounds: int = 1, *, base_oracle: bool = True) -> GameResult:
     """Run the unforgeability game `rounds` times with fresh keys.
 
     The adversary is a callable receiving GameOracles and returning a
@@ -292,7 +292,8 @@ def euf_lcma_game(scheme, adversary, rounds: int = 1, *, base_oracle: bool = Tru
     """
     results = []
     for i in range(rounds):
-        tag = hashlib.sha512(b"euf-game" + seed.to_bytes(8, "big") + i.to_bytes(8, "big")).digest()
+        # The eight zero bytes are a fixed part of every round's key tag.
+        tag = hashlib.sha512(b"euf-game" + bytes(8) + i.to_bytes(8, "big")).digest()
         secret, public = scheme.keygen(tag)
         oracles = GameOracles(scheme, secret, public, base_oracle)
         try:
@@ -343,18 +344,17 @@ class KeyLiftedScheme:
 
 class SeedLiftedScheme:
     """Seed-lifting packaged for the game harness.  Key generation samples
-    a bounded-length derivation path from the key tag (the construction
-    leaves the path distribution open; uniform is used here)."""
+    a derivation path of at most four steps from the key tag (the
+    construction leaves the path distribution open; uniform is used here)."""
 
-    def __init__(self, group: GroupParams, backend: OwfBackend | None = None, iterations: int = 64, max_path_len: int = 4):
+    def __init__(self, group: GroupParams, backend: OwfBackend | None = None, iterations: int = 64):
         self.group = group
         self.backend = backend or lifted_backends(group)[1]
         self.iterations = iterations
-        self.max_path_len = max_path_len
 
     def keygen(self, tag: bytes):
         seed = Seed(tag[:32], tag[32:40])
-        length = tag[40] % (self.max_path_len + 1)
+        length = tag[40] % 5
         steps = tuple(
             DerivationStep(index=tag[41 + i] % 8, hardened=bool(tag[50 + i] & 1)) for i in range(length)
         )
@@ -392,7 +392,7 @@ def replay_adversary(oracles: GameOracles):
     return msg, sig
 
 
-def keylift_lcma_adversary(group: GroupParams, backend: OwfBackend, target: bytes = b"lcma target"):
+def keylift_lcma_adversary(group: GroupParams, backend: OwfBackend):
     """The adversary that shows key-lifting is not a strong lifting.
 
     One base-oracle query hands over the public key; the discrete-log
@@ -401,6 +401,7 @@ def keylift_lcma_adversary(group: GroupParams, backend: OwfBackend, target: byte
     """
 
     def run(oracles: GameOracles):
+        target = b"lcma target"
         _sig, pk_bytes = oracles.base_sign(target)
         sk = quantum_invert(decode_point(group, pk_bytes))
         assert pk_ec(group, sk).encode() == pk_bytes
@@ -409,7 +410,7 @@ def keylift_lcma_adversary(group: GroupParams, backend: OwfBackend, target: byte
     return run
 
 
-def seedlift_quantum_adversary(group: GroupParams, backend: OwfBackend, target: bytes = b"lcma target"):
+def seedlift_quantum_adversary(group: GroupParams, backend: OwfBackend):
     """The same quantum playbook pointed at seed-lifting.
 
     Inverting the leaf public key yields the leaf scalar, but a seed-lifted
@@ -419,6 +420,7 @@ def seedlift_quantum_adversary(group: GroupParams, backend: OwfBackend, target: 
     """
 
     def run(oracles: GameOracles):
+        target = b"lcma target"
         pk = oracles.public
         leaf_sk = quantum_invert(pk)
         # Attempt 1: pose the recovered leaf as a master key with an empty

@@ -96,14 +96,14 @@ class AdversaryReport:
         return self.outcome_of(ADVERSARY_AGENT[self.adversary]).profit
 
 
-def run_adversary(kind: str, seed: Optional[int] = None) -> tuple[AdversaryReport, ...]:
+def run_adversary(kind: str) -> tuple[AdversaryReport, ...]:
     """Run the demonstration scenario(s) for one adversary archetype and
     report every agent's attempted actions and net profit or loss."""
     if kind not in ADVERSARY_SCENARIOS:
         raise ConfigError(f"unknown adversary kind {kind!r}; one of {sorted(ADVERSARY_SCENARIOS)}")
     reports = []
     for scenario in ADVERSARY_SCENARIOS[kind]:
-        sim = run_scenario(scenario, seed=seed)
+        sim = run_scenario(scenario)
         profits = sim.profits()
         outcomes = tuple(
             AgentOutcome(agent_id, type(agent).__name__, tuple(agent.actions), profits[agent_id])

@@ -16,6 +16,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from . import fawkescoin
 from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, Wallet
 from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
 from .groups import h512, pk_ec, toy_group
@@ -29,7 +30,7 @@ ACTIONS = {
     "kill_canary": (), "registry_declare": ("paths",), "samaritan": ("utxo",),
     "direct_spend": ("utxo",), "fc_spend": ("utxo",), "lfc_spend": ("utxo",), "steal": ("utxo",),
 }
-DEPOSIT_MODES = ("naked", "lost")
+DEPOSIT_MODES = tuple(mode.name.lower() for mode in fawkescoin.DEPOSIT_MODES)
 
 # The objects of a scenario file, as tables for `check_fields`.
 SCENARIO = {

@@ -173,6 +173,13 @@ class TestRun:
         snapshot = (tmp_path / "snapshot.txt").read_text()
         assert '"block_reward":7' in snapshot
 
+    def test_supply_past_u64_exits_1(self, tmp_path, capsys):
+        # A block reward of 2^63 would take the supply past 2^64 - 1 in the
+        # second block.
+        assert main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", f"block_reward={2**63}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rule violation: supply-bound:") and "Traceback" not in err
+
     @pytest.mark.parametrize("override", ["block_reward=x", "nope=1", "fc_mode=lenient", "wait_blocks=250"])
     def test_bad_params_override_exits_2(self, tmp_path, capsys, override):
         assert main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", override]) == 2

@@ -105,6 +105,16 @@ class TestCanary:
         with pytest.raises(RuleViolation, match="canary-dead"):
             h.chain.add_tx(self.kill_tx(h, h.wallet("mallory")))
 
+    def test_bounty_past_the_supply_bound_rejected(self):
+        h = Harness(killed_at=None, canary_bounty=2**64 - 1)
+        h.grant_pq("fee", "alice", 1)
+        h.build()
+        before = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(self.kill_tx(h, h.wallet("eve")))
+        assert violation is not None and violation.rule == "supply-bound"
+        assert h.chain.canary.killed_at is None and h.chain.state_digest() == before
+
     def test_burned_funds_bounty_variant_fails_when_nothing_burned(self):
         h = Harness(killed_at=None, bounty_source="burned")
         h.build()
@@ -126,6 +136,37 @@ class TestCanary:
             assert order.index(phase) >= order.index(seen[-1])
             seen.append(phase)
         assert seen[-1] is EraPhase.QUANTUM_ERA
+
+
+class TestSupplyBound:
+    """The supply stays below 2^64, as the state digest encodes it: genesis
+    grants or a coinbase that would mint past 2^64 - 1 are rejected (the
+    canary bounty: `TestCanary`)."""
+
+    @pytest.mark.parametrize("second, rule", [(2**63 - 1, None), (2**63, "supply-bound")], ids=["2^64-1", "2^64"])
+    def test_genesis_grants(self, second, rule):
+        h = Harness()
+        h.grant_pq("a", "alice", 2**63)
+        h.grant_pq("b", "bob", second)
+        if rule is None:
+            assert h.build().total_minted == 2**64 - 1
+        else:
+            with pytest.raises(RuleViolation) as raised:
+                h.build()
+            assert raised.value.rule == rule
+
+    def test_coinbase(self):
+        h = Harness(block_reward=2**63)
+        h.grant_pq("a", "alice", 2**63 - 1)
+        h.build()
+        h.mine()
+        assert h.chain.total_minted == 2**64 - 1
+        before, height = h.chain.state_digest(), h.chain.height
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation) as raised:
+            h.chain.end_block()
+        assert raised.value.rule == "supply-bound"
+        assert h.chain.height == height and h.chain.state_digest() == before
 
 
 class TestEraRules:
@@ -365,9 +406,12 @@ class TestShapeRules:
             ("tx-kind", lambda h, to: h.chain.add_tx(Transaction(TxKind.COINBASE, (), (TxOutput(to, 1),)))),
             ("samaritan-format", lambda h, to: h.chain.submit_samaritan_report(b"\x01")),
             ("registry-shape", lambda h, to: h.chain.add_tx(Transaction(TxKind.REGISTRY_DECLARE, payload=enc_bytes(bytes(31)) + enc_u32(0)))),
+            ("registry-shape", lambda h, to: h.chain.add_tx(
+                Transaction(TxKind.REGISTRY_DECLARE, (TxInput((bytes(32), 0)),), payload=enc_bytes(bytes(32)) + enc_u32(0))
+            )),
             ("cover-outputs", lambda h, to: h.chain.add_tx(Transaction(TxKind.ESCROW_COVER, (), (TxOutput(to, 1),)))),
         ],
-        ids=["coinbase-in-the-list", "one-byte-report", "31-byte-digest", "cover-with-an-output"],
+        ids=["coinbase-in-the-list", "one-byte-report", "31-byte-digest", "declaration-with-an-input", "cover-with-an-output"],
     )
     def test_misshapen_input_names_its_rule(self, rule, act):
         h = Harness(killed_at=None)  # pre-era, where reports are taken

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcspend.encoding import DecodeError, Reader, enc_bytes, enc_str, enc_u32, enc_u64
+from qcspend.encoding import DecodeError, Reader, enc_bytes, enc_u32, enc_u64
 
 
 class TestRoundTrips:
@@ -22,12 +22,6 @@ class TestRoundTrips:
     def test_bytes(self, b):
         r = Reader(enc_bytes(b))
         assert r.bytes_() == b
-        r.done()
-
-    @given(st.text(max_size=80))
-    def test_str(self, s):
-        r = Reader(enc_str(s))
-        assert r.str_() == s
         r.done()
 
     @given(st.binary(max_size=60), st.integers(min_value=0, max_value=2**32 - 1), st.binary(max_size=60))

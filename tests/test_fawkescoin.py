@@ -5,7 +5,7 @@ import pytest
 
 from helpers import Harness, same_state
 from qcspend.consensus import replay_chain
-from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload
+from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload, commit_payload
 from qcspend.hdwallet import DerivationPath, path
 from qcspend.ledger import Transaction, TxInput, TxKind, TxOutput, plain_pk_address
 from qcspend.rules import RuleViolation
@@ -35,6 +35,15 @@ class TestCommit:
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         with pytest.raises(RuleViolation, match="fc-commit-needs-pq-fee"):
             h.chain.add_tx(tx)
+
+    def test_commitment_without_inputs_rejected(self):
+        # It would pay no fee at all.
+        h = era_harness()
+        h.build()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation, match="fc-commit-needs-pq-fee") as raised:
+            h.chain.add_tx(Transaction(TxKind.FC_COMMIT, payload=commit_payload(b"\x11" * 32)))
+        assert raised.value.detail == "the committing transaction pays its own fee"
 
     def test_duplicate_commitments_both_recorded(self):
         h = era_harness()
@@ -520,17 +529,37 @@ def fraud_proof(h, target, inputs):
     return fc_reveal(h, RevealMode.FRAUD_PROOF, inputs, payload)
 
 
-def open_challenge(h):
-    """The thief's naked spend of u-naked, with the owner's key its oracle
-    recovered, lands and opens a challenge; returns its txid."""
+def committed(h, owner, tx):
+    """`tx`, once `owner`'s commitment to it has waited out the default wait."""
+    h.mine_with([h.fc_commit_tx(owner, tx.txid())])
+    h.mine(99)
+    return tx
+
+
+def naked_steal(h, value=20_000):
+    """The thief's naked spend of u-naked for `value`, with the owner's key
+    its oracle recovered (u-naked and d-thief hold 20,500), committed."""
     thief = h.wallet("thief")
     op, dep = h.outpoints["u-naked"], h.outpoints["d-thief"]
-    outputs = [TxOutput(thief.pq_address(), 20_000)]
-    steal = h.signed(TxKind.FC_REVEAL, [(op, owner_pre(h)), (dep, ("pq", thief))], outputs, RevealPayload(RevealMode.NAKED).serialize(h.group))
-    h.mine_with([h.fc_commit_tx("thief", steal.txid())])
-    h.mine(99)
+    outputs = [TxOutput(thief.pq_address(), value)]
+    payload = RevealPayload(RevealMode.NAKED).serialize(h.group)
+    return committed(h, "thief", h.signed(TxKind.FC_REVEAL, [(op, owner_pre(h)), (dep, ("pq", thief))], outputs, payload))
+
+
+def open_challenge(h):
+    """The thief's naked spend lands and opens a challenge; returns its txid."""
+    steal = naked_steal(h)
     h.mine_with([steal])
     return steal.txid()
+
+
+def owner_fraud_proof(h, value):
+    """The owner's fraud proof against an open challenge, recovering u-naked
+    (10,000) as `value`, committed."""
+    target = open_challenge(h)
+    payload = RevealPayload(RevealMode.FRAUD_PROOF, h.wallet("owner").msk, path("m/0h/0/0"), target).serialize(h.group)
+    outputs = [TxOutput(h.wallet("owner").pq_address(), value)]
+    return committed(h, "owner", h.signed(TxKind.FC_REVEAL, [(h.chain.challenges[target].spent_outpoint, owner_pre(h))], outputs, payload))
 
 
 class TestRuleIds:
@@ -565,6 +594,18 @@ class TestRuleIds:
         assert h.chain.end_block().transactions == ()
         assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
 
+    @pytest.mark.parametrize("make, total", [(naked_steal, 20_500), (owner_fraud_proof, 10_000)], ids=["deposit-reveal", "fraud-proof"])
+    def test_outputs_past_the_inputs(self, make, total):
+        h = rule_harness()
+        tx = make(h, total + 1)
+        digest = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(tx)
+        assert violation is not None and (violation.rule, violation.detail) == ("tx-overspend", f"outputs {total + 1} exceed inputs {total}")
+        assert h.chain.state_digest() == digest
+        assert h.chain.end_block().transactions == ()
+        assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
+
     def test_fraud_proof_without_outputs(self):
         h = rule_harness()
         target = open_challenge(h)
@@ -577,6 +618,25 @@ class TestRuleIds:
         assert h.chain.state_digest() == digest
         assert h.chain.end_block().transactions == ()
         assert same_state(h.chain, replay_chain(h.config, h.chain.blocks))
+
+    @pytest.mark.parametrize(
+        "corrupt, detail",
+        [
+            (lambda chain: setattr(chain, "utxo_value_sum", chain.utxo_value_sum + 1), "incremental utxo sum drifted"),
+            (lambda chain: chain.open_challenges.clear(), "open-challenge index drifted from the OPEN records"),
+        ],
+        ids=["utxo-sum", "open-challenges"],
+    )
+    def test_audit_finds_a_drifted_index(self, corrupt, detail):
+        # Only a corrupted chain reaches these: the full audit recounts what
+        # the chain keeps incrementally.
+        h = rule_harness()
+        open_challenge(h)
+        h.chain.recompute_balance()
+        corrupt(h.chain)
+        with pytest.raises(RuleViolation) as raised:
+            h.chain.recompute_balance()
+        assert (raised.value.rule, raised.value.detail) == ("ledger-balance", detail)
 
     def test_ledger_balance(self):
         # Only a corrupted chain reaches it: here the running UTXO sum is one

@@ -216,8 +216,12 @@ class TestKeyTable:
     PK = pk_ec(secure_group(), SK)
 
     @pytest.fixture(autouse=True)
-    def fresh_tables(self, monkeypatch):
-        monkeypatch.setattr(groups, "_key_tables", {})
+    def fresh_tables(self):
+        # No tables before a test, and none after it: some tests build
+        # stand-in tables.
+        groups._key_table.cache_clear()
+        yield
+        groups._key_table.cache_clear()
 
     @staticmethod
     def forbid_pow(monkeypatch):
@@ -231,7 +235,7 @@ class TestKeyTable:
     def tabled(self, pk: GroupPoint) -> tuple[int, ...]:
         """The key's table, built by its first call."""
         groups._key_pow(pk, 1)
-        table = groups._key_tables[(pk.group, pk.value)]
+        table = groups._key_table(pk.group, pk.value)
         assert isinstance(table, tuple)
         return table
 
@@ -264,10 +268,10 @@ class TestKeyTable:
         assert calls == [(self.PK.value, x, self.SG.p)]
 
     def test_first_verify_builds_the_table(self, monkeypatch):
-        key = (self.SG, self.PK.value)
         sigs = [(msg, prequantum_sign(self.SG, self.SK, msg)) for msg in (b"one", b"two")]
         assert groups._verify(self.SG, self.PK, *sigs[0])
-        assert list(groups._key_tables) == [key] and len(groups._key_tables[key]) == self.TOP + 1
+        info = groups._key_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and len(groups._key_table(self.SG, self.PK.value)) == self.TOP + 1
         monkeypatch.setattr(groups, "_power_table", None)  # the next verify reads it
         self.forbid_pow(monkeypatch)
         assert groups._verify(self.SG, self.PK, *sigs[1])
@@ -291,13 +295,14 @@ class TestKeyTable:
         e = 2**60 + 12345
         for group in (self.SG, small) * 3:
             assert groups._key_pow(GroupPoint(group, value), e) == pow(value, e, group.p)
-        assert {key[0] for key in groups._key_tables} == {self.SG, small}
+        info = groups._key_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
     def test_toy_keys_keep_pow(self):
         pk = pk_ec(G101, 13)
         for msg in (b"a", b"b", b"c"):
             assert groups._verify(G101, pk, msg, prequantum_sign(G101, 13, msg))
-        assert groups._key_tables == {}
+        assert groups._key_table.cache_info().misses == 0
 
     def test_known_answer_verifies_with_a_table(self):
         known = dict(line.split() for line in (DATA / "secure_signature.golden").read_text().splitlines())
@@ -307,35 +312,28 @@ class TestKeyTable:
         assert pk == pk_ec(self.SG, sk)
         for _ in range(3):
             assert groups._verify(self.SG, pk, b"known-answer message", sig)
-        assert isinstance(groups._key_tables[(self.SG, pk.value)], tuple)
+        info = groups._key_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
-    def test_tables_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(groups, "KEY_TABLE_SIZE", 3)
-        points = [pk_ec(self.SG, sk) for sk in range(2, 9)]
-        for pk in points + points[:2] + points[:2]:
+    def test_tables_are_bounded(self):
+        # The key verified longest ago loses its table first.
+        size = groups.KEY_TABLE_SIZE
+        assert groups._key_table.cache_info().maxsize == size
+        points = [pk_ec(self.SG, sk) for sk in range(2, size + 4)]
+        for pk in points + points[-2:]:
             assert groups._key_pow(pk, 2**100 + 7) == pow(pk.value, 2**100 + 7, self.SG.p)
-            assert len(groups._key_tables) <= 3 and (self.SG, pk.value) in groups._key_tables
+            assert groups._key_table.cache_info().currsize <= size
+        info = groups._key_table.cache_info()
+        assert (info.misses, info.hits) == (size + 2, 2)
+        groups._key_pow(points[0], 1)
+        assert groups._key_table.cache_info().misses == size + 3  # built again
 
     def test_tables_stay_bounded_under_concurrent_callers(self, monkeypatch):
-        # A stand-in table builder, so that the threads race on the dict
-        # alone: without its lock two writers could each see room for their
-        # key and together overfill it.
+        # A stand-in table builder, so that the threads race on the cache
+        # alone, over twice as many keys as it keeps.
         monkeypatch.setattr(groups, "_power_table", lambda p, base, bits: (base,))
         sizes, errors = [], []
-
-        class Tables(dict):
-            def __len__(self):
-                size = super().__len__()
-                time.sleep(0)  # hand the interpreter over between the check and the write
-                return size
-
-            def __setitem__(self, key, table):
-                super().__setitem__(key, table)
-                sizes.append(super().__len__())
-
-        monkeypatch.setattr(groups, "KEY_TABLE_SIZE", 5)
-        monkeypatch.setattr(groups, "_key_tables", Tables())
-        points = [GroupPoint(self.SG, value) for value in range(2, 42)]
+        points = [GroupPoint(self.SG, value) for value in range(2, 2 * groups.KEY_TABLE_SIZE + 2)]
 
         def work(seed: int) -> None:
             rng = random.Random(seed)
@@ -343,6 +341,7 @@ class TestKeyTable:
                 for _ in range(1000):
                     pk = rng.choice(points)
                     assert groups._key_pow(pk, 1) == pk.value
+                    sizes.append(groups._key_table.cache_info().currsize)
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -357,7 +356,7 @@ class TestKeyTable:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(switch)
-        assert not errors and sizes and max(sizes) <= 5
+        assert not errors and sizes and max(sizes) <= groups.KEY_TABLE_SIZE
 
 class TestEncodings:
     @pytest.mark.parametrize("q", [101, 257, 8191])

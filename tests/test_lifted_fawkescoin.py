@@ -150,6 +150,18 @@ class TestMempoolPolicy:
         msg = LfcMempoolMsg(committed, sigma, h.outpoints["u1"], 9)
         h.chain.validate_lfc_mempool_msg(msg)  # no raise
 
+    def test_locked_output_rejected(self):
+        # Refused before its proof, a valid one, is checked.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        committed_flow(h)
+        committed = b"\x07" * 32
+        msg = LfcMempoolMsg(committed, sigma_for(h, "alice", "m/0h/0/0", committed, 9), h.outpoints["u1"], 9)
+        with pytest.raises(RuleViolation, match="lfc-locked") as raised:
+            h.chain.validate_lfc_mempool_msg(msg)
+        assert raised.value.detail == "output already locked"
+
     def test_invalid_proof_rejected(self):
         h = lfc_harness()
         h.build()

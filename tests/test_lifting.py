@@ -1,7 +1,7 @@
 import pytest
 
 from qcspend.encoding import enc_bytes
-from qcspend.groups import address_hash, h512, pk_ec, toy_group
+from qcspend.groups import address_hash, h512, pk_ec, prequantum_verify, toy_group
 from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf, path
 from qcspend.lifting import (
     KeyLiftedScheme,
@@ -233,6 +233,22 @@ class TestUnforgeabilityGames:
         result = euf_lcma_game(scheme, adversary, rounds=100)
         assert result.wins == 0
         assert all(r.reason == "verify-rejected" for r in result.rounds)
+
+    def test_seedlift_base_oracle_signs_but_forges_nothing(self):
+        # The base oracle signs the target under the leaf key, but a base
+        # signature carries no proof about the seed, so posing it as the
+        # lifted one loses.
+        scheme = SeedLiftedScheme(GROUP, SEED_BACKEND, iterations=KDF_ITERS)
+        target, verified = b"lcma target", []
+
+        def adversary(oracles):
+            sig = oracles.base_sign(target)
+            verified.append(prequantum_verify(GROUP, oracles.public, target, sig))
+            return target, sig
+
+        result = euf_lcma_game(scheme, adversary, rounds=10)
+        assert verified == [True] * 10
+        assert result.wins == 0 and all(r.reason == "verify-rejected" for r in result.rounds)
 
     def test_seedlift_harvest_adversary_wins_without_base_oracle(self):
         """Today's result, pinned: the transparent proof opens with

@@ -309,3 +309,22 @@ def test_hash_index_names_the_live_pre_quantum_outputs(main):
     check(chain)
     reorg(chain, config, side.blocks[48:])
     check(chain)
+
+
+def test_reorg_restores_an_overwritten_entry():
+    """A second commitment to one hash overwrites the entry of the first;
+    reorging its block away puts the first one's entry back."""
+    h = Harness()
+    h.grant_pq("fee-alice", "alice", 10_000)
+    h.build()
+    committed = b"\x5a" * 32
+    for _ in range(2):
+        h.mine_with([h.fc_commit_tx("alice", committed, fee=3)])
+    assert h.chain.fc_commitments[committed] == [1, 2]
+    side = replay_chain(h.config, h.chain.blocks[:2])
+    side.begin_block("m1", h.wallet("m1").pq_address())
+    side.end_block()
+    reorg(h.chain, h.config, side.blocks[2:])
+    clean = replay_chain(h.config, h.chain.blocks)
+    assert h.chain.fc_commitments[committed] == [1]
+    assert same_state(h.chain, clean) and h.chain.state_digest() == clean.state_digest()
