@@ -30,6 +30,7 @@ from .consensus import Chain, EraPhase, proof_message
 from .encoding import enc_bytes, enc_u32
 from .fawkescoin import RevealMode, RevealPayload, commit_payload
 from .groups import (
+    SECRET_KEY_BITS,
     GroupParams,
     decode_point,
     h512,
@@ -61,8 +62,9 @@ from .rules import RuleViolation
 class Wallet:
     """One agent's key material: an HD wallet on the pre-quantum group
     (seed derived from the scenario seed and agent id) plus one
-    post-quantum key on the secure group, whose encoding and address hash
-    are computed once: the encoding from the memo `prequantum_sign` reads."""
+    SECRET_KEY_BITS-bit post-quantum key on the secure group, whose
+    encoding and address hash are computed once: the encoding from the
+    memo `prequantum_sign` reads."""
 
     def __init__(self, group: GroupParams, agent_id: str, scenario_seed: int, kdf_iterations: int = 64):
         self.group = group
@@ -71,7 +73,7 @@ class Wallet:
         tag = hashlib.sha512(b"wallet:%d:" % scenario_seed + agent_id.encode()).digest()
         self.seed = Seed(tag[:24], b"")
         self.msk = kdf(group, self.seed, kdf_iterations)
-        self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % self.pq_group.q
+        self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % (1 << SECRET_KEY_BITS)
         self.pq_pk = signer_pk(self.pq_group, self.pq_sk)
         self._pq_hash = post_quantum_address(self.pq_pk).data
         self._raw_sks: dict[str, int] = {}

@@ -1169,13 +1169,15 @@ class Chain:
         # sums of value are encoded checked.
         pack_u32, pack_u64 = U32.pack, U64.pack
         utxos = self.utxos
-        parts: list[bytes] = [pack_u64(self.height)]
+        parts: list[bytes] = [pack_u64(self.height), self.tip_hash]
         parts += [utxos[outpoint].serialize() for outpoint in sorted(utxos)]
         parts += [b"".join((pack_u32(len(pk)), pk, pack_u64(h))) for pk, h in sorted(self.leaks.snapshot().items())]
         for committed in sorted(self.lfc_by_hash):
             r = self.lfc_by_hash[committed]
             resolved = r.resolved_height if r.resolved_height is not None else 0
             parts.append(enc_bytes(committed) + r.state.value.encode() + pack_u64(r.height_included) + pack_u64(resolved))
+        for committed in sorted(self.fc_commitments):
+            parts.append(b"fc" + enc_bytes(committed) + b"".join(map(pack_u64, self.fc_commitments[committed])))
         for txid in sorted(self.challenges):
             record = self.challenges[txid]
             parts.append(enc_bytes(txid) + record.status.value.encode() + pack_u64(record.challenge_end_height))
@@ -1191,7 +1193,7 @@ class Chain:
         parts += [b"claim" + pack_u64(h) for h in sorted(self._claim_heights())]
         first_seen = self.address_first_seen
         parts += [addr + pack_u64(first_seen[addr]) for addr in sorted(first_seen)]
-        parts.append(enc_u64(self.total_minted) + enc_u64(0))  # burned value: the model burns none
+        parts.append(enc_u64(self.total_minted))
         parts.append(enc_u64(self.challenge_escrow) + enc_u64(self.pending_fee_pool) + enc_u64(self.fine_escrow_pool))
         if self.canary.killed_at is not None:
             parts.append(b"killed" + pack_u64(self.canary.killed_at))
@@ -1340,7 +1342,7 @@ def reorg(chain: Chain, config: ChainConfig, branch: list[Block]) -> tuple[Chain
 
 # -- snapshots -----------------------------------------------------------------------
 
-SNAPSHOT_HEADER = "qcspend-snapshot v1"
+SNAPSHOT_HEADER = "qcspend-snapshot v2"
 
 
 def export_snapshot(chain: Chain, config: ChainConfig) -> str:

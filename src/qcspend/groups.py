@@ -33,22 +33,21 @@ Fast path for the secure group, with byte-identical results:
   checked, alone or in a batch.  A failed verdict is not memoised.
 - `pk_ec` raises the generator by a Lim-Lee fixed-base comb (HAC Alg.
   14.117) whose tables are split by 512-bit chunks of the exponent, so a
-  512-bit nonce or key costs about half of a ~1,024-bit s: 8 tables of 256
-  elements, ~0.6 MiB for the stock group, built once per process by
-  `secure_group()` (~54 ms on one 2-vCPU Xeon host, beside its primality
-  check).  An exponent
-  wider than the comb takes `pow`.  Toy groups keep `pow`, which beats
-  any table at q <= 2**24.
-- A single verify raises the key to its challenge e <= 2^512 from a
-  per-key Brickell-Gordon-McCurley-Wilson table (HAC Alg. 14.109) of 103
-  elements (~30 KiB), built on the key's first verify and kept for the
+  512-bit nonce, a 256-bit key and an s below 2^512 each read one chunk:
+  8 tables of 256 elements, ~0.6 MiB for the stock group, built once per
+  process by `secure_group()` (~54 ms on one 2-vCPU Xeon host, beside its
+  primality check).  An exponent wider than the comb takes `pow`.  Toy
+  groups keep `pow`, which beats any table at q <= 2**24.
+- A single verify raises the key to its challenge e <= 2^128 from a
+  per-key Brickell-Gordon-McCurley-Wilson table (HAC Alg. 14.109) of
+  33 elements (~9 KiB), built on the key's first verify and kept for the
   KEY_TABLE_SIZE keys verified last.  Building a table costs about three
-  quarters of a `pow` and reading it a quarter, so a key used once pays a
-  few percent more than `pow` and every later verify of it a quarter.
+  quarters of a `pow` and reading it a third, so a key used once pays
+  about a tenth more than `pow` and every later verify of it a third.
 - `prequantum_batch_verify` checks many signatures with one small-exponent
   test (Bellare, Garay and Rabin, EUROCRYPT '98): one fixed-base g^x and one
   interleaved multi-exponentiation (Straus, HAC Alg. 14.88, with Moeller's
-  sliding windows) in place of a g^s and a 512-bit pk^e per signature.  It
+  sliding windows) in place of a g^s and a 128-bit pk^e per signature.  It
   skips the items the memo holds, and a batch that holds stores all of its
   items there.
 The memo, the caches and the tables serve secure-group calls only;
@@ -92,16 +91,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SIGNER_CACHE_SIZE = 256
 VERIFY_CACHE_SIZE = 1024
-# Bits per digit of a key table's exponent.  Of 4, 5 and 6, 5 is fastest for
-# the 512-bit challenges.
-FIXED_BASE_WINDOW = 5
+# Bits per digit of a key table's exponent.  A read costs a multiplication
+# per digit and about 2 * 2^w to fold the buckets: for 128-bit challenges
+# 3 and 4 read equally fast and 5 a fifth slower, and 4 keeps fewer elements.
+FIXED_BASE_WINDOW = 4
 # The generator's comb (Lim and Lee): an exponent is read in chunks of
 # COMB_CHUNK_BITS bits, each cut into 8 rows so that one bit of every row
 # makes a one-byte table index, and each row into COMB_COLUMNS columns.  A
 # table of 256 elements serves each chunk and column.  A g^x costs one
 # squaring per bit of a column, and per bit one multiplication for each
 # column of each chunk that x reaches: about 95 multiplications for a
-# 512-bit nonce or key, about 160 for a ~1,024-bit s.  The stock group's
+# nonce, a key or an s, which all lie in the first chunk.  The stock group's
 # comb holds 2,048 elements, ~0.6 MiB.
 COMB_CHUNK_BITS = 512
 COMB_COLUMNS = 2
@@ -113,7 +113,15 @@ _CHUNK_BYTES, _ROW_BYTES = COMB_CHUNK_BITS // 8, _ROW_BITS // 8
 # with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
 # order verify one by one.
 BATCH_MULTIPLIER_BITS = 128
-# Keys whose tables `_key_table` keeps: ~30 KiB of table per key.
+# Widths of the post-quantum secret keys and challenges on a group of
+# larger order: Schnorr over the integers (Girault, Poupard and Stern,
+# J. Cryptology 2006).  q has 2,047 bits on the stock group, so s = k + e*sk
+# stays below q, and only the 512-bit nonce k hides e*sk < 2^384 in it: to
+# within 2^-128.  A key and a challenge as wide as k would let s // e give
+# the key away.
+SECRET_KEY_BITS = 256
+CHALLENGE_BITS = 128
+# Keys whose tables `_key_table` keeps: ~9 KiB of table per key.
 KEY_TABLE_SIZE = 32
 
 
@@ -506,11 +514,17 @@ class PreQuantumSignature:
         return PreQuantumSignature(nonce, s)
 
 
+def _challenge_bound(group: GroupParams) -> int:
+    """The largest challenge: q - 1 on a toy group, 2^CHALLENGE_BITS on
+    the stock secure group."""
+    return min(group.q - 1, 1 << CHALLENGE_BITS)
+
+
 def _challenge(group: GroupParams, nonce_point: bytes, pk: bytes, msg: bytes) -> int:
-    # Challenges live in [1, q): a zero challenge would make the signature
-    # key-independent, which actually bites at toy group sizes.
+    # Challenges live in [1, _challenge_bound]: a zero challenge would make
+    # the signature key-independent, which actually bites at toy group sizes.
     digest = hashlib.sha512(enc_bytes(nonce_point) + enc_bytes(pk) + enc_bytes(msg)).digest()
-    return 1 + int.from_bytes(digest, "big") % (group.q - 1)
+    return 1 + int.from_bytes(digest, "big") % _challenge_bound(group)
 
 
 def _encoded_pk(group: GroupParams, sk: int) -> bytes:
@@ -528,8 +542,9 @@ def signer_pk(group: GroupParams, sk: int) -> bytes:
 
 def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignature:
     """Deterministic hash-challenge signature; the nonce is derived from
-    (sk, msg) so repeated runs of a simulation byte-match."""
-    if not 0 <= sk < group.q:
+    (sk, msg) so repeated runs of a simulation byte-match.  A key must lie
+    below q and below 2^SECRET_KEY_BITS: a wider one leaks through s."""
+    if not 0 <= sk < min(group.q, 1 << SECRET_KEY_BITS):
         raise GroupError("secret scalar out of range")
     pk_bytes = signer_pk(group, sk)
     k = group.scalar_from_hash(hashlib.sha512(b"nonce" + group.encode_scalar(sk) + enc_bytes(msg)).digest())
@@ -559,9 +574,8 @@ def _key_pow(pk: GroupPoint, e: int) -> int:
 @lru_cache(maxsize=KEY_TABLE_SIZE)
 def _key_table(group: GroupParams, value: int) -> tuple[int, ...]:
     """The fixed-base table of the key `value` over every bit of a
-    challenge (e <= 2^512, from a 512-bit hash), built on the key's first
-    verify."""
-    return _power_table(group.p, value, min(group.q - 1, 1 << 512).bit_length())
+    challenge (e <= _challenge_bound), built on the key's first verify."""
+    return _power_table(group.p, value, _challenge_bound(group).bit_length())
 
 
 # The secure-group signatures that verified, alone or in a batch that held.
@@ -594,9 +608,9 @@ def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, by
     2^-128 and equal batches get equal multipliers.  Every R_i and pk must
     first pass the subgroup test (Boyd and Pavlovski break the test
     without it) and every s lie in [0, q).  The key exponents stay
-    unreduced: ~640 bits, against ~2,047 bits mod q.  So does the sum of the
-    a_i*s_i while it is below q: ~1,160 bits for the ~1,024-bit s of 512-bit
-    keys.  Other batches verify one by one.
+    unreduced: ~256 bits for 128-bit challenges, against ~2,047 bits mod q.
+    So does the sum of the a_i*s_i while it is below q: ~640 bits for the
+    ~512-bit s of 256-bit keys.  Other batches verify one by one.
 
     On a secure group, items the memo already holds are not checked again,
     and a batch that holds stores all of its items there; a failed verdict

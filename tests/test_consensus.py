@@ -667,6 +667,18 @@ class TestSnapshots:
         with pytest.raises(RuleViolation):
             verify_snapshot("\n".join(lines))
 
+    def test_digest_covers_fawkescoin_commitments(self):
+        # Clearing the commitment records after an FC_COMMIT moves the
+        # digest, so a replay whose records diverge fails `snapshot-digest`.
+        h = Harness()
+        h.grant_pq("fee-alice", "alice", 10_000)
+        h.build()
+        h.mine_with([h.fc_commit_tx("alice", b"\x11" * 32, fee=10)])
+        assert h.chain.fc_commitments
+        before = h.chain.state_digest()
+        h.chain.fc_commitments.clear()
+        assert h.chain.state_digest() != before
+
     def test_empty_chain_snapshot_ok(self):
         h = Harness()
         h.build()
@@ -680,7 +692,7 @@ class TestSnapshots:
     @pytest.mark.parametrize(
         "rule, edit",
         [
-            ("snapshot-header", lambda lines: ["qcspend-snapshot v0"] + lines[1:]),
+            ("snapshot-header", lambda lines: ["qcspend-snapshot v1"] + lines[1:]),
             ("snapshot-shape", lambda lines: lines[:-1]),
             ("snapshot-parse", lambda lines: lines[:3] + ["block 0g"] + lines[4:]),
             ("snapshot-digest", lambda lines: lines[:-1] + ["digest " + "00" * 32]),

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcspend import groups
@@ -32,12 +32,19 @@ from qcspend.groups import (
 
 G101 = toy_group(101)
 DATA = Path(__file__).parent / "data"
+# The known-answer key: the low SECRET_KEY_BITS bits of a digest, as a
+# wallet's post-quantum key.
+KNOWN_SK = int.from_bytes(h512(b"known-answer key").digest, "big") % 2**groups.SECRET_KEY_BITS
 
 # Published SHA-512 digest of the empty string (FIPS 180-4 test vector).
 SHA512_EMPTY = bytes.fromhex(
     "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
     "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
 )
+
+
+def known_answers() -> dict[str, str]:
+    return dict(line.split() for line in (DATA / "secure_signature.golden").read_text().splitlines())
 
 
 def naive_mul(group, a, b):
@@ -103,8 +110,10 @@ class TestFixedBasePkEc:
     covers."""
 
     SG = secure_group()
-    W = groups.FIXED_BASE_WINDOW
-    TOP = (secure_group().q - 1).bit_length() // groups.FIXED_BASE_WINDOW
+    # A stride for runs of ones and lone bits across every scalar width; TOP
+    # is its highest multiple below the width of q.
+    W = 5
+    TOP = (secure_group().q - 1).bit_length() // W
     CHUNKS = 4  # chunks of the stock group's comb: 4 * 512 bits >= 2,047
     ROWS, ROW_BITS = 8, groups.COMB_CHUNK_BITS // 8
     COLUMN_BITS = ROW_BITS // groups.COMB_COLUMNS
@@ -128,8 +137,7 @@ class TestFixedBasePkEc:
 
     @pytest.mark.parametrize("i", [1, 2, 3, 100, 204, TOP - 1, TOP])
     def test_digit_boundaries(self, i):
-        # 2^(w*i) - 1 fills every digit below position i with the top digit
-        # value; 2^(w*i) is a lone 1 at position i (TOP is the highest).
+        # 2^(w*i) - 1 is a run of w*i ones and 2^(w*i) a lone bit above it.
         for x in (2 ** (self.W * i) - 1, 2 ** (self.W * i)):
             self.assert_matches_pow(x)
 
@@ -186,7 +194,9 @@ class TestFixedBasePkEc:
     def test_any_exponent_the_comb_covers(self, x):
         self.assert_comb_matches_pow(x)
 
-    @pytest.mark.parametrize("bits", [512, 1024])
+    # A key has 256 bits, a nonce and almost every s 512, and 1,024 bits
+    # reach a second chunk of the comb.
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
     def test_seeded_wallet_nonce_and_s_sizes(self, bits):
         rng = random.Random(bits)
         for _ in range(16):
@@ -198,11 +208,11 @@ class TestFixedBasePkEc:
             pk_ec(self.SG, self.SG.q if x == "q" else x)
 
     def test_known_answers(self):
-        # Recorded with pow before the table existed: key and signature bytes.
-        known = dict(line.split() for line in (DATA / "secure_signature.golden").read_text().splitlines())
-        sk = self.SG.scalar_from_hash(h512(b"known-answer key").digest)
-        assert pk_ec(self.SG, sk).encode().hex() == known["pk"]
-        assert prequantum_sign(self.SG, sk, b"known-answer message").encode().hex() == known["signature"]
+        # Key and signature bytes, recorded with the key raised by pow and
+        # the signature checked by pow.
+        known = known_answers()
+        assert pk_ec(self.SG, KNOWN_SK).encode().hex() == known["pk"]
+        assert prequantum_sign(self.SG, KNOWN_SK, b"known-answer message").encode().hex() == known["signature"]
 
 
 class TestKeyTable:
@@ -211,7 +221,8 @@ class TestKeyTable:
 
     SG = secure_group()
     W = groups.FIXED_BASE_WINDOW
-    TOP = (2**512).bit_length() // groups.FIXED_BASE_WINDOW  # highest digit position of a challenge
+    BOUND = 2**groups.CHALLENGE_BITS  # the largest challenge
+    TOP = BOUND.bit_length() // W  # highest digit position of a challenge
     SK = 987654321
     PK = pk_ec(secure_group(), SK)
 
@@ -240,14 +251,30 @@ class TestKeyTable:
         return table
 
     def test_table_covers_every_challenge(self):
-        assert len(self.tabled(self.PK)) == self.TOP + 1 == 103
+        assert len(self.tabled(self.PK)) == self.TOP + 1 == 33
 
-    # 1; 2^512, the largest challenge; 2^515 - 1, the top digit value at
-    # every position of the table; and at positions 1, 2 and TOP, 2^(w*i) - 1
-    # (the top digit value at every position below i) and 2^(w*i) (a lone 1).
-    EDGES = [1, 2**512, 2**515 - 1, 2**5 - 1, 2**5, 2**10 - 1, 2**10, 2**510 - 1, 2**510]
+    # 1; 2^128, the largest challenge and a lone 1 at position TOP; 2^132 - 1,
+    # the top digit value at every position of the table; at positions 1, 2
+    # and TOP, 2^(w*i) - 1 (the top digit value at every position below i);
+    # 2^(w*i) (a lone 1) at positions 1, 2 and TOP - 1; and 2^5 - 1, 2^5,
+    # 2^10 - 1 and 2^10, which end inside a digit.
+    EDGES = {
+        "1": 1,
+        "2^128": 2**128,
+        "2^132-1": 2**132 - 1,
+        "2^4-1": 2**4 - 1,
+        "2^4": 2**4,
+        "2^8-1": 2**8 - 1,
+        "2^8": 2**8,
+        "2^128-1": 2**128 - 1,
+        "2^124": 2**124,
+        "2^5-1": 2**5 - 1,
+        "2^5": 2**5,
+        "2^10-1": 2**10 - 1,
+        "2^10": 2**10,
+    }
 
-    @pytest.mark.parametrize("e", EDGES, ids=["1", "2^512", "2^515-1", "2^5-1", "2^5", "2^10-1", "2^10", "2^510-1", "2^510"])
+    @pytest.mark.parametrize("e", list(EDGES.values()), ids=list(EDGES))
     def test_edges(self, e, monkeypatch):
         self.tabled(self.PK)
         power = builtins.pow(self.PK.value, e, self.SG.p)
@@ -255,7 +282,7 @@ class TestKeyTable:
         assert groups._key_pow(self.PK, e) == power
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.integers(min_value=1, max_value=2**512))
+    @given(st.integers(min_value=1, max_value=BOUND))
     def test_any_challenge(self, e):
         self.tabled(self.PK)
         assert groups._key_pow(self.PK, e) == pow(self.PK.value, e, self.SG.p)
@@ -305,11 +332,10 @@ class TestKeyTable:
         assert groups._key_table.cache_info().misses == 0
 
     def test_known_answer_verifies_with_a_table(self):
-        known = dict(line.split() for line in (DATA / "secure_signature.golden").read_text().splitlines())
-        sk = self.SG.scalar_from_hash(h512(b"known-answer key").digest)
+        known = known_answers()
         pk = decode_point(self.SG, bytes.fromhex(known["pk"]))
         sig = PreQuantumSignature.decode(bytes.fromhex(known["signature"]))
-        assert pk == pk_ec(self.SG, sk)
+        assert pk == pk_ec(self.SG, KNOWN_SK)
         for _ in range(3):
             assert groups._verify(self.SG, pk, b"known-answer message", sig)
         info = groups._key_table.cache_info()
@@ -422,6 +448,45 @@ class TestPreQuantumSignatures:
     def test_malformed_signature_returns_false(self):
         assert not prequantum_verify(G101, pk_ec(G101, 3), b"m", PreQuantumSignature(b"\x00\x00", 5))
         assert not prequantum_verify(G101, pk_ec(G101, 3), b"m", PreQuantumSignature(b"", 10**9))
+
+    def test_toy_known_answer(self):
+        # Recorded before the secure group's keys and challenges were
+        # narrowed: a toy group keeps its challenges in [1, q - 1].
+        assert groups._challenge_bound(toy_group(8191)) == 8190
+        sig = prequantum_sign(toy_group(8191), 4321, b"known-answer message")
+        assert sig.encode().hex() == known_answers()["toy-signature"]
+
+
+class TestShortSecureKeys:
+    """On the secure group s = k + e*sk is never reduced mod q, so only the
+    512-bit nonce k hides e*sk: keys have at most SECRET_KEY_BITS bits and
+    challenges at most CHALLENGE_BITS."""
+
+    SG = secure_group()
+
+    def test_one_signature_does_not_give_the_key_away(self):
+        # With a key and a challenge as wide as the nonce, s // e is the key
+        # give or take a few.
+        wallet = Wallet(G101, "alice", 1, 8)
+        assert 0 < wallet.pq_sk < 2**groups.SECRET_KEY_BITS
+        for msg in (b"leak", b"sighash", b""):
+            sig = prequantum_sign(self.SG, wallet.pq_sk, msg)
+            e = groups._challenge(self.SG, sig.nonce_point, wallet.pq_pk, msg)
+            assert e <= 2**groups.CHALLENGE_BITS
+            assert wallet.pq_sk not in {sig.s // e - d for d in range(-3, 4)}
+
+    def test_a_key_of_2_to_the_256_is_refused(self):
+        with pytest.raises(GroupError, match="^secret scalar out of range$"):
+            prequantum_sign(self.SG, 2**groups.SECRET_KEY_BITS, b"m")
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**256 - 1), st.binary(max_size=16))
+    @example(0, b"")
+    @example(2**256 - 1, b"widest")
+    def test_every_key_below_2_to_the_256_round_trips(self, sk, msg):
+        sig = prequantum_sign(self.SG, sk, msg)
+        assert sig.s < 2**513
+        assert prequantum_verify(self.SG, pk_ec(self.SG, sk), msg, sig)
 
 
 def encode_value(group, value):
@@ -716,12 +781,17 @@ class TestBatchVerify:
             assert not prequantum_batch_verify(self.SG, [bad])
 
     def test_sum_past_q_is_reduced(self, monkeypatch):
-        # Keys just below q give s of ~2,047 bits, so the sum of the a_i*s_i
-        # passes q; the forged twin is checked first, as a verdict that
-        # holds is memoised.
+        # `prequantum_sign` refuses keys this wide, so these signatures are
+        # made by hand: keys just below q give s of ~2,047 bits, so the sum
+        # of the a_i*s_i passes q.  The forged twin is checked first, as a
+        # verdict that holds is memoised.
         monkeypatch.setattr(groups, "_verified", set())
         q = self.SG.q
-        items = [(pk_ec(self.SG, sk), msg, prequantum_sign(self.SG, sk, msg)) for sk, msg in ((q - 3, b"wide"), (q - 5, b"wider"))]
+        items = []
+        for sk, msg, k in ((q - 3, b"wide", 1_000), (q - 5, b"wider", 2_000)):
+            pk, nonce = pk_ec(self.SG, sk), pk_ec(self.SG, k).encode()
+            e = groups._challenge(self.SG, nonce, pk.encode(), msg)
+            items.append((pk, msg, PreQuantumSignature(nonce, (k + e * sk) % q)))
         assert sum(a * sig.s for a, (_, _, sig) in zip(groups._batch_multipliers(items), items)) >= q
         pk, msg, sig = items[1]
         assert not prequantum_batch_verify(self.SG, [items[0], (pk, msg, PreQuantumSignature(sig.nonce_point, (sig.s + 1) % q))])

@@ -373,18 +373,14 @@ def test_snapshot_blocks_reencode_and_replay_to_the_tip(name, request):
     assert verify_snapshot(text).tip_hash == sim.chain.tip_hash
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason="ROADMAP item 4: nothing pins the tip block's bytes, since the state digest "
-    "covers no block hash and only a child's parent link pins a block; snapshot v2 fixes it",
-)
 def test_altered_tip_block_rejected():
+    # The state digest covers the tip block's hash: only a child's parent
+    # link pins any other block.
     lines = stepped_run("front-runner-direct")[0].snapshot().splitlines()
     tip = Block.deserialize(bytes.fromhex(lines[-2][len("block ") :]))
     assert tip.miner_id == "m0"
     lines[-2] = "block " + dataclasses.replace(tip, miner_id="x0").serialize().hex()
-    with pytest.raises(RuleViolation):
+    with pytest.raises(RuleViolation, match="^snapshot-digest: "):
         verify_snapshot("\n".join(lines) + "\n")
 
 
