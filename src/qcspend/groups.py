@@ -32,12 +32,17 @@ Fast path for the secure group, with byte-identical results:
   and reorgs therefore do not redo 2048-bit work for a signature already
   checked, alone or in a batch.  A failed verdict is not memoised.
 - `pk_ec` raises the generator by a Lim-Lee fixed-base comb (HAC Alg.
-  14.117) whose tables are split by 512-bit chunks of the exponent, so a
-  512-bit nonce, a 256-bit key and an s below 2^512 each read one chunk:
-  8 tables of 256 elements, ~0.6 MiB for the stock group, built once per
-  process by `secure_group()` (~54 ms on one 2-vCPU Xeon host, beside its
-  primality check).  An exponent wider than the comb takes `pow`.  Toy
+  14.117) whose tables are split by 512-bit chunks of the exponent.  It has
+  two chunks: a 512-bit nonce, a 256-bit key and almost every s read the
+  first, in 16 squarings and 64 multiplications, and a batch's sum of
+  multiplier times s reads both.  8 tables of 256 elements, ~0.6 MiB for
+  the stock group, built once per process by `secure_group()`.  An exponent
+  wider than 1,024 bits, such as a full-width scalar, takes `pow`.  Toy
   groups keep `pow`, which beats any table at q <= 2**24.
+- A single verify tests the key for subgroup membership, a hit of the
+  decode memo for a key the caller decoded, and decodes no nonce point:
+  g^s and pk lie in the order-q subgroup, so g^s = R*pk^e puts R there too,
+  and R needs only a canonical encoding in [1, p).
 - A single verify raises the key to its challenge e <= 2^128 from a
   per-key Brickell-Gordon-McCurley-Wilson table (HAC Alg. 14.109) of
   33 elements (~9 KiB), built on the key's first verify and kept for the
@@ -100,11 +105,16 @@ FIXED_BASE_WINDOW = 4
 # makes a one-byte table index, and each row into COMB_COLUMNS columns.  A
 # table of 256 elements serves each chunk and column.  A g^x costs one
 # squaring per bit of a column, and per bit one multiplication for each
-# column of each chunk that x reaches: about 95 multiplications for a
-# nonce, a key or an s, which all lie in the first chunk.  The stock group's
-# comb holds 2,048 elements, ~0.6 MiB.
+# column of each chunk that x reaches: 16 squarings and 64 multiplications
+# for a nonce, a key or almost every s, which lie in chunk 0.  Chunk 1
+# serves the batch sums: each multiplier times s is below
+# 2^(BATCH_MULTIPLIER_BITS + 513), so a sum of fewer than 2^383 of them (a
+# consensus batch has 64) stays below 2^1024, and no exponent of a
+# signature reads a third chunk.  The stock group's comb holds 2,048
+# elements, ~0.6 MiB; 8 columns would double that.
 COMB_CHUNK_BITS = 512
-COMB_COLUMNS = 2
+COMB_CHUNKS = 2
+COMB_COLUMNS = 4
 _COMB_ROWS = 8
 _ROW_BITS = COMB_CHUNK_BITS // _COMB_ROWS
 _COLUMN_BITS = _ROW_BITS // COMB_COLUMNS
@@ -290,13 +300,12 @@ def _power_table(p: int, base: int, bits: int, step: int = FIXED_BASE_WINDOW) ->
 
 @lru_cache(maxsize=None)
 def _generator_comb(group: GroupParams) -> tuple[tuple[int, ...], ...]:
-    """The comb tables of g over every bit of a scalar in [0, q), one per
-    chunk and column, chunk by chunk.  Bit r of an index selects row r:
-    entry i of the table of chunk c and column j is the product of
+    """The comb tables of g over the COMB_CHUNKS chunks, one per chunk and
+    column, chunk by chunk.  Bit r of an index selects row r: entry i of the
+    table of chunk c and column j is the product of
     g^(2^(COMB_CHUNK_BITS*c + _ROW_BITS*r + _COLUMN_BITS*j)) over the bits
     r set in i."""
-    chunks = -(-(group.q - 1).bit_length() // COMB_CHUNK_BITS)
-    powers = _power_table(group.p, group.g, chunks * COMB_CHUNK_BITS, _COLUMN_BITS)
+    powers = _power_table(group.p, group.g, COMB_CHUNKS * COMB_CHUNK_BITS, _COLUMN_BITS)
     tables = []
     for first in range(0, len(powers), _COMB_ROWS * COMB_COLUMNS):  # a chunk
         for column in range(COMB_COLUMNS):
@@ -311,9 +320,8 @@ def _generator_pow(group: GroupParams, x: int) -> int:
     """g^x mod p for x >= 0: from the comb on a SECURE group, unless x is
     wider than the comb."""
     if group.mode is GroupMode.SECURE:
-        tables = _generator_comb(group)
-        if x.bit_length() <= len(tables) // COMB_COLUMNS * COMB_CHUNK_BITS:
-            return _comb_pow(tables, group.p, x)
+        if x.bit_length() <= COMB_CHUNKS * COMB_CHUNK_BITS:
+            return _comb_pow(_generator_comb(group), group.p, x)
     return pow(group.g, x, group.p)
 
 
@@ -556,11 +564,20 @@ def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignat
 
 
 def _verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
-    nonce = decode_point(group, sig.nonce_point)
-    if not 0 <= sig.s < group.q:
+    """The single check.  Only the key takes the subgroup test: g^s and pk
+    lie in the order-q subgroup, so g^s = R*pk^e puts R = g^s*pk^(-e) there
+    too, and R needs only a canonical encoding of a value in [1, p)."""
+    if pk.group != group or len(sig.nonce_point) != group.point_len or not 0 <= sig.s < group.q:
         return False
-    e = _challenge(group, sig.nonce_point, pk.encode(), msg)
-    return pk_ec(group, sig.s).value == nonce.value * _key_pow(pk, e) % group.p
+    nonce = int.from_bytes(sig.nonce_point, "big")
+    if not 1 <= nonce < group.p:
+        return False
+    pk_bytes = pk.encode()
+    # Answered by the decode memo for a key the caller decoded: a key off
+    # the subgroup raises DecodeError.
+    decode_point(group, pk_bytes)
+    e = _challenge(group, sig.nonce_point, pk_bytes, msg)
+    return pk_ec(group, sig.s).value == nonce * _key_pow(pk, e) % group.p
 
 
 def _key_pow(pk: GroupPoint, e: int) -> int:

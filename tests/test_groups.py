@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qcspend import groups
 from qcspend.agents import Wallet
+from qcspend.consensus import BATCH_VERIFY_SIZE
 from qcspend.encoding import DecodeError
 from qcspend.groups import (
     GroupError,
@@ -105,16 +106,21 @@ class TestPkEc:
 
 
 class TestFixedBasePkEc:
-    """On the secure group pk_ec reads the generator's comb; it must agree
-    with pow for every scalar in [0, q), and the comb for every exponent it
-    covers."""
+    """On the secure group pk_ec reads the generator's comb, or `pow` for an
+    exponent wider than the comb; it must agree with pow for every scalar in
+    [0, q), and the comb for every exponent it covers."""
 
     SG = secure_group()
     # A stride for runs of ones and lone bits across every scalar width; TOP
     # is its highest multiple below the width of q.
     W = 5
     TOP = (secure_group().q - 1).bit_length() // W
-    CHUNKS = 4  # chunks of the stock group's comb: 4 * 512 bits >= 2,047
+    CHUNKS = len(groups._generator_comb(secure_group())) // groups.COMB_COLUMNS
+    # Chunks of 512 bits that a scalar in [0, q) spans: 4 * 512 >= 2,047.
+    SCALAR_CHUNKS = -(-(secure_group().q - 1).bit_length() // groups.COMB_CHUNK_BITS)
+    # The widest exponent a batch raises g to: the sum of a 128-bit
+    # multiplier times an s below 2^513 over a full consensus batch.
+    WIDEST_BATCH_SUM = BATCH_VERIFY_SIZE * (2**groups.BATCH_MULTIPLIER_BITS - 1) * (2**513 - 1)
     ROWS, ROW_BITS = 8, groups.COMB_CHUNK_BITS // 8
     COLUMN_BITS = ROW_BITS // groups.COMB_COLUMNS
 
@@ -144,7 +150,7 @@ class TestFixedBasePkEc:
     def test_comb_covers_every_chunk_row_and_column(self):
         comb, p, chunk, lone_bits = groups._generator_comb(self.SG), self.SG.p, groups.COMB_CHUNK_BITS, self.lone_bits()
         assert len(comb) == self.CHUNKS * groups.COMB_COLUMNS
-        assert (self.CHUNKS - 1) * chunk < (self.SG.q - 1).bit_length() <= self.CHUNKS * chunk
+        assert (self.CHUNKS - 1) * chunk < self.WIDEST_BATCH_SUM.bit_length() <= self.CHUNKS * chunk
         assert sum(map(len, comb)) == 2048
         for c in range(self.CHUNKS):
             for j in range(groups.COMB_COLUMNS):
@@ -158,10 +164,11 @@ class TestFixedBasePkEc:
                     everything = everything * element % p
                 assert table[-1] == everything
 
-    @pytest.mark.parametrize("c", range(CHUNKS + 1))
+    @pytest.mark.parametrize("c", range(SCALAR_CHUNKS + 1))
     def test_chunk_boundaries(self, c):
         # 2^(512c) - 1 fills every chunk below c; 2^(512c) is a lone 1 at the
-        # bottom of chunk c.  At c = 4 it is wider than the comb.
+        # bottom of chunk c.  From c = CHUNKS on, 2^(512c) is wider than the
+        # comb and takes pow.
         for x in (2 ** (groups.COMB_CHUNK_BITS * c) - 1, 2 ** (groups.COMB_CHUNK_BITS * c)):
             self.assert_comb_matches_pow(x)
 
@@ -174,15 +181,29 @@ class TestFixedBasePkEc:
                         n = groups.COMB_CHUNK_BITS * c + self.ROW_BITS * r + self.COLUMN_BITS * j + k
                         assert groups._generator_pow(self.SG, 2**n) == lone_bits[n]
 
-    def test_wider_exponent_takes_pow(self, monkeypatch):
+    @staticmethod
+    def count_pow(monkeypatch) -> list:
         calls = []
         monkeypatch.setattr(groups, "pow", lambda *args: calls.append(args) or builtins.pow(*args), raising=False)
+        return calls
+
+    def test_wider_exponent_takes_pow(self, monkeypatch):
+        calls = self.count_pow(monkeypatch)
         x = 2 ** (self.CHUNKS * groups.COMB_CHUNK_BITS) + 12345
         assert groups._generator_pow(self.SG, x) == builtins.pow(self.SG.g, x, self.SG.p)
         assert calls == [(self.SG.g, x, self.SG.p)]
         calls.clear()
         assert groups._generator_pow(self.SG, x - 1 - 12345) == builtins.pow(self.SG.g, x - 1 - 12345, self.SG.p)
-        assert calls == []  # 2^2048 - 1 is the widest exponent the comb covers
+        assert calls == []  # 2^1024 - 1 is the widest exponent the comb covers
+
+    def test_widest_batch_sum_reads_the_comb(self, monkeypatch):
+        # One bit past the comb's width takes pow.
+        calls, x = self.count_pow(monkeypatch), self.WIDEST_BATCH_SUM
+        assert groups._generator_pow(self.SG, x) == builtins.pow(self.SG.g, x, self.SG.p)
+        assert calls == []
+        wider = 2 ** (self.CHUNKS * groups.COMB_CHUNK_BITS)
+        assert groups._generator_pow(self.SG, wider) == builtins.pow(self.SG.g, wider, self.SG.p)
+        assert calls == [(self.SG.g, wider, self.SG.p)]
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=secure_group().q - 1))
@@ -491,6 +512,94 @@ class TestShortSecureKeys:
 
 def encode_value(group, value):
     return value.to_bytes(group.point_len, "big")
+
+
+def sign_by_hand(group, sk, k, pk_bytes, msg, nonce):
+    """A signature of sk with nonce k whose challenge is hashed over the
+    given key and nonce encodings; returns the challenge too."""
+    e = groups._challenge(group, nonce, pk_bytes, msg)
+    return e, PreQuantumSignature(nonce, (k + e * sk) % group.q)
+
+
+def equation_holds(group, pk_value, sig, e) -> bool:
+    """g^s == R * pk^e mod p, by pow and with no membership test."""
+    p = group.p
+    return pow(group.g, sig.s, p) == int.from_bytes(sig.nonce_point, "big") * pow(pk_value, e, p) % p
+
+
+@pytest.mark.parametrize("group", [pytest.param(secure_group(), id="secure"), pytest.param(G101, id="toy101")])
+class TestSingleVerifyMembership:
+    """A single verify tests the key for subgroup membership and takes the
+    nonce point's from the equation: g^s and pk lie in the order-q
+    subgroup, so g^s = R*pk^e puts R there too.  -1 has order 2 and is no
+    member, so p - x is no member for any member x."""
+
+    SK, K = 42, 17
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(groups, "_verified", set())
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    def test_key_outside_the_subgroup_is_rejected(self, group, parity):
+        # (p - pk)^e = (-1)^e * pk^e, so a signature of sk under the key
+        # p - pk meets the equation whenever its challenge is even.
+        forged_key = GroupPoint(group, group.p - pk_ec(group, self.SK).value)
+        nonce = pk_ec(group, self.K).encode()
+        for attempt in range(64):
+            msg = b"off-subgroup key %d" % attempt
+            e, sig = sign_by_hand(group, self.SK, self.K, forged_key.encode(), msg, nonce)
+            if e % 2 == parity:
+                break
+        assert e % 2 == parity
+        assert equation_holds(group, forged_key.value, sig, e) is (parity == 0)
+        assert not prequantum_verify(group, forged_key, msg, sig)
+
+    def test_nonce_outside_the_subgroup_is_rejected(self, group):
+        # R' = p - R, once in a valid signature and once with s = k + e*sk
+        # made for the challenge hashed over R' = p - g^k (Boyd and
+        # Pavlovski): then R'*pk^e = -g^s.
+        pk, msg = pk_ec(group, self.SK), b"off-subgroup nonce"
+        sig = prequantum_sign(group, self.SK, msg)
+        replaced = PreQuantumSignature(encode_value(group, group.p - int.from_bytes(sig.nonce_point, "big")), sig.s)
+        nonce = encode_value(group, group.p - pk_ec(group, self.K).value)
+        e, remade = sign_by_hand(group, self.SK, self.K, pk.encode(), msg, nonce)
+        assert not equation_holds(group, pk.value, remade, e)
+        good = (pk_ec(group, 7), b"good", prequantum_sign(group, 7, b"good"))
+        for bad in (replaced, remade):
+            assert not groups._verify(group, pk, msg, bad)
+            assert not prequantum_verify(group, pk, msg, bad)
+            assert not prequantum_batch_verify(group, [good, (pk, msg, bad)])
+
+    @pytest.mark.parametrize("case", ["short", "long", "zero", "R+p"])
+    def test_malformed_nonce_returns_false(self, group, case):
+        # Each encoding but zero names R mod p, and s is made for the
+        # challenge hashed over it, so the equation alone would accept it.
+        pk, msg = pk_ec(group, self.SK), b"malformed nonce"
+        k = next(k for k in range(1, group.q) if pk_ec(group, k).value < 256)  # R's first byte is 0
+        value = pk_ec(group, k).value
+        nonce = {
+            "short": encode_value(group, value)[1:],
+            "long": b"\x00" + encode_value(group, value),
+            "zero": bytes(group.point_len),
+            "R+p": encode_value(group, value + group.p),
+        }[case]
+        e, sig = sign_by_hand(group, self.SK, k, pk.encode(), msg, nonce)
+        assert equation_holds(group, pk.value, sig, e) is (case != "zero")
+        assert groups._verify(group, pk, msg, sig) is False
+        assert prequantum_verify(group, pk, msg, sig) is False
+
+    def test_key_of_another_group_is_rejected(self, group):
+        # The same p and q with the generator g^2: the key's value meets the
+        # equation, but it names another group.
+        other = GroupParams(p=group.p, q=group.q, g=group.g**2 % group.p, mode=group.mode)
+        pk, msg = pk_ec(group, self.SK), b"another group"
+        sig = prequantum_sign(group, self.SK, msg)
+        stranger = GroupPoint(other, pk.value)
+        assert prequantum_verify(group, pk, msg, sig)
+        assert not prequantum_verify(group, stranger, msg, sig)
+        good = (pk_ec(group, 7), b"good", prequantum_sign(group, 7, b"good"))
+        assert not prequantum_batch_verify(group, [good, (stranger, msg, sig)])
 
 
 class TestSubgroupCheck:

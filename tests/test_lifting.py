@@ -1,7 +1,7 @@
 import pytest
 
 from qcspend.encoding import enc_bytes
-from qcspend.groups import address_hash, h512, pk_ec, prequantum_verify, toy_group
+from qcspend.groups import GroupError, address_hash, decode_point, h512, pk_ec, prequantum_verify, secure_group, toy_group
 from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf, path
 from qcspend.lifting import (
     KeyLiftedScheme,
@@ -103,6 +103,19 @@ class TestKeyLifting:
             msg = h512(b"msg%d" % i).digest[:20]
             address = address_hash(pk_ec(GROUP, sk).encode())
             assert keylift_verify(KEY_BACKEND, address, msg, keylift_sign(GROUP, KEY_BACKEND, sk, msg))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=GroupError,
+        reason="ROADMAP item 12: KeyLiftedScheme.keygen draws a key of ~512 bits on the secure group, "
+        "and prequantum_sign refuses a key of 2^256 or more",
+    )
+    def test_keygen_key_signs_on_the_secure_group(self):
+        scheme = KeyLiftedScheme(secure_group())
+        sk, address = scheme.keygen(b"\x07" * 64)
+        sig, pk = scheme.base_sign(sk, b"m")
+        assert address == address_hash(pk)
+        assert prequantum_verify(scheme.group, decode_point(scheme.group, pk), b"m", sig)
 
 
 class TestSeedLifting:
