@@ -30,7 +30,6 @@ from .consensus import Chain, EraPhase, proof_message
 from .encoding import enc_bytes, enc_u32
 from .fawkescoin import RevealMode, RevealPayload, commit_payload
 from .groups import (
-    SECRET_KEY_BITS,
     GroupParams,
     decode_point,
     h512,
@@ -73,7 +72,7 @@ class Wallet:
         tag = hashlib.sha512(b"wallet:%d:" % scenario_seed + agent_id.encode()).digest()
         self.seed = Seed(tag[:24], b"")
         self.msk = kdf(group, self.seed, kdf_iterations)
-        self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % (1 << SECRET_KEY_BITS)
+        self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % self.pq_group.secret_key_bound
         self.pq_pk = signer_pk(self.pq_group, self.pq_sk)
         self._pq_hash = post_quantum_address(self.pq_pk).data
         self._raw_sks: dict[str, int] = {}

@@ -98,28 +98,28 @@ def cmd_canary(args) -> int:
         print("canary: need --table or --spec FILE", file=sys.stderr)
         return 2
     try:
-        data = json.loads(Path(args.spec).read_text())
-        game = _game_from_spec(data)
+        game = _game_from_spec(json.loads(Path(args.spec).read_text()))
+        w_values = [int(w) for w in args.sweep_w.split(",")] if args.sweep_w else []
+        pairs = [tuple(map(int, p.split(":"))) for p in args.sweep_bounty.split(",")] if args.sweep_bounty else []
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"--sweep-bounty takes tb_f:tb_s pairs, not {args.sweep_bounty!r}")
+        w_trajectory, bounty_trajectory = sweep_w(game, w_values), sweep_bounty(game, pairs)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_game(game)
-    if args.sweep_w:
-        values = [int(v) for v in args.sweep_w.split(",")]
-        trajectory = sweep_w(game, values)
-        print("sweep-w " + " ".join(f"w={w}:TL{c.timeline}" for w, c in zip(values, trajectory)))
-        print("sweep-w classes " + "->".join(f"TL{t}" for t in collapse(trajectory)))
-    if args.sweep_bounty:
-        pairs = [tuple(int(x) for x in pair.split(":")) for pair in args.sweep_bounty.split(",")]
-        trajectory = sweep_bounty(game, pairs)
-        print("sweep-bounty classes " + "->".join(f"TL{t}" for t in collapse(trajectory)))
+    if w_values:
+        print("sweep-w " + " ".join(f"w={w}:TL{c.timeline}" for w, c in zip(w_values, w_trajectory)))
+        print("sweep-w classes " + "->".join(f"TL{t}" for t in collapse(w_trajectory)))
+    if pairs:
+        print("sweep-bounty classes " + "->".join(f"TL{t}" for t in collapse(bounty_trajectory)))
     return 0
 
 
 def cmd_verify(args) -> int:
     try:
         text = Path(args.snapshot).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -110,7 +110,7 @@ from .lifting import (
     lifted_backends,
     seedlift_verify,
 )
-from .params import FC_MODES, FEE_SHARE_DELAY, Params, check_fields, toy_order
+from .params import FC_MODES, FEE_SHARE_DELAY, Params, check_fields, toy_order, u32_count
 from .rules import RuleViolation
 
 # Post-quantum witnesses per replay run, and so signatures per batch.
@@ -224,7 +224,9 @@ class Chain:
         self.address_first_seen: dict[bytes, int] = {}
         self.registry = KeyRegistry(params.regular_paths)
 
-        self.fc_commitments: dict[bytes, list[int]] = {}  # committed hash -> inclusion heights
+        # committed hash -> [its first inclusion height]; a one-element list
+        # for the benchmark's count of commitments (ROADMAP item 10)
+        self.fc_commitments: dict[bytes, list[int]] = {}
         self.challenges: dict[bytes, ChallengeRecord] = {}
         self.open_challenges: dict[bytes, ChallengeRecord] = {}  # txid -> its OPEN record, and only those
         self.lfc_by_hash: dict[bytes, LfcCommitment] = {}  # committed hash -> record
@@ -732,25 +734,26 @@ class Chain:
             tx, height, self._is_post_quantum, "fc-commit-needs-pq-fee", "a post-quantum output must fund the commitment"
         )
         self._building.fees += self._spend_inputs(tx, height, total_in)
-        # No locking in non-lifted mode: duplicate hashes are all recorded.
-        self._put(self.fc_commitments, committed, self.fc_commitments.get(committed, []) + [height])
+        # No locking in non-lifted mode, and a repeated commitment keeps the
+        # first height: every bound `_check_commitment` applies favours it.
+        if committed not in self.fc_commitments:
+            self._put(self.fc_commitments, committed, [height])
 
     def _check_commitment(self, committed: bytes, height: int, wait: int, *, max_leak_height: Optional[int], ban_height: Optional[int]) -> None:
         """Require a commitment to `committed` that is at least `wait`
         blocks old, landed no later than `max_leak_height` and strictly
         before `ban_height` (either bound None when it does not apply)."""
-        heights = self.fc_commitments.get(committed)
-        if not heights:
+        if committed not in self.fc_commitments:
             raise RuleViolation("fc-no-commitment", "reveal does not match any commitment")
+        (committed_at,) = self.fc_commitments[committed]
         # A hashed spend requires the key to have stayed unleaked until the
         # commitment landed.
-        if not any(
-            height - h >= wait
-            and (max_leak_height is None or max_leak_height >= h)
-            and (ban_height is None or h < ban_height)
-            for h in heights
+        if (
+            height - committed_at < wait
+            or (max_leak_height is not None and max_leak_height < committed_at)
+            or (ban_height is not None and committed_at >= ban_height)
         ):
-            raise RuleViolation("fc-commitment-unusable", "no commitment is old enough and unencumbered")
+            raise RuleViolation("fc-commitment-unusable", "the commitment is not old enough or is encumbered")
 
     def _apply_fc_reveal(self, tx: Transaction, height: int) -> None:
         self._epoch_gate(height, EpochKind.FC, committing=False)
@@ -1125,7 +1128,12 @@ class Chain:
         if current.kind is EpochKind.FC:
             self._append(self.epochs, Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len))
             return
-        claims = sum(1 for h in self._claim_heights() if current.end - CLAIM_WINDOW <= h < current.end)
+        # The claims are the CLAIMED records, which never change state again.
+        claims = sum(
+            1
+            for r in self.lfc_by_hash.values()
+            if r.state is LfcState.CLAIMED_BY_MINER and current.end - CLAIM_WINDOW <= r.resolved_height < current.end
+        )
         decision = extension_decision(
             claims,
             self.params.proofs_per_100_blocks,
@@ -1140,11 +1148,6 @@ class Chain:
         for committed in list(self.lfc_locks.values()):
             self._resolve_lfc(self.lfc_by_hash[committed], LfcState.EXPIRED_FINED, height)
         self._append(self.epochs, Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len))
-
-    def _claim_heights(self) -> Iterator[int]:
-        """The heights of the lifted claims: a claimed record never changes
-        state again."""
-        return (r.resolved_height for r in self.lfc_by_hash.values() if r.state is LfcState.CLAIMED_BY_MINER)
 
     def _assert_balance(self) -> None:
         lhs = self.utxo_value_sum + self.challenge_escrow + self.pending_fee_pool + self.fine_escrow_pool
@@ -1165,36 +1168,35 @@ class Chain:
     # -- snapshot / digest ------------------------------------------------------------------
 
     def state_digest(self) -> bytes:
-        # Heights are packed unchecked (a chain cannot outgrow u64); the
-        # sums of value are encoded checked.
+        """The hash of every stored fact, each once: no index, sum or list
+        that other parts determine (`tests/test_undo.py` names those), and
+        nothing that the config or the tip's parent links fix.  The minted
+        total is hashed although the outputs and escrows sum to it: it is a
+        running counter, kept to catch a fault in them."""
+        # Heights are packed unchecked (a chain cannot outgrow u64).
         pack_u32, pack_u64 = U32.pack, U64.pack
-        utxos = self.utxos
+        utxos, lfc, fc, challenges = self.utxos, self.lfc_by_hash, self.fc_commitments, self.challenges
+        declared = self.registry.declared
         parts: list[bytes] = [pack_u64(self.height), self.tip_hash]
         parts += [utxos[outpoint].serialize() for outpoint in sorted(utxos)]
         parts += [b"".join((pack_u32(len(pk)), pk, pack_u64(h))) for pk, h in sorted(self.leaks.snapshot().items())]
-        for committed in sorted(self.lfc_by_hash):
-            r = self.lfc_by_hash[committed]
-            resolved = r.resolved_height if r.resolved_height is not None else 0
-            parts.append(enc_bytes(committed) + r.state.value.encode() + pack_u64(r.height_included) + pack_u64(resolved))
-        for committed in sorted(self.fc_commitments):
-            parts.append(b"fc" + enc_bytes(committed) + b"".join(map(pack_u64, self.fc_commitments[committed])))
-        for txid in sorted(self.challenges):
-            record = self.challenges[txid]
-            parts.append(enc_bytes(txid) + record.status.value.encode() + pack_u64(record.challenge_end_height))
+        parts += [lfc[committed].serialize() for committed in sorted(lfc)]
+        parts += [b"fc" + enc_bytes(committed) + pack_u64(fc[committed][0]) for committed in sorted(fc)]
+        parts += [challenges[txid].serialize() for txid in sorted(challenges)]
+        # A materialized key set depends on the paths declared before it, so
+        # it is hashed beside the declarations.
         for entry in self.registry.entries:
-            parts.append(enc_bytes(entry.key_digest) + pack_u64(entry.included_height))
-        for digest in sorted(self.registry.declared):
-            for p in self.registry.declared[digest]:
-                parts.append(enc_bytes(digest) + p.serialize())
+            keys = b"".join(map(enc_bytes, sorted(entry.materialized_keys)))
+            parts.append(enc_bytes(entry.key_digest) + pack_u64(entry.included_height) + keys)
+        for digest in sorted(declared):
+            parts += [enc_bytes(digest) + p.serialize() for p in declared[digest]]
         for epoch in self.epochs:
             parts.append(epoch.kind.value.encode() + pack_u64(epoch.start) + pack_u64(epoch.length) + bytes([epoch.extension]))
         for block_height in sorted(self.fee_shares_by_block):
             parts.append(pack_u64(block_height) + enc_u64(self.fee_shares_by_block[block_height]))
-        parts += [b"claim" + pack_u64(h) for h in sorted(self._claim_heights())]
         first_seen = self.address_first_seen
         parts += [addr + pack_u64(first_seen[addr]) for addr in sorted(first_seen)]
         parts.append(enc_u64(self.total_minted))
-        parts.append(enc_u64(self.challenge_escrow) + enc_u64(self.pending_fee_pool) + enc_u64(self.fine_escrow_pool))
         if self.canary.killed_at is not None:
             parts.append(b"killed" + pack_u64(self.canary.killed_at))
         return address_hash(b"".join([pack_u32(len(p)) + p for p in parts]))
@@ -1257,7 +1259,7 @@ SNAPSHOT_CONFIG = {
 }
 SNAPSHOT_GRANT = {
     "address_kind": (set(AddrKind.__members__), ...), "address_data": (bytes.fromhex, ...),
-    "value": (int, ...), "wait_override": (int, ...),
+    "value": (int, ...), "wait_override": (u32_count, ...),
 }
 
 
@@ -1342,7 +1344,7 @@ def reorg(chain: Chain, config: ChainConfig, branch: list[Block]) -> tuple[Chain
 
 # -- snapshots -----------------------------------------------------------------------
 
-SNAPSHOT_HEADER = "qcspend-snapshot v2"
+SNAPSHOT_HEADER = "qcspend-snapshot v3"
 
 
 def export_snapshot(chain: Chain, config: ChainConfig) -> str:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .encoding import DecodeError, Reader, enc_bytes
+from .encoding import DecodeError, Reader, enc_bytes, enc_u64
 from .groups import GroupParams
 from .hdwallet import DerivationPath, ExtendedSecretKey, deserialize_xsk, read_path
-from .ledger import Address, Outpoint, Transaction
+from .ledger import Address, Outpoint, Transaction, _enc_outpoint
 
 
 class RevealMode(Enum):
@@ -64,6 +64,15 @@ class ChallengeRecord:
     reveal_miner: Address
     spent_wait: int  # the spent output's effective waiting time
     status: ChallengeStatus = ChallengeStatus.OPEN
+
+    def serialize(self) -> bytes:
+        """The whole record, as the state digest hashes it."""
+        return b"".join((
+            enc_bytes(self.txid), enc_bytes(self.revealed_tx.serialize()), _enc_outpoint(self.spent_outpoint),
+            enc_u64(self.spent_value), self.spent_address.serialize(), enc_u64(self.deposit_value), enc_u64(self.fee),
+            enc_u64(self.challenge_end_height), self.reveal_miner.serialize(), enc_u64(self.spent_wait),
+            self.status.value.encode(),
+        ))
 
 
 # -- payload codecs -----------------------------------------------------------

@@ -198,8 +198,9 @@ class GroupParams:
     mode: GroupMode
 
     def __post_init__(self):
-        if not is_prime(self.q):
-            raise GroupError("group order must be prime")
+        # q's primality is not tested here, where it would cost ~0.3 s on
+        # the secure group: `generate` tests it, and a test checks the RFC
+        # 3526 constants once.
         if (self.p - 1) % self.q != 0:
             raise GroupError("q must divide p - 1")
         if pow(self.g, self.q, self.p) != 1 or self.g % self.p == 1:
@@ -245,6 +246,12 @@ class GroupParams:
         if value >= self.q:
             raise DecodeError("scalar exceeds group order")
         return value
+
+    @property
+    def secret_key_bound(self) -> int:
+        """Secret keys lie below this: q, and 2^SECRET_KEY_BITS on a group
+        of larger order (a wider key leaks through a signature's s)."""
+        return min(self.q, 1 << SECRET_KEY_BITS)
 
     def scalar_from_hash(self, digest: bytes) -> int:
         # Big-endian reduction mod q.  The slight non-uniformity is the
@@ -551,8 +558,8 @@ def signer_pk(group: GroupParams, sk: int) -> bytes:
 def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignature:
     """Deterministic hash-challenge signature; the nonce is derived from
     (sk, msg) so repeated runs of a simulation byte-match.  A key must lie
-    below q and below 2^SECRET_KEY_BITS: a wider one leaks through s."""
-    if not 0 <= sk < min(group.q, 1 << SECRET_KEY_BITS):
+    below `group.secret_key_bound`."""
+    if not 0 <= sk < group.secret_key_bound:
         raise GroupError("secret scalar out of range")
     pk_bytes = signer_pk(group, sk)
     k = group.scalar_from_hash(hashlib.sha512(b"nonce" + group.encode_scalar(sk) + enc_bytes(msg)).digest())

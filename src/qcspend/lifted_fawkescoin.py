@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Optional
 
 from .encoding import DecodeError, Reader, enc_bytes, enc_u64
-from .ledger import Address, Outpoint
+from .ledger import Address, Outpoint, _enc_outpoint
 
 
 class LfcState(Enum):
@@ -60,6 +60,16 @@ class LfcCommitment:
 
     def age(self, height: int) -> int:
         return height - self.height_included
+
+    def serialize(self) -> bytes:
+        """The whole record, as the state digest hashes it; a record not yet
+        resolved has resolved height 0, which no resolved one has."""
+        return b"".join((
+            enc_bytes(self.committed_hash), enc_u64(self.alpha), enc_u64(self.height_included),
+            enc_bytes(self.committer_id.encode()), self.committer_address.serialize(), _enc_outpoint(self.outpoint),
+            self.utxo_address.serialize(), enc_u64(self.fine_escrow), enc_u64(self.resolved_height or 0),
+            self.state.value.encode(),
+        ))
 
 
 def reveal_deadline_age(wait: int, reveal_window: int) -> int:

@@ -326,7 +326,7 @@ class KeyLiftedScheme:
         self.backend = backend or lifted_backends(group)[0]
 
     def keygen(self, tag: bytes):
-        sk = self.group.scalar_from_hash(tag)
+        sk = int.from_bytes(tag, "big") % self.group.secret_key_bound
         address = address_hash(pk_ec(self.group, sk).encode())
         return sk, address
 

@@ -32,6 +32,13 @@ def toy_order(q) -> int:
     return toy_group(q).q
 
 
+def u32_count(n) -> int:
+    """`n`, if it is a count that fits a u32 field of the wire format."""
+    if type(n) is not int or not 0 <= n < 1 << 32:
+        raise ValueError(f"must be a count below 2^32, not {n!r}")
+    return n
+
+
 def path_text(text) -> str:
     """`text`, if it is a derivation path in string form (`m/0h/5`)."""
     DerivationPath.parse(text)
@@ -171,8 +178,7 @@ class Params:
     extension_threshold_num: int = 1  # p = num/den, extension iff proofs > k*p
     extension_threshold_den: int = 2
 
-    # timing
-    minutes_per_block: int = 10
+    # reorgs: the deepest fork a chain switches to
     max_reorg_depth: int = 20
 
     fine_policy: FinePolicy = field(default_factory=FinePolicy)

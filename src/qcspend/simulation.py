@@ -22,7 +22,7 @@ from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
 from .groups import h512, pk_ec, toy_group
 from .hdwallet import DerivationPath
 from .ledger import Address, pk_hash_address, plain_pk_address
-from .params import ConfigError, Params, check_fields, toy_order
+from .params import ConfigError, Params, check_fields, toy_order, u32_count
 
 # The fields a user's scripted action needs besides `height` and `do`; a
 # spend in the naked or lost mode needs a `deposit` as well.
@@ -47,7 +47,7 @@ AGENT = {
 GRANT = {
     "name": (str, ...), "owner": (str, ...),
     "type": ({"hashed", "derived_plain", "raw_hashed", "raw_plain", "pq"}, ...), "path": (DerivationPath.parse, None),
-    "value": (int, ...), "wait": (int, 0), "lost": (bool, False),
+    "value": (int, ...), "wait": (u32_count, 0), "lost": (bool, False),
 }
 SCRIPT_ENTRY = {
     "height": (int, ...), "do": (set(ACTIONS), None),

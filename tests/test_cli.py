@@ -151,12 +151,13 @@ class TestRun:
             lambda d: d["grants"].append(dict(d["grants"][0])),
             lambda d: d.update(name=5),
             lambda d: d.update(blocks=2.5),
+            lambda d: d["grants"][0].update(wait=2**32),
         ],
         ids=["no-miners", "grant-value-text", "grant-wait-text", "grant-value-negative", "agent-id-list",
              "grant-name-list", "grant-owner-list", "script-fee-text", "group-q-not-a-group", "kdf-iterations-zero",
              "quantum-text", "fake-lfc-not-an-object", "block-reward-text", "cooldown-text", "regular-path-bad",
              "fine-policy-text", "countdown-bool", "grant-path-list", "pq-grant-path", "grant-name-twice",
-             "name-int", "blocks-float"],
+             "name-int", "blocks-float", "grant-wait-past-u32"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, edit):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
@@ -180,7 +181,9 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("rule violation: supply-bound:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("override", ["block_reward=x", "nope=1", "fc_mode=lenient", "wait_blocks=250"])
+    @pytest.mark.parametrize(
+        "override", ["block_reward=x", "nope=1", "fc_mode=lenient", "wait_blocks=250", "minutes_per_block=10"]
+    )
     def test_bad_params_override_exits_2(self, tmp_path, capsys, override):
         assert main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", override]) == 2
         err = capsys.readouterr().err
@@ -282,6 +285,18 @@ class TestCanary:
         assert main(["canary", "--spec", str(spec)]) == 2
         assert capsys.readouterr().err == f"error: bad game spec: {message}\n"
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [["--sweep-w", "3,x"], ["--sweep-w", "0"], ["--sweep-bounty", "1"], ["--sweep-bounty", "0:5,1:6"]],
+        ids=["w-text", "w-zero", "bounty-not-a-pair", "bounty-rising"],
+    )
+    def test_bad_sweep_errors(self, tmp_path, capsys, sweep):
+        spec = tmp_path / "game.json"
+        spec.write_text(json.dumps(self.SPEC))
+        assert main(["canary", "--spec", str(spec), *sweep]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_valid_snapshot(self, tmp_path, capsys):
@@ -305,6 +320,13 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.txt")]) == 2
 
+    def test_non_utf8_file_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["verify", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -317,9 +339,12 @@ class TestVerify:
             lambda c: c["params"]["fine_policy"].update(period_minutes="x"),
             lambda c: c.update(canary_pk="zz"),
             lambda c: c.update(zorp=1),
+            lambda c: c["grants"][0].update(wait_override=2**32),
+            lambda c: c["params"].update(minutes_per_block=10),
         ],
         ids=["group-q-not-a-group", "grant-value-text", "killed-at-text", "block-reward-text", "reorg-depth-text",
-             "regular-path-bad", "fine-policy-text", "canary-pk-not-hex", "unknown-field"],
+             "regular-path-bad", "fine-policy-text", "canary-pk-not-hex", "unknown-field", "grant-wait-past-u32",
+             "removed-minutes-per-block"],
     )
     def test_bad_config_is_a_parse_failure(self, tmp_path, capsys, edit):
         main(["run", "honest-fc", "--out", str(tmp_path)])

@@ -642,6 +642,14 @@ class TestBoundedReorgSafety:
                 rebuilt.add_tx(steal)
 
 
+def with_wait_past_u32(lines: list[str]) -> list[str]:
+    """Snapshot `lines` whose config grants an output a wait that the u32
+    wait field of an output cannot hold."""
+    config = json.loads(lines[1][len("config ") :])
+    config["grants"] = [{"address_kind": "POST_QUANTUM", "address_data": "00" * 32, "value": 1, "wait_override": 2**32}]
+    return lines[:1] + ["config " + json.dumps(config)] + lines[2:]
+
+
 class TestSnapshots:
     def test_snapshot_roundtrip(self):
         h = Harness()
@@ -692,11 +700,12 @@ class TestSnapshots:
     @pytest.mark.parametrize(
         "rule, edit",
         [
-            ("snapshot-header", lambda lines: ["qcspend-snapshot v1"] + lines[1:]),
+            ("snapshot-header", lambda lines: ["qcspend-snapshot v2"] + lines[1:]),
             ("snapshot-shape", lambda lines: lines[:-1]),
             ("snapshot-parse", lambda lines: lines[:3] + ["block 0g"] + lines[4:]),
             ("snapshot-digest", lambda lines: lines[:-1] + ["digest " + "00" * 32]),
             ("block-height", lambda lines: lines[:3] + lines[4:]),
+            pytest.param("snapshot-parse", with_wait_past_u32, id="grant-wait-past-u32"),
         ],
     )
     def test_tampered_lines_name_their_rule(self, rule, edit):

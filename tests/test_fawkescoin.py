@@ -1,7 +1,8 @@
-from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import Harness, same_state
 from qcspend.consensus import replay_chain
@@ -45,13 +46,19 @@ class TestCommit:
             h.chain.add_tx(Transaction(TxKind.FC_COMMIT, payload=commit_payload(b"\x11" * 32)))
         assert raised.value.detail == "the committing transaction pays its own fee"
 
-    def test_duplicate_commitments_both_recorded(self):
+    def test_repeated_commitment_keeps_the_first_height(self):
         h = era_harness()
         h.grant_pq("fee2", "alice", 9_000)
         h.build()
         h.mine_with([h.fc_commit_tx("alice", b"\x22" * 32)])
-        h.mine_with([h.fc_commit_tx("alice", b"\x22" * 32)])
-        assert len(h.chain.fc_commitments[b"\x22" * 32]) == 2
+        digest = h.chain.state_digest()
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        mark = len(h.chain._journal)
+        h.chain.add_tx(h.fc_commit_tx("alice", b"\x22" * 32))
+        # The repeat spends its fee input, and records and journals nothing more.
+        assert not any(entry[1] is h.chain.fc_commitments for entry in h.chain._journal[mark:] if len(entry) > 1)
+        h.chain.end_block()
+        assert h.chain.fc_commitments[b"\x22" * 32] == [1] and h.chain.state_digest() != digest
 
     def test_commit_cutoff_window(self):
         h = era_harness(fc_epoch_len=200, fc_commit_cutoff=100)
@@ -62,32 +69,58 @@ class TestCommit:
             h.chain.add_tx(h.fc_commit_tx("alice", b"\x33" * 32))
 
 
-# (commitment heights, reveal height, leak height, ban height, accepted), all
-# with a 20-block wait.
+# (commitment height, reveal height, leak height, ban height, accepted), all
+# with a 20-block wait.  A row named for an old and a young commitment to one
+# hash holds only the old one's height, which is the one a repeat keeps; it
+# gives the verdict both heights gave (`test_first_height_decides_as_any_height_did`).
 COMMITMENT_BOUNDS = {
-    "age-exactly-wait": ([10], 30, None, None, True),
-    "age-one-short": ([10], 29, None, None, False),
-    "leak-at-commit-height": ([10], 30, 10, None, True),
-    "leak-before-commit": ([10], 30, 9, None, False),
-    "ban-at-commit-height": ([10], 30, None, 10, False),
-    "ban-one-block-later": ([10], 30, None, 11, True),
-    "old-banned-young-too-young": ([10, 30], 45, None, 10, False),
-    "old-qualifies-young-banned": ([10, 30], 55, None, 20, True),
-    "old-qualifies-young-leaked": ([30, 10], 55, 25, None, True),
-    "old-leaked-young-too-young": ([10, 30], 45, 9, None, False),
-    "both-leaked": ([10, 30], 55, 9, None, False),
+    "age-exactly-wait": (10, 30, None, None, True),
+    "age-one-short": (10, 29, None, None, False),
+    "leak-at-commit-height": (10, 30, 10, None, True),
+    "leak-before-commit": (10, 30, 9, None, False),
+    "ban-at-commit-height": (10, 30, None, 10, False),
+    "ban-one-block-later": (10, 30, None, 11, True),
+    "old-banned-young-too-young": (10, 45, None, 10, False),
+    "old-qualifies-young-banned": (10, 55, None, 20, True),
+    "old-qualifies-young-leaked": (10, 55, 25, None, True),
+    "old-leaked-young-too-young": (10, 45, 9, None, False),
+    "both-leaked": (10, 55, 9, None, False),
 }
+
+
+def commitment_usable(committed_at, height, wait, leak, ban) -> bool:
+    """Does `_check_commitment` accept a commitment included at `committed_at`?"""
+    h = era_harness()
+    h.build()
+    h.chain.fc_commitments[b"\x44" * 32] = [committed_at]
+    try:
+        h.chain._check_commitment(b"\x44" * 32, height, wait, max_leak_height=leak, ban_height=ban)
+    except RuleViolation as exc:
+        assert exc.rule == "fc-commitment-unusable"
+        return False
+    return True
 
 
 @pytest.mark.parametrize("case", COMMITMENT_BOUNDS)
 def test_commitment_bounds(case):
-    heights, height, leak, ban, accepted = COMMITMENT_BOUNDS[case]
-    h = era_harness()
-    h.build()
-    h.chain.fc_commitments[b"\x44" * 32] = heights
-    outcome = nullcontext() if accepted else pytest.raises(RuleViolation, match="fc-commitment-unusable")
-    with outcome:
-        h.chain._check_commitment(b"\x44" * 32, height, 20, max_leak_height=leak, ban_height=ban)
+    committed_at, height, leak, ban, accepted = COMMITMENT_BOUNDS[case]
+    assert commitment_usable(committed_at, height, 20, leak, ban) == accepted
+
+
+heights = st.integers(min_value=1, max_value=60)
+
+
+@given(st.lists(heights, min_size=1, max_size=4), heights, st.integers(1, 30), st.none() | heights, st.none() | heights)
+def test_first_height_decides_as_any_height_did(committed_at, height, wait, leak, ban):
+    """Before a repeat kept only its first height, a reveal could use any
+    height a commitment was included at.  Each bound favours the earlier
+    height, and heights come in chain order, so the first one alone gives
+    the same verdict."""
+    committed_at.sort()
+    usable_at_any = any(
+        height - h >= wait and (leak is None or leak >= h) and (ban is None or h < ban) for h in committed_at
+    )
+    assert commitment_usable(committed_at[0], height, wait, leak, ban) == usable_at_any
 
 
 class TestRevealHashed:

@@ -21,6 +21,7 @@ from qcspend.groups import (
     PreQuantumSignature,
     decode_point,
     h512,
+    is_prime,
     jacobi,
     pk_ec,
     prequantum_batch_verify,
@@ -417,6 +418,11 @@ class TestEncodings:
         g = secure_group()
         assert g.modulus_bits == 2048
         assert g.point_len == g.scalar_len + 1
+
+    def test_secure_group_is_a_safe_prime_group(self):
+        # Checked here once, not each time a process builds the group.
+        g = secure_group()
+        assert g.p == 2 * g.q + 1 and is_prime(g.q) and is_prime(g.p)
 
     def test_scalar_roundtrip_exhaustive(self):
         for x in range(G101.q):

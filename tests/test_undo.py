@@ -1,11 +1,16 @@
 """The undo journal: a rejected transaction or block leaves no effects, and
-a reorg rewinds in place to the state a clean replay of its blocks gives."""
+a reorg rewinds in place to the state a clean replay of its blocks gives.
+The state digest, which a replay is checked against, moves with every
+stored fact."""
 
 import random
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
+from functools import partial
 
 import pytest
 
-from helpers import Harness, differing_in, same_state
+from helpers import NOT_STATE, Harness, differing_in, same_state
 from qcspend.consensus import Chain, proof_message, reorg, replay_chain
 from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload
@@ -312,19 +317,161 @@ def test_hash_index_names_the_live_pre_quantum_outputs(main):
 
 
 def test_reorg_restores_an_overwritten_entry():
-    """A second commitment to one hash overwrites the entry of the first;
-    reorging its block away puts the first one's entry back."""
+    """A second declaration for one key digest overwrites the entry of the
+    first; reorging its block away puts the first one's entry back."""
     h = Harness()
-    h.grant_pq("fee-alice", "alice", 10_000)
     h.build()
-    committed = b"\x5a" * 32
-    for _ in range(2):
-        h.mine_with([h.fc_commit_tx("alice", committed, fee=3)])
-    assert h.chain.fc_commitments[committed] == [1, 2]
+    digest = b"\x5a" * 32
+
+    def declare(p):
+        return Transaction(TxKind.REGISTRY_DECLARE, payload=enc_bytes(digest) + enc_u32(1) + path(p).serialize())
+
+    h.mine_with([declare("m/5h/1")])
+    h.mine_with([declare("m/6h/2")])
+    assert h.chain.registry.declared[digest] == [path("m/5h/1"), path("m/6h/2")]
     side = replay_chain(h.config, h.chain.blocks[:2])
     side.begin_block("m1", h.wallet("m1").pq_address())
     side.end_block()
     reorg(h.chain, h.config, side.blocks[2:])
     clean = replay_chain(h.config, h.chain.blocks)
-    assert h.chain.fc_commitments[committed] == [1]
+    assert h.chain.registry.declared[digest] == [path("m/5h/1")]
     assert same_state(h.chain, clean) and h.chain.state_digest() == clean.state_digest()
+
+
+# -- the state digest covers every stored fact ------------------------------------
+
+# What `state_digest` leaves out, each with its reason.  A derived index is
+# rebuilt from hashed facts, so the built chain's must equal a clean replay's.
+DERIVED = {
+    "utxo_hash_index": "H(u) of each live pre-quantum output",
+    "utxo_value_sum": "the sum of the live outputs' values",
+    "lfc_locks": "the outpoint of each LOCKED lifted record",
+    "open_challenges": "the OPEN challenge records",
+    "leaks._by_address": "the address hash of each leaked key",
+    "registry._key_to_entry": "the entry of each materialized key",
+    "registry._by_digest.materialized_pks": "the public key of each materialized key, whose leak height is hashed",
+}
+UNHASHED = {
+    "blocks": "the tip hash pins every block through the parent links",
+    "_building": "no block is under construction between blocks",
+    **dict.fromkeys(
+        ["params", "group", "pq_group", "canary_group", "key_backend", "seed_backend",
+         "canary.challenge_pk", "canary.nonce", "registry.regular"],
+        "comes from the config",
+    ),
+}
+# Main-chain heights with an open challenge (20), with a LOCKED lifted record
+# and pending fee shares (60), and the tip, where every record is resolved.
+DIGEST_HEIGHTS = {20: ("open_challenges",), 60: ("lfc_locks", "fee_shares_by_block"), CHAIN_HEIGHT: ()}
+
+
+def nudged(value):
+    """A value of the kind of `value` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if value is None:
+        return 1
+    if isinstance(value, bytes):
+        return value[:-1] + bytes([value[-1] ^ 1]) if value else b"\x01"
+    if isinstance(value, str):
+        return value + "'"
+    if isinstance(value, Enum):
+        return next(member for member in type(value) if member is not value)
+    if isinstance(value, frozenset):
+        return value - {min(value)} if value else frozenset({b"\x01"})
+    if isinstance(value, (tuple, list)):
+        return type(value)([*value[:-1], nudged(value[-1])])
+    if is_dataclass(value):
+        last = fields(value)[-1].name
+        return replace(value, **{last: nudged(getattr(value, last))})
+    raise TypeError(f"no nudge for {value!r}")
+
+
+def _store(holder, key, value):
+    if isinstance(holder, (dict, list)):
+        holder[key] = value
+    else:
+        setattr(holder, key, value)
+
+
+def _swap(holder, key, old, new):
+    _store(holder, key, new)
+    return lambda: _store(holder, key, old)
+
+
+def _rekey(table: dict, key):
+    saved = dict(table)
+    table[nudged(key)] = table.pop(key)
+    return lambda: (table.clear(), table.update(saved))
+
+
+def _ends(items):
+    items = list(items)
+    return items[:1] + items[1:][-1:]
+
+
+def state_changes(label: str, holder, key, value, exempt: set):
+    """(label, change) for each one-fact change of `value`, which `holder`
+    holds under `key` (an item of a dict or list, else an attribute): the
+    change makes the edit and returns the call that undoes it.  Of a dict
+    or a list, its first and last entries are changed.  The labels of
+    `DERIVED` and `UNHASHED` met on the way go to `exempt`."""
+    if label in DERIVED or label in UNHASHED:
+        exempt.add(label)
+    elif is_dataclass(value):
+        for f in fields(value):
+            name = f"{label}.{f.name}"
+            if name in DERIVED or name in UNHASHED:
+                exempt.add(name)
+                continue
+            new = replace(value, **{f.name: nudged(getattr(value, f.name))})
+            yield name, partial(_swap, holder, key, value, new)
+    elif isinstance(value, dict):
+        for k, v in _ends(value.items()):
+            if is_dataclass(v):  # a record, which carries its own key
+                yield from state_changes(label, value, k, v, exempt)
+            else:
+                yield f"{label} key", partial(_rekey, value, k)
+                yield f"{label} value", partial(_swap, value, k, v, nudged(v))
+    elif isinstance(value, list) and value and is_dataclass(value[0]):
+        for i, v in _ends(enumerate(value)):
+            yield from state_changes(label, value, i, v, exempt)
+    elif hasattr(value, "__dict__"):
+        for name, v in vars(value).items():
+            yield from state_changes(f"{label}.{name}", value, name, v, exempt)
+    else:
+        yield label, partial(_swap, holder, key, value, nudged(value))
+
+
+@pytest.mark.parametrize("height", DIGEST_HEIGHTS)
+def test_digest_moves_with_every_stored_fact(main, height):
+    """On a replayed copy of the main chain, changing any fact that
+    `same_state` compares, or any field of a record inside one, moves the
+    state digest, unless `DERIVED` or `UNHASHED` names it."""
+    chain = replay_chain(main.config, main.chain.blocks[: height + 1])
+    assert all(getattr(chain, name) for name in DIGEST_HEIGHTS[height])
+    digest, exempt, missed = chain.state_digest(), set(), []
+    for name in vars(chain).keys() - NOT_STATE:
+        for label, change in list(state_changes(name, chain, name, getattr(chain, name), exempt)):
+            undo = change()
+            if chain.state_digest() == digest:
+                missed.append(label)
+            undo()
+    assert chain.state_digest() == digest and same_state(chain, replay_chain(main.config, chain.blocks))
+    assert exempt == DERIVED.keys() | UNHASHED.keys()
+    assert not missed, f"the digest misses {sorted(set(missed))}"
+
+
+def test_derived_indexes_equal_a_clean_replays(main):
+    clean = replay_chain(main.config, main.chain.blocks)
+
+    def lookup(obj, label):
+        for name in label.split("."):
+            obj = {k: getattr(v, name) for k, v in obj.items()} if isinstance(obj, dict) else getattr(obj, name)
+        return obj
+
+    assert main.chain._building is None
+    for label in DERIVED:
+        assert lookup(main.chain, label) == lookup(clean, label), label
