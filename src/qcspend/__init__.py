@@ -49,10 +49,8 @@ from .groups import (
     GroupMode,
     GroupParams,
     GroupPoint,
-    Hash512,
     PreQuantumSignature,
     address_hash,
-    h512,
     pk_ec,
     prequantum_batch_verify,
     prequantum_sign,
@@ -97,11 +95,10 @@ from .lifting import (
     lifted_backends,
     seedlift_sign,
     seedlift_verify,
-    transparent_backend,
 )
 from .params import FinePolicy, Params
 from .rules import RuleViolation
-from .scenarios import BUNDLED, load_scenario, run_adversary, run_scenario
+from .scenarios import BUNDLED, load_scenario, run_scenario
 from .simulation import ScenarioConfig, Simulation
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from .encoding import enc_bytes, enc_u32
 from .fawkescoin import RevealMode, RevealPayload, commit_payload
 from .groups import (
     GroupParams,
+    address_hash,
     decode_point,
-    h512,
     pk_ec,
     prequantum_sign,
     quantum_invert,
@@ -329,7 +329,7 @@ class MinerAgent(Agent):
         utxo = chain.utxo(outpoint)
         if utxo is None or chain.params.fine_policy.fine(utxo.value) > chain.building_fine_headroom():
             return
-        committed = h512(b"fake-commitment:" + self.id.encode() + enc_bytes(utxo.utxo_hash())).left
+        committed = address_hash(b"fake-commitment:" + self.id.encode() + enc_bytes(utxo.utxo_hash()))
         record_tx = Transaction(TxKind.LFC_COMMIT, payload=record_payload(committed, utxo.utxo_hash(), fake["alpha"]))
         if chain.try_add_tx(record_tx) is None:
             self.log(f"delay attack: fake commitment locks {fake['utxo']}")

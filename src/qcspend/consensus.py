@@ -1173,7 +1173,8 @@ class Chain:
         nothing that the config or the tip's parent links fix.  The minted
         total is hashed although the outputs and escrows sum to it: it is a
         running counter, kept to catch a fault in them."""
-        # Heights are packed unchecked (a chain cannot outgrow u64).
+        # Heights are packed unchecked: each is the chain's length plus at
+        # most a few u32 `Params` counts, so none can outgrow u64.
         pack_u32, pack_u64 = U32.pack, U64.pack
         utxos, lfc, fc, challenges = self.utxos, self.lfc_by_hash, self.fc_commitments, self.challenges
         declared = self.registry.declared

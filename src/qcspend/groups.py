@@ -481,30 +481,9 @@ def pk_ec(group: GroupParams, sk: int) -> GroupPoint:
 # -- hashing ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hash512:
-    digest: bytes
-
-    def __post_init__(self):
-        if len(self.digest) != 64:
-            raise ValueError("Hash512 wants exactly 64 bytes")
-
-    @property
-    def left(self) -> bytes:
-        return self.digest[:32]
-
-    @property
-    def right(self) -> bytes:
-        return self.digest[32:]
-
-
-def h512(data: bytes) -> Hash512:
-    return Hash512(hashlib.sha512(data).digest())
-
-
 def address_hash(data: bytes) -> bytes:
     """Canonical 32-byte hash used for addresses and commitments: the left
-    half of h512(data)."""
+    half of SHA-512(data)."""
     return hashlib.sha512(data).digest()[:32]
 
 

@@ -109,10 +109,6 @@ class TransparentBackend:
         return hashlib.sha512(b"transparent-bind" + enc_bytes(secret) + enc_bytes(msg)).digest()
 
 
-def transparent_backend(owf: Callable[[bytes], bytes] = address_hash) -> TransparentBackend:
-    return TransparentBackend(owf)
-
-
 def seedlift_owf(group: GroupParams) -> Callable[[bytes], bytes]:
     """The one-way step the seed-lifting proves knowledge through: one hash
     application mapping the pre-KDF state to a serialized master key."""
@@ -122,7 +118,7 @@ def seedlift_owf(group: GroupParams) -> Callable[[bytes], bytes]:
 def lifted_backends(group: GroupParams) -> tuple[OwfBackend, OwfBackend]:
     """The (key-lifting, seed-lifting) backends over `group`: the one place
     the backend is chosen."""
-    return transparent_backend(), transparent_backend(seedlift_owf(group))
+    return TransparentBackend(address_hash), TransparentBackend(seedlift_owf(group))
 
 
 # -- key-lifting ---------------------------------------------------------------

@@ -136,8 +136,18 @@ FC_MODES = ("restrictive", "unrestrictive", "permissive")
 @dataclass(frozen=True)
 class Params:
     # The kind of each field whose default's type does not say it all (see
-    # `check_fields`).
-    KINDS = {"regular_paths": [path_text], "bounty_source": {"mint", "burned"}}
+    # `check_fields`).  A block count or a height is a u32, so every height
+    # derived from one stays far below 2^64.
+    KINDS = {
+        "regular_paths": [path_text],
+        "bounty_source": {"mint", "burned"},
+        **dict.fromkeys(
+            ("coinbase_cooldown", "wait_blocks", "wait_floor", "reveal_window", "proof_window", "challenge_blocks",
+             "fc_epoch_len", "lfc_epoch_len", "fc_commit_cutoff", "lfc_commit_cutoff", "era_countdown",
+             "legacy_address_height", "max_reorg_depth"),
+            u32_count,
+        ),
+    }
 
     # ledger
     block_reward: int = 50_000

@@ -19,7 +19,7 @@ from typing import Optional
 from . import fawkescoin
 from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, Wallet
 from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
-from .groups import h512, pk_ec, toy_group
+from .groups import address_hash, pk_ec, toy_group
 from .hdwallet import DerivationPath
 from .ledger import Address, pk_hash_address, plain_pk_address
 from .params import ConfigError, Params, check_fields, toy_order, u32_count
@@ -147,7 +147,7 @@ class Simulation:
         canary_sk = int.from_bytes(hashlib.sha512(b"canary:%d" % self.seed).digest(), "big")
         canary_group = toy_group(config.canary_q)
         canary_pk = pk_ec(canary_group, canary_sk % canary_group.q).encode()
-        nonce = h512(b"canary-nonce:%d" % self.seed).left
+        nonce = address_hash(b"canary-nonce:%d" % self.seed)
 
         # Wallets must exist before genesis so grants can carry addresses.
         wallets = {

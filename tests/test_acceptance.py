@@ -1,6 +1,7 @@
 """The acceptance gate: one test per criterion, each printing a PASS/FAIL
 line (run pytest with -s or -rA to see them inline)."""
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ from qcspend.canary_game import (
     sweep_w,
 )
 from qcspend.fawkescoin import ChallengeStatus
-from qcspend.groups import h512, pk_ec, toy_group
+from qcspend.groups import pk_ec, toy_group
 from qcspend.hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, derive, public_child, to_xpk
 from qcspend.ledger import TxKind
 from qcspend.lifted_fawkescoin import LfcState
@@ -31,10 +32,9 @@ from qcspend.lifting import (
     deserialize_lifted,
     euf_lcma_game,
     keylift_lcma_adversary,
-    seedlift_owf,
+    lifted_backends,
     seedlift_quantum_adversary,
     serialize_lifted,
-    transparent_backend,
 )
 from qcspend.params import FinePolicy
 from qcspend.scenarios import BUNDLED, run_scenario
@@ -124,14 +124,14 @@ def test_criterion_5_lifting_roundtrips_and_fuzz():
         key_scheme = KeyLiftedScheme(GROUP)
         seed_scheme = SeedLiftedScheme(GROUP, iterations=16)
         for i in range(128):
-            tag = h512(b"acceptance5:%d" % i).digest
+            tag = hashlib.sha512(b"acceptance5:%d" % i).digest()
             msg = tag[:17]
             for scheme in (key_scheme, seed_scheme):
                 secret, public = scheme.keygen(tag)
                 assert scheme.lifted_verify(public, msg, scheme.lifted_sign(secret, msg))
 
         false_accepts = 0
-        tag = h512(b"acceptance5:fuzz").digest
+        tag = hashlib.sha512(b"acceptance5:fuzz").digest()
         msg = b"the one true message"
         for scheme, sig_type in ((key_scheme, KeyLiftedSig), (seed_scheme, SeedLiftedSig)):
             secret, public = scheme.keygen(tag)
@@ -156,12 +156,11 @@ def test_criterion_5_lifting_roundtrips_and_fuzz():
 
 def test_criterion_6_euf_lcma_demonstrations():
     with criterion(6, "the dlog adversary beats key-lifting in the LCMA game and loses to seed-lifting"):
-        key_backend = transparent_backend()
+        key_backend, seed_backend = lifted_backends(GROUP)
         key_scheme = KeyLiftedScheme(GROUP, key_backend)
         win = euf_lcma_game(key_scheme, keylift_lcma_adversary(GROUP, key_backend), rounds=10)
         assert win.won_all  # key-lifting is not a strong lifting
 
-        seed_backend = transparent_backend(seedlift_owf(GROUP))
         seed_scheme = SeedLiftedScheme(GROUP, seed_backend, iterations=16)
         lose = euf_lcma_game(seed_scheme, seedlift_quantum_adversary(GROUP, seed_backend), rounds=100)
         assert lose.wins == 0

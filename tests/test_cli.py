@@ -138,6 +138,7 @@ class TestRun:
             lambda d: d["grants"][2].update(owner=["alice"]),
             lambda d: d["agents"][2]["script"][0].update(fee="x"),
             lambda d: d.update(group_q=100),
+            lambda d: d.update(group_q="101"),
             lambda d: d.update(kdf_iterations=0),
             lambda d: d["agents"][1].update(quantum="no"),
             lambda d: d["agents"][0].setdefault("script", []).append({"height": 3, "fake_lfc": 5}),
@@ -152,12 +153,24 @@ class TestRun:
             lambda d: d.update(name=5),
             lambda d: d.update(blocks=2.5),
             lambda d: d["grants"][0].update(wait=2**32),
+            lambda d: d["params"].update(challenge_blocks=2**32),
+            lambda d: d["params"].update(challenge_blocks=2**64 - 1),
+            lambda d: d["params"].update(era_countdown=2**32),
+            lambda d: d["params"].update(era_countdown=2**64 - 1),
+            lambda d: d["params"].update(deposit_p_num=2, deposit_p_den=2),
+            lambda d: d["params"].update(wait_floor=0),
+            lambda d: d["params"].update(lfc_epoch_len=300, lfc_commit_cutoff=300),
+            lambda d: d["params"].update(fc_epoch_len=100, fc_commit_cutoff=100),
+            lambda d: d["grants"][0].update(owner="nobody"),
+            lambda d: d.update(miners=["alice"]),
         ],
         ids=["no-miners", "grant-value-text", "grant-wait-text", "grant-value-negative", "agent-id-list",
-             "grant-name-list", "grant-owner-list", "script-fee-text", "group-q-not-a-group", "kdf-iterations-zero",
-             "quantum-text", "fake-lfc-not-an-object", "block-reward-text", "cooldown-text", "regular-path-bad",
-             "fine-policy-text", "countdown-bool", "grant-path-list", "pq-grant-path", "grant-name-twice",
-             "name-int", "blocks-float", "grant-wait-past-u32"],
+             "grant-name-list", "grant-owner-list", "script-fee-text", "group-q-not-a-group", "group-q-text",
+             "kdf-iterations-zero", "quantum-text", "fake-lfc-not-an-object", "block-reward-text", "cooldown-text",
+             "regular-path-bad", "fine-policy-text", "countdown-bool", "grant-path-list", "pq-grant-path",
+             "grant-name-twice", "name-int", "blocks-float", "grant-wait-past-u32", "challenge-blocks-2^32",
+             "challenge-blocks-max-u64", "countdown-2^32", "countdown-max-u64", "deposit-p-one", "wait-floor-zero",
+             "lfc-epoch-in-cutoff", "fc-epoch-in-cutoff", "grant-owner-unknown", "miner-not-a-miner"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, edit):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
@@ -182,7 +195,8 @@ class TestRun:
         assert err.startswith("rule violation: supply-bound:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "override", ["block_reward=x", "nope=1", "fc_mode=lenient", "wait_blocks=250", "minutes_per_block=10"]
+        "override",
+        ["block_reward=x", "nope=1", "fc_mode=lenient", "wait_blocks=250", "minutes_per_block=10", "block_reward"],
     )
     def test_bad_params_override_exits_2(self, tmp_path, capsys, override):
         assert main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", override]) == 2
@@ -341,10 +355,15 @@ class TestVerify:
             lambda c: c.update(zorp=1),
             lambda c: c["grants"][0].update(wait_override=2**32),
             lambda c: c["params"].update(minutes_per_block=10),
+            lambda c: c["params"].update(challenge_blocks=2**32),
+            lambda c: c["params"].update(challenge_blocks=2**64 - 1),
+            lambda c: c["params"].update(era_countdown=2**32),
+            lambda c: c["params"].update(era_countdown=2**64 - 1),
         ],
         ids=["group-q-not-a-group", "grant-value-text", "killed-at-text", "block-reward-text", "reorg-depth-text",
              "regular-path-bad", "fine-policy-text", "canary-pk-not-hex", "unknown-field", "grant-wait-past-u32",
-             "removed-minutes-per-block"],
+             "removed-minutes-per-block", "challenge-blocks-2^32", "challenge-blocks-max-u64", "countdown-2^32",
+             "countdown-max-u64"],
     )
     def test_bad_config_is_a_parse_failure(self, tmp_path, capsys, edit):
         main(["run", "honest-fc", "--out", str(tmp_path)])

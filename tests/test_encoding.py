@@ -44,6 +44,8 @@ class TestStrictness:
         r = Reader(enc_bytes(b"abcdef")[:-2])
         with pytest.raises(DecodeError):
             r.bytes_()
+        with pytest.raises(DecodeError):
+            Reader(bytes(7)).u64()
 
     def test_trailing_bytes_rejected(self):
         r = Reader(enc_u32(5) + b"junk")

@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import random
 import sys
 import threading
@@ -19,8 +20,8 @@ from qcspend.groups import (
     GroupParams,
     GroupPoint,
     PreQuantumSignature,
+    address_hash,
     decode_point,
-    h512,
     is_prime,
     jacobi,
     pk_ec,
@@ -36,7 +37,7 @@ G101 = toy_group(101)
 DATA = Path(__file__).parent / "data"
 # The known-answer key: the low SECRET_KEY_BITS bits of a digest, as a
 # wallet's post-quantum key.
-KNOWN_SK = int.from_bytes(h512(b"known-answer key").digest, "big") % 2**groups.SECRET_KEY_BITS
+KNOWN_SK = int.from_bytes(hashlib.sha512(b"known-answer key").digest(), "big") % 2**groups.SECRET_KEY_BITS
 
 # Published SHA-512 digest of the empty string (FIPS 180-4 test vector).
 SHA512_EMPTY = bytes.fromhex(
@@ -436,6 +437,28 @@ class TestEncodings:
     def test_vulnerable_mode_caps_order(self):
         with pytest.raises(GroupError):
             GroupParams(p=secure_group().p, q=secure_group().q, g=2, mode=GroupMode.QUANTUM_VULNERABLE)
+
+    @pytest.mark.parametrize(
+        "p, q, g, message",
+        [
+            (23, 7, 2, "q must divide p - 1"),
+            (23, 11, 1, "generator must have order exactly q"),
+            # 2^((p - 1) / 11) mod p has order 11, but p needs three bytes.
+            (65539, 11, 63742, "modulus too wide for the point encoding"),
+        ],
+    )
+    def test_bad_group_parameters_rejected(self, p, q, g, message):
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            GroupParams(p=p, q=q, g=g, mode=GroupMode.QUANTUM_VULNERABLE)
+
+    def test_malformed_scalar_and_point_rejected(self):
+        with pytest.raises(DecodeError, match="^bad scalar length$"):
+            G101.decode_scalar(bytes(G101.scalar_len + 1))
+        with pytest.raises(DecodeError, match="^point value outside Z_p\\*$"):
+            decode_point(G101, bytes(G101.point_len))
+
+    def test_no_prime_below_two(self):
+        assert not is_prime(0) and not is_prime(1)
 
 
 class TestPreQuantumSignatures:
@@ -953,14 +976,6 @@ class TestQuantumInvert:
             quantum_invert(pk_ec(secure_group(), 12345))
 
 
-class TestHash512:
-    def test_deterministic(self):
-        assert h512(b"abc").digest == h512(b"abc").digest
-
-    def test_split_reconstructs(self):
-        h = h512(b"split me")
-        assert h.left + h.right == h.digest
-        assert len(h.left) == len(h.right) == 32
-
+class TestAddressHash:
     def test_empty_string_vector(self):
-        assert h512(b"").digest == SHA512_EMPTY
+        assert address_hash(b"") == SHA512_EMPTY[:32]

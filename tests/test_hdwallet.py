@@ -184,6 +184,10 @@ class TestDerSuffix:
             tail = p.suffix_from(n)
             assert is_der_suffix(GROUP, (stranger, tail), (PARENT, p)) is None
 
+    def test_longer_or_foreign_path_is_not_a_suffix(self):
+        assert is_der_suffix(GROUP, (PARENT, path("m/1/2")), (PARENT, path("m/2"))) is None
+        assert is_der_suffix(GROUP, (PARENT, path("m/3")), (PARENT, path("m/1/2"))) is None
+
     @settings(max_examples=60, deadline=None)
     @given(msk=keys, p1=paths, p2=paths)
     def test_constructed_collisions_are_suffix_collisions(self, msk, p1, p2):

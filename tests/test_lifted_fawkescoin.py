@@ -589,6 +589,21 @@ class TestFeeAggregation:
         assert h.chain.pending_fee_pool == 500  # the revealer's share, due 300 blocks on
         h.chain.recompute_balance()
 
+    def test_zero_share_pays_no_addendum(self):
+        # A fee of 1 splits as (0, 1): the committer's share is recorded as
+        # 0, and its payout block pays no addendum but still drops it.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        reveal, _ = committed_flow(h, alpha=1)
+        h.mine(99)
+        h.mine_with([reveal])
+        assert h.chain.fee_shares_by_block == {200: 0, 300: 1}
+        h.mine_to(500)
+        assert len(h.chain.blocks[500].coinbase.outputs) == 1
+        assert h.chain.fee_shares_by_block == {300: 1}
+        h.chain.recompute_balance()
+
     def test_no_commitments_no_addendum(self):
         h = lfc_harness()
         h.build()
@@ -781,8 +796,10 @@ class TestRuleIds:
         [
             (lambda h: LfcMempoolMsg(b"\x07" * 32, sigma_for(h, "alice", "m/0h/0/0", b"\x07" * 32, 9), (b"\x00" * 32, 0), 9), "lfc-unknown-utxo"),
             (lambda h: LfcMempoolMsg(b"\x07" * 32, b"\x09", h.outpoints["u1"], 9), "lfc-proof-malformed"),
+            # A key-lifted proof never owns a post-quantum output.
+            (lambda h: LfcMempoolMsg(b"\x07" * 32, sigma_for(h, "alice", "m/0h/0/0", b"\x07" * 32, 9), h.outpoints["fee-alice"], 9), "lfc-proof-invalid"),
         ],
-        ids=["message-unknown-utxo", "proof-malformed"],
+        ids=["message-unknown-utxo", "proof-malformed", "keylift-on-pq-output"],
     )
     def test_rejected_mempool_message(self, make, rule):
         h = lfc_harness()

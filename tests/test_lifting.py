@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from qcspend.encoding import enc_bytes
-from qcspend.groups import address_hash, decode_point, h512, pk_ec, prequantum_verify, secure_group, toy_group
+from qcspend.groups import address_hash, decode_point, pk_ec, prequantum_verify, secure_group, toy_group
 from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf, path
 from qcspend.lifting import (
     KeyLiftedScheme,
@@ -31,7 +33,7 @@ KDF_ITERS = 32  # desk-scale iteration count; the chain split is what matters
 
 
 def make_seed(i: int) -> Seed:
-    return Seed(h512(b"seed%d" % i).digest[:16], b"pw")
+    return Seed(hashlib.sha512(b"seed%d" % i).digest()[:16], b"pw")
 
 
 class TestTransparentBackend:
@@ -45,7 +47,7 @@ class TestTransparentBackend:
 
     def test_extraction_64_trials(self):
         for i in range(64):
-            secret = h512(b"x%d" % i).digest
+            secret = hashlib.sha512(b"x%d" % i).digest()
             sig = KEY_BACKEND.sign(secret, b"m")
             assert TransparentBackend.revealed_secret(sig) == secret
 
@@ -63,12 +65,12 @@ class TestBackendContract:
 
     def test_round_trip_32_secrets(self, backend, owf):
         for i in range(32):
-            secret = h512(b"contract%d" % i).digest
+            secret = hashlib.sha512(b"contract%d" % i).digest()
             msg = secret[:i]
             assert backend.verify(owf(secret), msg, backend.sign(secret, msg))
 
     def test_mangled_proof_rejected_without_raising(self, backend, owf):
-        secret, msg = h512(b"contract").digest, b"the message"
+        secret, msg = hashlib.sha512(b"contract").digest(), b"the message"
         proof, public = backend.sign(secret, msg), owf(secret)
         flips = [proof[:i] + bytes([proof[i] ^ 0xFF]) + proof[i + 1 :] for i in range(len(proof))]
         truncations = [proof[:i] for i in range(len(proof))]
@@ -77,7 +79,7 @@ class TestBackendContract:
             assert backend.verify(public, msg, bad) is False
 
     def test_proof_bound_to_its_message(self, backend, owf):
-        secret, msg = h512(b"contract").digest, b"the message"
+        secret, msg = hashlib.sha512(b"contract").digest(), b"the message"
         assert not backend.verify(owf(secret), msg + b"x", backend.sign(secret, msg))
 
 
@@ -99,8 +101,8 @@ class TestKeyLifting:
 
     def test_round_trip_128_random_cases(self):
         for i in range(128):
-            sk = int.from_bytes(h512(b"case%d" % i).left, "big") % GROUP.q
-            msg = h512(b"msg%d" % i).digest[:20]
+            sk = int.from_bytes(address_hash(b"case%d" % i), "big") % GROUP.q
+            msg = hashlib.sha512(b"msg%d" % i).digest()[:20]
             address = address_hash(pk_ec(GROUP, sk).encode())
             assert keylift_verify(KEY_BACKEND, address, msg, keylift_sign(GROUP, KEY_BACKEND, sk, msg))
 
@@ -158,7 +160,7 @@ class TestSeedLifting:
 
     def test_round_trip_128_random_cases(self):
         for i in range(128):
-            tag = h512(b"sl%d" % i).digest
+            tag = hashlib.sha512(b"sl%d" % i).digest()
             scheme = SeedLiftedScheme(GROUP, SEED_BACKEND, iterations=KDF_ITERS)
             secret, pk = scheme.keygen(tag)
             msg = tag[:24]

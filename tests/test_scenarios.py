@@ -15,7 +15,7 @@ from qcspend.fawkescoin import ChallengeStatus
 from qcspend.ledger import Block, TxKind
 from qcspend.lifted_fawkescoin import EpochDecision, LfcState, extension_decision
 from qcspend.rules import RuleViolation
-from qcspend.scenarios import BUNDLED, load_scenario, run_adversary, run_scenario
+from qcspend.scenarios import BUNDLED, load_scenario, run_scenario
 from qcspend.simulation import ConfigError, ScenarioConfig, Simulation
 
 DATA = Path(__file__).parent / "data"
@@ -399,23 +399,39 @@ class TestDeterminism:
 
 class TestAdversaryReports:
     def test_front_runner_report(self):
-        fc, direct = run_adversary("FrontRunner")
-        assert fc.adversary_profit == 0
-        assert direct.adversary_profit == 50_000
-        assert any("front-ran" in a for a in direct.outcome_of("eve").actions)
+        assert run_scenario("front-runner").profits()["eve"] == 0
+        direct = run_scenario("front-runner-direct")
+        assert direct.profits()["eve"] == 50_000
+        assert any("front-ran" in a for a in direct.agents["eve"].actions)
 
     def test_spammer_report(self):
-        (report,) = run_adversary("Spammer")
-        assert report.adversary_profit == -100_000
+        assert run_scenario("lfc-spammer").profits()["spammer"] == -100_000
 
     def test_loot_thief_and_baiter(self):
-        (report,) = run_adversary("LootThief")
-        assert report.adversary_profit == -80_500
-        assert report.outcome_of("baiter").profit == 80_000
+        profits = run_scenario("fraud-proof").profits()
+        assert profits["thief"] == -80_500
+        assert profits["baiter"] == 80_000
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            run_adversary("Gremlin")
+
+def test_direct_spend_to_another_agent():
+    config = ScenarioConfig.from_dict(
+        {
+            "name": "spend-to-bob",
+            "blocks": 5,
+            "agents": [
+                {"id": "m0", "kind": "miner"},
+                {"id": "alice", "script": [{"height": 3, "do": "direct_spend", "utxo": "u1", "fee": 100, "to": "bob"}]},
+                {"id": "bob"},
+            ],
+            "miners": ["m0"],
+            "grants": [{"name": "u1", "owner": "alice", "type": "hashed", "path": "m/0h/0/0", "value": 10_000}],
+        }
+    )
+    sim = Simulation(config)
+    sim.run()
+    bob = sim.agents["bob"].wallet.pq_address()
+    assert [u.value for u in sim.chain.utxos.values() if u.address == bob] == [9_900]
+    assert sim.profits()["bob"] == 9_900
 
 
 class TestAgentFailures:

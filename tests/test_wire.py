@@ -10,7 +10,8 @@ import pytest
 
 from helpers import Harness
 from qcspend.consensus import verify_snapshot
-from qcspend.encoding import DecodeError
+from qcspend.encoding import DecodeError, enc_bytes
+from qcspend.fawkescoin import parse_commit_payload
 from qcspend.hdwallet import DerivationPath
 from qcspend.ledger import (
     Address,
@@ -24,6 +25,7 @@ from qcspend.ledger import (
     Witness,
     WitnessKind,
 )
+from qcspend.lifted_fawkescoin import parse_record_payload, record_payload
 from qcspend.lifting import deserialize_lifted, serialize_lifted
 from qcspend.rules import RuleViolation
 from qcspend.scenarios import run_scenario
@@ -193,6 +195,13 @@ def test_block_decoder_fuzz(snapshot_blocks):
         block = Block.deserialize(data)
         miner_tag = 8 + 4 + len(block.parent) + 4 + len(block.miner_id.encode())
         check_decoder(Block.deserialize, data, [miner_tag])
+
+
+def test_payload_hashes_must_be_32_bytes():
+    with pytest.raises(DecodeError, match="^commitment is a 32-byte hash$"):
+        parse_commit_payload(enc_bytes(bytes(31)))
+    with pytest.raises(DecodeError, match="^record carries two 32-byte hashes$"):
+        parse_record_payload(record_payload(bytes(32), bytes(31), 5))
 
 
 def test_unknown_tags_raise_decode_error_with_the_enum_message():
