@@ -569,44 +569,38 @@ class FrontRunnerAgent(Agent):
 
     def __init__(self, agent_id, sim, options, wallet):
         super().__init__(agent_id, sim, options, wallet)
-        self._seen: set[bytes] = set()
-        self._fc_attempted: set[bytes] = set()
+        self._seen: set[bytes] = set()  # the pending txids already looked at
 
     def on_duty(self) -> bool:
         return self.quantum
 
     def autonomous(self) -> None:
         for sub in self.sim.mempool.view():
-            if sub.kind != "tx" or sub.agent_id == self.id:
-                continue
             tx = sub.data
+            if sub.kind != "tx" or sub.agent_id == self.id or tx.kind not in (TxKind.TRANSFER, TxKind.FC_REVEAL):
+                continue
+            txid = tx.txid()
+            if txid in self._seen:
+                continue
+            self._seen.add(txid)
             if tx.kind is TxKind.TRANSFER:
                 self._race_direct(tx)
-            elif tx.kind is TxKind.FC_REVEAL:
+            else:
                 self._race_fawkescoin(tx)
 
     def _race_direct(self, tx: Transaction) -> None:
         chain = self.sim.chain
-        for txin in tx.inputs:
-            if txin.witness.kind is not WitnessKind.PRE_QUANTUM:
-                continue
-            if tx.txid() in self._seen:
-                continue
-            self._seen.add(tx.txid())
-            utxo = chain.utxo(txin.outpoint)
-            if utxo is None:
-                continue
-            sk = quantum_invert(decode_point(chain.group, txin.witness.pk))
-            steal = self.pre_spend(TxKind.TRANSFER, txin.outpoint, sk, self.wallet.pq_address(), utxo.value)
-            self.sim.mempool.submit("tx", steal, self.id, priority=10)
-            self.log(f"front-ran a direct spend of {utxo.value}")
+        txin = next((i for i in tx.inputs if i.witness.kind is WitnessKind.PRE_QUANTUM), None)
+        utxo = txin and chain.utxo(txin.outpoint)
+        if utxo is None:
+            return
+        sk = quantum_invert(decode_point(chain.group, txin.witness.pk))
+        steal = self.pre_spend(TxKind.TRANSFER, txin.outpoint, sk, self.wallet.pq_address(), utxo.value)
+        self.sim.mempool.submit("tx", steal, self.id, priority=10)
+        self.log(f"front-ran a direct spend of {utxo.value}")
 
     def _race_fawkescoin(self, tx: Transaction) -> None:
         chain = self.sim.chain
-        txid = tx.txid()
-        if txid in self._fc_attempted:
-            return
-        self._fc_attempted.add(txid)
         txin = tx.inputs[0]
         if txin.witness.kind is not WitnessKind.PRE_QUANTUM:
             return

@@ -63,7 +63,6 @@ from .fawkescoin import (
 )
 from .groups import (
     GroupParams,
-    GroupPoint,
     PreQuantumSignature,
     address_hash,
     decode_point,
@@ -629,11 +628,9 @@ class Chain:
     def _is_post_quantum(self, address: Address) -> bool:
         return address.kind is AddrKind.POST_QUANTUM
 
-    def _derived_leaf_pk(self, address: Address, parent_key: ExtendedSecretKey, path: DerivationPath) -> Optional[GroupPoint]:
-        """The public key `path` derives from `parent_key`, or None when it
-        is not the key behind `address`."""
-        pk = pk_ec(self.group, derive(self.group, parent_key, path).sk)
-        return pk if address.matches_pk(pk.encode()) else None
+    def _derives(self, address: Address, parent_key: ExtendedSecretKey, path: DerivationPath) -> bool:
+        """Does `path` derive, from `parent_key`, the key behind `address`?"""
+        return address.matches_pk(pk_ec(self.group, derive(self.group, parent_key, path).sk).encode())
 
     def _mark_witness_leak(self, witness: Witness, height: int) -> None:
         if witness.kind is WitnessKind.PRE_QUANTUM:
@@ -780,7 +777,7 @@ class Chain:
             leak_height = self.leaks.leak_height(txin.witness.pk)
             self._check_commitment(tx.txid(), height, wait, max_leak_height=leak_height, ban_height=None)
         elif mode is RevealMode.DERIVED:
-            if self._derived_leaf_pk(utxo.address, payload.parent_key, payload.path) is None:
+            if not self._derives(utxo.address, payload.parent_key, payload.path):
                 raise RuleViolation("fc-derivation", "payload does not derive the spent key")
             ban = self.registry.ban_height(self.group, payload.parent_key)
             self._check_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=ban)
@@ -861,7 +858,7 @@ class Chain:
         spent_address = record.spent_address
         sighash = tx.sighash()
         self._verify_witness(spent_address, tx.inputs[0].witness, sighash)
-        if self._derived_leaf_pk(spent_address, payload.parent_key, payload.path) is None:
+        if not self._derives(spent_address, payload.parent_key, payload.path):
             raise RuleViolation("fp-derivation", "payload does not derive the challenged key")
         ban = self.registry.ban_height(self.group, payload.parent_key)
         # The proof is itself a derived-mode spend of u, so u's waiting
@@ -948,8 +945,7 @@ class Chain:
             if address.kind is AddrKind.PLAIN_PK:
                 return keylift_verify(self.key_backend, address_hash(address.data), message, sig)
             return False
-        pk = self._derived_leaf_pk(address, sig.msk, sig.path)
-        return pk is not None and seedlift_verify(self.group, self.seed_backend, pk, message, sig)
+        return seedlift_verify(self.group, self.seed_backend, address.matches_pk, message, sig)
 
     def _locked_record(self, committed: bytes, height: int, revealing: bool) -> LfcCommitment:
         """The LOCKED record of `committed`, if its age at `height` lets the
@@ -979,7 +975,7 @@ class Chain:
         utxo = self._spendable_utxo(record.outpoint, height, lock=committed)
         self._verify_witness(utxo.address, tx.inputs[0].witness, tx.sighash())
         if payload.mode is RevealMode.DERIVED:
-            if self._derived_leaf_pk(utxo.address, payload.parent_key, payload.path) is None:
+            if not self._derives(utxo.address, payload.parent_key, payload.path):
                 raise RuleViolation("lfc-derivation", "payload does not derive the spent key")
         elif payload.mode is not RevealMode.HASHED:
             raise RuleViolation("lfc-reveal-mode", "lifted reveals are hashed or derived spends")

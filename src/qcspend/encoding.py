@@ -101,6 +101,11 @@ class Reader:
         value, self._pos = bytes_at(self._data, self._pos)
         return value
 
+    def rest(self) -> bytes:
+        """Every byte not read yet; the reader is then done."""
+        value, self._pos = self._data[self._pos :], len(self._data)
+        return value
+
     def walk(self, read_at):
         """Run an offset walker `read_at(data, pos) -> (value, pos)` from
         the current position and continue after what it read."""

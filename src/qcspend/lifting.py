@@ -23,9 +23,12 @@ protocol rule at desk scale.  A zero-knowledge argument-of-knowledge
 system would slot in behind the same two-method interface, in place of
 the transparent pair that `lifted_backends` returns.
 
-Serialized signature layout (transparent-backend proof shape): one tag
-byte (1 = key-lifted, 2 = seed-lifted), then length-prefixed proof fields,
-and for seed-lifted signatures the master key and path.
+Serialized signature layout: one tag byte, then
+  key-lifted   0x01 || proof
+  seed-lifted  0x02 || enc_bytes(master key) || path || proof
+The proof is always the last field and runs to the end of the buffer, so
+the codec takes it whole and never reads inside it: its bytes are the
+backend's own format.
 
 Signing and verification are pure given a thread-safe backend; a game
 harness instance is single-threaded.
@@ -37,7 +40,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .encoding import DecodeError, Reader, bytes_at, enc_bytes
+from .encoding import DecodeError, Reader, enc_bytes
 from .groups import (
     GroupParams,
     GroupPoint,
@@ -68,8 +71,10 @@ SEED_LIFTED_TAG = 2
 class OwfBackend(Protocol):
     """Proof-of-preimage-knowledge backend instantiated with a one-way
     function f.  verify(f(x), m, sign(x, m)) must hold for all x, m.  The
-    proof bytes are the backend's own format: verify parses them itself
-    and returns False, never raises, on bytes it cannot parse."""
+    proof bytes are the backend's own format, any string of bytes: a
+    lifted signature carries them as its last field, unparsed, so verify
+    alone parses them and returns False, never raises, on bytes it cannot
+    parse."""
 
     def sign(self, secret: bytes, msg: bytes) -> bytes: ...
 
@@ -163,12 +168,7 @@ class SeedLiftedSig:
     path: DerivationPath
 
     def serialize(self, group: GroupParams) -> bytes:
-        return (
-            bytes([SEED_LIFTED_TAG])
-            + self.proof
-            + enc_bytes(self.msk.serialize(group))
-            + self.path.serialize()
-        )
+        return bytes([SEED_LIFTED_TAG]) + enc_bytes(self.msk.serialize(group)) + self.path.serialize() + self.proof
 
 
 def seedlift_sign(
@@ -186,14 +186,15 @@ def seedlift_sign(
 
 
 def seedlift_verify(
-    group: GroupParams, backend: OwfBackend, pk: GroupPoint, msg: bytes, sig: SeedLiftedSig
+    group: GroupParams, backend: OwfBackend, owns: Callable[[bytes], bool], msg: bytes, sig: SeedLiftedSig
 ) -> bool:
-    """Accept iff the carried path derives exactly `pk` from the carried
-    master key AND the backend proof checks against that master key over
-    the path-bound message.  Returns False on malformed input, never raises."""
+    """Accept iff the carried path derives, from the carried master key, a
+    public key whose encoding the caller's ownership test `owns` accepts,
+    AND the backend proof checks against that master key over the
+    path-bound message.  Returns False on malformed input, never raises."""
     try:
         leaf = derive(group, sig.msk, sig.path)
-        if pk_ec(group, leaf.sk).value != pk.value:
+        if not owns(pk_ec(group, leaf.sk).encode()):
             return False
         return backend.verify(sig.msk.serialize(group), _seedlift_message(msg, sig.path), sig.proof)
     except (DecodeError, ValueError, TypeError, AttributeError):
@@ -212,25 +213,15 @@ def serialize_lifted(group: GroupParams, sig: LiftedSignature) -> bytes:
     return sig.serialize(group)
 
 
-def _proof_at(data: bytes, pos: int) -> tuple[bytes, int]:
-    # A proof is two length-prefixed fields, kept as one raw span.
-    _, end = bytes_at(data, pos)
-    _, end = bytes_at(data, end)
-    return data[pos:end], end
-
-
 def deserialize_lifted(group: GroupParams, data: bytes) -> LiftedSignature:
     r = Reader(data)
     tag = r.u8()
-    proof = r.walk(_proof_at)
     if tag == KEY_LIFTED_TAG:
-        r.done()
-        return KeyLiftedSig(proof)
+        return KeyLiftedSig(r.rest())
     if tag == SEED_LIFTED_TAG:
         msk = deserialize_xsk(group, r.bytes_())
         p = read_path(r)
-        r.done()
-        return SeedLiftedSig(proof, msk, p)
+        return SeedLiftedSig(r.rest(), msk, p)
     raise DecodeError(f"unknown lifted signature tag {tag}")
 
 
@@ -371,7 +362,7 @@ class SeedLiftedScheme:
     def lifted_verify(self, pk: GroupPoint, msg: bytes, sig) -> bool:
         if not isinstance(sig, SeedLiftedSig):
             return False
-        return seedlift_verify(self.group, self.backend, pk, msg, sig)
+        return seedlift_verify(self.group, self.backend, pk.encode().__eq__, msg, sig)
 
 
 # -- scripted adversaries ------------------------------------------------------------
@@ -425,7 +416,7 @@ def seedlift_quantum_adversary(group: GroupParams, backend: OwfBackend):
         fake_msk = ExtendedSecretKey(leaf_sk, bytes(32))
         fake_proof = backend.sign(bytes(64), _seedlift_message(target, DerivationPath()))
         attempt = SeedLiftedSig(fake_proof, fake_msk, DerivationPath())
-        if seedlift_verify(group, backend, pk, target, attempt):
+        if seedlift_verify(group, backend, pk.encode().__eq__, target, attempt):
             return target, attempt
         # Attempt 2: reuse an honest proof for a different message; the
         # binding over (message, path) rejects it.

@@ -93,12 +93,18 @@ def _check(value, kind, noun: str, prefix: str, name: str):
     return tuple(_check(item, kind[0], noun, prefix, name) for item in value) if isinstance(kind, list) else value
 
 
+def record_table(base) -> dict:
+    """The `check_fields` table of the dataclass `base`'s fields: each of
+    the kind its value in `base` has, unless the class's `KINDS` names
+    another, and defaulting to that value."""
+    kinds = getattr(base, "KINDS", {})
+    return {f.name: (kinds.get(f.name, type(getattr(base, f.name))), getattr(base, f.name)) for f in fields(base)}
+
+
 def _record(base, data, noun: str):
     """A copy of the dataclass `base` with the fields of the JSON object
-    `data`, each of the kind `check_fields` gives a dataclass's fields."""
-    kinds = getattr(base, "KINDS", {})
-    table = {f.name: (kinds.get(f.name, type(getattr(base, f.name))), getattr(base, f.name)) for f in fields(base)}
-    return type(base)(**check_fields(data, table, noun))
+    `data`, checked against its `record_table`."""
+    return type(base)(**check_fields(data, record_table(base), noun))
 
 
 @dataclass(frozen=True)

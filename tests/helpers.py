@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import is_dataclass, replace
 from functools import partial
 
@@ -9,9 +10,10 @@ from qcspend.agents import Wallet
 from qcspend.consensus import Chain, ChainConfig, GenesisGrant
 from qcspend.encoding import enc_u64
 from qcspend.fawkescoin import RevealMode, RevealPayload, commit_payload
-from qcspend.groups import pk_ec, toy_group
+from qcspend.groups import address_hash, pk_ec, toy_group
 from qcspend.hdwallet import DerivationPath
 from qcspend.ledger import NO_WITNESS, Address, Block, Transaction, TxInput, TxKind, TxOutput, pk_hash_address
+from qcspend.lifting import seedlift_owf
 from qcspend.params import Params
 
 KDF_ITERS = 8
@@ -62,6 +64,32 @@ def differing_in(block: Block, field: str, address: Address) -> Block:
         assert field == "reports" and block.samaritan_reports
         return replace(block, samaritan_reports=block.samaritan_reports * 2)
     return replace(block, coinbase=coinbase)
+
+
+class FlatBackend:
+    """A backend whose proof is one flat blob with no length prefix: a
+    64-byte binding hash, then the secret.  As insecure as the transparent
+    backend; only its proof layout differs, which no code outside the
+    backend may read."""
+
+    def __init__(self, owf):
+        self._owf = owf
+
+    def sign(self, secret: bytes, msg: bytes) -> bytes:
+        return self._binding(secret, msg) + secret
+
+    def verify(self, public: bytes, msg: bytes, proof: bytes) -> bool:
+        binding, secret = proof[:64], proof[64:]
+        return self._owf(secret) == public and binding == self._binding(secret, msg)
+
+    @staticmethod
+    def _binding(secret: bytes, msg: bytes) -> bytes:
+        return hashlib.sha512(b"flat-bind" + len(msg).to_bytes(4, "big") + msg + secret).digest()
+
+
+def flat_backends(group) -> tuple[FlatBackend, FlatBackend]:
+    """The (key-lifting, seed-lifting) pair of `FlatBackend`s over `group`."""
+    return FlatBackend(address_hash), FlatBackend(seedlift_owf(group))
 
 
 class Harness:

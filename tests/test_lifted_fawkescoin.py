@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import Harness, same_state
+from helpers import Harness, flat_backends, same_state
+from qcspend import consensus, lifting
 from qcspend.consensus import proof_message, replay_chain
 from qcspend.fawkescoin import RevealMode, RevealPayload
 from qcspend.hdwallet import kdf_pq, path
@@ -171,6 +172,43 @@ class TestMempoolPolicy:
         msg = LfcMempoolMsg(committed, sigma, h.outpoints["u1"], 9)
         with pytest.raises(RuleViolation, match="lfc-proof-invalid"):
             h.chain.validate_lfc_mempool_msg(msg)
+
+
+    def test_seedlift_ownership_derives_the_key_once(self, monkeypatch):
+        # The chain's ownership test goes into seedlift_verify, so the leaf
+        # key is derived from the carried (msk, path) in one place.
+        h = lfc_harness()
+        h.build()
+        committed = b"\x07" * 32
+        sig = deserialize_lifted(h.group, sigma_for(h, "alice", "m/0h/0/0", committed, 9, kind="seed"))
+        calls = []
+        for module in (consensus, lifting):
+            monkeypatch.setattr(module, "derive", lambda *a, _derive=module.derive: calls.append(a) or _derive(*a))
+        address = h.chain.utxos[h.outpoints["u1"]].address
+        assert h.chain.verify_ownership(address, proof_message(committed, 9), sig)
+        assert len(calls) == 1
+
+
+class TestFlatProofBackend:
+    """A backend whose proof is one flat blob, with no length prefix, works
+    unchanged: the lifted-signature codec takes the proof whole."""
+
+    @pytest.mark.parametrize("kind", ["key", "seed"])
+    def test_round_trip_mempool_and_claim(self, kind):
+        h = lfc_harness()
+        h.build()
+        h.chain.key_backend, h.chain.seed_backend = flat_backends(h.group)
+        h.mine_to(199)
+        committed = lfc_reveal_tx(h, "alice", "u1", "m/0h/0/0", 1000).txid()
+        sigma = sigma_for(h, "alice", "m/0h/0/0", committed, 1000, kind)
+        sig = deserialize_lifted(h.group, sigma)
+        assert isinstance(sig, KeyLiftedSig if kind == "key" else SeedLiftedSig)
+        assert serialize_lifted(h.group, sig) == sigma
+        h.chain.validate_lfc_mempool_msg(LfcMempoolMsg(committed, sigma, h.outpoints["u1"], 1000))
+        h.mine_with([record_tx(h, committed, "u1", 1000)])
+        h.mine(201)
+        h.mine_with([Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))])
+        assert h.chain.lfc_by_hash[committed].state is LfcState.CLAIMED_BY_MINER
 
 
 class TestReveal:
@@ -796,10 +834,13 @@ class TestRuleIds:
         [
             (lambda h: LfcMempoolMsg(b"\x07" * 32, sigma_for(h, "alice", "m/0h/0/0", b"\x07" * 32, 9), (b"\x00" * 32, 0), 9), "lfc-unknown-utxo"),
             (lambda h: LfcMempoolMsg(b"\x07" * 32, b"\x09", h.outpoints["u1"], 9), "lfc-proof-malformed"),
-            # A key-lifted proof never owns a post-quantum output.
+            # The codec takes the proof whole; only the backend finds it unparseable.
+            (lambda h: LfcMempoolMsg(b"\x07" * 32, b"\x01\x09", h.outpoints["u1"], 9), "lfc-proof-invalid"),
+            # Neither kind of proof ever owns a post-quantum output.
             (lambda h: LfcMempoolMsg(b"\x07" * 32, sigma_for(h, "alice", "m/0h/0/0", b"\x07" * 32, 9), h.outpoints["fee-alice"], 9), "lfc-proof-invalid"),
+            (lambda h: LfcMempoolMsg(b"\x07" * 32, sigma_for(h, "alice", "m/0h/0/0", b"\x07" * 32, 9, "seed"), h.outpoints["fee-alice"], 9), "lfc-proof-invalid"),
         ],
-        ids=["message-unknown-utxo", "proof-malformed", "keylift-on-pq-output"],
+        ids=["message-unknown-utxo", "proof-malformed", "proof-unparseable", "keylift-on-pq-output", "seedlift-on-pq-output"],
     )
     def test_rejected_mempool_message(self, make, rule):
         h = lfc_harness()

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from helpers import flat_backends
 from qcspend.encoding import enc_bytes
 from qcspend.groups import address_hash, decode_point, pk_ec, prequantum_verify, secure_group, toy_group
 from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf, path
@@ -52,16 +53,18 @@ class TestTransparentBackend:
             assert TransparentBackend.revealed_secret(sig) == secret
 
 
-# Each backend of the factory, with the one-way function it proves a preimage of.
-_KEY, _SEED = lifted_backends(toy_group())
-FACTORY_ROWS = [(_KEY, address_hash), (_SEED, seedlift_owf(toy_group()))]
+# Each backend of the factory and of the flat-proof test pair, with the
+# one-way function it proves a preimage of.
+_OWFS = (address_hash, seedlift_owf(toy_group()))
+BACKEND_ROWS = list(zip(lifted_backends(toy_group()) + flat_backends(toy_group()), _OWFS * 2))
 
 
-@pytest.mark.parametrize("backend, owf", FACTORY_ROWS, ids=["key", "seed"])
+@pytest.mark.parametrize("backend, owf", BACKEND_ROWS, ids=["key", "seed", "flat-key", "flat-seed"])
 class TestBackendContract:
-    """What every backend `lifted_backends` returns keeps, whatever its
-    proof bytes.  ROADMAP item 2's backend, once it takes the place of
-    the transparent pair, must pass them unchanged."""
+    """What every backend keeps, whatever its proof bytes: the ones
+    `lifted_backends` returns, and `FlatBackend`, whose proof has no length
+    prefix.  ROADMAP item 2's backend, once it takes the place of the
+    transparent pair, must pass them unchanged."""
 
     def test_round_trip_32_secrets(self, backend, owf):
         for i in range(32):
@@ -119,7 +122,7 @@ class TestSeedLifting:
         seed, p = make_seed(1), path("m/0h/2")
         sig = seedlift_sign(GROUP, SEED_BACKEND, seed, p, b"pay", KDF_ITERS)
         pk = pk_ec(GROUP, derive(GROUP, kdf(GROUP, seed, KDF_ITERS), p).sk)
-        assert seedlift_verify(GROUP, SEED_BACKEND, pk, b"pay", sig)
+        assert seedlift_verify(GROUP, SEED_BACKEND, pk.encode().__eq__, b"pay", sig)
 
     def test_each_path_valid_only_for_its_own_key(self):
         seed = make_seed(2)
@@ -130,21 +133,21 @@ class TestSeedLifting:
         for i, sig in enumerate(sigs):
             for j, pk in enumerate(pks):
                 expected = pk.value == pks[i].value
-                assert seedlift_verify(GROUP, SEED_BACKEND, pk, b"pay", sig) == expected
+                assert seedlift_verify(GROUP, SEED_BACKEND, pk.encode().__eq__, b"pay", sig) == expected
 
     def test_tampered_msk_rejected(self):
         seed, p = make_seed(3), path("m/4")
         sig = seedlift_sign(GROUP, SEED_BACKEND, seed, p, b"pay", KDF_ITERS)
         pk = pk_ec(GROUP, derive(GROUP, sig.msk, p).sk)
         tampered = SeedLiftedSig(sig.proof, ExtendedSecretKey((sig.msk.sk + 1) % GROUP.q, sig.msk.chain_code), p)
-        assert not seedlift_verify(GROUP, SEED_BACKEND, pk, b"pay", tampered)
+        assert not seedlift_verify(GROUP, SEED_BACKEND, pk.encode().__eq__, b"pay", tampered)
 
     def test_swapped_path_rejected(self):
         seed = make_seed(4)
         p, other = path("m/1/2"), path("m/9")
         sig = seedlift_sign(GROUP, SEED_BACKEND, seed, p, b"pay", KDF_ITERS)
         pk = pk_ec(GROUP, derive(GROUP, sig.msk, p).sk)
-        assert not seedlift_verify(GROUP, SEED_BACKEND, pk, b"pay", SeedLiftedSig(sig.proof, sig.msk, other))
+        assert not seedlift_verify(GROUP, SEED_BACKEND, pk.encode().__eq__, b"pay", SeedLiftedSig(sig.proof, sig.msk, other))
 
     def test_truncated_path_forgery_fails(self):
         # Honest signature for p1 || p2; forging (same proof, mid-key, p2)
@@ -156,7 +159,17 @@ class TestSeedLifting:
         mid = derive(GROUP, sig.msk, p1)
         pk = pk_ec(GROUP, derive(GROUP, sig.msk, full).sk)
         assert pk_ec(GROUP, derive(GROUP, mid, p2).sk).value == pk.value  # suffix collision holds
-        assert not seedlift_verify(GROUP, SEED_BACKEND, pk, b"pay", SeedLiftedSig(sig.proof, mid, p2))
+        assert not seedlift_verify(GROUP, SEED_BACKEND, pk.encode().__eq__, b"pay", SeedLiftedSig(sig.proof, mid, p2))
+
+    def test_malformed_input_rejected_without_raising(self):
+        seed, p = make_seed(7), path("m/5")
+        sig = seedlift_sign(GROUP, SEED_BACKEND, seed, p, b"pay", KDF_ITERS)
+        owns = pk_ec(GROUP, derive(GROUP, sig.msk, p).sk).encode().__eq__
+        assert not seedlift_verify(GROUP, SEED_BACKEND, owns, b"pay", SeedLiftedSig(sig.proof, None, p))
+        key_sig = keylift_sign(GROUP, KEY_BACKEND, 21, b"pay")
+        address = address_hash(pk_ec(GROUP, 21).encode())
+        assert not keylift_verify(KEY_BACKEND, address[:31], b"pay", key_sig)
+        assert not keylift_verify(KEY_BACKEND, address, b"pay", KeyLiftedSig(None))
 
     def test_round_trip_128_random_cases(self):
         for i in range(128):
@@ -196,7 +209,7 @@ class TestMutationFuzz:
         pk = pk_ec(GROUP, derive(GROUP, sig.msk, p).sk)
         blob = serialize_lifted(GROUP, sig)
         for i in range(128):
-            assert not seedlift_verify(GROUP, SEED_BACKEND, pk, mutate_once(msg, i), sig)
+            assert not seedlift_verify(GROUP, SEED_BACKEND, pk.encode().__eq__, mutate_once(msg, i), sig)
         for i in range(128):
             try:
                 bad = deserialize_lifted(GROUP, mutate_once(blob, i))
@@ -204,7 +217,7 @@ class TestMutationFuzz:
                 continue
             if not isinstance(bad, SeedLiftedSig):
                 continue
-            assert not seedlift_verify(GROUP, SEED_BACKEND, pk, msg, bad)
+            assert not seedlift_verify(GROUP, SEED_BACKEND, pk.encode().__eq__, msg, bad)
 
 
 class TestUnforgeabilityGames:

@@ -12,7 +12,7 @@ import pytest
 from qcspend.agents import MinerAgent
 from qcspend.consensus import verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
-from qcspend.ledger import Block, TxKind
+from qcspend.ledger import NO_WITNESS, Block, TxKind
 from qcspend.lifted_fawkescoin import EpochDecision, LfcState, extension_decision
 from qcspend.rules import RuleViolation
 from qcspend.scenarios import BUNDLED, load_scenario, run_scenario
@@ -112,6 +112,36 @@ class TestFrontRunner:
         sim = run("front-runner-direct")
         assert sim.profits()["eve"] == 50_000
         assert sim.profits()["bob"] == -50_000
+
+    def test_each_pending_spend_is_looked_at_once_and_only_a_live_input_raced(self):
+        # front-runner-direct up to bob's direct spend of u1 at height 8.
+        # eve holds no post-quantum output, so she cannot fund a FawkesCoin
+        # front-run.
+        sim = Simulation(load_scenario("front-runner-direct"))
+        sim.run(7)
+        sim.tick_height = 8
+        eve = sim.agents["eve"]
+        sim.agents["bob"].on_tick()
+        spend = sim.mempool.view()[0].data
+        as_reveal = dataclasses.replace(spend, kind=TxKind.FC_REVEAL)
+        sim.mempool.submit("tx", as_reveal, "bob")
+        eve.autonomous()
+        eve.autonomous()  # the same pending txids: nothing is raced again
+        assert eve.actions == ["h8 front-ran a direct spend of 50000", "h8 front-run against FawkesCoin aborted: no fee source"]
+        sim.scheduled_miner(8).build_block()  # eve's steal spends u1
+        assert sim.chain.utxo(spend.inputs[0].outpoint) is None
+        unsigned = (dataclasses.replace(spend.inputs[0], witness=NO_WITNESS),)
+        for tx in (
+            spend,  # resubmitted
+            dataclasses.replace(spend, payload=b"again"),  # a new spend of the spent input
+            dataclasses.replace(as_reveal, payload=b"again"),
+            dataclasses.replace(spend, inputs=unsigned, payload=b"unsigned"),  # no pre-quantum witness
+            dataclasses.replace(as_reveal, inputs=unsigned),
+        ):
+            sim.mempool.submit("tx", tx, "bob")
+        sim.tick_height = 9
+        eve.autonomous()
+        assert len(eve.actions) == 2
 
 
 class TestLfcSpammer:

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import Harness
+from helpers import Harness, flat_backends
 from qcspend.consensus import verify_snapshot
 from qcspend.encoding import DecodeError, enc_bytes
 from qcspend.fawkescoin import parse_commit_payload
-from qcspend.hdwallet import DerivationPath
+from qcspend.groups import toy_group
+from qcspend.hdwallet import DerivationPath, Seed
 from qcspend.ledger import (
     Address,
     AddrKind,
@@ -26,7 +27,7 @@ from qcspend.ledger import (
     WitnessKind,
 )
 from qcspend.lifted_fawkescoin import parse_record_payload, record_payload
-from qcspend.lifting import deserialize_lifted, serialize_lifted
+from qcspend.lifting import deserialize_lifted, keylift_sign, lifted_backends, seedlift_sign, serialize_lifted
 from qcspend.rules import RuleViolation
 from qcspend.scenarios import run_scenario
 
@@ -63,6 +64,12 @@ BLOCK = Block(
     samaritan_reports=(blob("report0", 33), blob("report1", 33)),
     coinbase=transaction(TxKind.COINBASE),
 )
+SIGMA_GROUP = toy_group(101)
+_KEY_BACKEND, _SEED_BACKEND = lifted_backends(SIGMA_GROUP)
+SIGMAS = {
+    "sigma-key": keylift_sign(SIGMA_GROUP, _KEY_BACKEND, 21, b"sigma"),
+    "sigma-seed": seedlift_sign(SIGMA_GROUP, _SEED_BACKEND, Seed(blob("seed", 16), b"pw"), DerivationPath.parse("m/0h/1"), b"sigma", 4),
+}
 UTXOS = {
     "utxo-coinbase": Utxo((blob("cb", 32), 0), 50, ADDRESSES[AddrKind.POST_QUANTUM], 9, coinbase=True),
     "utxo-wait": Utxo((blob("spend", 32), 2), 2**64 - 1, ADDRESSES[AddrKind.PK_HASH], 2**64 - 1, wait_override=2**32 - 1),
@@ -90,6 +97,8 @@ def wire_records() -> dict[str, str]:
         out[name] = utxo.serialize()
         out[name + "-hash"] = utxo.utxo_hash()
     out["path"] = DerivationPath.parse("m/0h/1/2147483647h/4294967295").serialize()
+    for name, sig in SIGMAS.items():
+        out[name] = serialize_lifted(SIGMA_GROUP, sig)
     return {name: data.hex() for name, data in out.items()}
 
 
@@ -122,6 +131,8 @@ def test_golden_bytes_decode_to_their_objects():
     assert Block.deserialize(bytes.fromhex(golden["block"])) == BLOCK
     path = DerivationPath.parse("m/0h/1/2147483647h/4294967295")
     assert DerivationPath.deserialize(bytes.fromhex(golden["path"])) == path
+    for name, sig in SIGMAS.items():
+        assert deserialize_lifted(SIGMA_GROUP, bytes.fromhex(golden[name])) == sig
 
 
 # -- decoder fuzzing ------------------------------------------------------------
@@ -214,12 +225,17 @@ def test_unknown_tags_raise_decode_error_with_the_enum_message():
 
 
 def test_lifted_signature_decoder_fuzz():
+    # Each kind of sigma with a transparent proof, and with a flat one that
+    # has no length prefix.
     h = Harness()
     h.build()
     wallet = h.wallet("alice")
     p = DerivationPath.parse("m/0h/0/1")
     message = b"fuzz" * 8
-    sigmas = [wallet.keylift_proof(h.chain, wallet.derived_sk(p), message), wallet.seedlift_proof(h.chain, p, message)]
+    sigmas = []
+    for backends in (lifted_backends(h.group), flat_backends(h.group)):
+        h.chain.key_backend, h.chain.seed_backend = backends
+        sigmas += [wallet.keylift_proof(h.chain, wallet.derived_sk(p), message), wallet.seedlift_proof(h.chain, p, message)]
     for data in sigmas:
         decoded = 0
         for mutant in mutants(data, [0]):
