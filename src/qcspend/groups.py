@@ -32,13 +32,14 @@ Fast path for the secure group, with byte-identical results:
   and reorgs therefore do not redo 2048-bit work for a signature already
   checked, alone or in a batch.  A failed verdict is not memoised.
 - `pk_ec` raises the generator by a Lim-Lee fixed-base comb (HAC Alg.
-  14.117) whose tables are split by 512-bit chunks of the exponent.  It has
-  two chunks: a 512-bit nonce, a 256-bit key and almost every s read the
-  first, in 16 squarings and 64 multiplications, and a batch's sum of
-  multiplier times s reads both.  8 tables of 256 elements, ~0.6 MiB for
-  the stock group, built once per process by `secure_group()`.  An exponent
-  wider than 1,024 bits, such as a full-width scalar, takes `pow`.  Toy
-  groups keep `pow`, which beats any table at q <= 2**24.
+  14.117) with one table of 256 elements for each of six contiguous 128-bit
+  slices of the exponent.  A g^x costs 16 squarings plus 16 multiplications
+  for each slice that x reaches: 48 for a 256-bit key, 80 for a 512-bit
+  nonce or almost every s, and up to 112 for a batch's sum of multiplier
+  times s.  1,536 elements, ~0.42 MiB for the stock group, built once per
+  process by `secure_group()`.  An exponent wider than 768 bits, such as a
+  full-width scalar, takes `pow`.  Toy groups keep `pow`, which beats any
+  table at q <= 2**24.
 - A single verify tests the key for subgroup membership, a hit of the
   decode memo for a key the caller decoded, and decodes no nonce point:
   g^s and pk lie in the order-q subgroup, so g^s = R*pk^e puts R there too,
@@ -53,8 +54,9 @@ Fast path for the secure group, with byte-identical results:
   test (Bellare, Garay and Rabin, EUROCRYPT '98): one fixed-base g^x and one
   interleaved multi-exponentiation (Straus, HAC Alg. 14.88, with Moeller's
   sliding windows) in place of a g^s and a 128-bit pk^e per signature.  It
-  skips the items the memo holds, and a batch that holds stores all of its
-  items there.
+  skips the items the memo holds, verifies fewer than BATCH_MIN others one
+  by one, where the batch costs more, and a batch that holds stores all of
+  its items there.
 The memo, the caches and the tables serve secure-group calls only;
 toy-group work costs less than a memo entry.  The signer and decode caches
 and the key tables are `functools.lru_cache`s, which are thread-safe.  Only
@@ -100,29 +102,35 @@ VERIFY_CACHE_SIZE = 1024
 # per digit and about 2 * 2^w to fold the buckets: for 128-bit challenges
 # 3 and 4 read equally fast and 5 a fifth slower, and 4 keeps fewer elements.
 FIXED_BASE_WINDOW = 4
-# The generator's comb (Lim and Lee): an exponent is read in chunks of
-# COMB_CHUNK_BITS bits, each cut into 8 rows so that one bit of every row
-# makes a one-byte table index, and each row into COMB_COLUMNS columns.  A
-# table of 256 elements serves each chunk and column.  A g^x costs one
-# squaring per bit of a column, and per bit one multiplication for each
-# column of each chunk that x reaches: 16 squarings and 64 multiplications
-# for a nonce, a key or almost every s, which lie in chunk 0.  Chunk 1
-# serves the batch sums: each multiplier times s is below
-# 2^(BATCH_MULTIPLIER_BITS + 513), so a sum of fewer than 2^383 of them (a
-# consensus batch has 64) stays below 2^1024, and no exponent of a
-# signature reads a third chunk.  The stock group's comb holds 2,048
-# elements, ~0.6 MiB; 8 columns would double that.
-COMB_CHUNK_BITS = 512
-COMB_CHUNKS = 2
-COMB_COLUMNS = 4
+# The generator's comb (Lim and Lee): an exponent is read in COMB_CHUNKS
+# contiguous slices of COMB_CHUNK_BITS bits, each cut into 8 rows so that one
+# bit of every row makes a one-byte index into the slice's table of 256
+# elements.  A g^x costs one squaring per bit of a row, and per bit one
+# multiplication for each slice that x reaches: 16 squarings, plus 16
+# multiplications a slice, so 48 for a 256-bit key and 80 for a 512-bit
+# nonce or almost every s.  The batch sums read the most: each multiplier
+# times s is below 2^(BATCH_MULTIPLIER_BITS + 513), so a sum of fewer than
+# 2^127 of them (a consensus batch has 64) stays below 2^768, and no
+# exponent of a signature reads a seventh slice.  The stock group's comb
+# holds 1,536 elements, ~0.42 MiB.
+COMB_CHUNK_BITS = 128
+COMB_CHUNKS = 6
 _COMB_ROWS = 8
 _ROW_BITS = COMB_CHUNK_BITS // _COMB_ROWS
-_COLUMN_BITS = _ROW_BITS // COMB_COLUMNS
 _CHUNK_BYTES, _ROW_BYTES = COMB_CHUNK_BITS // 8, _ROW_BITS // 8
 # Bits of each batch multiplier: a batch holding a bad signature passes
 # with probability about 2**-BATCH_MULTIPLIER_BITS, so groups of no larger
 # order verify one by one.
 BATCH_MULTIPLIER_BITS = 128
+# Fewest unknown signatures that `prequantum_batch_verify` checks in one
+# batch; fewer verify one by one.  A batch pays a multi-exponentiation whose
+# ~256-bit key exponents set its chain of squarings, a Jacobi symbol per
+# nonce point and a g^x of up to six comb slices, where a single check pays
+# a g^s and a 128-bit pk^e.  With cold caches on the stock group the batch
+# costs 1.24 times the single checks for 2 signatures by fresh keys, 0.98
+# for 3 and 0.90 for 4, and by one key 1.02 for 4 and 0.87 for 5
+# (BENCH_2026-10-20-comb-slices.json).
+BATCH_MIN = 4
 # Widths of the post-quantum secret keys and challenges on a group of
 # larger order: Schnorr over the integers (Girault, Poupard and Stern,
 # J. Cryptology 2006).  q has 2,047 bits on the stock group, so s = k + e*sk
@@ -307,19 +315,17 @@ def _power_table(p: int, base: int, bits: int, step: int = FIXED_BASE_WINDOW) ->
 
 @lru_cache(maxsize=None)
 def _generator_comb(group: GroupParams) -> tuple[tuple[int, ...], ...]:
-    """The comb tables of g over the COMB_CHUNKS chunks, one per chunk and
-    column, chunk by chunk.  Bit r of an index selects row r: entry i of the
-    table of chunk c and column j is the product of
-    g^(2^(COMB_CHUNK_BITS*c + _ROW_BITS*r + _COLUMN_BITS*j)) over the bits
-    r set in i."""
-    powers = _power_table(group.p, group.g, COMB_CHUNKS * COMB_CHUNK_BITS, _COLUMN_BITS)
+    """The comb's tables of g, one per slice of COMB_CHUNK_BITS bits.  Bit r
+    of an index selects row r: entry i of the table of slice c is the
+    product of g^(2^(COMB_CHUNK_BITS*c + _ROW_BITS*r)) over the bits r set
+    in i."""
+    powers = _power_table(group.p, group.g, COMB_CHUNKS * COMB_CHUNK_BITS, _ROW_BITS)
     tables = []
-    for first in range(0, len(powers), _COMB_ROWS * COMB_COLUMNS):  # a chunk
-        for column in range(COMB_COLUMNS):
-            table = [1]
-            for base in powers[first + column : first + _COMB_ROWS * COMB_COLUMNS : COMB_COLUMNS]:
-                table += [element * base % group.p for element in table]
-            tables.append(tuple(table))
+    for first in range(0, len(powers), _COMB_ROWS):  # a slice
+        table = [1]
+        for base in powers[first : first + _COMB_ROWS]:
+            table += [element * base % group.p for element in table]
+        tables.append(tuple(table))
     return tuple(tables)
 
 
@@ -332,9 +338,9 @@ def _generator_pow(group: GroupParams, x: int) -> int:
     return pow(group.g, x, group.p)
 
 
-# The transpose of one chunk of an exponent into its index stream (see
+# The transpose of one slice of an exponent into its index stream (see
 # `_comb_pow`): _SPREAD[b] has bit u of the byte b as bit 8u, and byte
-# _ROW_BYTES*r + i of a chunk (bits 8i to 8i + 7 of row r) is spread from
+# _ROW_BYTES*r + i of a slice (bits 8i to 8i + 7 of row r) is spread from
 # bit _COMB_SHIFTS[_ROW_BYTES*r + i] = 8*8i + r of the stream on, so that
 # its bit u lands as bit r of stream byte 8i + u.
 _SPREAD = tuple(sum((b >> u & 1) << 8 * u for u in range(8)) for b in range(256))
@@ -343,20 +349,19 @@ _COMB_SHIFTS = tuple(8 * 8 * (n % _ROW_BYTES) + n // _ROW_BYTES for n in range(_
 
 def _comb_pow(tables: tuple[tuple[int, ...], ...], p: int, x: int) -> int:
     """The comb's base to the power x, mod p, for x >= 0 no wider than the
-    comb, by HAC Alg. 14.117 over the chunks that x reaches.  Byte k of a
-    chunk's index stream holds bit k of each row of the chunk, row r as bit
-    r.  Table t of the comb reads bytes _COLUMN_BITS*t to
-    _COLUMN_BITS*(t + 1) - 1 of the chunks' streams, one byte per step."""
+    comb, by HAC Alg. 14.117 over the slices that x reaches.  Byte k of a
+    slice's index stream holds bit k of each row of the slice, row r as bit
+    r, and the table of the slice reads one byte per step."""
     data = x.to_bytes(-(-x.bit_length() // COMB_CHUNK_BITS) * _CHUNK_BYTES, "little")
-    stream = b""
+    slices = []
     for start in range(0, len(data), _CHUNK_BYTES):
         chunk = zip(data[start : start + _CHUNK_BYTES], _COMB_SHIFTS)
-        stream += sum(_SPREAD[byte] << shift for byte, shift in chunk).to_bytes(_CHUNK_BYTES, "little")
-    columns = [(tables[t], stream[_COLUMN_BITS * t : _COLUMN_BITS * (t + 1)]) for t in range(len(stream) // _COLUMN_BITS)]
+        stream = sum(_SPREAD[byte] << shift for byte, shift in chunk).to_bytes(_ROW_BITS, "little")
+        slices.append((tables[start // _CHUNK_BYTES], stream))
     result = 1
-    for k in range(_COLUMN_BITS - 1, -1, -1):
+    for k in range(_ROW_BITS - 1, -1, -1):
         result = result * result % p
-        for table, indices in columns:
+        for table, indices in slices:
             result = result * table[indices[k]] % p
     return result
 
@@ -601,8 +606,9 @@ def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, by
     batch's error bound.  Returns False (never raises) on malformed
     signature material.
 
-    Two or more items on a group of order above 2^BATCH_MULTIPLIER_BITS
-    take one small-exponent test (Bellare, Garay and Rabin):
+    BATCH_MIN or more items that the memo does not hold, on a group of
+    order above 2^BATCH_MULTIPLIER_BITS, take one small-exponent test
+    (Bellare, Garay and Rabin):
 
         g^(sum a_i*s_i mod q) == prod R_i^a_i * prod over keys pk^(sum a_i*e_i)
 
@@ -613,7 +619,8 @@ def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, by
     without it) and every s lie in [0, q).  The key exponents stay
     unreduced: ~256 bits for 128-bit challenges, against ~2,047 bits mod q.
     So does the sum of the a_i*s_i while it is below q: ~640 bits for the
-    ~512-bit s of 256-bit keys.  Other batches verify one by one.
+    ~512-bit s of 256-bit keys.  Fewer items, and items on other groups,
+    verify one by one.
 
     On a secure group, items the memo already holds are not checked again,
     and a batch that holds stores all of its items there; a failed verdict
@@ -626,7 +633,7 @@ def prequantum_batch_verify(group: GroupParams, items: list[tuple[GroupPoint, by
         unknown = [item for item, key in zip(items, keys) if key not in _verified]
         if not unknown:
             return True
-        if len(unknown) < 2 or group.q.bit_length() <= BATCH_MULTIPLIER_BITS:
+        if len(unknown) < BATCH_MIN or group.q.bit_length() <= BATCH_MULTIPLIER_BITS:
             if not all(_verify(group, *item) for item in unknown):
                 return False
         elif not _batch_holds(group, unknown):

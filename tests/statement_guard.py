@@ -13,7 +13,10 @@ a statement inside it ran.  Line events differ between Python versions, so
 the list is kept for Python 3.11.
 
 Each line of the list is `module | function | stripped source text | reason`,
-matched on the text and not on line numbers; `#` starts a comment line.
+matched on the text and not on line numbers; `#` starts a comment line.  A
+line whose text is that of more than one statement of its function fails the
+guard too, since its reason could not say which one it covers: reword one of
+them, or give it a test.
 """
 
 from __future__ import annotations
@@ -100,18 +103,28 @@ def _ran(stmt: ast.stmt, hits: set[int]) -> bool:
     return any(line in hits for line in _own_lines(stmt)) or any(_ran(child, hits) for child in _children(stmt))
 
 
-def unrun() -> list[tuple[tuple[str, str, str], str]]:
-    """Each statement that never ran: its (module, function, text) key and
-    its `file:line`, in file order."""
-    found = []
-    for filename, hits in _hits.items():
-        path = Path(filename)
-        source = path.read_text()
+def problems(modules: list[tuple[str, str, str, set[int]]], allowed: Counter) -> list[str]:
+    """What the guard fails on, given (module, file name, source, lines
+    hit) for each module and the listed keys `allowed`: each statement that
+    never ran and is not listed, each listed key whose text is that of more
+    than one statement of its function, and each listed key left over."""
+    found, left, statements = [], Counter(allowed), Counter()
+    for module, name, source, hits in modules:
         lines = source.splitlines()
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         for function, stmt in _statements(ast.parse(source)):
-            if not _ran(stmt, hits):
-                found.append(((module, function, lines[stmt.lineno - 1].strip()), f"{path.name}:{stmt.lineno}"))
+            key = (module, function, lines[stmt.lineno - 1].strip())
+            statements[key] += 1
+            if _ran(stmt, hits):
+                continue
+            if left[key]:
+                left[key] -= 1
+            else:
+                found.append(f"never runs and is not listed: {' | '.join(key)}  ({name}:{stmt.lineno})")
+    for key in sorted(allowed):
+        if statements[key] > 1:
+            found.append(f"listed text is that of {statements[key]} statements of its function: {' | '.join(key)}")
+    for key in sorted(+left):
+        found.append(f"listed but runs or is gone: {' | '.join(key)}")
     return found
 
 
@@ -128,14 +141,12 @@ def listed() -> Counter:
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
     threading.settrace(None)
-    allowed = listed()
-    for key, where in unrun():
-        if allowed[key]:
-            allowed[key] -= 1
-        else:
-            _problems.append(f"never runs and is not listed: {' | '.join(key)}  ({where})")
-    for key in sorted(+allowed):
-        _problems.append(f"listed but runs or is gone: {' | '.join(key)}")
+    modules = []
+    for filename, hits in _hits.items():
+        path = Path(filename)
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        modules.append((module, path.name, path.read_text(), hits))
+    _problems.extend(problems(modules, listed()))
     if _problems and session.exitstatus == 0:
         session.exitstatus = 1
 

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import Harness, differing_in, same_state
 from qcspend import consensus, groups
+from qcspend.canary_game import EntityTimeline, GameSpec, Player, Strategy, outcome
 from qcspend.consensus import (
     EpochKind,
     EraPhase,
@@ -194,6 +195,36 @@ class TestEraRules:
         h.mine(2)
         h.mine_with([self.direct_spend(h, "u1", "m/0h/0/0")])
         assert h.chain.utxo(h.outpoints["u1"]) is None
+
+    @pytest.mark.parametrize("era_countdown", [2, 5])
+    @pytest.mark.parametrize("late", [0, 1], ids=["at-deadline", "past-deadline"])
+    def test_loot_window_is_the_canary_games_for_w_one_less(self, era_countdown, late):
+        # canary_game lets the loot be taken up to kill + w, inclusive; the
+        # chain accepts a direct spend up to killed_at + era_countdown - 1,
+        # the last countdown height.  So w = era_countdown - 1.
+        kill, w = 3, era_countdown - 1
+        game = GameSpec(EntityTimeline(kill, kill + w + late), EntityTimeline(kill + 1, kill + w + 100), w, 10, 1000)
+        looted = outcome(game, Strategy.EARLY, Strategy.EARLY).loot_to is Player.FASTER
+        assert looted is (late == 0)
+        h = Harness(killed_at=None, era_countdown=era_countdown)
+        h.grant_hashed("u1", "alice", "m/0h/0/0", 10_000)
+        h.build()
+        canary = toy_group(8191)
+        sig = prequantum_sign(canary, quantum_invert(decode_point(canary, h.config.canary_pk)), h.config.canary_nonce)
+        payload = h.wallet("eve").pq_address().serialize() + enc_bytes(sig.encode())
+        h.mine_to(kill - 1)
+        h.mine_with([Transaction(TxKind.CANARY_KILL, payload=payload)])
+        assert h.chain.canary.killed_at == kill
+        h.mine_to(game.faster.t_loot - 1)
+        spend = self.direct_spend(h, "u1", "m/0h/0/0")
+        if looted:
+            h.mine_with([spend])
+            assert h.chain.era_phase() is EraPhase.COUNTDOWN and h.chain.utxo(h.outpoints["u1"]) is None
+        else:
+            h.chain.begin_block("m0", h.wallet("m0").pq_address())
+            assert h.chain.era_phase(h.chain.height + 1) is EraPhase.QUANTUM_ERA
+            with pytest.raises(RuleViolation, match="era-direct-spend"):
+                h.chain.add_tx(spend)
 
     def test_samaritan_reports_rejected_in_era(self):
         h = Harness()
@@ -861,10 +892,10 @@ class TestBatchedReplay:
 
     def test_record_stays_bounded_over_a_longer_replay(self, monkeypatch):
         # Windows of two witnesses: the five make runs of two, one and two
-        # (the block holding pq2 would overflow the first run), a batch of
-        # one verified on its own.  A memo of three clears itself before the
-        # third run's verdicts, which consensus still finds: no witness is
-        # checked again past its run's batch.
+        # (the block holding pq2 would overflow the first run), each below
+        # BATCH_MIN and so verified one by one.  A memo of three clears
+        # itself before the third run's verdicts, which consensus still
+        # finds: no witness is checked again past its run's pre-pass.
         chain, config = pq_spends()
         monkeypatch.setattr(consensus, "BATCH_VERIFY_SIZE", 2)
         monkeypatch.setattr(groups, "VERIFY_CACHE_SIZE", 3)
@@ -881,4 +912,4 @@ class TestBatchedReplay:
         monkeypatch.setattr(groups, "_verify", lambda *args: singles.append(args) or verify(*args))
         assert replay_chain(config, chain.blocks).state_digest() == chain.state_digest()
         assert calls == [(2, True, 2), (1, True, 3), (2, True, 2)]
-        assert len(singles) == 1  # the batch of one
+        assert len(singles) == 5  # each witness once

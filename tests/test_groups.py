@@ -1,4 +1,5 @@
 import builtins
+import collections
 import hashlib
 import random
 import sys
@@ -117,14 +118,13 @@ class TestFixedBasePkEc:
     # is its highest multiple below the width of q.
     W = 5
     TOP = (secure_group().q - 1).bit_length() // W
-    CHUNKS = len(groups._generator_comb(secure_group())) // groups.COMB_COLUMNS
-    # Chunks of 512 bits that a scalar in [0, q) spans: 4 * 512 >= 2,047.
+    CHUNKS = len(groups._generator_comb(secure_group()))
+    # Slices of 128 bits that a scalar in [0, q) spans: 16 * 128 >= 2,047.
     SCALAR_CHUNKS = -(-(secure_group().q - 1).bit_length() // groups.COMB_CHUNK_BITS)
     # The widest exponent a batch raises g to: the sum of a 128-bit
     # multiplier times an s below 2^513 over a full consensus batch.
     WIDEST_BATCH_SUM = BATCH_VERIFY_SIZE * (2**groups.BATCH_MULTIPLIER_BITS - 1) * (2**513 - 1)
     ROWS, ROW_BITS = 8, groups.COMB_CHUNK_BITS // 8
-    COLUMN_BITS = ROW_BITS // groups.COMB_COLUMNS
 
     def assert_matches_pow(self, x):
         assert pk_ec(self.SG, x).value == pow(self.SG.g, x, self.SG.p)
@@ -149,39 +149,57 @@ class TestFixedBasePkEc:
         for x in (2 ** (self.W * i) - 1, 2 ** (self.W * i)):
             self.assert_matches_pow(x)
 
-    def test_comb_covers_every_chunk_row_and_column(self):
+    def test_comb_covers_every_chunk_and_row(self):
         comb, p, chunk, lone_bits = groups._generator_comb(self.SG), self.SG.p, groups.COMB_CHUNK_BITS, self.lone_bits()
-        assert len(comb) == self.CHUNKS * groups.COMB_COLUMNS
+        assert (len(comb), chunk) == (6, 128)
         assert (self.CHUNKS - 1) * chunk < self.WIDEST_BATCH_SUM.bit_length() <= self.CHUNKS * chunk
-        assert sum(map(len, comb)) == 2048
-        for c in range(self.CHUNKS):
-            for j in range(groups.COMB_COLUMNS):
-                table = comb[c * groups.COMB_COLUMNS + j]
-                assert len(table) == 2**self.ROWS and table[0] == 1
-                rows = [lone_bits[chunk * c + self.ROW_BITS * r + self.COLUMN_BITS * j] for r in range(self.ROWS)]
-                for r in range(self.ROWS):
-                    assert table[2**r] == rows[r]
-                everything = 1
-                for element in rows:
-                    everything = everything * element % p
-                assert table[-1] == everything
+        assert sum(map(len, comb)) == 1536
+        for c, table in enumerate(comb):
+            assert len(table) == 2**self.ROWS and table[0] == 1
+            rows = [lone_bits[chunk * c + self.ROW_BITS * r] for r in range(self.ROWS)]
+            for r in range(self.ROWS):
+                assert table[2**r] == rows[r]
+            everything = 1
+            for element in rows:
+                everything = everything * element % p
+            assert table[-1] == everything
 
     @pytest.mark.parametrize("c", range(SCALAR_CHUNKS + 1))
     def test_chunk_boundaries(self, c):
-        # 2^(512c) - 1 fills every chunk below c; 2^(512c) is a lone 1 at the
-        # bottom of chunk c.  From c = CHUNKS on, 2^(512c) is wider than the
+        # 2^(128c) - 1 fills every chunk below c; 2^(128c) is a lone 1 at the
+        # bottom of chunk c.  From c = CHUNKS on, 2^(128c) is wider than the
         # comb and takes pow.
         for x in (2 ** (groups.COMB_CHUNK_BITS * c) - 1, 2 ** (groups.COMB_CHUNK_BITS * c)):
             self.assert_comb_matches_pow(x)
 
-    def test_lone_bit_in_every_row_and_column(self):
+    def test_lone_bit_in_every_row(self):
         lone_bits = self.lone_bits()
         for c in range(self.CHUNKS):
             for r in range(self.ROWS):
-                for j in range(groups.COMB_COLUMNS):
-                    for k in (0, self.COLUMN_BITS - 1):
-                        n = groups.COMB_CHUNK_BITS * c + self.ROW_BITS * r + self.COLUMN_BITS * j + k
-                        assert groups._generator_pow(self.SG, 2**n) == lone_bits[n]
+                for k in (0, self.ROW_BITS - 1):
+                    n = groups.COMB_CHUNK_BITS * c + self.ROW_BITS * r + k
+                    assert groups._generator_pow(self.SG, 2**n) == lone_bits[n]
+
+    @pytest.mark.parametrize("bits", [0, 1, 128, 129, 256, 512, 647, 768])
+    def test_cost_by_width(self, bits):
+        # g^x reads the table of each 128-bit slice that x reaches, one entry
+        # per bit of a row: ceil(bits / 128) tables and 16 multiplications a
+        # table besides the 16 squarings.  A 256-bit key reads 2 tables, a
+        # 512-bit nonce 4 and the widest batch sum (647 bits) 6.
+        reads = []
+
+        class Table(tuple):
+            def __getitem__(self, index):
+                reads.append(self.slice)
+                return super().__getitem__(index)
+
+        tables = []
+        for c, table in enumerate(groups._generator_comb(self.SG)):
+            tables.append(Table(table))
+            tables[-1].slice = c
+        x = 2**bits - 1
+        assert groups._comb_pow(tuple(tables), self.SG.p, x) == pow(self.SG.g, x, self.SG.p)
+        assert collections.Counter(reads) == {c: self.ROW_BITS for c in range(-(-bits // groups.COMB_CHUNK_BITS))}
 
     @staticmethod
     def count_pow(monkeypatch) -> list:
@@ -196,7 +214,7 @@ class TestFixedBasePkEc:
         assert calls == [(self.SG.g, x, self.SG.p)]
         calls.clear()
         assert groups._generator_pow(self.SG, x - 1 - 12345) == builtins.pow(self.SG.g, x - 1 - 12345, self.SG.p)
-        assert calls == []  # 2^1024 - 1 is the widest exponent the comb covers
+        assert calls == []  # 2^768 - 1 is the widest exponent the comb covers
 
     def test_widest_batch_sum_reads_the_comb(self, monkeypatch):
         # One bit past the comb's width takes pow.
@@ -217,9 +235,9 @@ class TestFixedBasePkEc:
     def test_any_exponent_the_comb_covers(self, x):
         self.assert_comb_matches_pow(x)
 
-    # A key has 256 bits, a nonce and almost every s 512, and 1,024 bits
-    # reach a second chunk of the comb.
-    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    # A key has 256 bits, a nonce and almost every s 512, a batch sum up to
+    # 647, and 1,024 bits are wider than the comb.
+    @pytest.mark.parametrize("bits", [256, 512, 647, 1024])
     def test_seeded_wallet_nonce_and_s_sizes(self, bits):
         rng = random.Random(bits)
         for _ in range(16):
@@ -556,6 +574,20 @@ def equation_holds(group, pk_value, sig, e) -> bool:
     return pow(group.g, sig.s, p) == int.from_bytes(sig.nonce_point, "big") * pow(pk_value, e, p) % p
 
 
+def padded(group, item) -> list:
+    """`item` behind BATCH_MIN - 1 valid signatures by other keys, so that
+    on a secure group with an empty memo it goes through one batch."""
+    sks = range(7, 6 + groups.BATCH_MIN)
+    return [(pk_ec(group, sk), b"good", prequantum_sign(group, sk, b"good")) for sk in sks] + [item]
+
+
+def spy_batches(monkeypatch) -> list[int]:
+    """The size of every batch that `_batch_holds` checks from now on."""
+    sizes, original = [], groups._batch_holds
+    monkeypatch.setattr(groups, "_batch_holds", lambda group, items: sizes.append(len(items)) or original(group, items))
+    return sizes
+
+
 @pytest.mark.parametrize("group", [pytest.param(secure_group(), id="secure"), pytest.param(G101, id="toy101")])
 class TestSingleVerifyMembership:
     """A single verify tests the key for subgroup membership and takes the
@@ -584,7 +616,7 @@ class TestSingleVerifyMembership:
         assert equation_holds(group, forged_key.value, sig, e) is (parity == 0)
         assert not prequantum_verify(group, forged_key, msg, sig)
 
-    def test_nonce_outside_the_subgroup_is_rejected(self, group):
+    def test_nonce_outside_the_subgroup_is_rejected(self, group, monkeypatch):
         # R' = p - R, once in a valid signature and once with s = k + e*sk
         # made for the challenge hashed over R' = p - g^k (Boyd and
         # Pavlovski): then R'*pk^e = -g^s.
@@ -594,11 +626,12 @@ class TestSingleVerifyMembership:
         nonce = encode_value(group, group.p - pk_ec(group, self.K).value)
         e, remade = sign_by_hand(group, self.SK, self.K, pk.encode(), msg, nonce)
         assert not equation_holds(group, pk.value, remade, e)
-        good = (pk_ec(group, 7), b"good", prequantum_sign(group, 7, b"good"))
+        batches = spy_batches(monkeypatch)
         for bad in (replaced, remade):
             assert not groups._verify(group, pk, msg, bad)
             assert not prequantum_verify(group, pk, msg, bad)
-            assert not prequantum_batch_verify(group, [good, (pk, msg, bad)])
+            assert not prequantum_batch_verify(group, padded(group, (pk, msg, bad)))
+        assert batches == ([groups.BATCH_MIN] * 2 if group.mode is GroupMode.SECURE else [])
 
     @pytest.mark.parametrize("case", ["short", "long", "zero", "R+p"])
     def test_malformed_nonce_returns_false(self, group, case):
@@ -618,7 +651,7 @@ class TestSingleVerifyMembership:
         assert groups._verify(group, pk, msg, sig) is False
         assert prequantum_verify(group, pk, msg, sig) is False
 
-    def test_key_of_another_group_is_rejected(self, group):
+    def test_key_of_another_group_is_rejected(self, group, monkeypatch):
         # The same p and q with the generator g^2: the key's value meets the
         # equation, but it names another group.
         other = GroupParams(p=group.p, q=group.q, g=group.g**2 % group.p, mode=group.mode)
@@ -627,8 +660,9 @@ class TestSingleVerifyMembership:
         stranger = GroupPoint(other, pk.value)
         assert prequantum_verify(group, pk, msg, sig)
         assert not prequantum_verify(group, stranger, msg, sig)
-        good = (pk_ec(group, 7), b"good", prequantum_sign(group, 7, b"good"))
-        assert not prequantum_batch_verify(group, [good, (stranger, msg, sig)])
+        batches = spy_batches(monkeypatch)
+        assert not prequantum_batch_verify(group, padded(group, (stranger, msg, sig)))
+        assert batches == ([groups.BATCH_MIN] if group.mode is GroupMode.SECURE else [])
 
 
 class TestSubgroupCheck:
@@ -800,10 +834,10 @@ class TestSecureSignatureCaches:
 
 class TestBatchVerify:
     SG = secure_group()
-    # Valid signatures by three keys on two messages each.
+    # Valid signatures by four keys on two messages each.
     POOL = [
         (pk_ec(secure_group(), sk), msg, prequantum_sign(secure_group(), sk, msg))
-        for sk in (11, 2222, 333333)
+        for sk in (11, 2222, 333333, 44444444)
         for msg in (b"first", b"second")
     ]
     FORGERIES = ("none", "s", "msg", "nonce", "key")
@@ -821,12 +855,26 @@ class TestBatchVerify:
         }[forgery]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FORGERIES)), min_size=1, max_size=6))
+    @given(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(FORGERIES)), min_size=1, max_size=6))
     def test_verdict_is_all_of_the_single_verdicts(self, drawn):
         items = [self.item(index, forgery) for index, forgery in drawn]
-        # The single check behind the memo, so the memo cannot answer it.
+        # The single check behind the memo, so the memo cannot answer it;
+        # and an empty memo, so that from BATCH_MIN items on a batch does.
         singles = [groups._verify(self.SG, *item) for item in items]
+        groups._verified.clear()
         assert prequantum_batch_verify(self.SG, items) == all(singles)
+
+    def test_fewer_than_batch_min_verify_one_by_one(self, monkeypatch):
+        batches = spy_batches(monkeypatch)
+        for n in range(1, groups.BATCH_MIN + 1):
+            monkeypatch.setattr(groups, "_verified", set())
+            assert prequantum_batch_verify(self.SG, self.POOL[:n])
+            assert batches == ([] if n < groups.BATCH_MIN else [n])
+        # Items the memo holds do not count towards BATCH_MIN.
+        monkeypatch.setattr(groups, "_verified", set())
+        assert prequantum_verify(self.SG, *self.POOL[0])
+        assert prequantum_batch_verify(self.SG, self.POOL[: groups.BATCH_MIN])
+        assert batches == [groups.BATCH_MIN]
 
     @staticmethod
     def forbid_checks(monkeypatch) -> None:
@@ -849,24 +897,27 @@ class TestBatchVerify:
 
     def test_batch_verdicts_outlive_a_later_disjoint_batch(self, monkeypatch):
         monkeypatch.setattr(groups, "_verified", set())
-        assert prequantum_batch_verify(self.SG, self.POOL[:3])
-        assert prequantum_batch_verify(self.SG, self.POOL[3:])
+        batches = spy_batches(monkeypatch)
+        assert prequantum_batch_verify(self.SG, self.POOL[:4])
+        assert prequantum_batch_verify(self.SG, self.POOL[4:])
+        assert batches == [4, 4]
         self.forbid_checks(monkeypatch)
         assert all(prequantum_verify(self.SG, *item) for item in self.POOL)
 
-    def test_nonce_outside_the_subgroup_is_rejected(self):
+    def test_nonce_outside_the_subgroup_is_rejected(self, monkeypatch):
         # Boyd and Pavlovski's attack: R' = p - R is no quadratic residue, and
         # s = k + e'*sk with e' hashed over R'.  Then R'^a * pk^(a*e') equals
         # (-1)^a * g^(a*s), so the batch equation holds whenever R''s
         # multiplier a is even; only the subgroup test rejects the batch.
+        monkeypatch.setattr(groups, "_verified", set())
         sk, pk = 4242, pk_ec(self.SG, 4242)
         for attempt in range(64):
             msg, k = b"boyd-pavlovski %d" % attempt, 1_000 + attempt
             nonce = (self.SG.p - pk_ec(self.SG, k).value).to_bytes(self.SG.point_len, "big")
             e = groups._challenge(self.SG, nonce, pk.encode(), msg)
-            items = [self.POOL[0], (pk, msg, PreQuantumSignature(nonce, (k + e * sk) % self.SG.q))]
+            items = [*self.POOL[: groups.BATCH_MIN - 1], (pk, msg, PreQuantumSignature(nonce, (k + e * sk) % self.SG.q))]
             multipliers = groups._batch_multipliers(items)
-            if multipliers[1] % 2 == 0:
+            if multipliers[-1] % 2 == 0:
                 break
         p, q = self.SG.p, self.SG.q
         left = pow(self.SG.g, sum(a * sig.s for a, (_, _, sig) in zip(multipliers, items)) % q, p)
@@ -875,8 +926,10 @@ class TestBatchVerify:
             challenge = groups._challenge(self.SG, sig.nonce_point, key.encode(), message)
             right = right * pow(int.from_bytes(sig.nonce_point, "big"), a, p) * pow(key.value, a * challenge, p) % p
         assert left == right  # the equation alone would accept
+        batches = spy_batches(monkeypatch)
         assert not prequantum_batch_verify(self.SG, items)
-        assert not prequantum_verify(self.SG, *items[1])
+        assert batches == [groups.BATCH_MIN]
+        assert not prequantum_verify(self.SG, *items[-1])
 
     def test_key_outside_the_subgroup_is_rejected(self, monkeypatch):
         # The same attack on the key: pk' = p - pk is no quadratic residue,
@@ -890,8 +943,8 @@ class TestBatchVerify:
             msg = b"off-subgroup key %d" % attempt
             nonce = pk_ec(self.SG, k).encode()
             e = groups._challenge(self.SG, nonce, forged_key.encode(), msg)
-            items = [self.POOL[0], (forged_key, msg, PreQuantumSignature(nonce, (k + e * sk) % self.SG.q))]
-            if groups._batch_multipliers(items)[1] * e % 2 == 0:
+            items = [*self.POOL[: groups.BATCH_MIN - 1], (forged_key, msg, PreQuantumSignature(nonce, (k + e * sk) % self.SG.q))]
+            if groups._batch_multipliers(items)[-1] * e % 2 == 0:
                 break
         p, q = self.SG.p, self.SG.q
         multipliers = groups._batch_multipliers(items)
@@ -901,11 +954,14 @@ class TestBatchVerify:
             challenge = groups._challenge(self.SG, sig.nonce_point, key.encode(), message)
             right = right * pow(int.from_bytes(sig.nonce_point, "big"), a, p) * pow(key.value, a * challenge, p) % p
         assert left == right  # the equation alone would accept
+        batches = spy_batches(monkeypatch)
         assert not prequantum_batch_verify(self.SG, items)
+        assert batches == [groups.BATCH_MIN]
         with pytest.raises(DecodeError, match="^point not in the prime-order subgroup$"):
             decode_point(self.SG, forged_key.encode())
 
-    def test_malformed_items_return_false(self):
+    def test_malformed_items_return_false(self, monkeypatch):
+        monkeypatch.setattr(groups, "_verified", set())
         pk, msg, sig = self.POOL[0]
         for bad in (
             (pk, msg, None),
@@ -915,7 +971,7 @@ class TestBatchVerify:
             (pk, msg, PreQuantumSignature(sig.nonce_point, -1)),
             (pk, msg, PreQuantumSignature(sig.nonce_point, float(sig.s))),
         ):
-            assert not prequantum_batch_verify(self.SG, [self.POOL[1], bad])
+            assert not prequantum_batch_verify(self.SG, [*self.POOL[1 : groups.BATCH_MIN], bad])
             assert not prequantum_batch_verify(self.SG, [bad])
 
     def test_sum_past_q_is_reduced(self, monkeypatch):
@@ -925,15 +981,17 @@ class TestBatchVerify:
         # verdict that holds is memoised.
         monkeypatch.setattr(groups, "_verified", set())
         q = self.SG.q
-        items = []
+        items = self.POOL[: groups.BATCH_MIN - 2]
         for sk, msg, k in ((q - 3, b"wide", 1_000), (q - 5, b"wider", 2_000)):
             pk, nonce = pk_ec(self.SG, sk), pk_ec(self.SG, k).encode()
             e = groups._challenge(self.SG, nonce, pk.encode(), msg)
             items.append((pk, msg, PreQuantumSignature(nonce, (k + e * sk) % q)))
         assert sum(a * sig.s for a, (_, _, sig) in zip(groups._batch_multipliers(items), items)) >= q
-        pk, msg, sig = items[1]
-        assert not prequantum_batch_verify(self.SG, [items[0], (pk, msg, PreQuantumSignature(sig.nonce_point, (sig.s + 1) % q))])
+        pk, msg, sig = items[-1]
+        batches = spy_batches(monkeypatch)
+        assert not prequantum_batch_verify(self.SG, [*items[:-1], (pk, msg, PreQuantumSignature(sig.nonce_point, (sig.s + 1) % q))])
         assert prequantum_batch_verify(self.SG, items)
+        assert batches == [groups.BATCH_MIN] * 2
 
     def test_multi_pow_matches_pow(self):
         rng = random.Random(5)

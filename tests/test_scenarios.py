@@ -508,6 +508,57 @@ class TestAgentFailures:
         sim.run()
         assert sim.agents["alice"].actions[-2:] == ["h125 revealed naked:u1", "h140 fc spend failed: d already gone"]
 
+    def test_naked_spend_of_a_lost_key_is_skipped(self):
+        config = ScenarioConfig.from_dict(
+            {
+                "name": "key-lost",
+                "blocks": 30,
+                "params": {"era_countdown": 15},
+                "agents": [
+                    {"id": "m0", "kind": "miner"},
+                    {"id": "oracle", "quantum": True, "script": [{"height": 5, "do": "kill_canary"}]},
+                    {"id": "alice", "script": [{"height": 25, "do": "fc_spend", "utxo": "u1", "mode": "naked", "deposit": "d"}]},
+                ],
+                "miners": ["m0"],
+                "grants": [
+                    {"name": "u1", "owner": "alice", "type": "derived_plain", "path": "m/0h/0/0", "value": 10_000, "lost": True},
+                    {"name": "d", "owner": "alice", "type": "pq", "value": 20_000},
+                ],
+            }
+        )
+        sim = Simulation(config)
+        sim.run()
+        assert sim.agents["alice"].actions == ["h25 cannot spend u1 as naked: the key is gone"]
+        assert sim.chain.utxo(sim.grant_outpoint("u1")) is not None
+
+    def test_steal_of_a_spent_output_is_skipped(self):
+        config = ScenarioConfig.from_dict(
+            {
+                "name": "steal-gone",
+                "blocks": 31,
+                "params": {"era_countdown": 15},
+                "agents": [
+                    {"id": "m0", "kind": "miner"},
+                    {"id": "oracle", "quantum": True, "script": [{"height": 5, "do": "kill_canary"}]},
+                    {"id": "alice", "script": [{"height": 3, "do": "direct_spend", "utxo": "u1", "fee": 100}]},
+                    {
+                        "id": "thief",
+                        "quantum": True,
+                        "script": [{"height": 30, "do": "steal", "utxo": "u1", "mode": "naked", "deposit": "d", "fee": 500}],
+                    },
+                ],
+                "miners": ["m0"],
+                "grants": [
+                    {"name": "u1", "owner": "alice", "type": "derived_plain", "path": "m/0h/0/0", "value": 10_000},
+                    {"name": "d", "owner": "thief", "type": "pq", "value": 20_000},
+                ],
+            }
+        )
+        sim = Simulation(config)
+        sim.run()
+        assert sim.agents["thief"].actions == ["h30 steal failed: u1 already gone"]
+        assert sim.profits()["thief"] == 0
+
 
 class TestConfigStrictness:
     def test_unknown_field_rejected(self):
