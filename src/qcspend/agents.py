@@ -39,7 +39,7 @@ from .groups import (
     secure_group,
     signer_pk,
 )
-from .hdwallet import DerivationPath, Seed, derive, kdf
+from .hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, Seed, child, kdf
 from .ledger import (
     NO_WITNESS,
     AddrKind,
@@ -63,7 +63,12 @@ class Wallet:
     (seed derived from the scenario seed and agent id) plus one
     SECRET_KEY_BITS-bit post-quantum key on the secure group, whose
     encoding and address hash are computed once: the encoding from the
-    memo `prequantum_sign` reads."""
+    memo `prequantum_sign` reads.
+
+    Each parent key of a derived path is derived once, with its public-key
+    encoding, which every non-hardened child hashes: a wallet holding
+    m/2h/0 .. m/2h/n derives m/2h and its public key once, not n + 1 times.
+    The memo holds one entry per distinct parent path asked for."""
 
     def __init__(self, group: GroupParams, agent_id: str, scenario_seed: int, kdf_iterations: int = 64):
         self.group = group
@@ -76,6 +81,8 @@ class Wallet:
         self.pq_pk = signer_pk(self.pq_group, self.pq_sk)
         self._pq_hash = post_quantum_address(self.pq_pk).data
         self._raw_sks: dict[str, int] = {}
+        # a parent path's steps -> its key and the encoding of its public key
+        self._parents: dict[tuple[DerivationStep, ...], tuple[ExtendedSecretKey, bytes]] = {}
 
     # -- addresses ---------------------------------------------------------
 
@@ -83,7 +90,21 @@ class Wallet:
         return Address(AddrKind.POST_QUANTUM, self._pq_hash)
 
     def derived_sk(self, path: DerivationPath) -> int:
-        return derive(self.group, self.msk, path).sk
+        """`derive(group, msk, path).sk`, through the memo of parent keys."""
+        return self._derived(path.steps).sk
+
+    def _derived(self, steps: tuple[DerivationStep, ...]) -> ExtendedSecretKey:
+        if not steps:
+            return self.msk
+        parent, parent_pk = self._parent(steps[:-1])
+        return child(self.group, parent, steps[-1], parent_pk)
+
+    def _parent(self, steps: tuple[DerivationStep, ...]) -> tuple[ExtendedSecretKey, bytes]:
+        entry = self._parents.get(steps)
+        if entry is None:
+            key = self._derived(steps)
+            entry = self._parents[steps] = (key, pk_ec(self.group, key.sk).encode())
+        return entry
 
     def derived_pk(self, path: DerivationPath) -> bytes:
         return pk_ec(self.group, self.derived_sk(path)).encode()
@@ -542,7 +563,7 @@ class UserAgent(Agent):
     def _watch_for_theft(self) -> None:
         chain = self.sim.chain
         for name in sorted(self.watched):
-            outpoint = self.sim.grants[name]["outpoint"]
+            outpoint = self.sim.grant_outpoint(name)
             for record in chain.open_challenges.values():
                 if record.spent_outpoint != outpoint or record.txid in self._fraud_responses:
                     continue

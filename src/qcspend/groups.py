@@ -72,7 +72,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .encoding import DecodeError, Reader, enc_bytes, enc_u32
 
@@ -222,12 +222,14 @@ class GroupParams:
     def modulus_bits(self) -> int:
         return self.p.bit_length()
 
-    @property
+    # The two lengths are computed once per group: every point encoding
+    # reads one.
+    @cached_property
     def scalar_len(self) -> int:
         """L_sk: bytes needed for scalars in [0, q)."""
         return max(1, ((self.q - 1).bit_length() + 7) // 8)
 
-    @property
+    @cached_property
     def point_len(self) -> int:
         """L_pk = L_sk + 1, mirroring the 32- vs 33-byte key encodings."""
         return self.scalar_len + 1

@@ -159,18 +159,27 @@ def _child(group: GroupParams, parent: ExtendedSecretKey, key_material: bytes, i
     return ExtendedSecretKey(sk, digest[32:])
 
 
-def child_nonhardened(group: GroupParams, parent: ExtendedSecretKey, index: int) -> ExtendedSecretKey:
-    return _child(group, parent, pk_ec(group, parent.sk).encode(), index)
+def child_nonhardened(
+    group: GroupParams, parent: ExtendedSecretKey, index: int, parent_pk: Optional[bytes] = None
+) -> ExtendedSecretKey:
+    """`parent_pk` is the encoding of the parent's public key, for a caller
+    that keeps it; without it the key is computed."""
+    if parent_pk is None:
+        parent_pk = pk_ec(group, parent.sk).encode()
+    return _child(group, parent, parent_pk, index)
 
 
 def child_hardened(group: GroupParams, parent: ExtendedSecretKey, index: int) -> ExtendedSecretKey:
     return _child(group, parent, group.encode_scalar(parent.sk), index)
 
 
-def child(group: GroupParams, parent: ExtendedSecretKey, step: DerivationStep) -> ExtendedSecretKey:
+def child(
+    group: GroupParams, parent: ExtendedSecretKey, step: DerivationStep, parent_pk: Optional[bytes] = None
+) -> ExtendedSecretKey:
+    """The child at `step`; `parent_pk` as for `child_nonhardened`."""
     if step.hardened:
         return child_hardened(group, parent, step.index)
-    return child_nonhardened(group, parent, step.index)
+    return child_nonhardened(group, parent, step.index, parent_pk)
 
 
 def derive(group: GroupParams, msk: ExtendedSecretKey, p: DerivationPath) -> ExtendedSecretKey:

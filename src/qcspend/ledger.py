@@ -44,7 +44,7 @@ class AddrKind(Enum):
     POST_QUANTUM = 3  # 32-byte post-quantum address
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Address:
     kind: AddrKind
     data: bytes
@@ -121,7 +121,7 @@ def _address_at(data: bytes, pos: int) -> tuple[Address, int]:
 Outpoint = tuple[bytes, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utxo:
     outpoint: Outpoint
     value: int
@@ -180,7 +180,7 @@ _TX_KIND = {kind.value: kind for kind in TxKind}
 _WITNESS_KIND = {kind.value: kind for kind in WitnessKind}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     kind: WitnessKind
     pk: bytes = b""
@@ -194,7 +194,7 @@ class Witness:
 NO_WITNESS = Witness(WitnessKind.NONE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxInput:
     outpoint: Outpoint
     witness: Witness = NO_WITNESS
@@ -203,7 +203,7 @@ class TxInput:
         return bytes(_put_inputs(bytearray(), (self,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     address: Address
     value: int
@@ -281,7 +281,7 @@ def _tx_at(data: bytes, pos: int) -> tuple["Transaction", int]:
     return Transaction(kind, tuple(inputs), tuple(outputs), payload), pos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     kind: TxKind
     inputs: tuple[TxInput, ...] = ()
@@ -336,7 +336,7 @@ class Transaction:
 # -- blocks ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     parent: bytes
@@ -478,7 +478,7 @@ def select_samaritan_reports(
 # -- key registry -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyRegistryEntry:
     key_digest: bytes  # H(serialized xsk)
     included_height: int

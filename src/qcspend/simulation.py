@@ -141,7 +141,7 @@ class Simulation:
         self.seed = config.seed if seed is None else seed
         self.tick_height = 0
         self.mempool = Mempool()
-        self.grants = {g["name"]: dict(g) for g in config.grants}
+        self.grants = {g["name"]: g for g in config.grants}  # read, never written: a config may serve many runs
         self.owner_of_address: dict[bytes, str] = {}
 
         canary_sk = int.from_bytes(hashlib.sha512(b"canary:%d" % self.seed).digest(), "big")
@@ -166,11 +166,10 @@ class Simulation:
         )
         self.chain: Chain = self.chain_config.build()
 
-        genesis_txid = self.chain.blocks[0].coinbase.txid()
-        for i, name in enumerate(self.grants):
-            info = self.grants[name]
-            info["outpoint"] = (genesis_txid, i)
-            self.register_address(self.chain.utxos[(genesis_txid, i)].address, info["owner"])
+        # A new chain holds the genesis outputs alone, in grant order.
+        self.outpoints = dict(zip(self.grants, self.chain.utxos))
+        for g, grant in zip(config.grants, grants):
+            self.register_address(grant.address, g["owner"])
 
         self.agents: dict[str, Agent] = {}
         for a in config.agents:
@@ -192,7 +191,7 @@ class Simulation:
         self.owner_of_address.setdefault(address.serialize(), agent_id)
 
     def grant_outpoint(self, name: str):
-        return self.grants[name]["outpoint"]
+        return self.outpoints[name]
 
     def holdings(self) -> dict[str, int]:
         """Every agent's total value in the live UTXO set, from one scan."""

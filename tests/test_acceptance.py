@@ -224,8 +224,7 @@ SALVAGE_EXPECTED = {
 
 
 def observed_salvage_status(sim, label: str) -> str:
-    info = sim.grants[label]
-    alive = sim.chain.utxo(info["outpoint"]) is not None
+    alive = sim.chain.utxo(sim.grant_outpoint(label)) is not None
     if alive:
         return "burnt" if sim.config.params.fc_mode == "restrictive" else "unspendable"
     # gone: who ended up with the value?

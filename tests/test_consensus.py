@@ -15,7 +15,7 @@ from qcspend.consensus import (
     replay_chain,
     verify_snapshot,
 )
-from qcspend.encoding import enc_bytes, enc_u32
+from qcspend.encoding import enc_bytes, enc_u32, enc_u64
 from qcspend.fawkescoin import commit_payload
 from qcspend.groups import PreQuantumSignature, decode_point, prequantum_sign, quantum_invert, toy_group
 from qcspend.hdwallet import path
@@ -483,6 +483,27 @@ class TestReplayAndReorg:
         h.mine_with([reveal])
         rebuilt = replay_chain(h.config, h.chain.blocks)
         assert rebuilt.state_digest() == h.chain.state_digest()
+
+    def test_genesis_coinbase_is_encoded_once_per_build_and_replay(self, monkeypatch):
+        # One encoding gives the genesis txid and the block hash; a replay
+        # compares the stored genesis with its own by value.
+        h = self.flow_harness()
+        h.mine(2)
+        genesis_hash = h.chain.blocks[0].block_hash()
+        encoded = []
+        real = Transaction.serialize
+
+        def spy(tx):
+            if tx.kind is TxKind.COINBASE and tx.payload == enc_u64(0):
+                encoded.append(tx)
+            return real(tx)
+
+        monkeypatch.setattr(Transaction, "serialize", spy)
+        chain = h.config.build()
+        assert len(encoded) == 1 and chain.tip_hash == genesis_hash
+        encoded.clear()
+        assert replay_chain(h.config, h.chain.blocks).state_digest() == h.chain.state_digest()
+        assert len(encoded) == 1
 
     def test_doctored_coinbase_rejected(self):
         h = self.flow_harness()

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcspend import agents
+from qcspend.agents import Wallet
 from qcspend.encoding import DecodeError
 from qcspend.groups import pk_ec, toy_group
 from qcspend.hdwallet import (
@@ -204,3 +206,32 @@ class TestDerSuffix:
         witness = is_der_suffix(GROUP, (derive(GROUP, msk, p1), p2), (msk, p1.concat(p2)))
         assert witness is not None
         assert derive(GROUP, msk, witness) == derive(GROUP, msk, p1)
+
+
+class TestWalletDerivationMemo:
+    """`Wallet.derived_sk` keeps each parent key with its public-key
+    encoding, so siblings share their parent's derivation."""
+
+    WALLET = Wallet(GROUP, "hoarder", 1, kdf_iterations=8)
+    near_paths = st.builds(
+        DerivationPath,
+        st.lists(st.builds(DerivationStep, index=st.integers(0, 2), hardened=st.booleans()), max_size=4).map(tuple),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=near_paths)
+    def test_memo_derives_what_derive_does(self, p):
+        # One wallet across all examples, so later paths meet kept parents.
+        assert self.WALLET.derived_sk(p) == derive(GROUP, self.WALLET.msk, p).sk
+
+    def test_siblings_derive_their_parent_and_its_public_key_once(self, monkeypatch):
+        wallet = Wallet(GROUP, "hoarder", 2, kdf_iterations=8)
+        steps, pk_sks = [], []
+        real_child, real_pk_ec = agents.child, agents.pk_ec
+        monkeypatch.setattr(agents, "child", lambda g, parent, step, pk: steps.append(step) or real_child(g, parent, step, pk))
+        monkeypatch.setattr(agents, "pk_ec", lambda g, sk: pk_sks.append(sk) or real_pk_ec(g, sk))
+        children = [path(f"m/2h/{i}") for i in range(40)]
+        assert [wallet.derived_sk(p) for p in children] == [derive(GROUP, wallet.msk, p).sk for p in children]
+        # m/2h once, then each child once; one public key per parent path (m and m/2h).
+        assert steps == [DerivationStep(2, True)] + [DerivationStep(i, False) for i in range(40)]
+        assert pk_sks == [wallet.msk.sk, derive(GROUP, wallet.msk, path("m/2h")).sk]

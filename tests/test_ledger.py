@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from qcspend.groups import pk_ec, toy_group
@@ -151,6 +153,22 @@ class TestSerialization:
         coinbase = Transaction(TxKind.COINBASE, outputs=(TxOutput(post_quantum_address(b"k"), 50),))
         block = Block(3, b"\x01" * 32, "m0", post_quantum_address(b"k"), (), (b"\x02" * 33,), coinbase)
         assert Block.deserialize(block.serialize()) == block
+
+    def test_slotted_records_pickle_round_trip(self):
+        # The records have slots and no instance dict; the benchmark pickles
+        # blocks between processes.
+        spend = Transaction(
+            TxKind.TRANSFER,
+            (TxInput((b"\xaa" * 32, 3), Witness(WitnessKind.PRE_QUANTUM, b"pk", b"sig")), TxInput((b"\xab" * 32, 0))),
+            (TxOutput(pk_hash_address(b"\xbb"), 77, wait_override=5),),
+            b"payload",
+        )
+        coinbase = Transaction(TxKind.COINBASE, outputs=(TxOutput(post_quantum_address(b"k"), 50),))
+        block = Block(3, b"\x01" * 32, "m0", post_quantum_address(b"k"), (spend,), (b"\x02" * 33,), coinbase)
+        utxo = Utxo((b"\xaa" * 32, 1), 9, pk_hash_address(b"\xbb"), 4, coinbase=True, wait_override=7)
+        for record in (block, utxo):
+            assert not hasattr(record, "__dict__")
+            assert pickle.loads(pickle.dumps(record)) == record
 
     def test_signed_gives_each_input_its_signers_witness(self):
         tx = Transaction(

@@ -426,6 +426,20 @@ class TestDeterminism:
         b = run_scenario("honest-fc", seed=2)
         assert a.snapshot() != b.snapshot()
 
+    def test_one_config_serves_two_runs(self):
+        # A simulation reads its config's grants and writes none; the
+        # grants' outpoints are the genesis coinbase's, in grant order.
+        config = load_scenario("fraud-proof")
+        grants = [dict(g) for g in config.grants]
+        a = Simulation(config, seed=1)
+        genesis_txid = a.chain.blocks[0].coinbase.txid()
+        assert [a.grant_outpoint(g["name"]) for g in grants] == [(genesis_txid, i) for i in range(len(grants))]
+        a.run()
+        b = Simulation(config, seed=1)
+        b.run()
+        assert list(config.grants) == grants
+        assert (a.snapshot(), a.report()) == (b.snapshot(), b.report())
+
 
 class TestAdversaryReports:
     def test_front_runner_report(self):
