@@ -29,7 +29,7 @@ from .canary_game import (
     sweep_w,
 )
 from .consensus import verify_snapshot
-from .params import check_fields
+from .params import Table, check_fields
 from .rules import RuleViolation
 from .scenarios import BUNDLED, run_scenario
 from .simulation import ConfigError
@@ -69,7 +69,9 @@ def cmd_run(args) -> int:
 
 # The object of a `canary --spec` file, as a table for `check_fields`.
 TIMELINE = {"t_bounty": (int, ...), "t_loot": (int, ...)}
-GAME_SPEC = {"faster": (TIMELINE, ...), "slower": (TIMELINE, ...), "w": (int, ...), "bounty": (int, 10), "loot": (int, 1000)}
+GAME_SPEC = Table({
+    "faster": (TIMELINE, ...), "slower": (TIMELINE, ...), "w": (int, ...), "bounty": (int, 10), "loot": (int, 1000),
+})
 
 
 def _game_from_spec(data) -> GameSpec:

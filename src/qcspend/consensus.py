@@ -109,7 +109,7 @@ from .lifting import (
     lifted_backends,
     seedlift_verify,
 )
-from .params import FC_MODES, FEE_SHARE_DELAY, Params, check_fields, toy_order, u32_count
+from .params import FC_MODES, FEE_SHARE_DELAY, Params, Table, check_fields, toy_order, u32_count
 from .rules import RuleViolation
 
 # Post-quantum witnesses per replay run, and so signatures per batch.
@@ -674,15 +674,15 @@ class Chain:
             raise RuleViolation("tx-overspend", f"outputs {tx.output_sum()} exceed inputs {total_in}")
         return fee
 
-    def _spend_inputs(self, tx: Transaction, height: int, total_in: int) -> int:
+    def _spend_inputs(self, tx: Transaction, height: int, total_in: int, txid: Optional[bytes] = None) -> int:
         """Apply a plain spend whose inputs passed `_validate_inputs`: remove
-        them, record the keys their witnesses revealed, create the outputs.
-        Returns the fee."""
+        them, record the keys their witnesses revealed, create the outputs
+        (under `txid`, if the caller has it).  Returns the fee."""
         fee = self._fee(tx, total_in)
         for txin in tx.inputs:
             self._remove_utxo(txin.outpoint)
             self._mark_witness_leak(txin.witness, height)
-        self._create_outputs(tx, height)
+        self._create_outputs(tx, height, txid)
         return fee
 
     # -- transaction handlers ----------------------------------------------------------
@@ -775,17 +775,18 @@ class Chain:
         txin = tx.inputs[0]
         utxo = self.utxos[txin.outpoint]
         wait = utxo.wait_blocks(self.params.wait_blocks, self.params.wait_floor)
+        txid = tx.txid()
 
         if mode is RevealMode.HASHED:
             leak_height = self.leaks.leak_height(txin.witness.pk)
-            self._check_commitment(tx.txid(), height, wait, max_leak_height=leak_height, ban_height=None)
+            self._check_commitment(txid, height, wait, max_leak_height=leak_height, ban_height=None)
         elif mode is RevealMode.DERIVED:
             if not self._derives(utxo.address, payload.parent_key, payload.path):
                 raise RuleViolation("fc-derivation", "payload does not derive the spent key")
             ban = self.registry.ban_height(self.group, payload.parent_key)
-            self._check_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=ban)
+            self._check_commitment(txid, height, wait, max_leak_height=None, ban_height=ban)
 
-        self._building.fees += self._spend_inputs(tx, height, total_in)
+        self._building.fees += self._spend_inputs(tx, height, total_in, txid)
         if mode is RevealMode.DERIVED:
             self._materialize(payload, height)
 
@@ -820,7 +821,8 @@ class Chain:
         self._verify_witness(deposit.address, d_in.witness, sighash)
 
         wait = utxo.wait_blocks(self.params.wait_blocks, self.params.wait_floor)
-        self._check_commitment(tx.txid(), height, wait, max_leak_height=None, ban_height=None)
+        txid = tx.txid()
+        self._check_commitment(txid, height, wait, max_leak_height=None, ban_height=None)
 
         fee = self._fee(tx, utxo.value + deposit.value)
         minimum = self.params.deposit_minimum(utxo.value, fee)
@@ -831,7 +833,7 @@ class Chain:
         self._remove_utxo(d_in.outpoint)
         self._mark_witness_leak(u_in.witness, height)
         record = ChallengeRecord(
-            txid=tx.txid(),
+            txid=txid,
             revealed_tx=tx,
             spent_outpoint=u_in.outpoint,
             spent_value=utxo.value,
@@ -866,7 +868,8 @@ class Chain:
         ban = self.registry.ban_height(self.group, payload.parent_key)
         # The proof is itself a derived-mode spend of u, so u's waiting
         # time governs its commitment age.
-        self._check_commitment(tx.txid(), height, record.spent_wait, max_leak_height=None, ban_height=ban)
+        txid = tx.txid()
+        self._check_commitment(txid, height, record.spent_wait, max_leak_height=None, ban_height=ban)
 
         fee = self._fee(tx, record.spent_value)
         # Defeat: the challenged transaction is invalidated.  The original
@@ -874,7 +877,7 @@ class Chain:
         # deposit follows the fraud proof's destination.
         self._mark_witness_leak(tx.inputs[0].witness, height)
         self._materialize(payload, height)
-        self._create_outputs(tx, height)
+        self._create_outputs(tx, height, txid)
         self._building.fees += fee
         owed_fee = min(record.fee, record.deposit_value)
         self._resolve_challenge(record, ChallengeStatus.DEFEATED, owed_fee, height)
@@ -986,7 +989,7 @@ class Chain:
         if fee != record.alpha:
             raise RuleViolation("lfc-fee-exact", f"fee {fee} must equal the committed {record.alpha}")
 
-        self._spend_inputs(tx, height, utxo.value)
+        self._spend_inputs(tx, height, utxo.value, committed)
         if payload.mode is RevealMode.DERIVED:
             self._materialize(payload, height)
 
@@ -1108,7 +1111,7 @@ class Chain:
     def _sweep_challenges(self, height: int) -> None:
         for record in list(self.open_challenges.values()):
             if height > record.challenge_end_height:
-                self._create_outputs(record.revealed_tx, height)
+                self._create_outputs(record.revealed_tx, height, record.txid)
                 self._resolve_challenge(record, ChallengeStatus.FINALIZED, record.fee, height)
 
     def _lfc_fee_addendum(self, height: int) -> Optional[TxOutput]:
@@ -1252,15 +1255,15 @@ class ChainConfig:
 
 
 # A snapshot's config line and its grants, as tables for `check_fields`.
-SNAPSHOT_CONFIG = {
+SNAPSHOT_CONFIG = Table({
     "params": (Params, ...), "group_q": (toy_order, ...), "canary_q": (toy_order, ...),
     "canary_pk": (bytes.fromhex, ...), "canary_nonce": (bytes.fromhex, ...), "canary_killed_at": (int, None),
     "grants": ([dict], ...),
-}
-SNAPSHOT_GRANT = {
+})
+SNAPSHOT_GRANT = Table({
     "address_kind": (set(AddrKind.__members__), ...), "address_data": (bytes.fromhex, ...),
     "value": (int, ...), "wait_override": (u32_count, ...),
-}
+})
 
 
 def replay_chain(config: ChainConfig, blocks: Iterable[Block]) -> Chain:

@@ -9,7 +9,7 @@ integer rounding rule sit next to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .groups import toy_group
 from .hdwallet import DerivationPath
@@ -48,6 +48,19 @@ def path_text(text) -> str:
 _NAMES = {int: "count", str: "string", bool: "boolean", dict: "JSON object", list: "list"}
 
 
+class Table(dict):
+    """A `check_fields` table, mapping each field name to `(kind, default)`,
+    with the checker of each field built from its kind once, when the table
+    is made.  A module's tables are made where they are declared; a table
+    is not changed after."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, declared: dict):
+        super().__init__(declared)
+        self.checks = tuple((name, _checker(kind, name), default) for name, (kind, default) in declared.items())
+
+
 def check_fields(data, table: dict, noun: str, prefix: str = "") -> dict:
     """The fields of the JSON object `data`, a `noun`, checked against
     `table` and normalized; else a ConfigError whose text starts with
@@ -59,52 +72,97 @@ def check_fields(data, table: dict, noun: str, prefix: str = "") -> dict:
     table, for an object of its own; a dataclass, for an object with its
     fields, each of the kind its default has unless the class's `KINDS`
     names another; or any other callable, which returns the value
-    normalized or raises ValueError or TypeError."""
+    normalized or raises ValueError or TypeError.  A `table` that is not a
+    `Table` has its checkers built for this call."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix}{noun} must be a JSON object, not {data!r}")
-    unknown = data.keys() - table.keys()
-    if unknown:
-        raise ConfigError(f"{prefix}unknown {noun} fields: {sorted(unknown)}")
+    if not isinstance(table, Table):
+        table = Table(table)
+    if not data.keys() <= table.keys():
+        raise ConfigError(f"{prefix}unknown {noun} fields: {sorted(data.keys() - table.keys())}")
     checked = {}
-    for name, (kind, default) in table.items():
-        if name in data and not (data[name] is None and default is None):
-            checked[name] = _check(data[name], kind, noun, prefix, name)
-        elif default is ...:
-            raise ConfigError(f"{prefix}missing {noun} field: {name}")
-        else:
+    for name, check, default in table.checks:
+        if name not in data:
+            if default is ...:
+                raise ConfigError(f"{prefix}missing {noun} field: {name}")
             checked[name] = default
+        elif data[name] is None and default is None:
+            checked[name] = None
+        else:
+            checked[name] = check(data[name], noun, prefix)
     return checked
 
 
-def _check(value, kind, noun: str, prefix: str, name: str):
-    """`value` of the field `name`, if it is of `kind` (see `check_fields`)."""
+def _checker(kind, name: str):
+    """The checker of the field `name` of `kind` (see `check_fields`): a
+    function of a value, the table's noun and the error prefix, which
+    returns the value normalized or raises ConfigError."""
+
+    def wrong(value, prefix, shape):
+        return ConfigError(f"{prefix}{name} must be a {_NAMES[shape]}, not {value!r}")
+
     if isinstance(kind, dict):
-        return check_fields(value, kind, name, prefix)
-    shape = list if isinstance(kind, list) else str if isinstance(kind, set) else kind
-    if shape not in _NAMES:
+        table = Table(kind)
+        return lambda value, noun, prefix: check_fields(value, table, name, prefix)
+    if isinstance(kind, list):
+        item = _checker(kind[0], name)
+
+        def check_list(value, noun, prefix):
+            if not isinstance(value, list):
+                raise wrong(value, prefix, list)
+            return tuple([item(each, noun, prefix) for each in value])
+
+        return check_list
+    if isinstance(kind, set):
+
+        def check_member(value, noun, prefix):
+            if not isinstance(value, str):
+                raise wrong(value, prefix, str)
+            if value not in kind:
+                raise ConfigError(f"{prefix}unknown {noun} {name}: {value!r}; one of {sorted(kind)}")
+            return value
+
+        return check_member
+    if kind is int:
+
+        def check_count(value, noun, prefix):
+            if isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 1 << 64:
+                return value
+            raise wrong(value, prefix, int)
+
+        return check_count
+    if kind in _NAMES:
+
+        def check_shape(value, noun, prefix):
+            if isinstance(value, kind):
+                return value
+            raise wrong(value, prefix, kind)
+
+        return check_shape
+    if is_dataclass(kind):
+        fields_of = record_table(kind())
+
+        def convert(value):
+            return kind(**check_fields(value, fields_of, name))
+
+    else:
+        convert = kind
+
+    def check_converted(value, noun, prefix):
         try:
-            return _record(kind(), value, name) if is_dataclass(kind) else kind(value)
+            return convert(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{prefix}bad {name}: {exc}") from None
-    if not isinstance(value, shape) or shape is int and (isinstance(value, bool) or not 0 <= value < 1 << 64):
-        raise ConfigError(f"{prefix}{name} must be a {_NAMES[shape]}, not {value!r}")
-    if isinstance(kind, set) and value not in kind:
-        raise ConfigError(f"{prefix}unknown {noun} {name}: {value!r}; one of {sorted(kind)}")
-    return tuple(_check(item, kind[0], noun, prefix, name) for item in value) if isinstance(kind, list) else value
+
+    return check_converted
 
 
-def record_table(base) -> dict:
+def record_table(base) -> Table:
     """The `check_fields` table of the dataclass `base`'s fields: each of
     the kind its value in `base` has, unless the class's `KINDS` names
     another, and defaulting to that value."""
     kinds = getattr(base, "KINDS", {})
-    return {f.name: (kinds.get(f.name, type(getattr(base, f.name))), getattr(base, f.name)) for f in fields(base)}
-
-
-def _record(base, data, noun: str):
-    """A copy of the dataclass `base` with the fields of the JSON object
-    `data`, checked against its `record_table`."""
-    return type(base)(**check_fields(data, record_table(base), noun))
+    return Table({f.name: (kinds.get(f.name, type(getattr(base, f.name))), getattr(base, f.name)) for f in fields(base)})
 
 
 @dataclass(frozen=True)
@@ -229,4 +287,10 @@ class Params:
     def with_overrides(self, **kwargs) -> "Params":
         """This record with the fields `kwargs`, JSON values checked by
         `check_fields`, in place of its own."""
-        return _record(self, kwargs, "params")
+        checked = check_fields(kwargs, _PARAMS_FIELDS, "params")
+        return replace(self, **{name: checked[name] for name in kwargs})
+
+
+# The table `with_overrides` checks against, built once: the kinds of a
+# record's fields are the same for every record.
+_PARAMS_FIELDS = record_table(Params())

@@ -13,6 +13,7 @@ Genesis grants are named, so agent scripts can refer to outputs by name
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
 from .groups import address_hash, pk_ec, toy_group
 from .hdwallet import DerivationPath
 from .ledger import Address, pk_hash_address, plain_pk_address
-from .params import ConfigError, Params, check_fields, toy_order, u32_count
+from .params import ConfigError, Params, Table, check_fields, toy_order, u32_count
 
 # The fields a user's scripted action needs besides `height` and `do`; a
 # spend in the naked or lost mode needs a `deposit` as well.
@@ -32,31 +33,35 @@ ACTIONS = {
 }
 DEPOSIT_MODES = tuple(mode.name.lower() for mode in fawkescoin.DEPOSIT_MODES)
 
+# A block height as a `miner_overrides` key: ASCII decimal with no leading
+# zero, as a derivation path's index, so two keys never name one height.
+_HEIGHT = re.compile(r"0|[1-9][0-9]*")
+
 # The objects of a scenario file, as tables for `check_fields`.
-SCENARIO = {
+SCENARIO = Table({
     "name": (str, ...), "seed": (int, 1), "blocks": (int, ...),
     "group_q": (toy_order, 8191), "canary_q": (toy_order, 8191), "kdf_iterations": (int, 16),
     "params": (Params, Params()),
     "agents": ([dict], ...), "grants": ([dict], ()),
     "miners": ([str], ...), "miner_overrides": (dict, {}),
-}
-AGENT = {
+})
+AGENT = Table({
     "id": (str, ...), "kind": (set(AGENT_KINDS), "user"), "quantum": (bool, False),
     "script": ([dict], ()), "watch": ([str], ()),
-}
-GRANT = {
+})
+GRANT = Table({
     "name": (str, ...), "owner": (str, ...),
     "type": ({"hashed", "derived_plain", "raw_hashed", "raw_plain", "pq"}, ...), "path": (DerivationPath.parse, None),
     "value": (int, ...), "wait": (u32_count, 0), "lost": (bool, False),
-}
-SCRIPT_ENTRY = {
+})
+SCRIPT_ENTRY = Table({
     "height": (int, ...), "do": (set(ACTIONS), None),
     "utxo": (str, None), "deposit": (str, None), "to": (str, None),
     "mode": ({"hashed", "derived", *DEPOSIT_MODES}, "hashed"), "sig": ({"key", "seed"}, "key"),
     "fee": (int, 0), "commit_fee": (int, 0), "alpha": (int, 0),
     "abandon": (bool, False), "paths": ([DerivationPath.parse], None),
     "fake_lfc": ({"utxo": (str, ...), "alpha": (int, 0)}, None),
-}
+})
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,7 @@ class ScenarioConfig:
                 if by_name.get(name, {}).get("path") is None:
                     raise ConfigError(f"agent {a['id']}: watches {name!r}, no grant with a derivation path")
         overrides = config["miner_overrides"]
-        if not all(height.isdecimal() and isinstance(miner, str) for height, miner in overrides.items()):
+        if not all(_HEIGHT.fullmatch(height) and isinstance(miner, str) for height, miner in overrides.items()):
             raise ConfigError(f"miner_overrides must be a map from block heights to miner ids, not {overrides!r}")
         config["miner_overrides"] = {int(height): miner for height, miner in overrides.items()}
         for name in config["miners"] + tuple(config["miner_overrides"].values()):

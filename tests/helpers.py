@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import is_dataclass, replace
 from functools import partial
 
@@ -90,6 +91,26 @@ class FlatBackend:
 def flat_backends(group) -> tuple[FlatBackend, FlatBackend]:
     """The (key-lifting, seed-lifting) pair of `FlatBackend`s over `group`."""
     return FlatBackend(address_hash), FlatBackend(seedlift_owf(group))
+
+
+@contextmanager
+def encodings_of(tx: Transaction):
+    """A list that gains an entry each time a transaction equal to `tx` is
+    encoded whole (`Transaction.serialize`, which its txid and its block's
+    bytes read; its sighash is encoded apart), until the block ends."""
+    seen = []
+    real = Transaction.serialize
+
+    def spy(self):
+        if self == tx:
+            seen.append(self)
+        return real(self)
+
+    Transaction.serialize = spy
+    try:
+        yield seen
+    finally:
+        Transaction.serialize = real
 
 
 class Harness:

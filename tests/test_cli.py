@@ -104,8 +104,15 @@ class TestRun:
             ("miners", [["m0"]]),
             ("miner_overrides", [1]),
             ("miner_overrides", {"3": ["m0"]}),
+            ("miner_overrides", {"03": "m0"}),
+            ("miner_overrides", {"3": "m0", "03": "m0"}),
+            ("miner_overrides", {"\u0663": "m0"}),
+            ("miner_overrides", {"\uff13": "m0"}),
+            ("miner_overrides", {"3 ": "m0"}),
         ],
-        ids=["agents-int", "grants-int", "grant-int", "miners-int", "miner-list", "overrides-list", "override-list"],
+        ids=["agents-int", "grants-int", "grant-int", "miners-int", "miner-list", "overrides-list", "override-list",
+             "override-leading-zero", "override-two-spellings", "override-arabic-indic-digit", "override-fullwidth-digit",
+             "override-trailing-space"],
     )
     def test_misshaped_field_exits_2(self, tmp_path, capsys, field, value):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import Harness, same_state
+from helpers import Harness, encodings_of, same_state
 from qcspend.consensus import replay_chain
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload, commit_payload
 from qcspend.hdwallet import DerivationPath, path
@@ -593,6 +593,63 @@ def owner_fraud_proof(h, value):
     payload = RevealPayload(RevealMode.FRAUD_PROOF, h.wallet("owner").msk, path("m/0h/0/0"), target).serialize(h.group)
     outputs = [TxOutput(h.wallet("owner").pq_address(), value)]
     return committed(h, "owner", h.signed(TxKind.FC_REVEAL, [(h.chain.challenges[target].spent_outpoint, owner_pre(h))], outputs, payload))
+
+
+class TestRevealEncodesOnce:
+    """The chain encodes a FawkesCoin reveal once while it applies it, for
+    the txid its commitment, its outputs and its challenge record share;
+    a finalized challenge creates the outputs under the txid it kept."""
+
+    def encodings_in_add_tx(self, h, tx) -> int:
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with encodings_of(tx) as seen:
+            h.chain.add_tx(tx)
+        h.chain.end_block()
+        return len(seen)
+
+    def test_hashed(self):
+        h = era_harness()
+        h.build()
+        reveal = h.fc_flow_hashed("alice", "u1", "m/0h/0/0")
+        assert self.encodings_in_add_tx(h, reveal) == 1
+        assert h.chain.utxo((reveal.txid(), 0)) is not None
+
+    def test_derived(self):
+        h = Harness()
+        h.grant_hashed("u2", "alice", "m/3h/1", 40_000)
+        h.grant_pq("fee-alice", "alice", 30_000)
+        h.build()
+        reveal = TestRevealDerived().build_derived_reveal(h, "u2", "alice", "m/3h/1")
+        h.mine_with([h.fc_commit_tx("alice", reveal.txid())])
+        h.mine(99)
+        assert self.encodings_in_add_tx(h, reveal) == 1
+        assert h.chain.utxo((reveal.txid(), 0)) is not None
+
+    @pytest.mark.parametrize("mode", [RevealMode.NAKED, RevealMode.LOST], ids=["naked", "lost"])
+    def test_deposit_and_its_finalization(self, mode):
+        h = deposit_harness()
+        h.build()
+        reveal = naked_reveal(h, mode=mode)
+        h.mine_with([h.fc_commit_tx("owner", reveal.txid())])
+        h.mine(99)
+        assert self.encodings_in_add_tx(h, reveal) == 1
+        record = h.chain.challenges[reveal.txid()]
+        h.mine_to(record.challenge_end_height)
+        with encodings_of(reveal) as seen:
+            h.mine()
+        assert record.status is ChallengeStatus.FINALIZED and seen == []
+        assert h.chain.utxo((reveal.txid(), 0)).value == 20_000
+
+    def test_fraud_proof(self):
+        fraud = TestFraudProof()
+        h = fraud.fraud_harness()
+        steal = fraud.setup_theft(h)
+        fp = fraud.fraud_proof_tx(h, steal.txid())
+        h.mine_with([h.fc_commit_tx("baiter", fp.txid())])
+        h.mine(99)
+        assert self.encodings_in_add_tx(h, fp) == 1
+        assert h.chain.challenges[steal.txid()].status is ChallengeStatus.DEFEATED
+        assert h.chain.utxo((fp.txid(), 0)) is not None
 
 
 class TestRuleIds:

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import Harness, flat_backends, same_state
+from helpers import Harness, encodings_of, flat_backends, same_state
 from qcspend import consensus, lifting
 from qcspend.consensus import proof_message, replay_chain
 from qcspend.fawkescoin import RevealMode, RevealPayload
@@ -225,6 +225,22 @@ class TestReveal:
         assert h.chain.fee_shares_by_block[commit_height] == 500
         assert h.chain.fee_shares_by_block[h.chain.height] == 500
         assert h.outpoints["u1"] not in h.chain.lfc_locks
+
+    @pytest.mark.parametrize("derived", [False, True], ids=["hashed", "derived"])
+    def test_reveal_is_encoded_once(self, derived):
+        # One encoding gives the commitment hash the reveal looks up and
+        # the txid of its outputs.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        reveal, committed = committed_flow(h, alpha=1000, derived=derived)
+        h.mine(99)
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        with encodings_of(reveal) as seen:
+            h.chain.add_tx(reveal)
+        h.chain.end_block()
+        assert len(seen) == 1 and h.chain.lfc_by_hash[committed].state is LfcState.REVEALED
+        assert h.chain.utxo((committed, 0)) is not None
 
     def test_odd_fee_unit_goes_to_revealer(self):
         assert split_fee(1000) == (500, 500)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qcspend.params import ConfigError, FinePolicy, Params
+from qcspend.params import ConfigError, FinePolicy, Params, check_fields, toy_order, u32_count
 
 
 class TestFinePolicy:
@@ -87,3 +87,64 @@ class TestParams:
     def test_mistyped_override_rejected(self, override):
         with pytest.raises(ConfigError):
             Params().with_overrides(**override)
+
+
+# One row per kind of a `check_fields` table, and per way of failing it:
+# (table, data, the exact ConfigError text).  Each is checked as a
+# "thing" with the prefix "pre: ", except where the text shows a nested
+# noun, or a dataclass record, whose own fields are checked without it.
+SOME = {"n": (int, 0)}
+ROWS = {
+    "int-true": (SOME, {"n": True}, "pre: n must be a count, not True"),
+    "int-negative": (SOME, {"n": -1}, "pre: n must be a count, not -1"),
+    "int-past-u64": (SOME, {"n": 2**64}, "pre: n must be a count, not 18446744073709551616"),
+    "int-float": (SOME, {"n": 1.5}, "pre: n must be a count, not 1.5"),
+    "int-text": (SOME, {"n": "1"}, "pre: n must be a count, not '1'"),
+    "int-null": (SOME, {"n": None}, "pre: n must be a count, not None"),
+    "str": ({"s": (str, "")}, {"s": 5}, "pre: s must be a string, not 5"),
+    "bool": ({"b": (bool, False)}, {"b": 1}, "pre: b must be a boolean, not 1"),
+    "object": ({"o": (dict, {})}, {"o": []}, "pre: o must be a JSON object, not []"),
+    "set-shape": ({"c": ({"red", "blue"}, "red")}, {"c": 5}, "pre: c must be a string, not 5"),
+    "set-member": ({"c": ({"red", "blue"}, "red")}, {"c": "green"}, "pre: unknown thing c: 'green'; one of ['blue', 'red']"),
+    "list-shape": ({"l": ([int], ())}, {"l": (1,)}, "pre: l must be a list, not (1,)"),
+    "list-item": ({"l": ([int], ())}, {"l": [1, -1]}, "pre: l must be a count, not -1"),
+    "list-of-sets": ({"l": ([{"a"}], ())}, {"l": ["a", "b"]}, "pre: unknown thing l: 'b'; one of ['a']"),
+    "list-of-tables": ({"l": ([{"x": (int, ...)}], ())}, {"l": [{}]}, "pre: missing l field: x"),
+    "table-shape": ({"t": ({"x": (int, 0)}, None)}, {"t": 3}, "pre: t must be a JSON object, not 3"),
+    "table-unknown": ({"t": ({"x": (int, 0)}, None)}, {"t": {"y": 1}}, "pre: unknown t fields: ['y']"),
+    "table-field": ({"t": ({"x": (int, 0)}, None)}, {"t": {"x": "1"}}, "pre: x must be a count, not '1'"),
+    "table-set": ({"t": ({"x": ({"a"}, "a")}, None)}, {"t": {"x": "b"}}, "pre: unknown t x: 'b'; one of ['a']"),
+    "record-shape": ({"f": (FinePolicy, FinePolicy())}, {"f": 3}, "pre: bad f: f must be a JSON object, not 3"),
+    "record-unknown": ({"f": (FinePolicy, FinePolicy())}, {"f": {"p": 1}}, "pre: bad f: unknown f fields: ['p']"),
+    "record-field": ({"f": (FinePolicy, FinePolicy())}, {"f": {"period_minutes": "1"}},
+                     "pre: bad f: period_minutes must be a count, not '1'"),
+    "record-post-init": ({"f": (FinePolicy, FinePolicy())}, {"f": {"period_minutes": 10**9}},
+                         "pre: bad f: a fine policy past 1,000 doublings overflows the closed form"),
+    "record-in-record": ({"p": (Params, Params())}, {"p": {"fine_policy": {"x": 1}}},
+                         "pre: bad p: bad fine_policy: unknown fine_policy fields: ['x']"),
+    "record-set": ({"p": (Params, Params())}, {"p": {"bounty_source": "treasury"}},
+                   "pre: bad p: unknown p bounty_source: 'treasury'; one of ['burned', 'mint']"),
+    "converter-value-error": ({"w": (u32_count, 0)}, {"w": 2**32}, "pre: bad w: must be a count below 2^32, not 4294967296"),
+    "converter-type-error": ({"q": (toy_order, 8191)}, {"q": "7"}, "pre: bad q: a group order is an integer, not '7'"),
+    "unknown-field": (SOME, {"n": 1, "z": 2, "a": 3}, "pre: unknown thing fields: ['a', 'z']"),
+    "missing-field": ({"s": (str, ...)}, {}, "pre: missing thing field: s"),
+    "non-object": (SOME, [1], "pre: thing must be a JSON object, not [1]"),
+}
+
+
+@pytest.mark.parametrize("table, data, text", ROWS.values(), ids=ROWS.keys())
+def test_check_fields_error_text(table, data, text):
+    with pytest.raises(ConfigError) as caught:
+        check_fields(data, table, "thing", "pre: ")
+    assert str(caught.value) == text
+
+
+def test_check_fields_normalizes():
+    table = {
+        "n": (int, 1), "l": ([{"a", "b"}], ()), "t": ({"x": (int, 0)}, None), "u": ({"x": (int, 0)}, None),
+        "f": (FinePolicy, FinePolicy()), "w": (u32_count, 0), "s": (str, ...),
+    }
+    data = {"l": ["b", "a"], "t": {}, "u": None, "f": {"annual_doublings": 2}, "w": 7, "s": ""}
+    assert check_fields(data, table, "thing") == {
+        "n": 1, "l": ("b", "a"), "t": {"x": 0}, "u": None, "f": FinePolicy(annual_doublings=2), "w": 7, "s": "",
+    }
