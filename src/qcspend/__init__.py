@@ -52,7 +52,6 @@ from .groups import (
     PreQuantumSignature,
     address_hash,
     pk_ec,
-    prequantum_batch_verify,
     prequantum_sign,
     prequantum_verify,
     quantum_invert,

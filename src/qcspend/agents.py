@@ -37,7 +37,6 @@ from .groups import (
     prequantum_sign,
     quantum_invert,
     secure_group,
-    signer_pk,
 )
 from .hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, Seed, child, kdf
 from .ledger import (
@@ -61,9 +60,8 @@ from .rules import RuleViolation
 class Wallet:
     """One agent's key material: an HD wallet on the pre-quantum group
     (seed derived from the scenario seed and agent id) plus one
-    SECRET_KEY_BITS-bit post-quantum key on the secure group, whose
-    encoding and address hash are computed once: the encoding from the
-    memo `prequantum_sign` reads.
+    post-quantum key on the secure group, whose encoding and address hash
+    are computed once.
 
     Each parent key of a derived path is derived once, with its public-key
     encoding, which every non-hardened child hashes: a wallet holding
@@ -77,8 +75,8 @@ class Wallet:
         tag = hashlib.sha512(b"wallet:%d:" % scenario_seed + agent_id.encode()).digest()
         self.seed = Seed(tag[:24], b"")
         self.msk = kdf(group, self.seed, kdf_iterations)
-        self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % self.pq_group.secret_key_bound
-        self.pq_pk = signer_pk(self.pq_group, self.pq_sk)
+        self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % self.pq_group.q
+        self.pq_pk = pk_ec(self.pq_group, self.pq_sk).encode()
         self._pq_hash = post_quantum_address(self.pq_pk).data
         self._raw_sks: dict[str, int] = {}
         # a parent path's steps -> its key and the encoding of its public key

@@ -49,7 +49,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .encoding import U32, U64, DecodeError, Reader, enc_bytes, enc_u64
 from .fawkescoin import (
@@ -67,7 +67,6 @@ from .groups import (
     address_hash,
     decode_point,
     pk_ec,
-    prequantum_batch_verify,
     prequantum_verify,
     secure_group,
     toy_group,
@@ -112,8 +111,6 @@ from .lifting import (
 from .params import FC_MODES, FEE_SHARE_DELAY, Params, Table, check_fields, toy_order, u32_count
 from .rules import RuleViolation
 
-# Post-quantum witnesses per replay run, and so signatures per batch.
-BATCH_VERIFY_SIZE = 64
 # The closing blocks of a lifted epoch whose claims decide an extension:
 # the window `Params.proofs_per_100_blocks` counts proofs over.
 CLAIM_WINDOW = 100
@@ -1267,54 +1264,15 @@ SNAPSHOT_GRANT = Table({
 
 
 def replay_chain(config: ChainConfig, blocks: Iterable[Block]) -> Chain:
-    """Rebuild a chain by strictly re-validating every stored block.
-
-    The blocks are applied in runs holding at most BATCH_VERIFY_SIZE
-    post-quantum input witnesses.  Before a run is applied, its witnesses
-    go through one `prequantum_batch_verify`; if the batch holds, consensus
-    finds each verdict in the memo of verified signatures when it checks
-    that witness as usual.  A witness that does not decode is left out of
-    the batch, and a batch that fails memoises nothing, so consensus then
-    verifies one by one and rejects at the same transaction with the same
-    rule id.  Blocks without post-quantum witnesses make no secure-group
-    call here."""
+    """Rebuild a chain by strictly re-validating every stored block."""
     chain = config.build()
-    for run, witnesses in _witness_runs(chain.pq_group, blocks):
-        if witnesses:
-            prequantum_batch_verify(chain.pq_group, witnesses)
-        for block in run:
-            if block.height == 0:
-                if block != chain.blocks[0]:  # by value, as `apply_block` compares coinbases
-                    raise RuleViolation("genesis-mismatch", "stored genesis differs from the config")
-                continue
-            chain.apply_block(block)
-    return chain
-
-
-def _witness_runs(group: GroupParams, blocks: Iterable[Block]) -> Iterator[tuple[list[Block], list[tuple]]]:
-    """`blocks` in consecutive runs, each with the (pk, sighash, signature)
-    of its post-quantum input witnesses that decode: at most
-    BATCH_VERIFY_SIZE of them, so one batch covers the run.  A block with
-    more has the rest verified one by one."""
-    run: list[Block] = []
-    witnesses: list[tuple] = []
     for block in blocks:
-        found = []
-        for tx in block.transactions:
-            signed = [txin.witness for txin in tx.inputs if txin.witness.kind is WitnessKind.POST_QUANTUM]
-            sighash = tx.sighash() if signed else b""
-            for witness in signed:
-                try:
-                    found.append((decode_point(group, witness.pk), sighash, PreQuantumSignature.decode(witness.signature)))
-                except ValueError:
-                    continue  # consensus rejects it as witness-malformed
-        if run and len(witnesses) + len(found) > BATCH_VERIFY_SIZE:
-            yield run, witnesses
-            run, witnesses = [], []
-        run.append(block)
-        witnesses += found[: BATCH_VERIFY_SIZE - len(witnesses)]
-    if run:
-        yield run, witnesses
+        if block.height == 0:
+            if block != chain.blocks[0]:  # by value, as `apply_block` compares coinbases
+                raise RuleViolation("genesis-mismatch", "stored genesis differs from the config")
+            continue
+        chain.apply_block(block)
+    return chain
 
 
 def reorg(chain: Chain, config: ChainConfig, branch: list[Block]) -> tuple[Chain, list[Transaction]]:

@@ -313,7 +313,7 @@ class KeyLiftedScheme:
         self.backend = backend or lifted_backends(group)[0]
 
     def keygen(self, tag: bytes):
-        sk = int.from_bytes(tag, "big") % self.group.secret_key_bound
+        sk = int.from_bytes(tag, "big") % self.group.q
         address = address_hash(pk_ec(self.group, sk).encode())
         return sk, address
 

@@ -500,6 +500,23 @@ class TestFraudProof:
         h.chain.end_block()
         assert h.chain.challenges[steal.txid()].status is ChallengeStatus.FINALIZED
 
+    @pytest.mark.parametrize("late, rule", [(0, None), (1, "fp-late")])
+    def test_fraud_proof_at_the_challenge_end(self, late, rule):
+        # A fraud proof in the block at `challenge_end_height` still defeats
+        # the challenge; one a block later is late.
+        h = self.fraud_harness()
+        steal = self.setup_theft(h)
+        record = h.chain.challenges[steal.txid()]
+        fp = self.fraud_proof_tx(h, steal.txid())
+        h.mine_with([h.fc_commit_tx("baiter", fp.txid())])
+        h.mine_to(record.challenge_end_height - 1 + late)
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(fp)
+        assert (violation and violation.rule) == rule
+        h.chain.end_block()
+        status = h.chain.challenges[steal.txid()].status
+        assert status is (ChallengeStatus.DEFEATED if rule is None else ChallengeStatus.FINALIZED)
+
     def test_fraud_proof_against_finalized_rejected(self):
         h = self.fraud_harness()
         steal = self.setup_theft(h)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qcspend import agents
 from qcspend.agents import Wallet
 from qcspend.encoding import DecodeError
-from qcspend.groups import pk_ec, toy_group
+from qcspend.groups import pk_ec, prequantum_sign, prequantum_verify, secure_group, toy_group
 from qcspend.hdwallet import (
     DerivationPath,
     DerivationStep,
@@ -135,6 +135,18 @@ class TestKdf:
     def test_entropy_minimum_enforced(self):
         with pytest.raises(ValueError):
             Seed(entropy=b"short")
+
+
+class TestSecureGroupKeys:
+    def test_derived_secure_group_keys_sign_and_verify(self):
+        # A child key is reduced mod q, and every key below q signs: the
+        # keys of m/0h/0 .. m/0h/7 on the secure group sign and verify.
+        group = secure_group()
+        msk = kdf(group, Seed(b"secure-group hd seed", b""), 8)
+        for i in range(8):
+            sk = derive(group, msk, path(f"m/0h/{i}")).sk
+            sig = prequantum_sign(group, sk, b"derived %d" % i)
+            assert prequantum_verify(group, pk_ec(group, sk), b"derived %d" % i, sig)
 
 
 class TestPathAlgebra:

@@ -10,6 +10,7 @@ from qcspend.lifted_fawkescoin import (
     EpochDecision,
     LfcMempoolMsg,
     LfcState,
+    claim_deadline_age,
     claim_payload,
     extension_decision,
     parse_claim_payload,
@@ -347,6 +348,22 @@ class TestClaim:
         claimed = [u for u in h.chain.utxos.values() if u.address.serialize() == miner_addr and u.value == U_VALUE]
         assert len(claimed) == 1
         h.chain.recompute_balance()
+
+    @pytest.mark.parametrize("late, rule", [(0, None), (1, "lfc-claim-late")])
+    def test_claim_at_the_claim_deadline(self, late, rule):
+        # A claim at the claim-deadline age (wait + reveal window + proof
+        # window) is on time and takes the output; one a block later is late.
+        h = lfc_harness()
+        h.build()
+        h.mine_to(199)
+        _, committed = committed_flow(h)
+        p = h.params
+        h.mine(claim_deadline_age(p.wait_blocks, p.reveal_window, p.proof_window) - 1 + late)
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(claim_tx(h, committed))
+        assert (violation and violation.rule) == rule
+        h.chain.end_block()
+        assert h.chain.lfc_by_hash[committed].state is (LfcState.CLAIMED_BY_MINER if rule is None else LfcState.EXPIRED_FINED)
 
     def test_claim_during_reveal_window_rejected(self):
         h = lfc_harness()
