@@ -123,11 +123,11 @@ class Wallet:
     # -- witnesses ----------------------------------------------------------
 
     def witness_pre(self, sk: int, sighash: bytes) -> Witness:
-        sig = prequantum_sign(self.group, sk, sighash)
-        return Witness(WitnessKind.PRE_QUANTUM, pk_ec(self.group, sk).encode(), sig.encode())
+        pk = pk_ec(self.group, sk).encode()
+        return Witness(WitnessKind.PRE_QUANTUM, pk, prequantum_sign(self.group, sk, sighash, pk).encode())
 
     def witness_pq(self, sighash: bytes) -> Witness:
-        sig = prequantum_sign(self.pq_group, self.pq_sk, sighash)
+        sig = prequantum_sign(self.pq_group, self.pq_sk, sighash, self.pq_pk)
         return Witness(WitnessKind.POST_QUANTUM, self.pq_pk, sig.encode())
 
     # -- lifted proofs --------------------------------------------------------
@@ -232,12 +232,13 @@ class Agent:
         output (change returns to the same address, so this survives use)."""
         chain = self.sim.chain
         mine = chain.params.coinbase_cooldown
-        address = self.wallet.pq_address().serialize()
+        pq_hash = self.wallet.pq_address().data
         reserved = self.reserved_outpoints()
         candidates = [
             u
             for u in chain.utxos.values()
-            if u.address.serialize() == address
+            if u.address.data == pq_hash
+            and u.address.kind is AddrKind.POST_QUANTUM
             and u.outpoint not in reserved
             and u.outpoint not in chain.lfc_locks
             and (not u.coinbase or self.sim.tick_height - u.created_height >= mine)

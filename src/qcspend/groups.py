@@ -288,10 +288,15 @@ def _challenge(group: GroupParams, nonce_point: bytes, pk: bytes, msg: bytes) ->
     return 1 + int.from_bytes(digest, "big") % _challenge_bound(group)
 
 
-def prequantum_sign(group: GroupParams, sk: int, msg: bytes) -> PreQuantumSignature:
+def prequantum_sign(group: GroupParams, sk: int, msg: bytes, pk_bytes: bytes | None = None) -> PreQuantumSignature:
     """Deterministic hash-challenge signature; the nonce is derived from
-    (sk, msg) so repeated runs of a simulation byte-match."""
-    pk_bytes = pk_ec(group, sk).encode()
+    (sk, msg) so repeated runs of a simulation byte-match.  A caller that
+    holds `pk_ec(group, sk).encode()` passes it as `pk_bytes` and saves an
+    exponentiation."""
+    if pk_bytes is None:
+        pk_bytes = pk_ec(group, sk).encode()
+    elif not 0 <= sk < group.q:
+        raise GroupError(f"secret scalar out of range: {sk}")
     k = group.scalar_from_hash(hashlib.sha512(b"nonce" + group.encode_scalar(sk) + enc_bytes(msg)).digest())
     if k == 0:
         k = 1

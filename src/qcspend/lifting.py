@@ -318,7 +318,8 @@ class KeyLiftedScheme:
         return sk, address
 
     def base_sign(self, sk: int, msg: bytes) -> tuple[PreQuantumSignature, bytes]:
-        return prequantum_sign(self.group, sk, msg), pk_ec(self.group, sk).encode()
+        pk = pk_ec(self.group, sk).encode()
+        return prequantum_sign(self.group, sk, msg, pk), pk
 
     def lifted_sign(self, sk: int, msg: bytes) -> KeyLiftedSig:
         return keylift_sign(self.group, self.backend, sk, msg)

@@ -124,6 +124,20 @@ class TestCanary:
         with pytest.raises(RuleViolation, match="canary-bounty-unfunded"):
             h.chain.add_tx(self.kill_tx(h, h.wallet("eve")))
 
+    @pytest.mark.parametrize("bounty, rule", [(0, None), (1, "canary-bounty-unfunded")], ids=["0", "1"])
+    def test_burned_funds_bounty_at_zero(self, bounty, rule):
+        # README (Modelling choices): a burned-funds kill is accepted only
+        # with a bounty of 0, and then credits nothing.
+        h = Harness(killed_at=None, bounty_source="burned", canary_bounty=bounty)
+        h.build()
+        h.mine(2)
+        utxos, minted = dict(h.chain.utxos), h.chain.total_minted
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        violation = h.chain.try_add_tx(self.kill_tx(h, h.wallet("eve")))
+        assert (violation and violation.rule) == rule
+        assert h.chain.canary.killed_at == (None if rule else 3)
+        assert h.chain.utxos == utxos and h.chain.total_minted == minted
+
     def test_era_monotone_through_a_run(self):
         h = Harness(killed_at=None, era_countdown=10)
         h.build()

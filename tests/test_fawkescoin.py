@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import Harness, encodings_of, same_state
 from qcspend.consensus import replay_chain
+from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload, commit_payload
 from qcspend.hdwallet import DerivationPath, path
 from qcspend.ledger import Transaction, TxInput, TxKind, TxOutput, plain_pk_address
@@ -253,6 +254,48 @@ class TestRevealDerived:
         h.mine(99)
         h.mine_with([reveal])
         assert h.chain.utxo(h.outpoints["u2"]) is None
+
+
+class TestThirdPartyDeclaration:
+    """A registry declaration carries no proof that its poster holds the
+    key: once alice's own declaration makes H(msk) public, anyone can
+    append paths under it, and each appended path joins the keys that her
+    derived reveal marks leaked."""
+
+    def run(self, appended):
+        """alice declares m/5h/1, then a third party appends `appended`;
+        alice reveals m/3h/1 by derivation (as
+        `TestRevealDerived::test_honest_derived_two_step_path`), then
+        commits to a hashed spend of her output at m/7h/7.  Returns the
+        harness, which of m/7h and m/7h/7 leaked, and the spend's
+        violation."""
+        h = Harness()
+        h.grant_hashed("u2", "alice", "m/3h/1", 40_000)
+        h.grant_hashed("u7", "alice", "m/7h/7", 40_000)
+        h.grant_pq("fee-alice", "alice", 30_000)
+        h.build()
+        alice = h.wallet("alice")
+        digest = h.chain.registry.key_digest(h.group, alice.msk)
+        for p in ("m/5h/1",) + appended:
+            h.mine_with([Transaction(TxKind.REGISTRY_DECLARE, payload=enc_bytes(digest) + enc_u32(1) + path(p).serialize())])
+        reveal = TestRevealDerived().build_derived_reveal(h, "u2", "alice", "m/3h/1")
+        h.mine_with([h.fc_commit_tx("alice", reveal.txid())])
+        h.mine(99)
+        h.mine_with([reveal])
+        leaked = [p for p in ("m/7h", "m/7h/7") if h.chain.leaks.is_leaked(alice.derived_pk(path(p)))]
+        spend = h.fc_flow_hashed("alice", "u7", "m/7h/7")
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        return h, leaked, h.chain.try_add_tx(spend)
+
+    def test_without_the_appended_path_the_output_stays_spendable(self):
+        h, leaked, violation = self.run(())
+        assert leaked == [] and violation is None
+        assert h.chain.utxo(h.outpoints["u7"]) is None
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: an unauthenticated declaration widens the keys a derived reveal leaks")
+    def test_an_appended_path_changes_nothing(self):
+        h, leaked, violation = self.run(("m/7h/7",))
+        assert leaked == [] and violation is None
 
 
 def deposit_harness(mode="permissive", legacy=0, **extra):

@@ -327,6 +327,51 @@ class TestSecureKeys:
         assert prequantum_verify(self.SG, pk_ec(self.SG, sk), msg, sig)
 
 
+class TestSignWithAHeldKey:
+    """A caller that holds the encoding of pk_ec(sk) passes it to
+    prequantum_sign, which then raises no key of its own: the signature is
+    the same, and a key outside [0, q) is still refused before the held
+    encoding is read."""
+
+    TOY = toy_group(8191)
+    SG = secure_group()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=toy_group(8191).q - 1), st.binary(max_size=16))
+    @example(0, b"")
+    @example(toy_group(8191).q - 1, b"widest")
+    def test_toy_group(self, sk, msg):
+        assert prequantum_sign(self.TOY, sk, msg, pk_ec(self.TOY, sk).encode()) == prequantum_sign(self.TOY, sk, msg)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=secure_group().q - 1), st.binary(max_size=16))
+    @example(0, b"")
+    @example(secure_group().q - 1, b"widest")
+    def test_secure_group(self, sk, msg):
+        assert prequantum_sign(self.SG, sk, msg, pk_ec(self.SG, sk).encode()) == prequantum_sign(self.SG, sk, msg)
+
+    @pytest.mark.parametrize("sk", [-1, secure_group().q], ids=["-1", "q"])
+    def test_a_key_outside_the_range_is_refused(self, sk):
+        with pytest.raises(GroupError, match="^secret scalar out of range: "):
+            prequantum_sign(self.SG, sk, b"m", pk_ec(self.SG, 1).encode())
+
+    def test_wallet_raises_only_the_nonce(self, monkeypatch):
+        wallet = Wallet(G101, "signer", 11, 8)
+        expected = prequantum_sign(self.SG, wallet.pq_sk, b"sighash").encode()
+        raised = []
+        real = groups.pk_ec
+
+        def counting(group, sk):
+            if group.mode is GroupMode.SECURE:
+                raised.append(sk)
+            return real(group, sk)
+
+        monkeypatch.setattr(groups, "pk_ec", counting)
+        witness = wallet.witness_pq(b"sighash")
+        assert len(raised) == 1 and raised[0] != wallet.pq_sk
+        assert witness.pk == wallet.pq_pk and witness.signature == expected
+
+
 def encode_value(group, value):
     return value.to_bytes(group.point_len, "big")
 

@@ -568,6 +568,32 @@ class TestExpiry:
         # reward minus the withheld fine escrow
         assert block.coinbase.outputs[0].value == h.params.block_reward - 3_350
 
+    @pytest.mark.parametrize("reward, miner_output", [(3_349, None), (3_350, 0), (3_351, 1)], ids=["short", "exact", "over"])
+    def test_reward_at_the_fine_obligation(self, reward, miner_output):
+        # The record's block owes the 3,350 fine and takes no fees: a reward
+        # that meets the obligation exactly is accepted and leaves the miner
+        # nothing, so the coinbase makes no zero-value output; one unit less
+        # is `lfc-fine-coverage`.
+        h = lfc_harness(block_reward=reward)
+        h.build()
+        h.mine_to(199)
+        reveal = lfc_reveal_tx(h, "alice", "u1", "m/0h/0/0", 1000)
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        h.chain.add_tx(record_tx(h, reveal.txid(), "u1", 1000))
+        if miner_output is None:
+            with pytest.raises(RuleViolation, match="lfc-fine-coverage"):
+                h.chain.end_block()
+            return
+        h.chain.end_block()
+        coinbase = h.chain.blocks[-1].coinbase
+        assert [out.value for out in coinbase.outputs] == [miner_output]
+        miner_utxo = h.chain.utxo((coinbase.txid(), 0))
+        if miner_output:
+            assert miner_utxo.value == miner_output
+        else:
+            assert miner_utxo is None
+        h.chain.recompute_balance()
+
     def test_insufficient_coverage_invalidates_block(self):
         h = lfc_harness(block_reward=1_000)  # fine 3_350 > reward
         h.build()

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from qcspend.agents import MinerAgent
-from qcspend.consensus import verify_snapshot
+from qcspend.agents import Agent, MinerAgent
+from qcspend.consensus import GenesisGrant, verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
-from qcspend.ledger import NO_WITNESS, Block, TxKind
+from qcspend.ledger import NO_WITNESS, AddrKind, Address, Block, TxKind
 from qcspend.lifted_fawkescoin import EpochDecision, LfcState, extension_decision
 from qcspend.rules import RuleViolation
 from qcspend.scenarios import BUNDLED, load_scenario, run_scenario
@@ -476,6 +476,55 @@ def test_direct_spend_to_another_agent():
     bob = sim.agents["bob"].wallet.pq_address()
     assert [u.value for u in sim.chain.utxos.values() if u.address == bob] == [9_900]
     assert sim.profits()["bob"] == 9_900
+
+
+def fee_outpoint_by_encoding(agent):
+    """`Agent.pq_fee_outpoint`'s rule, matching each output by its encoded
+    address."""
+    sim, chain = agent.sim, agent.sim.chain
+    address = agent.wallet.pq_address().serialize()
+    reserved = agent.reserved_outpoints()
+    candidates = [
+        u
+        for u in chain.utxos.values()
+        if u.address.serialize() == address
+        and u.outpoint not in reserved
+        and u.outpoint not in chain.lfc_locks
+        and (not u.coinbase or sim.tick_height - u.created_height >= chain.params.coinbase_cooldown)
+    ]
+    return min(candidates, key=lambda u: (u.created_height, u.outpoint)).outpoint
+
+
+class TestFeeSource:
+    def test_fee_source_is_found_by_kind_and_data(self, monkeypatch):
+        sim = Simulation(load_scenario("honest-fc"))
+        alice = sim.agents["alice"]
+        # A genesis output whose 32 data bytes are alice's post-quantum hash
+        # but whose kind is PK_HASH.  Granted first, it is the lowest of the
+        # outputs that carry those bytes: only the kind check excludes it.
+        decoy = GenesisGrant(Address(AddrKind.PK_HASH, alice.wallet.pq_address().data), 1_000)
+        sim.chain_config = dataclasses.replace(sim.chain_config, grants=(decoy,) + sim.chain_config.grants)
+        sim.chain = sim.chain_config.build()
+        decoy_outpoint, *granted = sim.chain.utxos
+        sim.outpoints = dict(zip(sim.grants, granted))
+        real_find, real_serialize = Agent.pq_fee_outpoint, Address.serialize
+        encoded, found = [], []
+
+        def find(agent):
+            monkeypatch.setattr(Address, "serialize", lambda a: encoded.append(a) or real_serialize(a))
+            outpoint = real_find(agent)
+            monkeypatch.setattr(Address, "serialize", real_serialize)
+            assert sim.chain.utxo(decoy_outpoint) is not None
+            found.append((outpoint, fee_outpoint_by_encoding(agent)))
+            return outpoint
+
+        monkeypatch.setattr(Agent, "pq_fee_outpoint", find)
+        sim.run()
+        assert encoded == []
+        # One search per commitment: alice's post-quantum grant, then its change.
+        (first, first_by_encoding), (second, second_by_encoding) = found
+        assert first == first_by_encoding == sim.grant_outpoint("pq-alice")
+        assert second == second_by_encoding != first
 
 
 class TestAgentFailures:
