@@ -5,9 +5,13 @@ per tick.
 Timing model. At tick h every agent with work due runs once, in
 configuration order, observing the chain as of height h-1 and the pending
 submission pool; then the scheduled miner builds block h from the pool.
-Work is due when a deferral or a scripted action falls on h, or when the
-agent has a standing duty that reads the chain or the pool every tick
-(each kind's `on_duty`); an agent with none is skipped, which changes nothing.
+Work is due when a deferral or a scripted action falls on h.  Each deadline
+an agent acts on is one deferral, made when the deadline becomes known at
+an age `Params` computes: a FawkesCoin reveal when its commitment is
+submitted, and a miner's claim of the unrevealed lifted commitments of a
+block when it builds the block.  Only a fraud-proof watcher and a quantum
+front-runner have a standing duty, which reads the chain or the pool every
+tick (`on_duty`); an agent with nothing due is skipped, which changes nothing.
 Submissions made during tick h are eligible for block h itself, so an
 adversary placed after its victim in the agent order sees the victim's
 submission before it is mined -- that is the whole mempool-listening
@@ -52,7 +56,7 @@ from .ledger import (
     WitnessKind,
     post_quantum_address,
 )
-from .lifted_fawkescoin import LfcMempoolMsg, LfcState, claim_payload, record_payload, reveal_deadline_age
+from .lifted_fawkescoin import LfcMempoolMsg, LfcState, claim_payload, record_payload
 from .lifting import keylift_sign, seedlift_sign, serialize_lifted
 from .rules import RuleViolation
 
@@ -78,7 +82,6 @@ class Wallet:
         self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % self.pq_group.q
         self.pq_pk = pk_ec(self.pq_group, self.pq_sk).encode()
         self._pq_hash = post_quantum_address(self.pq_pk).data
-        self._raw_sks: dict[str, int] = {}
         # a parent path's steps -> its key and the encoding of its public key
         self._parents: dict[tuple[DerivationStep, ...], tuple[ExtendedSecretKey, bytes]] = {}
 
@@ -115,10 +118,8 @@ class Wallet:
     def raw_sk(self, label: str) -> int:
         """A standalone (non-derived) key: what a pre-HD-wallet output or
         an imported key looks like."""
-        if label not in self._raw_sks:
-            digest = hashlib.sha512(b"raw:" + label.encode() + self.seed.entropy).digest()
-            self._raw_sks[label] = int.from_bytes(digest, "big") % self.group.q
-        return self._raw_sks[label]
+        digest = hashlib.sha512(b"raw:" + label.encode() + self.seed.entropy).digest()
+        return int.from_bytes(digest, "big") % self.group.q
 
     # -- witnesses ----------------------------------------------------------
 
@@ -174,7 +175,8 @@ class Mempool:
 
 
 class Agent:
-    """Each kind defines `on_duty`: does its `autonomous` step run this tick?"""
+    """A kind with a standing duty overrides `on_duty`, which says whether
+    its `autonomous` step runs this tick."""
 
     def __init__(self, agent_id: str, sim: "Simulation", options: dict, wallet: Wallet):
         self.id = agent_id
@@ -197,6 +199,9 @@ class Agent:
         has already begun."""
         due = max(height, self.sim.tick_height + 1)
         self.deferred.setdefault(due, []).append(fn)
+
+    def on_duty(self) -> bool:
+        return False
 
     def has_work(self, height: int) -> bool:
         """Is anything due at tick `height`: a deferral, a scripted action or
@@ -247,17 +252,21 @@ class Agent:
             raise RuleViolation("agent-missing-utxo", f"{self.id} has no spendable post-quantum output")
         return min(candidates, key=lambda u: (u.created_height, u.outpoint)).outpoint
 
-    def build_pq_spend(self, kind: TxKind, fee_outpoint: Outpoint, fee: int, payload: bytes) -> Transaction:
-        """A post-quantum-funded transaction (a commitment) that pays `fee`:
-        its change returns to the agent's post-quantum address."""
-        utxo = self.sim.chain.utxo(fee_outpoint)
-        if utxo is None:
-            raise RuleViolation("agent-missing-utxo", f"{self.id} lost track of a fee source")
+    def fc_commit(self, reveal_tx: Transaction, fee: int, wait: int, reveal: Callable[[], None], priority: int = 0) -> int:
+        """Submit a FawkesCoin commitment to `reveal_tx`, funded by the fee
+        source and paying `fee`, and defer `reveal` until it is `wait`
+        blocks old: the height returned.  Change returns to the agent's
+        post-quantum address."""
+        utxo = self.sim.chain.utxo(self.pq_fee_outpoint())
         change = utxo.value - fee
         if change < 0:
             raise RuleViolation("agent-underfunded", f"{self.id} cannot pay {fee}")
         outputs = (TxOutput(self.wallet.pq_address(), change),) if change > 0 else ()
-        return Transaction(kind, (TxInput(utxo.outpoint),), outputs, payload).signed(self.wallet.witness_pq)
+        commit = Transaction(TxKind.FC_COMMIT, (TxInput(utxo.outpoint),), outputs, commit_payload(reveal_tx.txid()))
+        self.sim.mempool.submit("tx", commit.signed(self.wallet.witness_pq), self.id, priority)
+        due = self.sim.tick_height + wait
+        self.defer(due, reveal)
+        return due
 
     def pre_spend(self, kind: TxKind, outpoint: Outpoint, sk: int, to: Address, value: int, payload: bytes = b"") -> Transaction:
         """Spend one pre-quantum output as a single output, signed with `sk`."""
@@ -270,44 +279,19 @@ class Agent:
 class MinerAgent(Agent):
     """Builds blocks when scheduled.  Honest policy: validate lifted
     commitment messages before inclusion, include everything else that
-    passes consensus, and always post the proof of ownership when a
-    commitment it included goes unrevealed.
+    passes consensus, and post the proof of ownership of each commitment
+    it included that is still unrevealed once the reveal deadline passes.
 
     A scripted `fake_lfc` entry turns the miner into a delay attacker for
     that block: it injects a commitment record nobody can reveal or claim,
     locking the victim's output until the fine hits."""
-
-    def __init__(self, agent_id, sim, options, wallet):
-        super().__init__(agent_id, sim, options, wallet)
-        # committed hash -> sigma, for claim duty: the commitments this miner
-        # included whose records are LOCKED or not on chain yet
-        self.included_proofs: dict[bytes, bytes] = {}
-
-    def on_duty(self) -> bool:
-        return bool(self.included_proofs)
-
-    def autonomous(self) -> None:
-        # Claim duty: post sigma for own included commitments whose reveal
-        # window has passed.
-        chain = self.sim.chain
-        deadline = reveal_deadline_age(chain.params.wait_blocks, chain.params.reveal_window)
-        for committed, sigma in sorted(self.included_proofs.items()):
-            record = chain.lfc_by_hash.get(committed)
-            if record is None:
-                continue  # not on chain yet: keep it
-            if record.state is not LfcState.LOCKED or record.committer_id != self.id:
-                del self.included_proofs[committed]  # settled, or not ours to claim
-            elif record.age(self.sim.tick_height) > deadline:
-                tx = Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))
-                self.sim.mempool.submit("tx", tx, self.id)
-                self.log(f"posted proof of ownership for {committed.hex()[:12]}")
-                del self.included_proofs[committed]
 
     def build_block(self) -> None:
         chain = self.sim.chain
         height = self.sim.tick_height
         chain.begin_block(self.id, self.wallet.pq_address())
         reports: list[bytes] = []
+        proofs: dict[bytes, bytes] = {}  # committed hash -> sigma, of the lifted commitments included
         for entry in self.script.get(height, ()):
             if entry["fake_lfc"]:
                 self._inject_fake_commitment(entry["fake_lfc"])
@@ -316,32 +300,46 @@ class MinerAgent(Agent):
                 reports.append(sub.data)
             elif sub.kind == "tx":
                 chain.try_add_tx(sub.data)
-            elif sub.kind == "lfc":
-                self._include_lfc(sub.data)
+            elif self._include_lfc(sub.data):  # an "lfc" message
+                proofs[sub.data.committed_hash] = sub.data.sigma
         # Reports lingering into the era are dropped.  This is decided after
         # the transactions, as a canary kill in this block may open the era.
         if chain.era_phase(height) is EraPhase.QUANTUM_ERA:
             chain.violations.extend((height, "samaritan-era", "mempool: report dropped") for _ in reports)
             reports = []
         chain.end_block(reports)
+        if proofs:
+            # A record older than the reveal deadline can only be claimed.
+            self.defer(height + chain.params.reveal_deadline() + 1, partial(self._claim, proofs))
 
-    def _include_lfc(self, msg: LfcMempoolMsg) -> None:
+    def _claim(self, proofs: dict[bytes, bytes]) -> None:
+        """Post sigma for each of `proofs` whose record is still LOCKED."""
+        for committed, sigma in sorted(proofs.items()):
+            if self.sim.chain.lfc_by_hash[committed].state is LfcState.LOCKED:
+                tx = Transaction(TxKind.LFC_CLAIM, payload=claim_payload(committed, sigma))
+                self.sim.mempool.submit("tx", tx, self.id)
+                self.log(f"posted proof of ownership for {committed.hex()[:12]}")
+
+    def _include_lfc(self, msg: LfcMempoolMsg) -> bool:
+        """Include the record of a lifted commitment if policy and consensus
+        accept it; was it included?"""
         chain = self.sim.chain
         try:
             chain.validate_lfc_mempool_msg(msg)
         except RuleViolation as violation:
             chain.violations.append((self.sim.tick_height, violation.rule, f"mempool: {violation.detail}"))
-            return
+            return False
         utxo = chain.utxo(msg.outpoint)
         if chain.params.fine_policy.fine(utxo.value) > chain.building_fine_headroom():
             chain.violations.append((self.sim.tick_height, "lfc-fine-coverage", "mempool: miner cannot cover the fine"))
-            return
+            return False
         record_tx = Transaction(
             TxKind.LFC_COMMIT, payload=record_payload(msg.committed_hash, utxo.utxo_hash(), msg.alpha)
         )
-        if chain.try_add_tx(record_tx) is None:
-            self.included_proofs[msg.committed_hash] = msg.sigma
-            self.log(f"included lifted commitment {msg.committed_hash.hex()[:12]}")
+        if chain.try_add_tx(record_tx) is not None:
+            return False
+        self.log(f"included lifted commitment {msg.committed_hash.hex()[:12]}")
+        return True
 
     def _inject_fake_commitment(self, fake: dict) -> None:
         chain = self.sim.chain
@@ -427,17 +425,9 @@ class UserAgent(Agent):
 
     # FawkesCoin ------------------------------------------------------------------------
 
-    def _fc_commit_and_schedule(self, reveal_tx: Transaction, commit_fee: int, describe: str) -> None:
-        chain = self.sim.chain
-        ctx = self.build_pq_spend(TxKind.FC_COMMIT, self.pq_fee_outpoint(), commit_fee, commit_payload(reveal_tx.txid()))
-        self.sim.mempool.submit("tx", ctx, self.id)
-        wait = chain.params.wait_blocks
-        utxo = chain.utxo(reveal_tx.inputs[0].outpoint)
-        if utxo is not None:
-            wait = utxo.wait_blocks(chain.params.wait_blocks, chain.params.wait_floor)
-        commit_height = self.sim.tick_height
-        self.defer(commit_height + wait, lambda: self._submit_reveal(reveal_tx, describe))
-        self.log(f"committed {describe} (reveal at {commit_height + wait})")
+    def _fc_commit_and_schedule(self, reveal_tx: Transaction, commit_fee: int, wait: int, describe: str) -> None:
+        due = self.fc_commit(reveal_tx, commit_fee, wait, lambda: self._submit_reveal(reveal_tx, describe))
+        self.log(f"committed {describe} (reveal at {due})")
 
     def _submit_reveal(self, reveal_tx: Transaction, describe: str) -> None:
         self.sim.mempool.submit("tx", reveal_tx, self.id)
@@ -476,7 +466,8 @@ class UserAgent(Agent):
             self.log(f"cannot spend {action['utxo']} as naked: the key is gone")
             return
         reveal_tx = self._build_fc_reveal(action, mode, sk)
-        self._fc_commit_and_schedule(reveal_tx, action["commit_fee"], f"{mode.name.lower()}:{action['utxo']}")
+        wait = self.sim.chain.params.output_wait(self.sim.chain.utxo(self.sim.grant_outpoint(action["utxo"])))
+        self._fc_commit_and_schedule(reveal_tx, action["commit_fee"], wait, f"{mode.name.lower()}:{action['utxo']}")
 
     # Lifted FawkesCoin ---------------------------------------------------------------------
 
@@ -539,7 +530,7 @@ class UserAgent(Agent):
                 return
             sk = quantum_invert(decode_point(chain.group, pk))
         reveal_tx = self._build_fc_reveal(action, mode, sk)
-        self._fc_commit_and_schedule(reveal_tx, action["commit_fee"], f"steal:{action['utxo']}")
+        self._fc_commit_and_schedule(reveal_tx, action["commit_fee"], chain.params.output_wait(utxo), f"steal:{action['utxo']}")
 
     # Reports / registry ---------------------------------------------------------------------
 
@@ -575,9 +566,10 @@ class UserAgent(Agent):
         path = info["path"]
         payload = RevealPayload(RevealMode.FRAUD_PROOF, self.wallet.msk, path, record.txid).serialize(chain.group)
         sk = self.wallet.derived_sk(path)
-        # Fee 0: full recovery.
+        # Fee 0: full recovery.  Consensus ages the proof by the challenged
+        # output's wait, which the record keeps now that the output is gone.
         reveal_tx = self.pre_spend(TxKind.FC_REVEAL, record.spent_outpoint, sk, self.wallet.pq_address(), record.spent_value, payload)
-        self._fc_commit_and_schedule(reveal_tx, 0, f"fraud-proof:{name}")
+        self._fc_commit_and_schedule(reveal_tx, 0, record.spent_wait, f"fraud-proof:{name}")
         self.log(f"theft of {name} detected; fraud proof committed")
 
 
@@ -587,22 +579,15 @@ class FrontRunnerAgent(Agent):
     higher-priority competing spend.  Against commit-wait-reveal flows the
     same observation only yields a commitment that is 100 blocks too late."""
 
-    def __init__(self, agent_id, sim, options, wallet):
-        super().__init__(agent_id, sim, options, wallet)
-        self._seen: set[bytes] = set()  # the pending txids already looked at
-
     def on_duty(self) -> bool:
         return self.quantum
 
     def autonomous(self) -> None:
+        # Every block drains the pool, so it holds only this tick's submissions.
         for sub in self.sim.mempool.view():
             tx = sub.data
             if sub.kind != "tx" or sub.agent_id == self.id or tx.kind not in (TxKind.TRANSFER, TxKind.FC_REVEAL):
                 continue
-            txid = tx.txid()
-            if txid in self._seen:
-                continue
-            self._seen.add(txid)
             if tx.kind is TxKind.TRANSFER:
                 self._race_direct(tx)
             else:
@@ -633,14 +618,12 @@ class FrontRunnerAgent(Agent):
         sk = quantum_invert(decode_point(chain.group, txin.witness.pk))
         payload = RevealPayload(RevealMode.HASHED).serialize(chain.group)
         steal_reveal = self.pre_spend(TxKind.FC_REVEAL, txin.outpoint, sk, self.wallet.pq_address(), utxo.value, payload)
+        reveal = partial(self.sim.mempool.submit, "tx", steal_reveal, self.id, priority=10)
         try:
-            ctx = self.build_pq_spend(TxKind.FC_COMMIT, self.pq_fee_outpoint(), 0, commit_payload(steal_reveal.txid()))
+            self.fc_commit(steal_reveal, 0, chain.params.output_wait(utxo), reveal, priority=10)
         except RuleViolation:
             self.log("front-run against FawkesCoin aborted: no fee source")
             return
-        self.sim.mempool.submit("tx", ctx, self.id, priority=10)
-        wait = utxo.wait_blocks(chain.params.wait_blocks, chain.params.wait_floor)
-        self.defer(self.sim.tick_height + wait, lambda: self.sim.mempool.submit("tx", steal_reveal, self.id, priority=10))
         self.log("front-run against FawkesCoin: committed, must now wait")
 
 

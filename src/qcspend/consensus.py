@@ -93,11 +93,9 @@ from .lifted_fawkescoin import (
     EpochDecision,
     LfcCommitment,
     LfcState,
-    claim_deadline_age,
     extension_decision,
     parse_claim_payload,
     parse_record_payload,
-    reveal_deadline_age,
     split_fee,
 )
 from .lifting import (
@@ -771,7 +769,7 @@ class Chain:
         )
         txin = tx.inputs[0]
         utxo = self.utxos[txin.outpoint]
-        wait = utxo.wait_blocks(self.params.wait_blocks, self.params.wait_floor)
+        wait = self.params.output_wait(utxo)
         txid = tx.txid()
 
         if mode is RevealMode.HASHED:
@@ -817,7 +815,7 @@ class Chain:
             raise RuleViolation("fc-lost-witness", "a lost-mode spend must not carry a signature")
         self._verify_witness(deposit.address, d_in.witness, sighash)
 
-        wait = utxo.wait_blocks(self.params.wait_blocks, self.params.wait_floor)
+        wait = self.params.output_wait(utxo)
         txid = tx.txid()
         self._check_commitment(txid, height, wait, max_leak_height=None, ban_height=None)
 
@@ -958,7 +956,7 @@ class Chain:
         if record is None or record.state is not LfcState.LOCKED:
             raise RuleViolation("lfc-no-commitment", f"{'reveal' if revealing else 'claim'} matches no locked commitment")
         age = record.age(height)
-        in_window = age <= reveal_deadline_age(self.params.wait_blocks, self.params.reveal_window)
+        in_window = age <= self.params.reveal_deadline()
         if revealing and age < self.params.wait_blocks:
             raise RuleViolation("lfc-reveal-early", f"age {age} below the waiting time")
         if revealing and not in_window:
@@ -1003,8 +1001,7 @@ class Chain:
         with _decoding("lfc-claim-malformed"):
             committed, sigma = parse_claim_payload(tx.payload)
         record = self._locked_record(committed, height, revealing=False)
-        deadline = claim_deadline_age(self.params.wait_blocks, self.params.reveal_window, self.params.proof_window)
-        if record.age(height) > deadline and not epoch.extension:
+        if record.age(height) > self.params.claim_deadline() and not epoch.extension:
             raise RuleViolation("lfc-claim-late", "the proof window is over")
         with _decoding("lfc-claim-proof"):
             sig = deserialize_lifted(self.group, sigma)
@@ -1099,7 +1096,7 @@ class Chain:
         epoch = self.epoch_of(height)
         if epoch is not None and epoch.extension:
             return  # fines are withheld while an extension is running
-        deadline = claim_deadline_age(self.params.wait_blocks, self.params.reveal_window, self.params.proof_window)
+        deadline = self.params.claim_deadline()
         for committed in list(self.lfc_locks.values()):
             record = self.lfc_by_hash[committed]
             if record.age(height) > deadline:
@@ -1128,10 +1125,12 @@ class Chain:
             self._append(self.epochs, Epoch(EpochKind.LFC, current.end, self.params.lfc_epoch_len))
             return
         # The claims are the CLAIMED records, which never change state again.
+        # This runs at `current.end - 1`, so every record resolved so far is
+        # below `current.end`: the window needs no upper bound.
         claims = sum(
             1
             for r in self.lfc_by_hash.values()
-            if r.state is LfcState.CLAIMED_BY_MINER and current.end - CLAIM_WINDOW <= r.resolved_height < current.end
+            if r.state is LfcState.CLAIMED_BY_MINER and current.end - CLAIM_WINDOW <= r.resolved_height
         )
         decision = extension_decision(
             claims,

@@ -148,11 +148,6 @@ class Utxo:
         """H(u): the 32-byte identity a lifted-FawkesCoin record carries."""
         return address_hash(self.serialize())
 
-    def wait_blocks(self, default: int, floor: int) -> int:
-        if self.wait_override == 0:
-            return default
-        return max(self.wait_override, floor)
-
 
 # -- transactions ----------------------------------------------------------------
 

@@ -72,14 +72,6 @@ class LfcCommitment:
         ))
 
 
-def reveal_deadline_age(wait: int, reveal_window: int) -> int:
-    return wait + reveal_window
-
-
-def claim_deadline_age(wait: int, reveal_window: int, proof_window: int) -> int:
-    return wait + reveal_window + proof_window
-
-
 def split_fee(alpha: int) -> tuple[int, int]:
     """Equal split of the reveal fee between the committing and revealing
     miners; an odd unit goes to the revealer, whose inclusion is the

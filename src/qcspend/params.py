@@ -61,7 +61,7 @@ class Table(dict):
         self.checks = tuple((name, _checker(kind, name), default) for name, (kind, default) in declared.items())
 
 
-def check_fields(data, table: dict, noun: str, prefix: str = "") -> dict:
+def check_fields(data, table: Table, noun: str, prefix: str = "") -> dict:
     """The fields of the JSON object `data`, a `noun`, checked against
     `table` and normalized; else a ConfigError whose text starts with
     `prefix`.  `table` maps each field name to `(kind, default)`: a default
@@ -72,12 +72,9 @@ def check_fields(data, table: dict, noun: str, prefix: str = "") -> dict:
     table, for an object of its own; a dataclass, for an object with its
     fields, each of the kind its default has unless the class's `KINDS`
     names another; or any other callable, which returns the value
-    normalized or raises ValueError or TypeError.  A `table` that is not a
-    `Table` has its checkers built for this call."""
+    normalized or raises ValueError or TypeError."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix}{noun} must be a JSON object, not {data!r}")
-    if not isinstance(table, Table):
-        table = Table(table)
     if not data.keys() <= table.keys():
         raise ConfigError(f"{prefix}unknown {noun} fields: {sorted(data.keys() - table.keys())}")
     checked = {}
@@ -268,7 +265,7 @@ class Params:
             raise ConfigError("lifted epoch too short for its commit cutoff")
         if self.fc_epoch_len <= self.fc_commit_cutoff:
             raise ConfigError("fawkescoin epoch too short for its commit cutoff")
-        if self.wait_blocks + self.reveal_window > FEE_SHARE_DELAY:
+        if self.reveal_deadline() > FEE_SHARE_DELAY:
             raise ConfigError(f"a reveal past {FEE_SHARE_DELAY} blocks would miss its committer's fee share payout")
 
     def deposit_minimum(self, spent_value: int, fee: int) -> int:
@@ -277,6 +274,19 @@ class Params:
         num, den = self.deposit_p_num, self.deposit_p_den
         ratio_num, ratio_den = num, den - num
         return -(-spent_value * ratio_num // ratio_den) + fee
+
+    def output_wait(self, utxo) -> int:
+        """The blocks a FawkesCoin commitment must age before it reveals a
+        spend of `utxo`: the output's own wait, floored, or else the chain's."""
+        return max(utxo.wait_override, self.wait_floor) if utxo.wait_override else self.wait_blocks
+
+    def reveal_deadline(self) -> int:
+        """The oldest a lifted commitment may be when its spender reveals."""
+        return self.wait_blocks + self.reveal_window
+
+    def claim_deadline(self) -> int:
+        """The oldest a lifted commitment may be when its committer claims."""
+        return self.reveal_deadline() + self.proof_window
 
     def fc_commit_window(self) -> int:
         return self.fc_epoch_len - self.fc_commit_cutoff

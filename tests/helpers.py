@@ -228,6 +228,6 @@ class Harness:
         """Commit now, mine out the wait, return the ready reveal tx."""
         reveal = self.fc_reveal_hashed(owner, label, path, fee)
         self.mine_with([self.fc_commit_tx(owner, reveal.txid(), commit_fee)])
-        wait = self.chain.utxos[self.outpoints[label]].wait_blocks(self.params.wait_blocks, self.params.wait_floor)
+        wait = self.params.output_wait(self.chain.utxos[self.outpoints[label]])
         self.mine(wait - 1)
         return reveal

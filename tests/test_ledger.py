@@ -21,6 +21,7 @@ from qcspend.ledger import (
     post_quantum_address,
     select_samaritan_reports,
 )
+from qcspend.params import Params
 
 GROUP = toy_group(101)
 
@@ -202,7 +203,9 @@ class TestSerialization:
         assert a.txid() != b.txid()
 
     def test_utxo_wait_floor(self):
-        u = Utxo((bytes(32), 0), 5, post_quantum_address(b"k"), 0, wait_override=0)
-        assert u.wait_blocks(100, 1) == 100
-        assert Utxo((bytes(32), 0), 5, post_quantum_address(b"k"), 0, wait_override=7).wait_blocks(100, 1) == 7
-        assert Utxo((bytes(32), 0), 5, post_quantum_address(b"k"), 0, wait_override=3).wait_blocks(100, 5) == 5
+        def utxo(wait_override):
+            return Utxo((bytes(32), 0), 5, post_quantum_address(b"k"), 0, wait_override=wait_override)
+
+        assert Params().output_wait(utxo(0)) == 100
+        assert Params().output_wait(utxo(7)) == 7
+        assert Params(wait_floor=5).output_wait(utxo(3)) == 5

@@ -10,7 +10,6 @@ from qcspend.lifted_fawkescoin import (
     EpochDecision,
     LfcMempoolMsg,
     LfcState,
-    claim_deadline_age,
     claim_payload,
     extension_decision,
     parse_claim_payload,
@@ -357,8 +356,7 @@ class TestClaim:
         h.build()
         h.mine_to(199)
         _, committed = committed_flow(h)
-        p = h.params
-        h.mine(claim_deadline_age(p.wait_blocks, p.reveal_window, p.proof_window) - 1 + late)
+        h.mine(h.params.claim_deadline() - 1 + late)
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         violation = h.chain.try_add_tx(claim_tx(h, committed))
         assert (violation and violation.rule) == rule

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qcspend.params import ConfigError, FinePolicy, Params, check_fields, toy_order, u32_count
+from qcspend.params import ConfigError, FinePolicy, Params, Table, check_fields, toy_order, u32_count
 
 
 class TestFinePolicy:
@@ -45,6 +45,14 @@ class TestParams:
         p = Params()
         assert p.fc_commit_window() == 1_800
         assert p.lfc_commit_window() == 200
+
+    def test_lifted_deadlines(self):
+        # Ages of a lifted commitment: the spender reveals up to the first,
+        # the committer claims up to the second.
+        assert Params().reveal_deadline() == 200
+        assert Params().claim_deadline() == 300
+        p = Params(wait_blocks=20, reveal_window=30, proof_window=40)
+        assert (p.reveal_deadline(), p.claim_deadline()) == (50, 90)
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown params"):
@@ -135,7 +143,7 @@ ROWS = {
 @pytest.mark.parametrize("table, data, text", ROWS.values(), ids=ROWS.keys())
 def test_check_fields_error_text(table, data, text):
     with pytest.raises(ConfigError) as caught:
-        check_fields(data, table, "thing", "pre: ")
+        check_fields(data, Table(table), "thing", "pre: ")
     assert str(caught.value) == text
 
 
@@ -145,6 +153,6 @@ def test_check_fields_normalizes():
         "f": (FinePolicy, FinePolicy()), "w": (u32_count, 0), "s": (str, ...),
     }
     data = {"l": ["b", "a"], "t": {}, "u": None, "f": {"annual_doublings": 2}, "w": 7, "s": ""}
-    assert check_fields(data, table, "thing") == {
+    assert check_fields(data, Table(table), "thing") == {
         "n": 1, "l": ("b", "a"), "t": {"x": 0}, "u": None, "f": FinePolicy(annual_doublings=2), "w": 7, "s": "",
     }

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qcspend.agents import Agent, MinerAgent
+from qcspend.agents import Agent, FrontRunnerAgent, Mempool
 from qcspend.consensus import GenesisGrant, verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
 from qcspend.ledger import NO_WITNESS, AddrKind, Address, Block, TxKind
@@ -113,7 +113,26 @@ class TestFrontRunner:
         assert sim.profits()["eve"] == 50_000
         assert sim.profits()["bob"] == -50_000
 
-    def test_each_pending_spend_is_looked_at_once_and_only_a_live_input_raced(self):
+    def test_each_pending_spend_is_looked_at_once_and_only_a_live_input_raced(self, monkeypatch):
+        # Over whole runs, eve races each spend another agent submits once:
+        # every block drains the pool, so a spend is pending at one tick.
+        raced, pending = [], []
+        for attr in ("_race_direct", "_race_fawkescoin"):
+            race = getattr(FrontRunnerAgent, attr)
+            monkeypatch.setattr(FrontRunnerAgent, attr, lambda agent, tx, race=race: (raced.append(tx), race(agent, tx)))
+        submit = Mempool.submit
+
+        def recording(pool, kind, data, agent_id, priority=0):
+            if kind == "tx" and agent_id != "eve" and data.kind in (TxKind.TRANSFER, TxKind.FC_REVEAL):
+                pending.append(data)
+            submit(pool, kind, data, agent_id, priority)
+
+        monkeypatch.setattr(Mempool, "submit", recording)
+        assert run("front-runner-direct").profits()["eve"] == 50_000
+        assert run("front-runner").agents["eve"].actions == ["h130 front-run against FawkesCoin: committed, must now wait"]
+        assert [tx.kind for tx in pending] == [TxKind.TRANSFER, TxKind.FC_REVEAL] and raced == pending
+        monkeypatch.undo()
+
         # front-runner-direct up to bob's direct spend of u1 at height 8.
         # eve holds no post-quantum output, so she cannot fund a FawkesCoin
         # front-run.
@@ -126,7 +145,6 @@ class TestFrontRunner:
         as_reveal = dataclasses.replace(spend, kind=TxKind.FC_REVEAL)
         sim.mempool.submit("tx", as_reveal, "bob")
         eve.autonomous()
-        eve.autonomous()  # the same pending txids: nothing is raced again
         assert eve.actions == ["h8 front-ran a direct spend of 50000", "h8 front-run against FawkesCoin aborted: no fee source"]
         sim.scheduled_miner(8).build_block()  # eve's steal spends u1
         assert sim.chain.utxo(spend.inputs[0].outpoint) is None
@@ -188,28 +206,6 @@ def test_locks_name_exactly_the_locked_records(name):
     assert blocks_with_locks and not sim.chain.lfc_locks
 
 
-@pytest.mark.parametrize("name", ["lfc-delay", "lfc-spammer", "epoch-mechanics"])
-def test_included_proofs_name_only_open_commitments(name):
-    # A miner's claim duty walks `included_proofs` at every tick while it
-    # holds any, so it must drop the commitments that were revealed, claimed
-    # or fined, and keep only LOCKED ones and those not yet on chain.  Such a
-    # miner ticks before the block is built, so each block is checked against
-    # the records as they stood before it.  Only epoch-mechanics has records
-    # revealed by their owners; the delay attack's fake commitment is
-    # injected, not included.
-    sim = Simulation(load_scenario(name))
-    miners = [agent for agent in sim.agents.values() if isinstance(agent, MinerAgent)]
-    held = 0
-    for _ in range(sim.config.blocks):
-        before = {committed: record.state for committed, record in sim.chain.lfc_by_hash.items()}
-        sim.run(1)
-        for miner in miners:
-            assert all(before.get(committed, LfcState.LOCKED) is LfcState.LOCKED for committed in miner.included_proofs)
-            held += len(miner.included_proofs)
-    assert held or name == "lfc-delay"
-    assert not any(record.state is LfcState.LOCKED for record in sim.chain.lfc_by_hash.values())
-
-
 @pytest.mark.parametrize("name", ["fraud-proof", "salvage-unrestrictive", "salvage-permissive"])
 def test_open_challenges_name_exactly_the_open_records(name):
     # The challenge sweep, the escrow sum and the fraud-proof watch iterate
@@ -243,6 +239,28 @@ class TestFraudProof:
         assert record.status is ChallengeStatus.DEFEATED
         assert record.fee + 80_000 == record.deposit_value
         sim.chain.recompute_balance()
+
+    @pytest.mark.parametrize("wait, reveal", [(150, 331), (60, 151)])
+    def test_proof_waits_the_challenged_outputs_own_wait(self, wait, reveal):
+        # Consensus ages a fraud proof by the challenged output's wait, kept
+        # on the challenge record since the output left the UTXO set.  The
+        # thief commits at 30 and reveals at 30 + wait; the baiter commits
+        # the proof at the next tick and reveals it `wait` blocks later, not
+        # the chain's 100: a reveal at + 100 would fall short of a wait of
+        # 150, and come late for one of 60.
+        config = load_scenario("fraud-proof")
+        grants = tuple({**g, "wait": wait} if g["name"] == "u-bait" else g for g in config.grants)
+        params = config.params.with_overrides(challenge_blocks=300)
+        sim = Simulation(dataclasses.replace(config, blocks=400, params=params, grants=grants))
+        sim.run()
+        commit = 30 + wait + 1
+        assert sim.agents["baiter"].actions == [
+            f"h{commit} committed fraud-proof:u-bait (reveal at {reveal})",
+            f"h{commit} theft of u-bait detected; fraud proof committed",
+            f"h{reveal} revealed fraud-proof:u-bait",
+        ]
+        assert next(iter(sim.chain.challenges.values())).status is ChallengeStatus.DEFEATED
+        assert sim.profits()["baiter"] == 80_000 and not sim.chain.violations
 
 
 SALVAGE_EXPECTED = {

@@ -1,12 +1,15 @@
 """The tick schedule: `Simulation.run` ticks an agent only when a
-deferral or a scripted action falls due, or a standing duty reads the
-chain every tick; deferrals due at one tick run in the order they were
-made."""
+deferral or a scripted action falls due, or a standing duty (a fraud-proof
+watch, a quantum front-runner) reads the chain or the pool every tick;
+deferrals due at one tick run in the order they were made."""
 
 import json
 from importlib import resources
 
+import pytest
+
 from qcspend.agents import Agent
+from qcspend.lifted_fawkescoin import LfcState
 from qcspend.scenarios import load_scenario
 from qcspend.simulation import ScenarioConfig, Simulation
 
@@ -92,3 +95,37 @@ def test_dropped_lifted_commitment_leaves_no_deferral():
     sim.run(1)
     assert spammer.deferred == {}
     assert spammer.actions == ["h430 lifted commitment for u1 (alpha=1000)"]
+
+
+# scenario -> miner -> the heights it is ticked at, and the claims it posts
+# at each.  A miner's only deferral is the claim of one block's lifted
+# commitments, due one block past their reveal deadline.
+CLAIM_TICKS = {
+    # The fake commitment is injected at a scripted tick, not included, so
+    # there is nothing to claim.
+    "lfc-delay": {"m0": {}, "mallory": {430: 0}},
+    # One tick, for the spammer's commitment of block 430, down from 201
+    # ticks when a miner polled its open commitments.
+    "lfc-spammer": {"m0": {631: 1}},
+    # m0's two records were revealed by their owners before the claim fell
+    # due; mallory's tick at 12549 is scripted.
+    "epoch-mechanics": {"m0": {10161: 0, 12561: 0}, "mallory": {12549: 0, 12750: 6}},
+}
+
+
+@pytest.mark.parametrize("name", CLAIM_TICKS)
+def test_a_miner_ticks_only_when_its_claims_fall_due(name, monkeypatch):
+    sim = Simulation(load_scenario(name))
+    ticks = ticked_heights(sim, monkeypatch)
+    deadline = sim.config.params.reveal_deadline()
+    for miner, expected in CLAIM_TICKS[name].items():
+        actions = sim.agents[miner].actions
+        assert ticks[miner] == list(expected) and not sim.agents[miner].deferred
+        posted = [int(action.split()[0][1:]) for action in actions if "proof of ownership" in action]
+        assert {h: posted.count(h) for h in expected} == expected
+        # Each claim tick is one block past the reveal deadline of a block
+        # whose lifted commitments this miner included.
+        for height in set(posted):
+            assert any(a.startswith(f"h{height - deadline - 1} included lifted commitment") for a in actions)
+    claimed = [r for r in sim.chain.lfc_by_hash.values() if r.state is LfcState.CLAIMED_BY_MINER]
+    assert len(claimed) == sum(sum(expected.values()) for expected in CLAIM_TICKS[name].values())
