@@ -9,9 +9,12 @@ Work is due when a deferral or a scripted action falls on h.  Each deadline
 an agent acts on is one deferral, made when the deadline becomes known at
 an age `Params` computes: a FawkesCoin reveal when its commitment is
 submitted, and a miner's claim of the unrevealed lifted commitments of a
-block when it builds the block.  Only a fraud-proof watcher and a quantum
-front-runner have a standing duty, which reads the chain or the pool every
-tick (`on_duty`); an agent with nothing due is skipped, which changes nothing.
+block when it builds the block.  The simulation holds one schedule, from
+tick height to the agents due then, which each agent enters as it scripts
+or defers work.  Only a fraud-proof watcher and a quantum front-runner have
+a standing duty, which reads the chain or the pool every tick (`on_duty`,
+read once at set-up); an agent with nothing due is skipped, which changes
+nothing, and a height with no agent due runs no agent code.
 Submissions made during tick h are eligible for block h itself, so an
 adversary placed after its victim in the agent order sees the victim's
 submission before it is mined -- that is the whole mempool-listening
@@ -176,7 +179,10 @@ class Mempool:
 
 class Agent:
     """A kind with a standing duty overrides `on_duty`, which says whether
-    its `autonomous` step runs this tick."""
+    its `autonomous` step runs each tick.  It must not change over the
+    agent's life: the simulation reads it once, after building the agents,
+    to find the agents it ticks at every height.  Scripted heights and
+    deferrals enter the simulation's schedule, which ticks the agent then."""
 
     def __init__(self, agent_id: str, sim: "Simulation", options: dict, wallet: Wallet):
         self.id = agent_id
@@ -186,6 +192,7 @@ class Agent:
         self.script: dict[int, list[dict]] = {}
         for entry in options["script"]:
             self.script.setdefault(entry["height"], []).append(entry)
+            sim.schedule.setdefault(entry["height"], set()).add(self)
         # tick height -> the deferrals due then, in the order they were made.
         # Ticks come at consecutive heights, so each one looks up only its own.
         self.deferred: dict[int, list[Callable[[], None]]] = {}
@@ -199,14 +206,10 @@ class Agent:
         has already begun."""
         due = max(height, self.sim.tick_height + 1)
         self.deferred.setdefault(due, []).append(fn)
+        self.sim.schedule.setdefault(due, set()).add(self)
 
     def on_duty(self) -> bool:
         return False
-
-    def has_work(self, height: int) -> bool:
-        """Is anything due at tick `height`: a deferral, a scripted action or
-        a standing duty?  An agent with none is not ticked."""
-        return height in self.deferred or height in self.script or self.on_duty()
 
     def on_tick(self) -> None:
         height = self.sim.tick_height

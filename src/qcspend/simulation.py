@@ -35,7 +35,8 @@ DEPOSIT_MODES = tuple(mode.name.lower() for mode in fawkescoin.DEPOSIT_MODES)
 
 # A block height as a `miner_overrides` key: ASCII decimal with no leading
 # zero, as a derivation path's index, so two keys never name one height.
-_HEIGHT = re.compile(r"0|[1-9][0-9]*")
+# Block 0 is the genesis block, so a height starts at 1.
+_HEIGHT = re.compile(r"[1-9][0-9]*")
 
 # The objects of a scenario file, as tables for `check_fields`.
 SCENARIO = Table({
@@ -101,7 +102,7 @@ class ScenarioConfig:
                     raise ConfigError(f"agent {a['id']}: watches {name!r}, no grant with a derivation path")
         overrides = config["miner_overrides"]
         if not all(_HEIGHT.fullmatch(height) and isinstance(miner, str) for height, miner in overrides.items()):
-            raise ConfigError(f"miner_overrides must be a map from block heights to miner ids, not {overrides!r}")
+            raise ConfigError(f"miner_overrides must be a map from block heights (1 and up) to miner ids, not {overrides!r}")
         config["miner_overrides"] = {int(height): miner for height, miner in overrides.items()}
         for name in config["miners"] + tuple(config["miner_overrides"].values()):
             if kinds.get(name) != "miner":
@@ -121,6 +122,8 @@ def _check_entry(data: dict, agent: dict, grants: dict, kinds: dict) -> dict:
     the naked or lost mode."""
     who = f"agent {agent['id']}: "
     entry = check_fields(data, SCRIPT_ENTRY, "script entry", who)
+    if entry["height"] < 1:
+        raise ConfigError(f"{who}script heights start at 1, the first tick: {data}")
     do, mode = entry["do"], entry["mode"]
     if agent["kind"] == "user":
         needs = ("do",) + ACTIONS.get(do, ()) + (("deposit",) if mode in DEPOSIT_MODES else ())
@@ -148,6 +151,7 @@ class Simulation:
         self.mempool = Mempool()
         self.grants = {g["name"]: g for g in config.grants}  # read, never written: a config may serve many runs
         self.owner_of_address: dict[bytes, str] = {}
+        self.schedule: dict[int, set[Agent]] = {}  # tick height -> the agents with work due then
 
         canary_sk = int.from_bytes(hashlib.sha512(b"canary:%d" % self.seed).digest(), "big")
         canary_group = toy_group(config.canary_q)
@@ -181,6 +185,7 @@ class Simulation:
             agent = AGENT_KINDS[a["kind"]](a["id"], self, a, wallets[a["id"]])
             self.register_address(agent.wallet.pq_address(), a["id"])
             self.agents[a["id"]] = agent
+        self.standing = {agent for agent in self.agents.values() if agent.on_duty()}
         self.initial_holdings = self.holdings()
         self.blocks_run = 0
 
@@ -221,9 +226,12 @@ class Simulation:
         n = self.config.blocks if blocks is None else blocks
         for _ in range(n):
             height = self.tick_height = self.chain.height + 1
-            for agent in self.agents.values():
-                if agent.has_work(height):
-                    agent.on_tick()
+            # With nothing scheduled, the agents due are the standing ones.
+            due = self.schedule.pop(height, self.standing)
+            if due:
+                for agent in self.agents.values():
+                    if agent in due or agent in self.standing:
+                        agent.on_tick()
             self.scheduled_miner(height).build_block()
             self.blocks_run += 1
 

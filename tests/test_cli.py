@@ -78,12 +78,13 @@ class TestRun:
             ("alice", "script", {"height": 3, "do": "fc_spend", "utxo": "u-hashed", "mode": "fraud_proof"}),
             ("alice", "script", {"height": 3, "do": "direct_spend", "utxo": "pq-alice"}),
             ("alice", "script", {"height": 3, "do": "registry_declare", "paths": ["m/05"]}),
+            ("oracle", "script", {"height": 0, "do": "kill_canary"}),
         ],
         ids=["unknown-action", "unknown-utxo", "no-height", "unknown-deposit", "unknown-recipient",
              "unknown-fake-lfc-utxo", "unknown-watch", "unknown-mode", "unknown-sig", "path-without-m",
              "path-bad-index", "steal-without-mode", "steal-needing-a-key", "fc-spend-without-utxo",
              "entry-typo", "fake-lfc-typo", "abandon-text", "naked-without-deposit", "fraud-proof-mode",
-             "spend-of-a-pq-grant", "path-leading-zero"],
+             "spend-of-a-pq-grant", "path-leading-zero", "height-0"],
     )
     def test_bad_script_entry_exits_2(self, tmp_path, capsys, agent, key, entry):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
@@ -109,10 +110,11 @@ class TestRun:
             ("miner_overrides", {"\u0663": "m0"}),
             ("miner_overrides", {"\uff13": "m0"}),
             ("miner_overrides", {"3 ": "m0"}),
+            ("miner_overrides", {"0": "m0"}),
         ],
         ids=["agents-int", "grants-int", "grant-int", "miners-int", "miner-list", "overrides-list", "override-list",
              "override-leading-zero", "override-two-spellings", "override-arabic-indic-digit", "override-fullwidth-digit",
-             "override-trailing-space"],
+             "override-trailing-space", "override-height-0"],
     )
     def test_misshaped_field_exits_2(self, tmp_path, capsys, field, value):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())

@@ -790,6 +790,17 @@ class TestReorgPastTheWait:
         with pytest.raises(RuleViolation):
             reorg(h.chain, h.config, branch)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 19: a branch longer than the blocks it replaces steals at a depth within the wait")
+    def test_depth_3_branch_one_block_longer_is_refused(self):
+        # Forking at c keeps alice's commitment, but a fourth block gives
+        # eve's commitment of c + 1 its wait: her reveal lands at c + 4,
+        # before alice's rebroadcast can.  A depth no deeper than the wait
+        # does not rule this out.
+        h, c, steal = reorg_theft_setup()
+        branch = branch_from(h, c, [[h.fc_commit_tx("eve", steal.txid())], [], [], [steal]])
+        with pytest.raises(RuleViolation):
+            reorg(h.chain, h.config, branch)
+
 
 def with_wait_past_u32(lines: list[str]) -> list[str]:
     """Snapshot `lines` whose config grants an output a wait that the u32

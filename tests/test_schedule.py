@@ -1,14 +1,15 @@
 """The tick schedule: `Simulation.run` ticks an agent only when a
 deferral or a scripted action falls due, or a standing duty (a fraud-proof
 watch, a quantum front-runner) reads the chain or the pool every tick;
-deferrals due at one tick run in the order they were made."""
+deferrals due at one tick run in the order they were made, and the agents
+due at one tick run in configuration order."""
 
 import json
 from importlib import resources
 
 import pytest
 
-from qcspend.agents import Agent
+from qcspend.agents import Agent, FrontRunnerAgent, UserAgent
 from qcspend.lifted_fawkescoin import LfcState
 from qcspend.scenarios import load_scenario
 from qcspend.simulation import ScenarioConfig, Simulation
@@ -64,6 +65,45 @@ def test_agent_with_nothing_due_is_not_ticked(monkeypatch):
     # lifted commitment, so it has no claim duty.
     ticks = ticked_heights(Simulation(load_scenario("honest-fc")), monkeypatch)
     assert ticks == {"m0": [], "oracle": [5], "alice": [25, 26, 125, 126]}
+
+
+def test_a_quiet_height_runs_no_agent_code(monkeypatch):
+    # `on_duty` is read once per agent when the agents are built and once
+    # per tick, never at a height with nothing due.
+    asked = []
+    for kind in (Agent, UserAgent, FrontRunnerAgent):
+        monkeypatch.setattr(kind, "on_duty", lambda agent, on_duty=kind.on_duty: asked.append((agent.id, agent.sim.tick_height)) or on_duty(agent))
+    Simulation(load_scenario("honest-fc")).run()
+    set_up = [("m0", 0), ("oracle", 0), ("alice", 0)]
+    assert asked == set_up + [("oracle", 5), ("alice", 25), ("alice", 26), ("alice", 125), ("alice", 126)]
+
+
+def test_agents_due_at_one_height_tick_in_configuration_order(monkeypatch):
+    # At height 5 a standing watcher, a miner with a deferral and the
+    # oracle's scripted kill are due; neither id order nor the order the
+    # work was entered is the configuration order.
+    data = bundled("honest-fc")
+    data["agents"].insert(0, {"id": "zoe", "kind": "user", "watch": ["u-zoe"]})
+    data["grants"].append({"name": "u-zoe", "owner": "zoe", "type": "hashed", "path": "m/0h/0/0", "value": 1})
+    sim = Simulation(ScenarioConfig.from_dict(data))
+    sim.agents["m0"].defer(5, lambda: None)
+    order = []
+    on_tick = Agent.on_tick
+    monkeypatch.setattr(Agent, "on_tick", lambda agent: order.append((agent.sim.tick_height, agent.id)) or on_tick(agent))
+    sim.run(5)
+    assert [agent_id for height, agent_id in order if height == 5] == ["zoe", "m0", "oracle"]
+
+
+@pytest.mark.parametrize("watch, ticked", [([], [25, 26, 125, 126]), (["u-hashed"], list(range(1, 141)))], ids=["scripted", "standing"])
+def test_an_agent_due_for_several_reasons_ticks_once(watch, ticked, monkeypatch):
+    # Alice's scripted commit at 25 meets a deferral made for 25, and with
+    # a watch, her standing duty as well.
+    data = bundled("honest-fc")
+    data["agents"][2]["watch"] = watch
+    sim = Simulation(ScenarioConfig.from_dict(data))
+    ran = []
+    sim.agents["alice"].defer(25, lambda: ran.append(sim.tick_height))
+    assert ticked_heights(sim, monkeypatch)["alice"] == ticked and ran == [25]
 
 
 def test_standing_duties_tick_every_height(monkeypatch):
