@@ -10,10 +10,11 @@ an agent acts on is one deferral, made when the deadline becomes known at
 an age `Params` computes: a FawkesCoin reveal when its commitment is
 submitted, and a miner's claim of the unrevealed lifted commitments of a
 block when it builds the block.  The simulation holds one schedule, from
-tick height to the agents due then, which each agent enters as it scripts
-or defers work.  Only a fraud-proof watcher and a quantum front-runner have
-a standing duty, which reads the chain or the pool every tick (`on_duty`,
-read once at set-up); an agent with nothing due is skipped, which changes
+tick height to the agents due then and the deferrals each one runs, which
+an agent enters as it scripts or defers work.  Only a fraud-proof watcher
+and a quantum front-runner have a standing duty, which reads the chain or
+the pool every tick (`Agent.duty`, set when the agent is built and read
+once at set-up); an agent with nothing due is skipped, which changes
 nothing, and a height with no agent due runs no agent code.
 Submissions made during tick h are eligible for block h itself, so an
 adversary placed after its victim in the agent order sees the victim's
@@ -22,8 +23,10 @@ threat model -- and can outbid it with a higher priority.  Entry order
 inside a block is (priority desc, submission sequence), so identical
 runs are byte-identical.
 
-Agents never mutate the chain; they only read it and submit.  All
-randomness any agent needs is derived from the scenario seed.
+Users and front-runners read the chain and submit to the pool; only the
+scheduled miner writes to it, building its block through `begin_block`,
+`try_add_tx` and `end_block` and logging its mempool-policy drops in
+`chain.violations`.  All randomness comes from the scenario seed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .consensus import Chain, EraPhase, proof_message
 from .encoding import enc_bytes, enc_u32
@@ -178,11 +181,14 @@ class Mempool:
 
 
 class Agent:
-    """A kind with a standing duty overrides `on_duty`, which says whether
-    its `autonomous` step runs each tick.  It must not change over the
-    agent's life: the simulation reads it once, after building the agents,
-    to find the agents it ticks at every height.  Scripted heights and
-    deferrals enter the simulation's schedule, which ticks the agent then."""
+    """At a tick an agent runs its deferrals due then, in the order they
+    were made, then its scripted actions at that height, then its standing
+    duty.  The simulation's schedule enters the agent at each scripted
+    height and each deferral's, with the deferrals it runs.  A kind with a
+    standing duty sets `duty` in `__init__` to the step it runs every tick;
+    the simulation reads it once, to find the agents due every tick."""
+
+    duty: Optional[Callable[[], None]] = None
 
     def __init__(self, agent_id: str, sim: "Simulation", options: dict, wallet: Wallet):
         self.id = agent_id
@@ -192,10 +198,7 @@ class Agent:
         self.script: dict[int, list[dict]] = {}
         for entry in options["script"]:
             self.script.setdefault(entry["height"], []).append(entry)
-            sim.schedule.setdefault(entry["height"], set()).add(self)
-        # tick height -> the deferrals due then, in the order they were made.
-        # Ticks come at consecutive heights, so each one looks up only its own.
-        self.deferred: dict[int, list[Callable[[], None]]] = {}
+            sim.schedule.setdefault(entry["height"], {}).setdefault(self, [])
         self.actions: list[str] = []
 
     def log(self, text: str) -> None:
@@ -205,20 +208,15 @@ class Agent:
         """Run `fn` at the tick of `height`, or at the next tick if that one
         has already begun."""
         due = max(height, self.sim.tick_height + 1)
-        self.deferred.setdefault(due, []).append(fn)
-        self.sim.schedule.setdefault(due, set()).add(self)
+        self.sim.schedule.setdefault(due, {}).setdefault(self, []).append(fn)
 
-    def on_duty(self) -> bool:
-        return False
-
-    def on_tick(self) -> None:
-        height = self.sim.tick_height
-        for fn in self.deferred.pop(height, ()):
+    def on_tick(self, deferred: Iterable[Callable[[], None]]) -> None:
+        for fn in deferred:
             fn()
-        for action in self.script.get(height, ()):
+        for action in self.script.get(self.sim.tick_height, ()):
             self.run_action(action)
-        if self.on_duty():
-            self.autonomous()
+        if self.duty:
+            self.duty()
 
     def run_action(self, action: dict) -> None:
         pass  # miner scripts are read at block-building time
@@ -366,18 +364,13 @@ class UserAgent(Agent):
     def __init__(self, agent_id, sim, options, wallet):
         super().__init__(agent_id, sim, options, wallet)
         self.watched: set[str] = set(options["watch"])
-        self._fraud_responses: set[bytes] = set()
+        if self.watched:
+            self.duty = self._watch_for_theft
 
     # -- scripted actions ------------------------------------------------------
 
     def run_action(self, action: dict) -> None:
         getattr(self, "do_" + action["do"])(action)
-
-    def on_duty(self) -> bool:
-        return bool(self.watched)
-
-    def autonomous(self) -> None:
-        self._watch_for_theft()
 
     # Canary ---------------------------------------------------------------------
 
@@ -463,7 +456,7 @@ class UserAgent(Agent):
     def do_fc_spend(self, action: dict) -> None:
         if self._gone(action, "fc spend"):
             return
-        mode = RevealMode[action["mode"].upper()]
+        mode = action["mode"]
         sk = self._grant_sk(action["utxo"]) if mode is not RevealMode.LOST else None
         if mode is RevealMode.NAKED and sk is None:
             self.log(f"cannot spend {action['utxo']} as naked: the key is gone")
@@ -523,7 +516,7 @@ class UserAgent(Agent):
         if self._gone(action, "steal"):
             return
         chain = self.sim.chain
-        mode = RevealMode[action["mode"].upper()]
+        mode = action["mode"]
         utxo = chain.utxo(self.sim.grant_outpoint(action["utxo"]))
         sk = None
         if mode is RevealMode.NAKED:
@@ -554,14 +547,15 @@ class UserAgent(Agent):
     # Fraud-proof watch ------------------------------------------------------------------------
 
     def _watch_for_theft(self) -> None:
+        """Answer each challenge the last block opened on a watched output.
+        The watch runs every tick, so this meets each challenge once."""
         chain = self.sim.chain
+        opened_end = chain.height + chain.params.challenge_blocks
         for name in sorted(self.watched):
             outpoint = self.sim.grant_outpoint(name)
             for record in chain.open_challenges.values():
-                if record.spent_outpoint != outpoint or record.txid in self._fraud_responses:
-                    continue
-                self._fraud_responses.add(record.txid)
-                self._respond_with_fraud_proof(name, record)
+                if record.spent_outpoint == outpoint and record.challenge_end_height == opened_end:
+                    self._respond_with_fraud_proof(name, record)
 
     def _respond_with_fraud_proof(self, name: str, record) -> None:
         chain = self.sim.chain
@@ -582,10 +576,12 @@ class FrontRunnerAgent(Agent):
     higher-priority competing spend.  Against commit-wait-reveal flows the
     same observation only yields a commitment that is 100 blocks too late."""
 
-    def on_duty(self) -> bool:
-        return self.quantum
+    def __init__(self, agent_id, sim, options, wallet):
+        super().__init__(agent_id, sim, options, wallet)
+        if self.quantum:
+            self.duty = self._race_pending
 
-    def autonomous(self) -> None:
+    def _race_pending(self) -> None:
         # Every block drains the pool, so it holds only this tick's submissions.
         for sub in self.sim.mempool.view():
             tx = sub.data

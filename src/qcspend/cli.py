@@ -59,11 +59,12 @@ def cmd_run(args) -> int:
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(sim.report())
+    report = sim.report()
+    (out / "report.txt").write_text(report)
     (out / "snapshot.txt").write_text(sim.snapshot())
     violations = "".join(f"h{h} {rule} {detail}\n" for h, rule, detail in sim.chain.violations)
     (out / "violations.txt").write_text(violations)
-    print(sim.report(), end="")
+    print(report, end="")
     return 0
 
 

@@ -234,12 +234,11 @@ class Chain:
 
         self._building: Optional[_Draft] = None
         # The undo journal: the entries of the block being built, and the
-        # journals of the last `max_reorg_depth` blocks (at least of the last
-        # one, which `apply_block` undoes on a mismatch), newest last.  A
+        # journals of the last `max_reorg_depth` blocks, newest last.  A
         # branch switch keeps those of all the blocks it applies until done.
         self._journal: list[tuple] = []
         self._undo: deque[list[tuple]] = deque()
-        self._undo_keep = max(params.max_reorg_depth, 1)
+        self._undo_keep = params.max_reorg_depth
         if canary.killed_at is not None:
             self._open_first_epoch()
         self._apply_genesis(list(genesis_grants))

@@ -17,9 +17,9 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from . import fawkescoin
 from .agents import AGENT_KINDS, Agent, Mempool, MinerAgent, Wallet
 from .consensus import Chain, ChainConfig, GenesisGrant, export_snapshot
+from .fawkescoin import DEPOSIT_MODES, RevealMode
 from .groups import address_hash, pk_ec, toy_group
 from .hdwallet import DerivationPath
 from .ledger import Address, pk_hash_address, plain_pk_address
@@ -31,7 +31,6 @@ ACTIONS = {
     "kill_canary": (), "registry_declare": ("paths",), "samaritan": ("utxo",),
     "direct_spend": ("utxo",), "fc_spend": ("utxo",), "lfc_spend": ("utxo",), "steal": ("utxo",),
 }
-DEPOSIT_MODES = tuple(mode.name.lower() for mode in fawkescoin.DEPOSIT_MODES)
 
 # A block height as a `miner_overrides` key: ASCII decimal with no leading
 # zero, as a derivation path's index, so two keys never name one height.
@@ -58,7 +57,7 @@ GRANT = Table({
 SCRIPT_ENTRY = Table({
     "height": (int, ...), "do": (set(ACTIONS), None),
     "utxo": (str, None), "deposit": (str, None), "to": (str, None),
-    "mode": ({"hashed", "derived", *DEPOSIT_MODES}, "hashed"), "sig": ({"key", "seed"}, "key"),
+    "mode": ({"hashed", "derived", "naked", "lost"}, "hashed"), "sig": ({"key", "seed"}, "key"),
     "fee": (int, 0), "commit_fee": (int, 0), "alpha": (int, 0),
     "abandon": (bool, False), "paths": ([DerivationPath.parse], None),
     "fake_lfc": ({"utxo": (str, ...), "alpha": (int, 0)}, None),
@@ -119,24 +118,25 @@ def _check_entry(data: dict, agent: dict, grants: dict, kinds: dict) -> dict:
     and the fields it needs, and each grant or agent it names exists.  A
     spend takes a pre-quantum grant, with a derivation path to reveal the
     path or sign with the seed.  A thief holds no key, so `steal` must name
-    the naked or lost mode."""
+    the naked or lost mode.  The entry's `mode` becomes its `RevealMode`."""
     who = f"agent {agent['id']}: "
     entry = check_fields(data, SCRIPT_ENTRY, "script entry", who)
     if entry["height"] < 1:
         raise ConfigError(f"{who}script heights start at 1, the first tick: {data}")
-    do, mode = entry["do"], entry["mode"]
+    do, mode = entry["do"], RevealMode[entry["mode"].upper()]
+    entry["mode"] = mode
     if agent["kind"] == "user":
         needs = ("do",) + ACTIONS.get(do, ()) + (("deposit",) if mode in DEPOSIT_MODES else ())
         missing = [key for key in needs if entry[key] is None]
         if missing:
             raise ConfigError(f"{who}script entry needs {missing}: {data}")
         if do == "steal" and mode not in DEPOSIT_MODES:
-            raise ConfigError(f"{who}steal needs mode 'naked' or 'lost', not {mode!r}")
+            raise ConfigError(f"{who}steal needs mode 'naked' or 'lost', not {mode.name.lower()!r}")
     for name in (entry["utxo"], entry["deposit"], (entry["fake_lfc"] or {}).get("utxo")):
         if name is not None and name not in grants:
             raise ConfigError(f"{who}script names unknown grant {name!r}")
     spent = grants.get(entry["utxo"], {})
-    if spent.get("type") == "pq" or (mode == "derived" or entry["sig"] == "seed") and spent.get("path") is None:
+    if spent.get("type") == "pq" or (mode is RevealMode.DERIVED or entry["sig"] == "seed") and spent.get("path") is None:
         raise ConfigError(f"{who}cannot {do} {entry['utxo']!r}, a {spent.get('type')} grant: {data}")
     if entry["to"] is not None and entry["to"] not in kinds:
         raise ConfigError(f"{who}script names unknown agent {entry['to']!r}")
@@ -151,7 +151,7 @@ class Simulation:
         self.mempool = Mempool()
         self.grants = {g["name"]: g for g in config.grants}  # read, never written: a config may serve many runs
         self.owner_of_address: dict[bytes, str] = {}
-        self.schedule: dict[int, set[Agent]] = {}  # tick height -> the agents with work due then
+        self.schedule: dict[int, dict[Agent, list]] = {}  # tick height -> the agents due then -> their deferrals
 
         canary_sk = int.from_bytes(hashlib.sha512(b"canary:%d" % self.seed).digest(), "big")
         canary_group = toy_group(config.canary_q)
@@ -185,7 +185,7 @@ class Simulation:
             agent = AGENT_KINDS[a["kind"]](a["id"], self, a, wallets[a["id"]])
             self.register_address(agent.wallet.pq_address(), a["id"])
             self.agents[a["id"]] = agent
-        self.standing = {agent for agent in self.agents.values() if agent.on_duty()}
+        self.standing = {agent: () for agent in self.agents.values() if agent.duty}  # a schedule entry, with no deferrals
         self.initial_holdings = self.holdings()
         self.blocks_run = 0
 
@@ -231,7 +231,7 @@ class Simulation:
             if due:
                 for agent in self.agents.values():
                     if agent in due or agent in self.standing:
-                        agent.on_tick()
+                        agent.on_tick(due.get(agent, ()))
             self.scheduled_miner(height).build_block()
             self.blocks_run += 1
 

@@ -595,6 +595,22 @@ class TestReplayAndReorg:
         reorg(chain, h.config, side.blocks[final + 1 :])
         assert same_state(chain, replay_chain(h.config, side.blocks))
 
+    def test_no_reorg_depth_makes_the_tip_final(self):
+        # With max_reorg_depth 0 no block is replaced: every block is final
+        # as it joins, a branch attaching at the tip still extends the
+        # chain, and a branch replacing one block is refused.
+        h = Harness(max_reorg_depth=0)
+        h.build()
+        h.mine(5)
+        assert h.chain.final_height == 5
+        side = replay_chain(h.config, h.chain.blocks)
+        side.begin_block("m1", h.wallet("m1").pq_address())
+        side.end_block()
+        reorg(h.chain, h.config, side.blocks[6:])
+        assert same_state(h.chain, side)
+        with pytest.raises(RuleViolation, match="reorg-depth"):
+            reorg(h.chain, h.config, side.blocks[6:])
+
     def test_depth_3_reorg_preserves_fc_flow(self):
         h = self.flow_harness()
         reveal = h.fc_flow_hashed("alice", "u1", "m/0h/0/0", fee=10)

@@ -140,11 +140,11 @@ class TestFrontRunner:
         sim.run(7)
         sim.tick_height = 8
         eve = sim.agents["eve"]
-        sim.agents["bob"].on_tick()
+        sim.agents["bob"].on_tick(())
         spend = sim.mempool.view()[0].data
         as_reveal = dataclasses.replace(spend, kind=TxKind.FC_REVEAL)
         sim.mempool.submit("tx", as_reveal, "bob")
-        eve.autonomous()
+        eve.duty()
         assert eve.actions == ["h8 front-ran a direct spend of 50000", "h8 front-run against FawkesCoin aborted: no fee source"]
         sim.scheduled_miner(8).build_block()  # eve's steal spends u1
         assert sim.chain.utxo(spend.inputs[0].outpoint) is None
@@ -158,7 +158,7 @@ class TestFrontRunner:
         ):
             sim.mempool.submit("tx", tx, "bob")
         sim.tick_height = 9
-        eve.autonomous()
+        eve.duty()
         assert len(eve.actions) == 2
 
 

@@ -1,15 +1,20 @@
-"""The tick schedule: `Simulation.run` ticks an agent only when a
-deferral or a scripted action falls due, or a standing duty (a fraud-proof
-watch, a quantum front-runner) reads the chain or the pool every tick;
-deferrals due at one tick run in the order they were made, and the agents
-due at one tick run in configuration order."""
+"""The tick schedule: `Simulation.schedule` maps a tick height to the
+agents due then and the deferrals each one runs.  `Simulation.run` ticks an
+agent only when a deferral or a scripted action falls due, or when it has a
+standing duty (a fraud-proof watch, a quantum front-runner), which reads
+the chain or the pool every tick; deferrals due at one tick run in the
+order they were made, and the agents due at one tick run in configuration
+order."""
 
 import json
+import sys
 from importlib import resources
 
 import pytest
 
-from qcspend.agents import Agent, FrontRunnerAgent, UserAgent
+from qcspend import agents
+from qcspend.agents import Agent, MinerAgent, UserAgent
+from qcspend.fawkescoin import ChallengeStatus
 from qcspend.lifted_fawkescoin import LfcState
 from qcspend.scenarios import load_scenario
 from qcspend.simulation import ScenarioConfig, Simulation
@@ -24,13 +29,18 @@ def ticked_heights(sim: Simulation, monkeypatch) -> dict[str, list[int]]:
     ticks = {agent_id: [] for agent_id in sim.agents}
     on_tick = Agent.on_tick
 
-    def recording(agent):
+    def recording(agent, deferred):
         ticks[agent.id].append(agent.sim.tick_height)
-        on_tick(agent)
+        on_tick(agent, deferred)
 
     monkeypatch.setattr(Agent, "on_tick", recording)
     sim.run()
     return ticks
+
+
+def deferral_heights(sim: Simulation, agent: Agent) -> list[int]:
+    """The heights at which the schedule holds deferrals of `agent`."""
+    return [height for height, due in sim.schedule.items() if due.get(agent)]
 
 
 def test_deferrals_due_in_one_tick_run_in_insertion_order():
@@ -45,7 +55,7 @@ def test_deferrals_due_in_one_tick_run_in_insertion_order():
     alice.defer(4, lambda: ran.append(("fourth", sim.tick_height)))
     sim.run(2)
     assert ran == [("first", 4), ("second", 4), ("fourth", 4), ("third", 4)]
-    assert not alice.deferred
+    assert deferral_heights(sim, alice) == []
 
 
 def test_deferral_for_a_past_height_runs_on_the_next_tick():
@@ -67,15 +77,27 @@ def test_agent_with_nothing_due_is_not_ticked(monkeypatch):
     assert ticks == {"m0": [], "oracle": [5], "alice": [25, 26, 125, 126]}
 
 
-def test_a_quiet_height_runs_no_agent_code(monkeypatch):
-    # `on_duty` is read once per agent when the agents are built and once
-    # per tick, never at a height with nothing due.
-    asked = []
-    for kind in (Agent, UserAgent, FrontRunnerAgent):
-        monkeypatch.setattr(kind, "on_duty", lambda agent, on_duty=kind.on_duty: asked.append((agent.id, agent.sim.tick_height)) or on_duty(agent))
-    Simulation(load_scenario("honest-fc")).run()
-    set_up = [("m0", 0), ("oracle", 0), ("alice", 0)]
-    assert asked == set_up + [("oracle", 5), ("alice", 25), ("alice", 26), ("alice", 125), ("alice", 126)]
+def test_a_quiet_height_runs_no_agent_code():
+    # Besides the scheduled miner building its block, code of the agents
+    # module runs only at the heights some agent is due: a height with
+    # nothing due calls no agent method, a duty included.
+    sim = Simulation(load_scenario("honest-fc"))
+    build = MinerAgent.build_block.__code__
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == agents.__file__:
+            while frame is not None and frame.f_code is not build:
+                frame = frame.f_back
+            if frame is None:
+                ran.add(sim.tick_height)
+
+    sys.setprofile(profile)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    assert sorted(ran) == [5, 25, 26, 125, 126]
 
 
 def test_agents_due_at_one_height_tick_in_configuration_order(monkeypatch):
@@ -89,7 +111,7 @@ def test_agents_due_at_one_height_tick_in_configuration_order(monkeypatch):
     sim.agents["m0"].defer(5, lambda: None)
     order = []
     on_tick = Agent.on_tick
-    monkeypatch.setattr(Agent, "on_tick", lambda agent: order.append((agent.sim.tick_height, agent.id)) or on_tick(agent))
+    monkeypatch.setattr(Agent, "on_tick", lambda agent, deferred: order.append((agent.sim.tick_height, agent.id)) or on_tick(agent, deferred))
     sim.run(5)
     assert [agent_id for height, agent_id in order if height == 5] == ["zoe", "m0", "oracle"]
 
@@ -113,10 +135,27 @@ def test_standing_duties_tick_every_height(monkeypatch):
     data["agents"] += [{"id": "watcher", "kind": "user", "watch": ["u-watched"]}, {"id": "idle-runner", "kind": "front_runner"}]
     data["grants"].append({"name": "u-watched", "owner": "watcher", "type": "hashed", "path": "m/0h/0/0", "value": 1})
     sim = Simulation(ScenarioConfig.from_dict(data))
+    assert list(sim.standing) == [sim.agents["eve"], sim.agents["watcher"]]
+    assert sim.agents["idle-runner"].duty is None and sim.agents["alice"].duty is None
     ticks = ticked_heights(sim, monkeypatch)
     every = list(range(1, data["blocks"] + 1))
     assert ticks["eve"] == every and ticks["watcher"] == every
     assert ticks["idle-runner"] == []
+
+
+def test_a_watcher_answers_each_challenge_once(monkeypatch):
+    # The fraud-proof watch ticks every height and answers the challenges
+    # the last block opened.  With the answer recorded but not made, the
+    # theft's challenge stays open for all its `challenge_blocks` ticks,
+    # and is answered at the first of them alone.
+    answered = []
+    monkeypatch.setattr(UserAgent, "_respond_with_fraud_proof", lambda agent, name, record: answered.append((agent.sim.tick_height, name, record.txid)))
+    sim = Simulation(load_scenario("fraud-proof"))
+    sim.run()
+    (record,) = sim.chain.challenges.values()
+    opened = record.challenge_end_height - sim.config.params.challenge_blocks
+    assert sim.chain.height > record.challenge_end_height and record.status is not ChallengeStatus.DEFEATED
+    assert answered == [(opened + 1, "u-bait", record.txid)]
 
 
 def test_dropped_lifted_commitment_leaves_no_deferral():
@@ -131,9 +170,9 @@ def test_dropped_lifted_commitment_leaves_no_deferral():
     sim.run(430)
     assert [rule for _, rule, _ in sim.chain.violations] == ["lfc-keylift-leaked"]
     assert not sim.chain.lfc_by_hash
-    assert list(spammer.deferred) == [431]
+    assert deferral_heights(sim, spammer) == [431]
     sim.run(1)
-    assert spammer.deferred == {}
+    assert deferral_heights(sim, spammer) == []
     assert spammer.actions == ["h430 lifted commitment for u1 (alpha=1000)"]
 
 
@@ -160,7 +199,7 @@ def test_a_miner_ticks_only_when_its_claims_fall_due(name, monkeypatch):
     deadline = sim.config.params.reveal_deadline()
     for miner, expected in CLAIM_TICKS[name].items():
         actions = sim.agents[miner].actions
-        assert ticks[miner] == list(expected) and not sim.agents[miner].deferred
+        assert ticks[miner] == list(expected) and deferral_heights(sim, sim.agents[miner]) == []
         posted = [int(action.split()[0][1:]) for action in actions if "proof of ownership" in action]
         assert {h: posted.count(h) for h in expected} == expected
         # Each claim tick is one block past the reveal deadline of a block
