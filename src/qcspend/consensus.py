@@ -234,11 +234,11 @@ class Chain:
 
         self._building: Optional[_Draft] = None
         # The undo journal: the entries of the block being built, and the
-        # journals of the last `max_reorg_depth` blocks, newest last.  A
-        # branch switch keeps those of all the blocks it applies until done.
+        # journals of the last `max_reorg_depth` blocks, newest last (the
+        # deque's bound drops older ones).  A branch switch keeps those of
+        # all the blocks it applies until done.
         self._journal: list[tuple] = []
-        self._undo: deque[list[tuple]] = deque()
-        self._undo_keep = params.max_reorg_depth
+        self._undo: deque[list[tuple]] = deque(maxlen=params.max_reorg_depth)
         if canary.killed_at is not None:
             self._open_first_epoch()
         self._apply_genesis(list(genesis_grants))
@@ -315,7 +315,8 @@ class Chain:
         blocks."""
         fork_height = branch[0].height - 1
         replaced = self._rewind(fork_height)
-        self._undo_keep += len(branch)  # every branch block stays undoable
+        # Every branch block stays undoable until the switch is done.
+        self._undo = deque(self._undo, maxlen=self.params.max_reorg_depth + len(branch))
         try:
             for block in branch:
                 self.apply_block(block)
@@ -325,7 +326,9 @@ class Chain:
                 self.apply_block(block)
             raise
         finally:
-            self._undo_keep -= len(branch)
+            # Only the newest `max_reorg_depth` journals stay, as after a
+            # block: a longer branch made the blocks below them final.
+            self._undo = deque(self._undo, maxlen=self.params.max_reorg_depth)
         return replaced
 
     # -- views --------------------------------------------------------------
@@ -499,11 +502,9 @@ class Chain:
         self.blocks.append(block)
         self.tip_hash = address_hash(_block_bytes(block, coinbase))  # block.block_hash(), from the one encoding
         # The block's journal becomes its undo data (`_rewind` drops the
-        # block itself).
+        # block itself), and the oldest journal past the bound is dropped.
         self._undo.append(self._journal)
         self._journal = []
-        while len(self._undo) > self._undo_keep:
-            self._undo.popleft()
 
     def _close_block(self, b: _Draft, reports: Iterable[bytes]) -> tuple[Transaction, bytes, tuple[bytes, ...]]:
         """Apply the end of block `b`: the reports, the coinbase, the sweeps

@@ -19,6 +19,13 @@ would; call from any number of threads.  `decode_point` checks subgroup
 membership by the Jacobi symbol when p = 2q + 1, where the order-q
 subgroup is exactly the quadratic residues; other groups keep the
 `pow(x, q, p)` check.
+
+Each group keeps two tables.  `pk_ec` raises g from the group's
+`generator_table`, which the group builds as it is made (43 rows of 64
+powers, ~180 KiB and ~2 ms on the secure group), so no timed call pays
+for it.  `quantum_invert` keeps its baby steps in `baby_steps`, built on
+the first inversion on the group.  Every other power (a key raised to a
+challenge, a membership test) is a plain `pow`.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # short challenges): s = k + e*sk mod q hides the key behind a nonce k that
 # is uniform mod q, and a verify raises the key to a 128-bit power.
 CHALLENGE_BITS = 128
+
+# `pk_ec` reads a scalar in digits of DIGIT_BITS bits, one table row each.
+DIGIT_BITS = 6
 
 
 def is_prime(n: int) -> bool:
@@ -120,6 +130,37 @@ class GroupParams:
             raise GroupError("vulnerable groups must have order <= 2**24")
         if self.p >= 1 << (8 * self.point_len):
             raise GroupError("modulus too wide for the point encoding")
+        self.generator_table  # built with the group, not in the first pk_ec
+
+    @cached_property
+    def generator_table(self) -> tuple[tuple[int, ...], ...]:
+        """g^(d * 2^(DIGIT_BITS * i)) mod p at [i][d], for every digit d
+        below 2^DIGIT_BITS and one row i per digit of q - 1: fixed-base
+        windowing (Brickell, Gordon, McCurley and Wilson; HAC 14.6.3) with
+        every digit's power stored, so raising g is one product per digit."""
+        rows, base = [], self.g
+        for _ in range(-(-(self.q - 1).bit_length() // DIGIT_BITS)):
+            row = [1]
+            for _ in range(1 << DIGIT_BITS):
+                row.append(row[-1] * base % self.p)
+            base = row.pop()  # base^(2^DIGIT_BITS), the next row's base
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def baby_steps(self) -> tuple[int, dict[int, int], int]:
+        """`quantum_invert`'s table, built on the group's first inversion:
+        m with m*m >= q, the map g^j -> j for j < m, and g^(-m).  Only a
+        QUANTUM_VULNERABLE group's order is small enough to build it."""
+        m = 1
+        while m * m < self.q:
+            m += 1
+        baby = {}
+        acc = 1
+        for j in range(m):
+            baby.setdefault(acc, j)
+            acc = acc * self.g % self.p
+        return m, baby, pow(acc, -1, self.p)
 
     @property
     def modulus_bits(self) -> int:
@@ -242,7 +283,11 @@ def pk_ec(group: GroupParams, sk: int) -> GroupPoint:
     Z_q, injective over [0, q)."""
     if not 0 <= sk < group.q:
         raise GroupError(f"secret scalar out of range: {sk}")
-    return GroupPoint(group, pow(group.g, sk, group.p))
+    p, mask, value = group.p, (1 << DIGIT_BITS) - 1, 1
+    for row in group.generator_table:
+        value = value * row[sk & mask] % p
+        sk >>= DIGIT_BITS
+    return GroupPoint(group, value)
 
 
 # -- hashing ---------------------------------------------------------------
@@ -291,8 +336,8 @@ def _challenge(group: GroupParams, nonce_point: bytes, pk: bytes, msg: bytes) ->
 def prequantum_sign(group: GroupParams, sk: int, msg: bytes, pk_bytes: bytes | None = None) -> PreQuantumSignature:
     """Deterministic hash-challenge signature; the nonce is derived from
     (sk, msg) so repeated runs of a simulation byte-match.  A caller that
-    holds `pk_ec(group, sk).encode()` passes it as `pk_bytes` and saves an
-    exponentiation."""
+    holds `pk_ec(group, sk).encode()` passes it as `pk_bytes`, so that
+    only the nonce is raised."""
     if pk_bytes is None:
         pk_bytes = pk_ec(group, sk).encode()
     elif not 0 <= sk < group.q:
@@ -337,15 +382,7 @@ def quantum_invert(pk: GroupPoint) -> int:
         raise GroupError("quantum inversion is out of scale for a secure group")
     if pk.is_identity():
         return 0
-    m = 1
-    while m * m < group.q:
-        m += 1
-    baby = {}
-    acc = 1
-    for j in range(m):
-        baby.setdefault(acc, j)
-        acc = acc * group.g % group.p
-    giant_step = pow(acc, -1, group.p)  # g^(-m)
+    m, baby, giant_step = group.baby_steps
     gamma = pk.value
     for i in range(m + 1):
         j = baby.get(gamma)

@@ -21,7 +21,7 @@ KDF_ITERS = 8
 
 # Chain attributes `same_state` leaves out: the undo data, and the builder's
 # log of skipped entries, which is not chain state.
-NOT_STATE = {"_journal", "_undo", "_undo_keep", "violations"}
+NOT_STATE = {"_journal", "_undo", "violations"}
 
 
 def _by_value(x):

@@ -611,6 +611,24 @@ class TestReplayAndReorg:
         with pytest.raises(RuleViolation, match="reorg-depth"):
             reorg(h.chain, h.config, side.blocks[6:])
 
+    @pytest.mark.parametrize("depth, blocks, fork, length", [(2, 10, 8, 4), (0, 5, 5, 1)])
+    def test_a_longer_branch_makes_the_blocks_below_the_bound_final(self, depth, blocks, fork, length):
+        # After a switch the chain keeps the journals of its newest
+        # `max_reorg_depth` blocks, as after any block: a branch longer than
+        # the blocks it replaced makes the blocks below that bound final.
+        h = Harness(max_reorg_depth=depth)
+        h.build()
+        h.mine(blocks)
+        side = replay_chain(h.config, h.chain.blocks[: fork + 1])
+        for _ in range(length):
+            side.begin_block("m1", h.wallet("m1").pq_address())
+            side.end_block()
+        reorg(h.chain, h.config, side.blocks[fork + 1 :])
+        assert h.chain.height == fork + length
+        assert len(h.chain._undo) == depth
+        assert h.chain.final_height == fork + length - depth
+        assert same_state(h.chain, side)
+
     def test_depth_3_reorg_preserves_fc_flow(self):
         h = self.flow_harness()
         reveal = h.fc_flow_hashed("alice", "u1", "m/0h/0/0", fee=10)

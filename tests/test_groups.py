@@ -101,14 +101,17 @@ class TestPkEc:
 
 
 class TestFixedBasePkEc:
-    """On the secure group pk_ec raises the fixed base g by `pow`: the group
-    law must hold at the edges of [0, q), at runs of ones and lone bits, and
-    for any scalar in it, and the known key and signature must keep their
-    bytes."""
+    """pk_ec raises the fixed base g from the group's table of digit powers,
+    one row per DIGIT_BITS-bit digit of q - 1: the group law and `pow` must
+    agree at the edges of [0, q), at every row edge, at q - 1's partial top
+    digit and for any scalar, and the known key and signature must keep
+    their bytes."""
 
     SG = secure_group()
-    # A stride for runs of ones and lone bits below the width of q.
-    W = 5
+    # A stride for runs of ones and lone bits: the digit width, so that
+    # 2^(W*i) - 1 fills every row below i and 2^(W*i) is row i's first power.
+    W = groups.DIGIT_BITS
+    ROWS = -(-(secure_group().q - 1).bit_length() // groups.DIGIT_BITS)
     # The width of a challenge's bound, 2^CHALLENGE_BITS; a scalar in
     # [0, q) spans SCALAR_CHUNKS slices of that width.
     CHUNK_BITS = groups.CHALLENGE_BITS
@@ -128,6 +131,7 @@ class TestFixedBasePkEc:
         run, lone = pk_ec(self.SG, 2**n - 1), pk_ec(self.SG, 2**n)
         assert lone.value == self.lone_bits()[n]
         assert run.add(self.SG.generator).value == lone.value
+        assert run.value == pow(self.SG.g, 2**n - 1, self.SG.p)
 
     @pytest.mark.parametrize("x", [0, 1, "q-1"])
     def test_edges(self, x):
@@ -137,9 +141,38 @@ class TestFixedBasePkEc:
         assert point.add(self.SG.generator).value == pk_ec(self.SG, (x + 1) % self.SG.q).value
         assert point.value == {0: 1, 1: self.SG.g}.get(x, pow(self.SG.g, -1, self.SG.p))
 
-    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("i", range(1, ROWS))
     def test_digit_boundaries(self, i):
         self.assert_run_and_lone_bit(self.W * i)
+
+    def test_partial_top_digit(self):
+        # q - 1 has fewer bits than the rows hold: its top digit alone, the
+        # top row's highest lone bit, and q - 1 itself.
+        top = self.W * (self.ROWS - 1)
+        q1 = self.SG.q - 1
+        assert 0 < q1 >> top < 1 << (self.W - 1)
+        for x in (q1 >> top << top, 1 << (q1.bit_length() - 1), q1):
+            assert pk_ec(self.SG, x).value == pow(self.SG.g, x, self.SG.p)
+
+    def test_table_shape(self):
+        # Built with the group: one row per digit of q - 1, a power per digit.
+        fresh = GroupParams(p=self.SG.p, q=self.SG.q, g=self.SG.g, mode=self.SG.mode)
+        assert "generator_table" in vars(fresh)
+        assert len(fresh.generator_table) == self.ROWS == 43
+        assert {len(row) for row in fresh.generator_table} == {1 << self.W}
+        assert fresh.generator_table == self.SG.generator_table
+
+    @pytest.mark.parametrize("q", [101, 8191])
+    def test_matches_pow_exhaustive(self, q):
+        g = toy_group(q)
+        assert [pk_ec(g, x).value for x in range(q)] == [pow(g.g, x, g.p) for x in range(q)]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.sampled_from([secure_group(), toy_group(1_048_573)]).flatmap(
+        lambda g: st.tuples(st.just(g), st.integers(min_value=0, max_value=g.q - 1))))
+    def test_matches_pow(self, case):
+        g, x = case
+        assert pk_ec(g, x).value == pow(g.g, x, g.p)
 
     @pytest.mark.parametrize("c", range(SCALAR_CHUNKS))
     def test_chunk_boundaries(self, c):
@@ -570,6 +603,18 @@ class TestQuantumInvert:
     def test_exhaustive_q101(self):
         for sk in range(G101.q):
             assert quantum_invert(pk_ec(G101, sk)) == sk
+
+    def test_two_inversions_share_one_table(self):
+        # The first inversion on a group builds its baby steps; the second
+        # reads the same table and must answer as the scan does.
+        g = GroupParams.generate(1021)
+        assert "baby_steps" not in vars(g)
+        tables = []
+        for sk in (5, 1020):
+            point = pk_ec(g, sk)
+            assert quantum_invert(point) == naive_dlog(g, point.value) == sk
+            tables.append(vars(g)["baby_steps"])
+        assert tables[0] is tables[1]
 
     def test_secure_mode_refuses(self):
         with pytest.raises(GroupError):
