@@ -15,7 +15,8 @@ The package has three layers:
   honest and adversarial agents, plus the two-entity canary game solver.
 
 Everything is deterministic: a scenario config plus a seed reproduces the
-chain byte for byte.
+chain byte for byte.  The package holds what the chain, the simulator and
+the CLI run.
 """
 
 from .canary_game import (
@@ -61,18 +62,14 @@ from .groups import (
 from .hdwallet import (
     DerivationPath,
     DerivationStep,
-    ExtendedPublicKey,
     ExtendedSecretKey,
     Seed,
     child_hardened,
     child_nonhardened,
     derive,
-    is_der_suffix,
     kdf,
     kdf_pq,
     kdf_pre,
-    public_child,
-    to_xpk,
 )
 from .ledger import (
     Address,
@@ -88,7 +85,6 @@ from .lifting import (
     KeyLiftedSig,
     OwfBackend,
     SeedLiftedSig,
-    euf_lcma_game,
     keylift_sign,
     keylift_verify,
     lifted_backends,

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class Strategy(Enum):
@@ -293,6 +294,11 @@ def _payoff_symbol(who: Player, out: Outcome) -> str:
     return "+".join(parts) if parts else "0"
 
 
+def _symbol_cell(game: GameSpec, profile: tuple[Strategy, Strategy]) -> str:
+    out = outcome(game, *profile)
+    return f"({_payoff_symbol(Player.FASTER, out)}, {_payoff_symbol(Player.SLOWER, out)})"
+
+
 def render_payoff_table() -> str:
     """The full 7-timeline table: event pattern, scenario group, and the
     four strategy cells with pure Nash equilibria starred."""
@@ -303,14 +309,24 @@ def render_payoff_table() -> str:
         "cells: (faster payoff, slower payoff); * = pure Nash equilibrium",
         "",
     ]
-    for tl, game in canonical_games().items():
-        cls = classify_timeline(game)
-        matrix = payoff_matrix(game)
-        lines.append(f"timeline TL{tl}  scenario {cls.scenario}  pattern {' '.join(cls.pattern)}")
-        for profile in PROFILES:
-            out = outcome(game, *profile)
-            cell = f"({_payoff_symbol(Player.FASTER, out)}, {_payoff_symbol(Player.SLOWER, out)})"
-            star = "  *" if profile in matrix.equilibria else ""
-            lines.append(f"  ({profile[0].value},{profile[1].value}) {cell}{star}")
+    for game in canonical_games().values():
+        lines += game_rows(game, partial(_symbol_cell, game))
         lines.append("")
     return "\n".join(lines)
+
+
+def game_rows(game: GameSpec, cell: Callable[[tuple[Strategy, Strategy]], str]) -> list[str]:
+    """One game's lines: its timeline class and event pattern, then one row
+    per strategy profile holding `cell(profile)`, pure Nash equilibria
+    starred."""
+    cls = classify_timeline(game)
+    pattern = " ".join(cls.pattern)
+    if cls.is_degenerate:
+        rows = [f"timeline degenerate  pattern {pattern}"]
+    else:
+        rows = [f"timeline TL{cls.timeline}  scenario {cls.scenario}  pattern {pattern}"]
+    equilibria = payoff_matrix(game).equilibria
+    for profile in PROFILES:
+        star = "  *" if profile in equilibria else ""
+        rows.append(f"  ({profile[0].value},{profile[1].value}) {cell(profile)}{star}")
+    return rows

@@ -7,7 +7,7 @@
 `run` executes a scenario deterministically and writes the chain snapshot,
 the per-agent report, and the rule-violation log to the output directory.
 Exit codes: 0 clean, 1 invariant/rule violation (the rule id is printed),
-2 config parse error.
+2 config parse error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from pathlib import Path
 from .canary_game import (
     EntityTimeline,
     GameSpec,
-    PROFILES,
-    classify_timeline,
     collapse,
-    payoff_matrix,
+    game_rows,
     render_payoff_table,
+    resolve,
     sweep_bounty,
     sweep_w,
 )
@@ -58,12 +57,16 @@ def cmd_run(args) -> int:
         print(f"rule violation: {exc.rule}: {exc.detail}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = sim.report()
-    (out / "report.txt").write_text(report)
-    (out / "snapshot.txt").write_text(sim.snapshot())
     violations = "".join(f"h{h} {rule} {detail}\n" for h, rule, detail in sim.chain.violations)
-    (out / "violations.txt").write_text(violations)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.txt").write_text(report)
+        (out / "snapshot.txt").write_text(sim.snapshot())
+        (out / "violations.txt").write_text(violations)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report, end="")
     return 0
 
@@ -78,19 +81,6 @@ GAME_SPEC = Table({
 def _game_from_spec(data) -> GameSpec:
     spec = check_fields(data, GAME_SPEC, "game spec", "bad game spec: ")
     return GameSpec.of(EntityTimeline(**spec["faster"]), EntityTimeline(**spec["slower"]), spec["w"], spec["bounty"], spec["loot"])
-
-
-def _print_game(game: GameSpec) -> None:
-    cls = classify_timeline(game)
-    matrix = payoff_matrix(game)
-    if cls.is_degenerate:
-        print(f"timeline degenerate  pattern {' '.join(cls.pattern)}")
-    else:
-        print(f"timeline TL{cls.timeline}  scenario {cls.scenario}  pattern {' '.join(cls.pattern)}")
-    for profile in PROFILES:
-        pf, ps = matrix.entries[profile]
-        star = "  *" if profile in matrix.equilibria else ""
-        print(f"  ({profile[0].value},{profile[1].value}) ({pf}, {ps}){star}")
 
 
 def cmd_canary(args) -> int:
@@ -110,7 +100,7 @@ def cmd_canary(args) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_game(game)
+    print("\n".join(game_rows(game, lambda profile: "({}, {})".format(*resolve(game, *profile)))))
     if w_values:
         print("sweep-w " + " ".join(f"w={w}:TL{c.timeline}" for w, c in zip(w_values, w_trajectory)))
         print("sweep-w classes " + "->".join(f"TL{t}" for t in collapse(w_trajectory)))

@@ -12,8 +12,7 @@ two hash domains disjoint.
 Paths are sequences of (index, hardened) steps with the canonical string
 form "m/0h/5/12h" used in configs and logs.  Derivation is the left fold
 of child steps, so derive(msk, P1 || P2) == derive(derive(msk, P1), P2) by
-construction; those are exactly the "suffix" collisions the detection
-helper `is_der_suffix` classifies.
+construction.
 
 The seed KDF applies the 512-bit hash 2048 times (configurable) to
 entropy || password.  It splits as kdf = kdf_pq . kdf_pre where kdf_pre is
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .encoding import U32, DecodeError, Reader
-from .groups import GroupParams, GroupPoint, pk_ec
+from .groups import GroupParams, pk_ec
 
 DEFAULT_KDF_ITERATIONS = 2048
 
@@ -54,20 +53,6 @@ def deserialize_xsk(group: GroupParams, data: bytes) -> ExtendedSecretKey:
     if len(data) != group.scalar_len + 32:
         raise DecodeError("bad extended key length")
     return ExtendedSecretKey(group.decode_scalar(data[: group.scalar_len]), data[group.scalar_len :])
-
-
-@dataclass(frozen=True)
-class ExtendedPublicKey:
-    pk: GroupPoint
-    chain_code: bytes
-
-    def __post_init__(self):
-        if len(self.chain_code) != 32:
-            raise ValueError("chain code must be 32 bytes")
-
-
-def to_xpk(group: GroupParams, xsk: ExtendedSecretKey) -> ExtendedPublicKey:
-    return ExtendedPublicKey(pk_ec(group, xsk.sk), xsk.chain_code)
 
 
 _STEP = struct.Struct(">IB")  # a step's index and its hardened flag
@@ -104,9 +89,6 @@ class DerivationPath:
 
     def prefix(self, n: int) -> "DerivationPath":
         return DerivationPath(self.steps[:n])
-
-    def suffix_from(self, n: int) -> "DerivationPath":
-        return DerivationPath(self.steps[n:])
 
     def prefixes(self) -> list["DerivationPath"]:
         """All prefixes including the empty path and the path itself."""
@@ -190,17 +172,6 @@ def derive(group: GroupParams, msk: ExtendedSecretKey, p: DerivationPath) -> Ext
     return key
 
 
-def public_child(group: GroupParams, parent: ExtendedPublicKey, step: DerivationStep) -> ExtendedPublicKey:
-    """Watch-only derivation.  Hardened children need the secret key by
-    construction, so a hardened request is an error rather than a wrong
-    answer."""
-    if step.hardened:
-        raise ValueError("hardened derivation is impossible from a public key")
-    digest = hashlib.sha512(parent.chain_code + parent.pk.encode() + step.index.to_bytes(4, "big")).digest()
-    offset = pk_ec(group, group.scalar_from_hash(digest[:32]))
-    return ExtendedPublicKey(offset.add(parent.pk), digest[32:])
-
-
 # -- seed KDF ----------------------------------------------------------------
 
 
@@ -242,27 +213,3 @@ def kdf_pq(group: GroupParams, data: bytes) -> ExtendedSecretKey:
 
 def kdf(group: GroupParams, seed: Seed, iterations: int = DEFAULT_KDF_ITERATIONS) -> ExtendedSecretKey:
     return kdf_pq(group, kdf_pre(seed, iterations))
-
-
-# -- suffix relation ----------------------------------------------------------
-
-
-def is_der_suffix(
-    group: GroupParams,
-    candidate: tuple[ExtendedSecretKey, DerivationPath],
-    of: tuple[ExtendedSecretKey, DerivationPath],
-) -> Optional[DerivationPath]:
-    """If `candidate` = (key', P') is a derivation suffix of `of` = (key, P),
-    return the witness prefix W with P = W || P' and key' = derive(key, W);
-    otherwise None."""
-    cand_key, cand_path = candidate
-    base_key, base_path = of
-    split = len(base_path) - len(cand_path)
-    if split < 0:
-        return None
-    if base_path.suffix_from(split) != cand_path:
-        return None
-    witness = base_path.prefix(split)
-    if derive(group, base_key, witness) == cand_key:
-        return witness
-    return None

@@ -9,6 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from games import (
+    KeyLiftedScheme,
+    SeedLiftedScheme,
+    euf_lcma_game,
+    keylift_lcma_adversary,
+    public_child,
+    seedlift_quantum_adversary,
+    to_xpk,
+)
 from qcspend.canary_game import (
     EntityTimeline,
     GameSpec,
@@ -21,21 +30,10 @@ from qcspend.canary_game import (
 )
 from qcspend.fawkescoin import ChallengeStatus
 from qcspend.groups import pk_ec, toy_group
-from qcspend.hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, derive, public_child, to_xpk
+from qcspend.hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, derive
 from qcspend.ledger import TxKind
 from qcspend.lifted_fawkescoin import LfcState
-from qcspend.lifting import (
-    KeyLiftedScheme,
-    KeyLiftedSig,
-    SeedLiftedScheme,
-    SeedLiftedSig,
-    deserialize_lifted,
-    euf_lcma_game,
-    keylift_lcma_adversary,
-    lifted_backends,
-    seedlift_quantum_adversary,
-    serialize_lifted,
-)
+from qcspend.lifting import KeyLiftedSig, SeedLiftedSig, deserialize_lifted, lifted_backends, serialize_lifted
 from qcspend.params import FinePolicy
 from qcspend.scenarios import BUNDLED, run_scenario
 

@@ -49,6 +49,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "out",
+        ["taken", "taken/sub", "dir"],
+        ids=["out-is-a-file", "out-under-a-file", "report-is-a-directory"],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "dir" / "report.txt").mkdir(parents=True)
+        assert main(["run", "honest-fc", "--out", str(tmp_path / out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert not stdout and err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "blocks": 1, "agents": [], "miners": [], "zorp": 1}))
@@ -276,6 +288,19 @@ class TestCanary:
         assert "timeline TL7" in out
         assert "sweep-w classes TL7" in out
         assert "sweep-bounty classes TL7->TL6->TL4" in out
+
+    def test_degenerate_spec(self, tmp_path, capsys):
+        # The faster entity's bounty time is past its loot time less w.
+        spec = tmp_path / "game.json"
+        spec.write_text(json.dumps({"faster": {"t_bounty": 0, "t_loot": 2}, "slower": {"t_bounty": 1, "t_loot": 9}, "w": 3}))
+        assert main(["canary", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == (
+            "timeline degenerate  pattern bf pf bs lf ps ls\n"
+            "  (E,E) (1010, 0)  *\n"
+            "  (E,L) (1010, 0)  *\n"
+            "  (L,E) (1010, 0)  *\n"
+            "  (L,L) (1010, 0)  *\n"
+        )
 
     def test_inconsistent_timeline_errors(self, tmp_path, capsys):
         spec = tmp_path / "game.json"

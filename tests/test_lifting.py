@@ -2,27 +2,29 @@ import hashlib
 
 import pytest
 
+from games import (
+    KeyLiftedScheme,
+    SeedLiftedScheme,
+    euf_lcma_game,
+    keylift_lcma_adversary,
+    null_adversary,
+    replay_adversary,
+    seedlift_harvest_adversary,
+    seedlift_quantum_adversary,
+)
 from helpers import flat_backends
 from qcspend.encoding import enc_bytes
 from qcspend.groups import address_hash, decode_point, pk_ec, prequantum_verify, secure_group, toy_group
 from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf, path
 from qcspend.lifting import (
-    KeyLiftedScheme,
     KeyLiftedSig,
-    SeedLiftedScheme,
     SeedLiftedSig,
     TransparentBackend,
     deserialize_lifted,
-    euf_lcma_game,
-    keylift_lcma_adversary,
     keylift_sign,
     keylift_verify,
     lifted_backends,
-    null_adversary,
-    replay_adversary,
-    seedlift_harvest_adversary,
     seedlift_owf,
-    seedlift_quantum_adversary,
     seedlift_sign,
     seedlift_verify,
     serialize_lifted,

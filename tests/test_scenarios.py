@@ -612,6 +612,24 @@ class TestAgentFailures:
         assert sim.agents["alice"].actions == ["h25 cannot spend u1 as naked: the key is gone"]
         assert sim.chain.utxo(sim.grant_outpoint("u1")) is not None
 
+    def test_repeated_direct_spend_is_skipped(self):
+        spend = {"do": "direct_spend", "utxo": "u1", "fee": 100}
+        config = ScenarioConfig.from_dict(
+            {
+                "name": "spend-twice",
+                "blocks": 6,
+                "agents": [
+                    {"id": "m0", "kind": "miner"},
+                    {"id": "alice", "script": [{"height": 2, **spend}, {"height": 4, **spend}]},
+                ],
+                "miners": ["m0"],
+                "grants": [{"name": "u1", "owner": "alice", "type": "hashed", "path": "m/0h/0/0", "value": 10_000}],
+            }
+        )
+        sim = Simulation(config)
+        sim.run()
+        assert sim.agents["alice"].actions == ["h2 direct spend of u1", "h4 direct spend failed: u1 already gone"]
+
     def test_steal_of_a_spent_output_is_skipped(self):
         config = ScenarioConfig.from_dict(
             {
