@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .canary_game import (
+    DEGENERATE,
     EntityTimeline,
     GameSpec,
     collapse,
@@ -83,6 +84,11 @@ def _game_from_spec(data) -> GameSpec:
     return GameSpec.of(EntityTimeline(**spec["faster"]), EntityTimeline(**spec["slower"]), spec["w"], spec["bounty"], spec["loot"])
 
 
+def _class_name(timeline: int) -> str:
+    """A sweep's name for a timeline class, as the game's header names it."""
+    return "degenerate" if timeline == DEGENERATE else f"TL{timeline}"
+
+
 def cmd_canary(args) -> int:
     if args.table:
         print(render_payoff_table(), end="")
@@ -102,10 +108,10 @@ def cmd_canary(args) -> int:
         return 2
     print("\n".join(game_rows(game, lambda profile: "({}, {})".format(*resolve(game, *profile)))))
     if w_values:
-        print("sweep-w " + " ".join(f"w={w}:TL{c.timeline}" for w, c in zip(w_values, w_trajectory)))
-        print("sweep-w classes " + "->".join(f"TL{t}" for t in collapse(w_trajectory)))
+        print("sweep-w " + " ".join(f"w={w}:{_class_name(c.timeline)}" for w, c in zip(w_values, w_trajectory)))
+        print("sweep-w classes " + "->".join(map(_class_name, collapse(w_trajectory))))
     if pairs:
-        print("sweep-bounty classes " + "->".join(f"TL{t}" for t in collapse(bounty_trajectory)))
+        print("sweep-bounty classes " + "->".join(map(_class_name, collapse(bounty_trajectory))))
     return 0
 
 

@@ -113,6 +113,10 @@ from .rules import RuleViolation
 # the window `Params.proofs_per_100_blocks` counts proofs over.
 CLAIM_WINDOW = 100
 
+# The pre-quantum address kinds: a tuple, because a set lookup would hash
+# an enum member, which runs Python code.
+_PRE_QUANTUM_KINDS = (AddrKind.PK_HASH, AddrKind.PLAIN_PK)
+
 _MISSING = object()
 
 
@@ -408,13 +412,13 @@ class Chain:
 
     def _insert_utxo(self, utxo: Utxo) -> None:
         self.utxos[utxo.outpoint] = utxo
-        if self._is_pre_quantum(utxo.address):
+        if utxo.address.kind in _PRE_QUANTUM_KINDS:
             self.utxo_hash_index[utxo.utxo_hash()] = utxo.outpoint
         self.utxo_value_sum += utxo.value
 
     def _delete_utxo(self, outpoint: Outpoint) -> Utxo:
         utxo = self.utxos.pop(outpoint)
-        if self._is_pre_quantum(utxo.address):
+        if utxo.address.kind in _PRE_QUANTUM_KINDS:
             del self.utxo_hash_index[utxo.utxo_hash()]
         self.utxo_value_sum -= utxo.value
         return utxo
@@ -530,9 +534,10 @@ class Chain:
             if out.value > 0:
                 self._add_utxo(Utxo((txid, i), out.value, out.address, height, coinbase=True), height)
 
-        self._sweep_lfc_expiries(height)
+        epoch = self.epoch_of(height)
+        self._sweep_lfc_expiries(height, epoch)
         self._sweep_challenges(height)
-        self._epoch_end_check(height)
+        self._epoch_end_check(height, epoch)
         self._assert_balance()
         return coinbase, encoded, accepted_reports
 
@@ -619,7 +624,7 @@ class Chain:
             raise RuleViolation("witness-signature", f"{era} signature invalid")
 
     def _is_pre_quantum(self, address: Address) -> bool:
-        return address.kind in (AddrKind.PK_HASH, AddrKind.PLAIN_PK)
+        return address.kind in _PRE_QUANTUM_KINDS
 
     def _is_post_quantum(self, address: Address) -> bool:
         return address.kind is AddrKind.POST_QUANTUM
@@ -1090,10 +1095,9 @@ class Chain:
 
     # -- sweeps -------------------------------------------------------------------------
 
-    def _sweep_lfc_expiries(self, height: int) -> None:
+    def _sweep_lfc_expiries(self, height: int, epoch: Optional[Epoch]) -> None:
         if not self.lfc_locks:
             return
-        epoch = self.epoch_of(height)
         if epoch is not None and epoch.extension:
             return  # fines are withheld while an extension is running
         deadline = self.params.claim_deadline()
@@ -1103,6 +1107,8 @@ class Chain:
                 self._resolve_lfc(record, LfcState.EXPIRED_FINED, height)
 
     def _sweep_challenges(self, height: int) -> None:
+        if not self.open_challenges:
+            return
         for record in list(self.open_challenges.values()):
             if height > record.challenge_end_height:
                 self._create_outputs(record.revealed_tx, height, record.txid)
@@ -1117,8 +1123,7 @@ class Chain:
             return None
         return TxOutput(self.blocks[earned].miner_address, shares)
 
-    def _epoch_end_check(self, height: int) -> None:
-        current = self.epoch_of(height)
+    def _epoch_end_check(self, height: int, current: Optional[Epoch]) -> None:
         if current is None or height != current.end - 1:
             return
         if current.kind is EpochKind.FC:
@@ -1148,7 +1153,15 @@ class Chain:
         self._append(self.epochs, Epoch(EpochKind.FC, current.end, self.params.fc_epoch_len))
 
     def _assert_balance(self) -> None:
-        lhs = self.utxo_value_sum + self.challenge_escrow + self.pending_fee_pool + self.fine_escrow_pool
+        # The three pools are nearly always empty, so each is summed only
+        # when its index holds something.
+        lhs = self.utxo_value_sum
+        if self.open_challenges:
+            lhs += self.challenge_escrow
+        if self.fee_shares_by_block:
+            lhs += self.pending_fee_pool
+        if self.lfc_locks:
+            lhs += self.fine_escrow_pool
         if lhs != self.total_minted:
             raise RuleViolation("ledger-balance", f"value {lhs} != minted {self.total_minted}")
 

@@ -24,6 +24,15 @@ for a 1,865-output genesis coinbase, against 0.1 MiB for the bytearray).
 A fused pack that fails re-encodes its integers one at a time, so an
 out-of-range value raises the `DecodeError` of `enc_u32`/`enc_u64` (and
 any other value the `struct.error` of the pack).
+
+The seven wire records (`Address`, `Utxo`, `Witness`, `TxInput`,
+`TxOutput`, `Transaction`, `Block`) are `NamedTuple`s: immutable, with no
+instance dict, and built at tuple speed, where a frozen dataclass sets
+each field through `object.__setattr__`.  `Address` and `Utxo` check
+their fields in a `__new__` on a thin subclass.  A record compares and
+unpacks as a tuple, so `Address(kind, data) == (kind, data)`; no code in
+the package compares a record with anything but a record of its own kind
+(`apply_block`'s coinbase and reports, `replay_chain`'s genesis).
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .encoding import END_OF_BUFFER, U32, U64, DecodeError, Reader, bytes_at, decode_utf8, done_at, enc_u32, enc_u64
 from .groups import GroupParams, address_hash, pk_ec
@@ -44,14 +53,29 @@ class AddrKind(Enum):
     POST_QUANTUM = 3  # 32-byte post-quantum address
 
 
-@dataclass(frozen=True, slots=True)
-class Address:
+# `Address` and `Utxo` check their fields in `__new__`, and `_make`, which
+# `_replace` calls, goes through that check too.
+_tuple_new = tuple.__new__
+
+
+def _checked_make(cls, fields: Iterable):
+    return cls(*fields)
+
+
+class _AddressFields(NamedTuple):
     kind: AddrKind
     data: bytes
 
-    def __post_init__(self):
-        if len(self.data) != 32 and self.kind in _HASH_ADDRESS_KINDS:
+
+class Address(_AddressFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: AddrKind, data: bytes):
+        if len(data) != 32 and kind in _HASH_ADDRESS_KINDS:
             raise ValueError("hash addresses are 32 bytes")
+        return _tuple_new(cls, (kind, data))
+
+    _make = classmethod(_checked_make)
 
     def serialize(self) -> bytes:
         data = self.data
@@ -121,18 +145,26 @@ def _address_at(data: bytes, pos: int) -> tuple[Address, int]:
 Outpoint = tuple[bytes, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Utxo:
+class _UtxoFields(NamedTuple):
     outpoint: Outpoint
     value: int
     address: Address
     created_height: int
-    coinbase: bool = False
-    wait_override: int = 0  # 0 means the chain default applies
+    coinbase: bool
+    wait_override: int  # 0 means the chain default applies
 
-    def __post_init__(self):
-        if self.value < 0:
+
+class Utxo(_UtxoFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, outpoint: Outpoint, value: int, address: Address, created_height: int, coinbase: bool = False, wait_override: int = 0
+    ):
+        if value < 0:
             raise ValueError("negative value")
+        return _tuple_new(cls, (outpoint, value, address, created_height, coinbase, wait_override))
+
+    _make = classmethod(_checked_make)
 
     def serialize(self) -> bytes:
         txid, index = self.outpoint
@@ -175,8 +207,7 @@ _TX_KIND = {kind.value: kind for kind in TxKind}
 _WITNESS_KIND = {kind.value: kind for kind in WitnessKind}
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(NamedTuple):
     kind: WitnessKind
     pk: bytes = b""
     signature: bytes = b""
@@ -189,8 +220,7 @@ class Witness:
 NO_WITNESS = Witness(WitnessKind.NONE)
 
 
-@dataclass(frozen=True, slots=True)
-class TxInput:
+class TxInput(NamedTuple):
     outpoint: Outpoint
     witness: Witness = NO_WITNESS
 
@@ -198,8 +228,7 @@ class TxInput:
         return bytes(_put_inputs(bytearray(), (self,)))
 
 
-@dataclass(frozen=True, slots=True)
-class TxOutput:
+class TxOutput(NamedTuple):
     address: Address
     value: int
     wait_override: int = 0
@@ -276,8 +305,7 @@ def _tx_at(data: bytes, pos: int) -> tuple["Transaction", int]:
     return Transaction(kind, tuple(inputs), tuple(outputs), payload), pos
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(NamedTuple):
     kind: TxKind
     inputs: tuple[TxInput, ...] = ()
     outputs: tuple[TxOutput, ...] = ()
@@ -331,8 +359,7 @@ class Transaction:
 # -- blocks ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(NamedTuple):
     height: int
     parent: bytes
     miner_id: str

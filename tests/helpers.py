@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import is_dataclass, replace
+from dataclasses import is_dataclass
 from functools import partial
 
 from qcspend.agents import Wallet
@@ -30,6 +30,8 @@ def _by_value(x):
     and objects that define no equality of their own by their attributes."""
     if isinstance(x, dict):
         return {k: _by_value(v) for k, v in x.items()}
+    if hasattr(x, "_fields"):  # a NamedTuple record, which compares by value
+        return x
     if isinstance(x, (list, tuple)):
         return [_by_value(v) for v in x]
     if callable(x) and hasattr(x, "__qualname__"):
@@ -56,15 +58,15 @@ def differing_in(block: Block, field: str, address: Address) -> Block:
     coinbase = block.coinbase
     first, rest = coinbase.outputs[0], coinbase.outputs[1:]
     if field == "value":
-        coinbase = replace(coinbase, outputs=(replace(first, value=first.value + 1),) + rest)
+        coinbase = coinbase._replace(outputs=(first._replace(value=first.value + 1),) + rest)
     elif field == "address":
-        coinbase = replace(coinbase, outputs=(replace(first, address=address),) + rest)
+        coinbase = coinbase._replace(outputs=(first._replace(address=address),) + rest)
     elif field == "payload":
-        coinbase = replace(coinbase, payload=enc_u64(block.height + 1))
+        coinbase = coinbase._replace(payload=enc_u64(block.height + 1))
     else:
         assert field == "reports" and block.samaritan_reports
-        return replace(block, samaritan_reports=block.samaritan_reports * 2)
-    return replace(block, coinbase=coinbase)
+        return block._replace(samaritan_reports=block.samaritan_reports * 2)
+    return block._replace(coinbase=coinbase)
 
 
 class FlatBackend:

@@ -302,6 +302,18 @@ class TestCanary:
             "  (L,L) (1010, 0)  *\n"
         )
 
+    def test_sweeps_name_the_degenerate_class_as_the_header_does(self, tmp_path, capsys):
+        spec = tmp_path / "game.json"
+        spec.write_text(json.dumps({"faster": {"t_bounty": 0, "t_loot": 2}, "slower": {"t_bounty": 1, "t_loot": 9}, "w": 3}))
+        assert main(["canary", "--spec", str(spec), "--sweep-w", "3,2", "--sweep-bounty", "0:1,0:0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("timeline degenerate  ")
+        assert out[-3:] == [
+            "sweep-w w=3:degenerate w=2:TL6",
+            "sweep-w classes degenerate->TL6",
+            "sweep-bounty classes degenerate",
+        ]
+
     def test_inconsistent_timeline_errors(self, tmp_path, capsys):
         spec = tmp_path / "game.json"
         spec.write_text(json.dumps({

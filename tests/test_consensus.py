@@ -1,6 +1,5 @@
 import functools
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -969,7 +968,7 @@ class TestSnapshots:
 
         def edit(lines):
             block = Block.deserialize(bytes.fromhex(lines[4][len("block ") :]))
-            return lines[:4] + ["block " + replace(block, parent=bytes(32)).serialize().hex()] + lines[5:]
+            return lines[:4] + ["block " + block._replace(parent=bytes(32)).serialize().hex()] + lines[5:]
 
         with pytest.raises(RuleViolation) as err:
             verify_snapshot(self.tampered(export_snapshot(h.chain, h.config), edit))
@@ -1009,9 +1008,9 @@ def with_pq_witness(text: str, k: int, make) -> tuple[str, int]:
                 if txin.witness.kind is not WitnessKind.POST_QUANTUM:
                     continue
                 if seen == k:
-                    inputs = tx.inputs[:n] + (replace(txin, witness=make(txin.witness)),) + tx.inputs[n + 1 :]
-                    txs = block.transactions[:j] + (replace(tx, inputs=inputs),) + block.transactions[j + 1 :]
-                    lines[i] = "block " + replace(block, transactions=txs).serialize().hex()
+                    inputs = tx.inputs[:n] + (txin._replace(witness=make(txin.witness)),) + tx.inputs[n + 1 :]
+                    txs = block.transactions[:j] + (tx._replace(inputs=inputs),) + block.transactions[j + 1 :]
+                    lines[i] = "block " + block._replace(transactions=txs).serialize().hex()
                     return "\n".join(lines) + "\n", block.height
                 seen += 1
     raise AssertionError(f"fewer than {k + 1} post-quantum witnesses")
@@ -1020,7 +1019,7 @@ def with_pq_witness(text: str, k: int, make) -> tuple[str, int]:
 def forged_s(witness: Witness) -> Witness:
     sig = PreQuantumSignature.decode(witness.signature)
     q = groups.secure_group().q
-    return replace(witness, signature=PreQuantumSignature(sig.nonce_point, (sig.s + 1) % q).encode())
+    return witness._replace(signature=PreQuantumSignature(sig.nonce_point, (sig.s + 1) % q).encode())
 
 
 class TestPostQuantumReplay:
@@ -1037,7 +1036,7 @@ class TestPostQuantumReplay:
     @pytest.mark.parametrize("signature", [b"", b"\x00", b"\x00\x00\x00\x01\x07"])
     def test_malformed_witness_is_witness_malformed(self, signature):
         chain, config = pq_spends()
-        text, _ = with_pq_witness(export_snapshot(chain, config), 2, lambda w: replace(w, signature=signature))
+        text, _ = with_pq_witness(export_snapshot(chain, config), 2, lambda w: w._replace(signature=signature))
         with pytest.raises(RuleViolation) as err:
             verify_snapshot(text)
         assert err.value.rule == "witness-malformed"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -760,7 +758,7 @@ class TestRuleIds:
         h = rule_harness()
         target = open_challenge(h)
         record = h.chain.challenges[target]
-        tx = replace(fraud_proof(h, target, [("u-hashed", None)]), inputs=(TxInput(record.spent_outpoint),), outputs=())
+        tx = fraud_proof(h, target, [("u-hashed", None)])._replace(inputs=(TxInput(record.spent_outpoint),), outputs=())
         digest = h.chain.state_digest()
         h.chain.begin_block("m0", h.wallet("m0").pq_address())
         violation = h.chain.try_add_tx(tx)

@@ -1,6 +1,8 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcspend.groups import pk_ec, toy_group
 from qcspend.hdwallet import ExtendedSecretKey, derive, path
@@ -24,6 +26,33 @@ from qcspend.ledger import (
 from qcspend.params import Params
 
 GROUP = toy_group(101)
+
+U32S = st.integers(0, 2**32 - 1)
+U64S = st.integers(0, 2**64 - 1)
+SHORT = st.binary(max_size=40)
+ADDRESSES = st.sampled_from(AddrKind).flatmap(
+    lambda kind: st.builds(
+        Address, st.just(kind), SHORT if kind is AddrKind.PLAIN_PK else st.binary(min_size=32, max_size=32)
+    )
+)
+WITNESSES = st.builds(Witness, st.sampled_from(WitnessKind), SHORT, SHORT)
+TRANSACTIONS = st.builds(
+    Transaction,
+    st.sampled_from(TxKind),
+    st.lists(st.builds(TxInput, st.tuples(SHORT, U32S), WITNESSES), max_size=3).map(tuple),
+    st.lists(st.builds(TxOutput, ADDRESSES, U64S, U32S), max_size=3).map(tuple),
+    SHORT,
+)
+BLOCKS = st.builds(
+    Block,
+    U64S,
+    SHORT,
+    st.text(max_size=8),
+    ADDRESSES,
+    st.lists(TRANSACTIONS, max_size=3).map(tuple),
+    st.lists(SHORT, max_size=3).map(tuple),
+    TRANSACTIONS,
+)
 
 
 class TestLeakTracker:
@@ -156,19 +185,44 @@ class TestSerialization:
         assert Block.deserialize(block.serialize()) == block
 
     def test_slotted_records_pickle_round_trip(self):
-        # The records have slots and no instance dict; the benchmark pickles
-        # blocks between processes.
-        spend = Transaction(
-            TxKind.TRANSFER,
-            (TxInput((b"\xaa" * 32, 3), Witness(WitnessKind.PRE_QUANTUM, b"pk", b"sig")), TxInput((b"\xab" * 32, 0))),
-            (TxOutput(pk_hash_address(b"\xbb"), 77, wait_override=5),),
-            b"payload",
-        )
+        # The seven wire records are NamedTuples: immutable, with no instance
+        # dict, and the benchmark pickles blocks between processes.
+        witness = Witness(WitnessKind.PRE_QUANTUM, b"pk", b"sig")
+        txin = TxInput((b"\xaa" * 32, 3), witness)
+        txout = TxOutput(pk_hash_address(b"\xbb"), 77, wait_override=5)
+        spend = Transaction(TxKind.TRANSFER, (txin, TxInput((b"\xab" * 32, 0))), (txout,), b"payload")
         coinbase = Transaction(TxKind.COINBASE, outputs=(TxOutput(post_quantum_address(b"k"), 50),))
         block = Block(3, b"\x01" * 32, "m0", post_quantum_address(b"k"), (spend,), (b"\x02" * 33,), coinbase)
         utxo = Utxo((b"\xaa" * 32, 1), 9, pk_hash_address(b"\xbb"), 4, coinbase=True, wait_override=7)
-        for record in (block, utxo):
+        records = (txout.address, utxo, witness, txin, txout, spend, block)
+        for record in records:
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
             assert not hasattr(record, "__dict__")
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is type(record)
+
+    def test_address_and_utxo_check_their_fields(self):
+        with pytest.raises(ValueError, match="hash addresses are 32 bytes"):
+            Address(AddrKind.PK_HASH, bytes(31))
+        with pytest.raises(ValueError, match="negative value"):
+            Utxo((bytes(32), 0), -1, pk_hash_address(b"pk"), 0)
+        # `_replace` builds through the same check.
+        utxo = Utxo((bytes(32), 0), 1, pk_hash_address(b"pk"), 0)
+        with pytest.raises(ValueError, match="negative value"):
+            utxo._replace(value=-1)
+        with pytest.raises(ValueError, match="hash addresses are 32 bytes"):
+            utxo.address._replace(data=bytes(31))
+        assert utxo._replace(value=2) == Utxo((bytes(32), 0), 2, pk_hash_address(b"pk"), 0)
+
+    # 80 derandomized blocks hold every tx, witness and address kind.
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(BLOCKS)
+    def test_records_round_trip_through_bytes_and_pickle(self, block):
+        for record in (block, *block.transactions, block.coinbase):
+            encoded = record.serialize()
+            decoded = type(record).deserialize(encoded)
+            assert decoded == record and decoded.serialize() == encoded
             assert pickle.loads(pickle.dumps(record)) == record
 
     def test_signed_gives_each_input_its_signers_witness(self):

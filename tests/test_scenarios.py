@@ -142,19 +142,19 @@ class TestFrontRunner:
         eve = sim.agents["eve"]
         sim.agents["bob"].on_tick(())
         spend = sim.mempool.view()[0].data
-        as_reveal = dataclasses.replace(spend, kind=TxKind.FC_REVEAL)
+        as_reveal = spend._replace(kind=TxKind.FC_REVEAL)
         sim.mempool.submit("tx", as_reveal, "bob")
         eve.duty()
         assert eve.actions == ["h8 front-ran a direct spend of 50000", "h8 front-run against FawkesCoin aborted: no fee source"]
         sim.scheduled_miner(8).build_block()  # eve's steal spends u1
         assert sim.chain.utxo(spend.inputs[0].outpoint) is None
-        unsigned = (dataclasses.replace(spend.inputs[0], witness=NO_WITNESS),)
+        unsigned = (spend.inputs[0]._replace(witness=NO_WITNESS),)
         for tx in (
             spend,  # resubmitted
-            dataclasses.replace(spend, payload=b"again"),  # a new spend of the spent input
-            dataclasses.replace(as_reveal, payload=b"again"),
-            dataclasses.replace(spend, inputs=unsigned, payload=b"unsigned"),  # no pre-quantum witness
-            dataclasses.replace(as_reveal, inputs=unsigned),
+            spend._replace(payload=b"again"),  # a new spend of the spent input
+            as_reveal._replace(payload=b"again"),
+            spend._replace(inputs=unsigned, payload=b"unsigned"),  # no pre-quantum witness
+            as_reveal._replace(inputs=unsigned),
         ):
             sim.mempool.submit("tx", tx, "bob")
         sim.tick_height = 9
@@ -427,7 +427,7 @@ def test_altered_tip_block_rejected():
     lines = stepped_run("front-runner-direct")[0].snapshot().splitlines()
     tip = Block.deserialize(bytes.fromhex(lines[-2][len("block ") :]))
     assert tip.miner_id == "m0"
-    lines[-2] = "block " + dataclasses.replace(tip, miner_id="x0").serialize().hex()
+    lines[-2] = "block " + tip._replace(miner_id="x0").serialize().hex()
     with pytest.raises(RuleViolation, match="^snapshot-digest: "):
         verify_snapshot("\n".join(lines) + "\n")
 

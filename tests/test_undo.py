@@ -16,7 +16,7 @@ from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload
 from qcspend.groups import decode_point, prequantum_sign, quantum_invert, toy_group
 from qcspend.hdwallet import path
-from qcspend.ledger import AddrKind, Block, Transaction, TxKind, TxOutput, plain_pk_address
+from qcspend.ledger import AddrKind, Block, Transaction, TxKind, TxOutput, Utxo, plain_pk_address
 from qcspend.lifted_fawkescoin import LfcState, claim_payload, record_payload
 from qcspend.rules import RuleViolation
 
@@ -365,6 +365,21 @@ UNHASHED = {
 DIGEST_HEIGHTS = {20: ("open_challenges",), 60: ("lfc_locks", "fee_shares_by_block"), CHAIN_HEIGHT: ()}
 
 
+def record_fields(value):
+    """The field names of a record, a dataclass or a NamedTuple (the
+    ledger's wire records), or None for any other value."""
+    if is_dataclass(value):
+        return [f.name for f in fields(value)]
+    return getattr(value, "_fields", None)
+
+
+def with_field(record, name: str, new):
+    """`record` with field `name` set to `new`."""
+    if is_dataclass(record):
+        return replace(record, **{name: new})
+    return record._replace(**{name: new})
+
+
 def nudged(value):
     """A value of the kind of `value` that differs from it."""
     if isinstance(value, bool):
@@ -381,11 +396,11 @@ def nudged(value):
         return next(member for member in type(value) if member is not value)
     if isinstance(value, frozenset):
         return value - {min(value)} if value else frozenset({b"\x01"})
+    names = record_fields(value)
+    if names is not None:  # before plain tuples: a NamedTuple is one
+        return with_field(value, names[-1], nudged(getattr(value, names[-1])))
     if isinstance(value, (tuple, list)):
         return type(value)([*value[:-1], nudged(value[-1])])
-    if is_dataclass(value):
-        last = fields(value)[-1].name
-        return replace(value, **{last: nudged(getattr(value, last))})
     raise TypeError(f"no nudge for {value!r}")
 
 
@@ -420,22 +435,22 @@ def state_changes(label: str, holder, key, value, exempt: set):
     `DERIVED` and `UNHASHED` met on the way go to `exempt`."""
     if label in DERIVED or label in UNHASHED:
         exempt.add(label)
-    elif is_dataclass(value):
-        for f in fields(value):
-            name = f"{label}.{f.name}"
+    elif (names := record_fields(value)) is not None:
+        for field in names:
+            name = f"{label}.{field}"
             if name in DERIVED or name in UNHASHED:
                 exempt.add(name)
                 continue
-            new = replace(value, **{f.name: nudged(getattr(value, f.name))})
+            new = with_field(value, field, nudged(getattr(value, field)))
             yield name, partial(_swap, holder, key, value, new)
     elif isinstance(value, dict):
         for k, v in _ends(value.items()):
-            if is_dataclass(v):  # a record, which carries its own key
+            if record_fields(v) is not None:  # a record, which carries its own key
                 yield from state_changes(label, value, k, v, exempt)
             else:
                 yield f"{label} key", partial(_rekey, value, k)
                 yield f"{label} value", partial(_swap, value, k, v, nudged(v))
-    elif isinstance(value, list) and value and is_dataclass(value[0]):
+    elif isinstance(value, list) and value and record_fields(value[0]) is not None:
         for i, v in _ends(enumerate(value)):
             yield from state_changes(label, value, i, v, exempt)
     elif hasattr(value, "__dict__"):
@@ -452,15 +467,17 @@ def test_digest_moves_with_every_stored_fact(main, height):
     state digest, unless `DERIVED` or `UNHASHED` names it."""
     chain = replay_chain(main.config, main.chain.blocks[: height + 1])
     assert all(getattr(chain, name) for name in DIGEST_HEIGHTS[height])
-    digest, exempt, missed = chain.state_digest(), set(), []
+    digest, exempt, missed, labels = chain.state_digest(), set(), [], set()
     for name in vars(chain).keys() - NOT_STATE:
         for label, change in list(state_changes(name, chain, name, getattr(chain, name), exempt)):
+            labels.add(label)
             undo = change()
             if chain.state_digest() == digest:
                 missed.append(label)
             undo()
     assert chain.state_digest() == digest and same_state(chain, replay_chain(main.config, chain.blocks))
     assert exempt == DERIVED.keys() | UNHASHED.keys()
+    assert {f"utxos.{name}" for name in Utxo._fields} <= labels  # the walk opens the NamedTuple records
     assert not missed, f"the digest misses {sorted(set(missed))}"
 
 

@@ -3,7 +3,6 @@ its encoded bytes and hashes, and the decoders under byte mutation."""
 
 import hashlib
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -116,7 +115,7 @@ def test_wire_bytes_match_golden():
         (lambda: Transaction(TxKind.TRANSFER, (TxInput((bytes(32), -1)),)).sighash(), "u32 out of range: -1"),
         (lambda: Utxo((bytes(32), 0), 2**64, ADDRESSES[AddrKind.PK_HASH], 0).utxo_hash(), "u64 out of range: 18446744073709551616"),
         (lambda: Utxo((bytes(32), 0), 1, ADDRESSES[AddrKind.PK_HASH], -1).serialize(), "u64 out of range: -1"),
-        (lambda: replace(BLOCK, height=-1).block_hash(), "u64 out of range: -1"),
+        (lambda: BLOCK._replace(height=-1).block_hash(), "u64 out of range: -1"),
     ],
 )
 def test_out_of_range_integers_raise_decode_error(encode, message):
