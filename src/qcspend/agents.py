@@ -71,7 +71,8 @@ class Wallet:
     """One agent's key material: an HD wallet on the pre-quantum group
     (seed derived from the scenario seed and agent id) plus one
     post-quantum key on the secure group, whose encoding and address hash
-    are computed once.
+    are computed once.  The master key is made from the seed on first use:
+    a wallet that only mines or spends its post-quantum key runs no KDF.
 
     Each parent key of a derived path is derived once, with its public-key
     encoding, which every non-hardened child hashes: a wallet holding
@@ -84,12 +85,21 @@ class Wallet:
         self.kdf_iterations = kdf_iterations
         tag = hashlib.sha512(b"wallet:%d:" % scenario_seed + agent_id.encode()).digest()
         self.seed = Seed(tag[:24], b"")
-        self.msk = kdf(group, self.seed, kdf_iterations)
+        self._msk: Optional[ExtendedSecretKey] = None  # made by `msk` on first use
         self.pq_sk = int.from_bytes(hashlib.sha512(b"pq:" + tag).digest(), "big") % self.pq_group.q
         self.pq_pk = pk_ec(self.pq_group, self.pq_sk).encode()
         self._pq_hash = post_quantum_address(self.pq_pk).data
         # a parent path's steps -> its key and the encoding of its public key
         self._parents: dict[tuple[DerivationStep, ...], tuple[ExtendedSecretKey, bytes]] = {}
+
+    @property
+    def msk(self) -> ExtendedSecretKey:
+        """The master key, kdf(seed), made on first use.  Not a
+        cached_property: writing to the instance `__dict__` would make
+        CPython 3.11 read every attribute of the wallet slower."""
+        if self._msk is None:
+            self._msk = kdf(self.group, self.seed, self.kdf_iterations)
+        return self._msk
 
     # -- addresses ---------------------------------------------------------
 

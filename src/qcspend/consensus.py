@@ -220,7 +220,7 @@ class Chain:
         self.utxo_hash_index: dict[bytes, Outpoint] = {}
         self.leaks = LeakTracker()
         self.address_first_seen: dict[bytes, int] = {}
-        self.registry = KeyRegistry(params.regular_paths)
+        self.registry = KeyRegistry(params)
 
         # committed hash -> [its first inclusion height]; a one-element list
         # for the benchmark's count of commitments (ROADMAP item 10)

@@ -242,6 +242,12 @@ class GroupPoint:
     group: GroupParams
     value: int  # subgroup element as an integer in [1, p)
 
+    # True on a point that `decode_point` tested for subgroup membership and
+    # returned, so that the verify of its signature does not test it again;
+    # `prequantum_verify` tests any other point.  A class default, not a
+    # field: construction, equality and hashing ignore it.
+    known_member = False
+
     def __post_init__(self):
         if not 1 <= self.value < self.group.p:
             raise GroupError("element outside Z_p*")
@@ -267,7 +273,9 @@ def decode_point(group: GroupParams, data: bytes) -> GroupPoint:
         raise DecodeError("point value outside Z_p*")
     if not _in_subgroup(group, value):
         raise DecodeError("point not in the prime-order subgroup")
-    return GroupPoint(group, value)
+    point = GroupPoint(group, value)
+    object.__setattr__(point, "known_member", True)  # set through object: the record is frozen
+    return point
 
 
 def _in_subgroup(group: GroupParams, value: int) -> bool:
@@ -352,14 +360,15 @@ def prequantum_sign(group: GroupParams, sk: int, msg: bytes, pk_bytes: bytes | N
 
 def prequantum_verify(group: GroupParams, pk: GroupPoint, msg: bytes, sig: PreQuantumSignature) -> bool:
     """Returns False (never raises) on malformed signature material.  Only
-    the key takes the subgroup test: g^s and pk lie in the order-q
-    subgroup, so g^s = R*pk^e puts R = g^s*pk^(-e) there too, and R needs
-    only a canonical encoding of a value in [1, p)."""
+    the key takes the subgroup test, unless `decode_point` made it
+    (`GroupPoint.known_member`): g^s and pk lie in the order-q subgroup, so
+    g^s = R*pk^e puts R = g^s*pk^(-e) there too, and R needs only a
+    canonical encoding of a value in [1, p)."""
     try:
         if pk.group != group or len(sig.nonce_point) != group.point_len or not 0 <= sig.s < group.q:
             return False
         nonce = int.from_bytes(sig.nonce_point, "big")
-        if not 1 <= nonce < group.p or not _in_subgroup(group, pk.value):
+        if not 1 <= nonce < group.p or not (pk.known_member or _in_subgroup(group, pk.value)):
             return False
         e = _challenge(group, sig.nonce_point, pk.encode(), msg)
         return pk_ec(group, sig.s).value == nonce * pk.mul(e).value % group.p

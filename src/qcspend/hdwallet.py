@@ -90,10 +90,6 @@ class DerivationPath:
     def prefix(self, n: int) -> "DerivationPath":
         return DerivationPath(self.steps[:n])
 
-    def prefixes(self) -> list["DerivationPath"]:
-        """All prefixes including the empty path and the path itself."""
-        return [self.prefix(n) for n in range(len(self.steps) + 1)]
-
     def serialize(self) -> bytes:
         # A step's index is checked to fit in 32 bits when the step is made.
         return b"".join([U32.pack(len(self.steps))] + [_STEP.pack(s.index, 1 if s.hardened else 0) for s in self.steps])

@@ -44,7 +44,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .encoding import END_OF_BUFFER, U32, U64, DecodeError, Reader, bytes_at, decode_utf8, done_at, enc_u32, enc_u64
 from .groups import GroupParams, address_hash, pk_ec
-from .hdwallet import DerivationPath, ExtendedSecretKey, derive
+from .hdwallet import DerivationPath, ExtendedSecretKey, child
+from .params import Params
 
 
 class AddrKind(Enum):
@@ -513,13 +514,13 @@ class KeyRegistry:
     materialized once an extended key shows up on chain.
 
     K_xsk holds derive(xsk, P') for every P' in the prefix closure of the
-    regular path set plus any declared irregular paths; the closure
-    includes the empty path, so the revealed key itself is always a
-    member.
+    regular path set (`params.regular_derivation_paths`) plus any declared
+    irregular paths; the closure includes the empty path, so the revealed
+    key itself is always a member.
     """
 
-    def __init__(self, regular_paths: Iterable[str]):
-        self.regular: tuple[DerivationPath, ...] = tuple(DerivationPath.parse(p) for p in regular_paths)
+    def __init__(self, params: Params):
+        self.params = params
         self.declared: dict[bytes, list[DerivationPath]] = {}
         self._by_digest: dict[bytes, KeyRegistryEntry] = {}  # in materialization order
         self._key_to_entry: dict[bytes, KeyRegistryEntry] = {}
@@ -534,21 +535,24 @@ class KeyRegistry:
         return self._by_digest.values()
 
     def materialize(self, group: GroupParams, xsk: ExtendedSecretKey, height: int) -> Optional[KeyRegistryEntry]:
-        """Compute K_xsk and record it; idempotent per key."""
+        """Compute K_xsk and record it; idempotent per key.  The closure is
+        derived as a tree: each prefix's key is one child step from its
+        parent prefix's key, hashed with the parent's public key, so every
+        key of K_xsk costs one child step and one `pk_ec`."""
         digest = self.key_digest(group, xsk)
         if digest in self._by_digest:
             return None
-        prefix_closed: dict[bytes, DerivationPath] = {}
-        for p in list(self.regular) + self.declared.get(digest, []):
-            for prefix in p.prefixes():
-                prefix_closed.setdefault(prefix.serialize(), prefix)
-        keys = set()
-        pks = set()
-        for prefix in prefix_closed.values():
-            key = derive(group, xsk, prefix)
-            keys.add(key.serialize(group))
-            pks.add(pk_ec(group, key.sk).encode())
-        entry = KeyRegistryEntry(digest, height, frozenset(keys), frozenset(pks))
+        # the steps of each prefix -> its key and the encoding of its public key
+        closure = {(): (xsk, pk_ec(group, xsk.sk).encode())}
+        for p in list(self.params.regular_derivation_paths) + self.declared.get(digest, []):
+            steps = p.steps
+            for n in range(1, len(steps) + 1):
+                if steps[:n] not in closure:
+                    parent, parent_pk = closure[steps[: n - 1]]
+                    key = child(group, parent, steps[n - 1], parent_pk)
+                    closure[steps[:n]] = (key, pk_ec(group, key.sk).encode())
+        keys = {key.serialize(group) for key, _ in closure.values()}
+        entry = KeyRegistryEntry(digest, height, frozenset(keys), frozenset(pk for _, pk in closure.values()))
         self._by_digest[digest] = entry
         for key in keys:
             self._key_to_entry.setdefault(key, entry)

@@ -17,7 +17,7 @@ from qcspend.consensus import (
 from qcspend.encoding import enc_bytes, enc_u32, enc_u64
 from qcspend.fawkescoin import RevealMode, RevealPayload, commit_payload
 from qcspend.groups import PreQuantumSignature, decode_point, prequantum_sign, quantum_invert, toy_group
-from qcspend.hdwallet import path
+from qcspend.hdwallet import DerivationPath, path
 from qcspend.ledger import (
     Block,
     Transaction,
@@ -386,6 +386,37 @@ class TestWitnessRules:
             h.chain.add_tx(tx)
         assert (info.value.rule, info.value.detail) == (rule, detail)
         assert h.chain.state_digest() == before
+
+    def test_a_post_quantum_key_is_tested_for_membership_once(self, monkeypatch):
+        # decode_point tests the key, and the verify of its signature reads
+        # the answer off the decoded point.
+        h = Harness()
+        h.grant_pq("pq", "alice", 5_000)
+        h.build()
+        witness = h.wallet("alice").witness_pq(b"sighash")
+        symbols = []
+        real_jacobi = groups.jacobi
+        monkeypatch.setattr(groups, "jacobi", lambda a, n: symbols.append(a) or real_jacobi(a, n))
+        h.chain._verify_witness(h.wallet("alice").pq_address(), witness, b"sighash")
+        assert symbols == [int.from_bytes(witness.pk, "big")]
+
+
+class TestSetUpOnFirstUse:
+    def test_a_chain_is_built_without_parsing_a_path(self, monkeypatch):
+        # A fuzz trial's chain: overridden params, one hashed output and two
+        # post-quantum ones.  The regular paths are parsed when a key set is
+        # first materialized, not when the chain is made.
+        alice_path = path(ALICE_PATH)
+        parsed = []
+        real_parse = DerivationPath.parse
+        monkeypatch.setattr(DerivationPath, "parse", staticmethod(lambda text: parsed.append(text) or real_parse(text)))
+        h = Harness(wait_blocks=3, max_reorg_depth=3)
+        h.grant("u1", pk_hash_address(h.wallet("alice").derived_pk(alice_path)), 700, wait=3)
+        h.grant_pq("fee-alice", "alice", 1_000)
+        h.grant_pq("fee-eve", "eve", 1_000)
+        h.build()
+        h.mine(2)
+        assert parsed == []
 
 
 class TestEpochGate:

@@ -23,6 +23,8 @@ from qcspend.hdwallet import (
     kdf_pre,
     path,
 )
+from qcspend.scenarios import load_scenario
+from qcspend.simulation import Simulation
 
 GROUP = toy_group(101)
 
@@ -245,3 +247,28 @@ class TestWalletDerivationMemo:
         # m/2h once, then each child once; one public key per parent path (m and m/2h).
         assert steps == [DerivationStep(2, True)] + [DerivationStep(i, False) for i in range(40)]
         assert pk_sks == [wallet.msk.sk, derive(GROUP, wallet.msk, path("m/2h")).sk]
+
+
+class TestWalletMasterKeyOnFirstUse:
+    """`Wallet.msk` runs the KDF when it is first read, once."""
+
+    def test_msk_is_the_kdf_of_the_seed(self, monkeypatch):
+        calls = []
+        real_kdf = agents.kdf
+        monkeypatch.setattr(agents, "kdf", lambda *args: calls.append(args) or real_kdf(*args))
+        wallet = Wallet(GROUP, "alice", 3, kdf_iterations=8)
+        assert calls == []
+        assert wallet.msk == kdf(GROUP, wallet.seed, 8)
+        assert wallet.msk is wallet.msk
+        assert len(calls) == 1
+
+    def test_a_miner_runs_no_kdf(self, monkeypatch):
+        calls = []
+        real_kdf = agents.kdf
+        monkeypatch.setattr(agents, "kdf", lambda *args: calls.append(args) or real_kdf(*args))
+        sim = Simulation(load_scenario("honest-fc"))
+        sim.run()
+        miners = [agent for agent in sim.agents.values() if isinstance(agent, agents.MinerAgent)]
+        assert miners and all(miner.wallet._msk is None for miner in miners)
+        # Each wallet that read its master key ran the KDF once.
+        assert 0 < len(calls) == sum(agent.wallet._msk is not None for agent in sim.agents.values())

@@ -1,11 +1,14 @@
+import hashlib
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcspend import ledger
 from qcspend.groups import pk_ec, toy_group
-from qcspend.hdwallet import ExtendedSecretKey, derive, path
+from qcspend.hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, derive, path
 from qcspend.ledger import (
     Address,
     AddrKind,
@@ -135,7 +138,7 @@ class TestKeyRegistry:
     def test_prefix_closure_example(self):
         # Regular set {m/0, m/0/1}: closure is {m, m/0, m/0/1}, so the
         # revealed key itself plus two descendants materialize.
-        registry = KeyRegistry(["m/0", "m/0/1"])
+        registry = KeyRegistry(Params(regular_paths=("m/0", "m/0/1")))
         xsk = ExtendedSecretKey(17, bytes(32))
         entry = registry.materialize(GROUP, xsk, height=50)
         assert len(entry.materialized_keys) == 3
@@ -143,7 +146,7 @@ class TestKeyRegistry:
         assert entry.materialized_keys == frozenset(expected)
 
     def test_declared_paths_extend_the_closure(self):
-        registry = KeyRegistry(["m/0"])
+        registry = KeyRegistry(Params(regular_paths=("m/0",)))
         xsk = ExtendedSecretKey(17, bytes(32))
         digest = registry.key_digest(GROUP, xsk)
         registry.declared[digest] = [path("m/5h/1")]
@@ -152,7 +155,7 @@ class TestKeyRegistry:
         assert len(entry.materialized_keys) == 4
 
     def test_ban_height_for_materialized_members(self):
-        registry = KeyRegistry(["m/0"])
+        registry = KeyRegistry(Params(regular_paths=("m/0",)))
         xsk = ExtendedSecretKey(23, bytes(32))
         registry.materialize(GROUP, xsk, height=77)
         child = derive(GROUP, xsk, path("m/0"))
@@ -162,11 +165,47 @@ class TestKeyRegistry:
         assert registry.ban_height(GROUP, stranger) is None
 
     def test_materialize_idempotent(self):
-        registry = KeyRegistry(["m/0"])
+        registry = KeyRegistry(Params(regular_paths=("m/0",)))
         xsk = ExtendedSecretKey(23, bytes(32))
         assert registry.materialize(GROUP, xsk, 5) is not None
         assert registry.materialize(GROUP, xsk, 9) is None
         assert registry.ban_height(GROUP, xsk) == 5
+
+    step_lists = st.lists(st.builds(DerivationStep, index=st.integers(0, 2), hardened=st.booleans()), max_size=4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(regular=st.lists(step_lists, max_size=5), declared=st.lists(step_lists, max_size=3), sk=st.integers(0, 100))
+    def test_materialize_derives_each_prefix_once_from_its_parent(self, regular, declared, sk):
+        # K_xsk is derive(xsk, P') for every prefix P' of a regular or a
+        # declared path, and each non-empty prefix costs one child step
+        # from its parent prefix's key, each key one public key.
+        registry = KeyRegistry(Params(regular_paths=tuple(str(DerivationPath(tuple(s))) for s in regular)))
+        xsk = ExtendedSecretKey(sk, hashlib.sha512(b"xsk %d" % sk).digest()[:32])
+        registry.declared[registry.key_digest(GROUP, xsk)] = [DerivationPath(tuple(s)) for s in declared]
+        prefixes = {tuple(s[:n]) for s in regular + declared for n in range(len(s) + 1)} | {()}
+        expected = [derive(GROUP, xsk, DerivationPath(p)) for p in prefixes]
+        steps, pk_sks = [], []
+        real_child, real_pk_ec = ledger.child, ledger.pk_ec
+        with mock.patch.object(ledger, "child", lambda g, parent, step, pk: steps.append(step) or real_child(g, parent, step, pk)), \
+                mock.patch.object(ledger, "pk_ec", lambda g, sk: pk_sks.append(sk) or real_pk_ec(g, sk)):
+            entry = registry.materialize(GROUP, xsk, 1)
+        assert entry.materialized_keys == {key.serialize(GROUP) for key in expected}
+        assert entry.materialized_pks == {pk_ec(GROUP, key.sk).encode() for key in expected}
+        assert len(steps) == len(prefixes) - 1
+        assert len(pk_sks) == len(prefixes)
+
+    def test_regular_paths_are_parsed_once_per_params(self, monkeypatch):
+        params = Params()
+        parsed = []
+        real_parse = DerivationPath.parse
+        monkeypatch.setattr(DerivationPath, "parse", staticmethod(lambda text: parsed.append(text) or real_parse(text)))
+        registries = [KeyRegistry(params), KeyRegistry(params)]
+        assert parsed == []
+        for i, registry in enumerate(registries):
+            registry.materialize(GROUP, ExtendedSecretKey(17 + i, bytes(32)), 5)
+            registry.materialize(GROUP, ExtendedSecretKey(30 + i, bytes(32)), 6)
+        assert parsed == list(params.regular_paths)
+        assert params == Params()  # the parsed paths are no field
 
 
 class TestSerialization:

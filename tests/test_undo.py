@@ -356,7 +356,7 @@ UNHASHED = {
     "_building": "no block is under construction between blocks",
     **dict.fromkeys(
         ["params", "group", "pq_group", "canary_group", "key_backend", "seed_backend",
-         "canary.challenge_pk", "canary.nonce", "registry.regular"],
+         "canary.challenge_pk", "canary.nonce", "registry.params"],
         "comes from the config",
     ),
 }
