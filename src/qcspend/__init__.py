@@ -80,7 +80,7 @@ from .ledger import (
     TxKind,
     Utxo,
 )
-from .lifted_fawkescoin import EpochDecision, LfcCommitment, LfcMempoolMsg, LfcState, extension_decision, split_fee
+from .lifted_fawkescoin import LfcCommitment, LfcMempoolMsg, LfcState, extension_decision, split_fee
 from .lifting import (
     KeyLiftedSig,
     OwfBackend,

@@ -79,7 +79,7 @@ class Wallet:
     m/2h/0 .. m/2h/n derives m/2h and its public key once, not n + 1 times.
     The memo holds one entry per distinct parent path asked for."""
 
-    def __init__(self, group: GroupParams, agent_id: str, scenario_seed: int, kdf_iterations: int = 64):
+    def __init__(self, group: GroupParams, agent_id: str, scenario_seed: int, kdf_iterations: int):
         self.group = group
         self.pq_group = secure_group()
         self.kdf_iterations = kdf_iterations
@@ -129,7 +129,7 @@ class Wallet:
     def grant_sk(self, grant: dict) -> int:
         """The key of a scenario grant: derived along its path, or else a
         raw key labelled by its name."""
-        return self.derived_sk(grant["path"]) if grant["path"] else self.raw_sk(grant["name"])
+        return self.raw_sk(grant["name"]) if grant["path"] is None else self.derived_sk(grant["path"])
 
     def raw_sk(self, label: str) -> int:
         """A standalone (non-derived) key: what a pre-HD-wallet output or
@@ -256,7 +256,6 @@ class Agent:
             if u.address.data == pq_hash
             and u.address.kind is AddrKind.POST_QUANTUM
             and u.outpoint not in reserved
-            and u.outpoint not in chain.lfc_locks
             and (not u.coinbase or self.sim.tick_height - u.created_height >= mine)
         ]
         if not candidates:

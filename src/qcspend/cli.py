@@ -62,13 +62,16 @@ def cmd_run(args) -> int:
     violations = "".join(f"h{h} {rule} {detail}\n" for h, rule, detail in sim.chain.violations)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(report)
-        (out / "snapshot.txt").write_text(sim.snapshot())
-        (out / "violations.txt").write_text(violations)
+        (out / "report.txt").write_text(report, encoding="utf-8")
+        (out / "snapshot.txt").write_text(sim.snapshot(), encoding="utf-8")
+        (out / "violations.txt").write_text(violations, encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report, end="")
+    # The echo is the report file's bytes, whatever encoding the locale
+    # gives stdout.
+    sys.stdout.flush()
+    sys.stdout.buffer.write(report.encode())
     return 0
 
 
@@ -97,7 +100,7 @@ def cmd_canary(args) -> int:
         print("canary: need --table or --spec FILE", file=sys.stderr)
         return 2
     try:
-        game = _game_from_spec(json.loads(Path(args.spec).read_text()))
+        game = _game_from_spec(json.loads(Path(args.spec).read_text(encoding="utf-8")))
         w_values = [int(w) for w in args.sweep_w.split(",")] if args.sweep_w else []
         pairs = [tuple(map(int, p.split(":"))) for p in args.sweep_bounty.split(",")] if args.sweep_bounty else []
         if any(len(pair) != 2 for pair in pairs):
@@ -117,7 +120,7 @@ def cmd_canary(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        text = Path(args.snapshot).read_text()
+        text = Path(args.snapshot).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .encoding import DecodeError, Reader, enc_bytes
 
@@ -106,17 +106,20 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Order-q subgroup of Z_p* with a fixed generator.
+    """Order-q subgroup of Z_p* with a fixed generator.  The order decides
+    the mode: QUANTUM_VULNERABLE up to VULNERABLE_MAX_ORDER, where
+    `quantum_invert` answers in well under a second, else SECURE.
 
-    `modulus_bits` is the size class (bit length of p).  In
-    QUANTUM_VULNERABLE mode the order is capped so that `quantum_invert`
-    terminates in well under a second.
-    """
+    `mode`, the encoding lengths, `generator_table` and `baby_steps` are
+    plain attributes, which equality and hashing ignore, not
+    cached_propertys: writing the instance `__dict__` makes CPython 3.11
+    read every field of the record slower."""
 
     p: int
     q: int
     g: int
-    mode: GroupMode
+
+    baby_steps = None  # not a field: see `quantum_invert`
 
     def __post_init__(self):
         # q's primality is not tested here, where it would cost ~1.5 ms on
@@ -126,14 +129,20 @@ class GroupParams:
             raise GroupError("q must divide p - 1")
         if pow(self.g, self.q, self.p) != 1 or self.g % self.p == 1:
             raise GroupError("generator must have order exactly q")
-        if self.mode is GroupMode.QUANTUM_VULNERABLE and self.q > VULNERABLE_MAX_ORDER:
-            raise GroupError("vulnerable groups must have order <= 2**24")
-        if self.p >= 1 << (8 * self.point_len):
+        # L_sk, the bytes of a scalar in [0, q), and L_pk = L_sk + 1,
+        # mirroring the 32- vs 33-byte key encodings.
+        scalar_len = max(1, ((self.q - 1).bit_length() + 7) // 8)
+        if self.p >= 1 << (8 * (scalar_len + 1)):
             raise GroupError("modulus too wide for the point encoding")
-        self.generator_table  # built with the group, not in the first pk_ec
+        # Set through object, as the record is frozen; the table is built
+        # with the group, not in the first pk_ec.
+        vulnerable = self.q <= VULNERABLE_MAX_ORDER
+        object.__setattr__(self, "mode", GroupMode.QUANTUM_VULNERABLE if vulnerable else GroupMode.SECURE)
+        object.__setattr__(self, "scalar_len", scalar_len)
+        object.__setattr__(self, "point_len", scalar_len + 1)
+        object.__setattr__(self, "generator_table", self._generator_table())
 
-    @cached_property
-    def generator_table(self) -> tuple[tuple[int, ...], ...]:
+    def _generator_table(self) -> tuple[tuple[int, ...], ...]:
         """g^(d * 2^(DIGIT_BITS * i)) mod p at [i][d], for every digit d
         below 2^DIGIT_BITS and one row i per digit of q - 1: fixed-base
         windowing (Brickell, Gordon, McCurley and Wilson; HAC 14.6.3) with
@@ -146,45 +155,6 @@ class GroupParams:
             base = row.pop()  # base^(2^DIGIT_BITS), the next row's base
             rows.append(tuple(row))
         return tuple(rows)
-
-    @cached_property
-    def baby_steps(self) -> tuple[int, dict[int, int], int]:
-        """`quantum_invert`'s table, built on the group's first inversion:
-        m with m*m >= q, the map g^j -> j for j < m, and g^(-m).  Only a
-        QUANTUM_VULNERABLE group's order is small enough to build it."""
-        m = 1
-        while m * m < self.q:
-            m += 1
-        baby = {}
-        acc = 1
-        for j in range(m):
-            baby.setdefault(acc, j)
-            acc = acc * self.g % self.p
-        return m, baby, pow(acc, -1, self.p)
-
-    @property
-    def modulus_bits(self) -> int:
-        return self.p.bit_length()
-
-    # The two lengths are computed once per group: every point encoding
-    # reads one.
-    @cached_property
-    def scalar_len(self) -> int:
-        """L_sk: bytes needed for scalars in [0, q)."""
-        return max(1, ((self.q - 1).bit_length() + 7) // 8)
-
-    @cached_property
-    def point_len(self) -> int:
-        """L_pk = L_sk + 1, mirroring the 32- vs 33-byte key encodings."""
-        return self.scalar_len + 1
-
-    @property
-    def identity(self) -> "GroupPoint":
-        return GroupPoint(self, 1)
-
-    @property
-    def generator(self) -> "GroupPoint":
-        return GroupPoint(self, self.g)
 
     # -- scalar codec ------------------------------------------------------
 
@@ -207,7 +177,7 @@ class GroupParams:
         return int.from_bytes(digest, "big") % self.q
 
     @staticmethod
-    def generate(q: int, mode: GroupMode = GroupMode.QUANTUM_VULNERABLE) -> "GroupParams":
+    def generate(q: int) -> "GroupParams":
         """Build the group for a given prime order: smallest even c with
         p = c*q + 1 prime, generator lifted from the smallest usable base."""
         if not is_prime(q):
@@ -221,20 +191,22 @@ class GroupParams:
         for h in range(2, 1000):
             g = pow(h, (p - 1) // q, p)
             if g != 1:
-                return GroupParams(p=p, q=q, g=g, mode=mode)
+                return GroupParams(p=p, q=q, g=g)
         raise GroupError("no generator found")
 
 
 @lru_cache(maxsize=None)
 def toy_group(q: int = 101) -> GroupParams:
     """Small quantum-vulnerable group for tests and scenarios."""
-    return GroupParams.generate(q, GroupMode.QUANTUM_VULNERABLE)
+    if q > VULNERABLE_MAX_ORDER:
+        raise GroupError("vulnerable groups must have order <= 2**24")
+    return GroupParams.generate(q)
 
 
 @lru_cache(maxsize=None)
 def secure_group() -> GroupParams:
     """256-bit safe-prime group; the dlog oracle refuses to touch it."""
-    return GroupParams(p=_SECURE_P, q=_SECURE_P // 2, g=2, mode=GroupMode.SECURE)
+    return GroupParams(p=_SECURE_P, q=_SECURE_P // 2, g=2)
 
 
 @dataclass(frozen=True)
@@ -384,13 +356,25 @@ def quantum_invert(pk: GroupPoint) -> int:
 
     Baby-step/giant-step; only answers for QUANTUM_VULNERABLE groups.
     Calling it on a SECURE group signals the modeled adversary is out of
-    scale, which is exactly the failure the caller must handle.
+    scale, which is exactly the failure the caller must handle.  The
+    group's first inversion builds its `baby_steps`: m with m*m >= q, the
+    map g^j -> j for j < m, and g^(-m).
     """
     group = pk.group
     if group.mode is not GroupMode.QUANTUM_VULNERABLE:
         raise GroupError("quantum inversion is out of scale for a secure group")
     if pk.is_identity():
         return 0
+    if group.baby_steps is None:
+        m = 1
+        while m * m < group.q:
+            m += 1
+        baby = {}
+        acc = 1
+        for j in range(m):
+            baby.setdefault(acc, j)
+            acc = acc * group.g % group.p
+        object.__setattr__(group, "baby_steps", (m, baby, pow(acc, -1, group.p)))  # the record is frozen
     m, baby, giant_step = group.baby_steps
     gamma = pk.value
     for i in range(m + 1):

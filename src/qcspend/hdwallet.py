@@ -81,14 +81,8 @@ class DerivationPath:
     def __str__(self) -> str:
         return "m" + "".join("/" + str(s) for s in self.steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def concat(self, other: "DerivationPath") -> "DerivationPath":
         return DerivationPath(self.steps + other.steps)
-
-    def prefix(self, n: int) -> "DerivationPath":
-        return DerivationPath(self.steps[:n])
 
     def serialize(self) -> bytes:
         # A step's index is checked to fit in 32 bits when the step is made.
@@ -125,10 +119,6 @@ def read_path(r: Reader) -> DerivationPath:
             raise DecodeError(f"hardened flag {hardened} is neither 0 nor 1")
         steps.append(DerivationStep(index, hardened == 1))
     return DerivationPath(tuple(steps))
-
-
-def path(text: str) -> DerivationPath:
-    return DerivationPath.parse(text)
 
 
 def _child(group: GroupParams, parent: ExtendedSecretKey, key_material: bytes, index: int) -> ExtendedSecretKey:

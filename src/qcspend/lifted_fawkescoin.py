@@ -80,17 +80,10 @@ def split_fee(alpha: int) -> tuple[int, int]:
     return committer, alpha - committer
 
 
-class EpochDecision(Enum):
-    ROTATE = "rotate"
-    EXTEND = "extend"
-
-
-def extension_decision(claims_in_last_100: int, k: int, threshold_num: int, threshold_den: int) -> EpochDecision:
+def extension_decision(claims_in_last_100: int, k: int, threshold_num: int, threshold_den: int) -> bool:
     """Extend iff strictly more than k * p proofs landed in the closing
-    100 blocks."""
-    if claims_in_last_100 * threshold_den > k * threshold_num:
-        return EpochDecision.EXTEND
-    return EpochDecision.ROTATE
+    100 blocks; otherwise the epoch rotates."""
+    return claims_in_last_100 * threshold_den > k * threshold_num
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def seedlift_sign(
     seed: Seed,
     p: DerivationPath,
     msg: bytes,
-    iterations: int = 2048,
+    iterations: int,
 ) -> SeedLiftedSig:
     secret = kdf_pre(seed, iterations)
     msk = kdf_pq(group, secret)

@@ -9,6 +9,7 @@ integer rounding rule sit next to each other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .groups import toy_group
@@ -46,6 +47,7 @@ def path_text(text) -> str:
 
 
 _NAMES = {int: "count", str: "string", bool: "boolean", dict: "JSON object", list: "list"}
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # a string holding one has no UTF-8 encoding
 
 
 class Table(dict):
@@ -67,12 +69,13 @@ def check_fields(data, table: Table, noun: str, prefix: str = "") -> dict:
     `prefix`.  `table` maps each field name to `(kind, default)`: a default
     of `...` marks a field that must be given, and a field whose default is
     None may be given as null.  A kind is `int` (a JSON integer from 0 to
-    2**64 - 1; `true` is not one), `str`, `bool` or `dict` (any object); a
-    set of the strings allowed; `[kind]`, a list returned as a tuple; a
-    table, for an object of its own; a dataclass, for an object with its
-    fields, each of the kind its default has unless the class's `KINDS`
-    names another; or any other callable, which returns the value
-    normalized or raises ValueError or TypeError."""
+    2**64 - 1; `true` is not one), `str` (a string with a UTF-8 encoding,
+    which a lone surrogate lacks), `bool` or `dict` (any object); a set of
+    the strings allowed; `[kind]`, a list returned as a tuple; a table,
+    for an object of its own; a dataclass, for an object with its fields,
+    each of the kind its default has unless the class's `KINDS` names
+    another; or any other callable, which returns the value normalized or
+    raises ValueError or TypeError."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix}{noun} must be a JSON object, not {data!r}")
     if not data.keys() <= table.keys():
@@ -131,9 +134,11 @@ def _checker(kind, name: str):
     if kind in _NAMES:
 
         def check_shape(value, noun, prefix):
-            if isinstance(value, kind):
-                return value
-            raise wrong(value, prefix, kind)
+            if not isinstance(value, kind):
+                raise wrong(value, prefix, kind)
+            if kind is str and not value.isascii() and _SURROGATE.search(value):
+                raise ConfigError(f"{prefix}{name} must have a UTF-8 encoding, not {value!r}")
+            return value
 
         return check_shape
     if is_dataclass(kind):

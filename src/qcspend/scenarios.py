@@ -30,7 +30,7 @@ BUNDLED = (
 def load_scenario(name_or_path: str) -> ScenarioConfig:
     """A bundled name, or a path to a scenario JSON file."""
     if name_or_path in BUNDLED:
-        text = resources.files("qcspend").joinpath(f"scenarios/{name_or_path}.json").read_text()
+        text = resources.files("qcspend").joinpath(f"scenarios/{name_or_path}.json").read_text(encoding="utf-8")
     else:
         try:
             with open(name_or_path, "r", encoding="utf-8") as fh:

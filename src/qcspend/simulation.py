@@ -37,10 +37,14 @@ ACTIONS = {
 # Block 0 is the genesis block, so a height starts at 1.
 _HEIGHT = re.compile(r"[1-9][0-9]*")
 
+# Modelling choices, one value for every run: the order of the canary's
+# group, and the hash applications of every wallet's seed KDF.
+CANARY_Q = 8191
+KDF_ITERATIONS = 16
+
 # The objects of a scenario file, as tables for `check_fields`.
 SCENARIO = Table({
-    "name": (str, ...), "seed": (int, 1), "blocks": (int, ...),
-    "group_q": (toy_order, 8191), "canary_q": (toy_order, 8191), "kdf_iterations": (int, 16),
+    "name": (str, ...), "seed": (int, 1), "blocks": (int, ...), "group_q": (toy_order, 8191),
     "params": (Params, Params()),
     "agents": ([dict], ...), "grants": ([dict], ()),
     "miners": ([str], ...), "miner_overrides": (dict, {}),
@@ -70,8 +74,6 @@ class ScenarioConfig:
     seed: int
     blocks: int
     group_q: int
-    canary_q: int
-    kdf_iterations: int
     params: Params
     agents: tuple[dict, ...]
     miners: tuple[str, ...]
@@ -83,8 +85,8 @@ class ScenarioConfig:
         """The scenario of a JSON object, each object checked against its
         table above and each name it uses against its agents and grants."""
         config = check_fields(data, SCENARIO, "scenario")
-        agents = [check_fields(a, AGENT, "agent", f"agent {a.get('id')}: ") for a in config["agents"]]
-        grants = [check_fields(g, GRANT, "grant", f"grant {g.get('name')}: ") for g in config["grants"]]
+        agents = [check_fields(a, AGENT, "agent", f"agent {_shown(a.get('id'))}: ") for a in config["agents"]]
+        grants = [check_fields(g, GRANT, "grant", f"grant {_shown(g.get('name'))}: ") for g in config["grants"]]
         kinds = {a["id"]: a["kind"] for a in agents}
         by_name = {g["name"]: g for g in grants}
         if len(kinds) < len(agents) or len(by_name) < len(grants):
@@ -108,9 +110,12 @@ class ScenarioConfig:
                 raise ConfigError(f"miner schedule names non-miner agent {name}")
         if not config["miners"]:
             raise ConfigError("miners must name at least one miner")
-        if config["kdf_iterations"] < 1:
-            raise ConfigError("kdf_iterations must be at least 1")
         return ScenarioConfig(**{**config, "agents": tuple(agents), "grants": tuple(grants)})
+
+
+def _shown(name) -> str:
+    """An unchecked id or name as an error shows it: escaped where UTF-8 cannot encode it."""
+    return str(name).encode(errors="backslashreplace").decode()
 
 
 def _check_entry(data: dict, agent: dict, grants: dict, kinds: dict) -> dict:
@@ -154,13 +159,13 @@ class Simulation:
         self.schedule: dict[int, dict[Agent, list]] = {}  # tick height -> the agents due then -> their deferrals
 
         canary_sk = int.from_bytes(hashlib.sha512(b"canary:%d" % self.seed).digest(), "big")
-        canary_group = toy_group(config.canary_q)
+        canary_group = toy_group(CANARY_Q)
         canary_pk = pk_ec(canary_group, canary_sk % canary_group.q).encode()
         nonce = address_hash(b"canary-nonce:%d" % self.seed)
 
         # Wallets must exist before genesis so grants can carry addresses.
         wallets = {
-            a["id"]: Wallet(toy_group(config.group_q), a["id"], self.seed, config.kdf_iterations)
+            a["id"]: Wallet(toy_group(config.group_q), a["id"], self.seed, KDF_ITERATIONS)
             for a in config.agents
         }
         grants = [GenesisGrant(self._grant_address(wallets[g["owner"]], g), g["value"], g["wait"]) for g in config.grants]
@@ -168,7 +173,7 @@ class Simulation:
         self.chain_config = ChainConfig(
             params=config.params,
             group_q=config.group_q,
-            canary_q=config.canary_q,
+            canary_q=CANARY_Q,
             canary_pk=canary_pk,
             canary_nonce=nonce,
             grants=tuple(grants),
@@ -187,7 +192,6 @@ class Simulation:
             self.agents[a["id"]] = agent
         self.standing = {agent: () for agent in self.agents.values() if agent.duty}  # a schedule entry, with no deferrals
         self.initial_holdings = self.holdings()
-        self.blocks_run = 0
 
     def _grant_address(self, wallet: Wallet, g: dict) -> Address:
         if g["type"] == "pq":
@@ -233,7 +237,6 @@ class Simulation:
                     if agent in due or agent in self.standing:
                         agent.on_tick(due.get(agent, ()))
             self.scheduled_miner(height).build_block()
-            self.blocks_run += 1
 
     # -- outputs --------------------------------------------------------------------
 
@@ -245,7 +248,7 @@ class Simulation:
         lines = [
             f"scenario {self.config.name}",
             f"seed {self.seed}",
-            f"blocks {self.blocks_run}",
+            f"blocks {self.chain.height}",
             f"final-height {self.chain.height}",
             f"era {self.chain.era_phase().value}",
         ]

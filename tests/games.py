@@ -310,12 +310,12 @@ def is_der_suffix(
     otherwise None."""
     cand_key, cand_path = candidate
     base_key, base_path = of
-    split = len(base_path) - len(cand_path)
+    split = len(base_path.steps) - len(cand_path.steps)
     if split < 0:
         return None
     if base_path.steps[split:] != cand_path.steps:
         return None
-    witness = base_path.prefix(split)
+    witness = DerivationPath(base_path.steps[:split])
     if derive(group, base_key, witness) == cand_key:
         return witness
     return None

@@ -19,6 +19,9 @@ from qcspend.params import Params
 
 KDF_ITERS = 8
 
+# A derivation path from its text, as tests spell one.
+path = DerivationPath.parse
+
 # Chain attributes `same_state` leaves out: the undo data, and the builder's
 # log of skipped entries, which is not chain state.
 NOT_STATE = {"_journal", "_undo", "violations"}

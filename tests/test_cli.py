@@ -1,12 +1,42 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qcspend
 from qcspend.cli import main
 
 DATA = Path(__file__).parent / "data"
+
+
+def honest_fc() -> dict:
+    return json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
+
+
+def rename_agent(data: dict, old: str, new: str) -> None:
+    """Rename agent `old` of `data` to `new`, where honest-fc names agents:
+    their ids, the grants' owners and the miner rotation."""
+    for agent in data["agents"]:
+        agent["id"] = new if agent["id"] == old else agent["id"]
+    for grant in data["grants"]:
+        grant["owner"] = new if grant["owner"] == old else grant["owner"]
+    data["miners"] = [new if miner == old else miner for miner in data["miners"]]
+
+
+def rename_grant(data: dict, old: str, new: str) -> None:
+    """Rename grant `old` of `data` to `new`, where honest-fc names grants:
+    their names and the scripts' `utxo`."""
+    for grant in data["grants"]:
+        grant["name"] = new if grant["name"] == old else grant["name"]
+    for entry in (entry for agent in data["agents"] for entry in agent.get("script", ())):
+        entry["utxo"] = new if entry.get("utxo") == old else entry.get("utxo")
 
 
 class TestRun:
@@ -184,6 +214,10 @@ class TestRun:
             lambda d: d["params"].update(fc_epoch_len=100, fc_commit_cutoff=100),
             lambda d: d["grants"][0].update(owner="nobody"),
             lambda d: d.update(miners=["alice"]),
+            lambda d: d.update(name="\ud800"),
+            lambda d: rename_agent(d, "alice", "\ud800"),
+            lambda d: rename_agent(d, "m0", "m\udfff"),
+            lambda d: rename_grant(d, "u-hashed", "\ud800"),
         ],
         ids=["no-miners", "grant-value-text", "grant-wait-text", "grant-value-negative", "agent-id-list",
              "grant-name-list", "grant-owner-list", "script-fee-text", "group-q-not-a-group", "group-q-text",
@@ -191,7 +225,8 @@ class TestRun:
              "regular-path-bad", "fine-policy-text", "countdown-bool", "grant-path-list", "pq-grant-path",
              "grant-name-twice", "name-int", "blocks-float", "grant-wait-past-u32", "challenge-blocks-2^32",
              "challenge-blocks-max-u64", "countdown-2^32", "countdown-max-u64", "deposit-p-one", "wait-floor-zero",
-             "lfc-epoch-in-cutoff", "fc-epoch-in-cutoff", "grant-owner-unknown", "miner-not-a-miner"],
+             "lfc-epoch-in-cutoff", "fc-epoch-in-cutoff", "grant-owner-unknown", "miner-not-a-miner", "name-surrogate",
+             "agent-id-surrogate", "miner-id-surrogate", "grant-name-surrogate"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, edit):
         data = json.loads(resources.files("qcspend").joinpath("scenarios/honest-fc.json").read_text())
@@ -201,6 +236,44 @@ class TestRun:
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @example(agent="\ud800", grant="u-hashed")
+    @example(agent="alice", grant="caf\xe9\udfff")
+    @given(agent=st.text(st.characters(exclude_categories=())), grant=st.text(st.characters(exclude_categories=())))
+    def test_any_agent_id_and_grant_name_exit_0_or_2(self, agent, grant):
+        # Any JSON string, lone surrogates included, is a name that runs or
+        # a config error.  Thirty blocks reach alice's first commitment.
+        data = honest_fc()
+        data["blocks"] = 30
+        rename_agent(data, "alice", agent)
+        rename_grant(data, "u-hashed", grant)
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "s.json"
+            scenario.write_text(json.dumps(data))
+            assert main(["run", str(scenario), "--out", str(Path(tmp) / "o")]) in (0, 2)
+
+    def test_files_are_utf_8_in_any_locale(self, tmp_path):
+        # Under the C locale, with UTF-8 mode off, stdout and the locale's
+        # encoding are ASCII; the files and the echo are still UTF-8.
+        data = honest_fc()
+        data["name"] = "caf\xe9"
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(data))
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(Path(qcspend.__file__).resolve().parents[1]))
+        echoes = []
+        for utf8 in (0, 1):
+            run = subprocess.run(
+                [sys.executable, "-X", f"utf8={utf8}", "-m", "qcspend.cli", "run", str(scenario), "--out", str(tmp_path / str(utf8))],
+                env=env, capture_output=True,
+            )
+            assert run.returncode == 0, run.stderr.decode()
+            echoes.append(run.stdout)
+        for name in ("report.txt", "snapshot.txt", "violations.txt"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        report = (tmp_path / "1" / "report.txt").read_bytes()
+        assert report.startswith("scenario caf\xe9\n".encode()) and echoes == [report, report]
 
     def test_params_override(self, tmp_path, capsys):
         code = main(["run", "honest-fc", "--out", str(tmp_path), "--params-override", "block_reward=7"])

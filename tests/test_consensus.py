@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import Harness, differing_in, same_state
+from helpers import Harness, differing_in, path, same_state
 from qcspend import groups
 from qcspend.canary_game import EntityTimeline, GameSpec, Player, Strategy, outcome
 from qcspend.consensus import (
@@ -17,7 +17,7 @@ from qcspend.consensus import (
 from qcspend.encoding import enc_bytes, enc_u32, enc_u64
 from qcspend.fawkescoin import RevealMode, RevealPayload, commit_payload
 from qcspend.groups import PreQuantumSignature, decode_point, prequantum_sign, quantum_invert, toy_group
-from qcspend.hdwallet import DerivationPath, path
+from qcspend.hdwallet import DerivationPath
 from qcspend.ledger import (
     Block,
     Transaction,
@@ -516,6 +516,45 @@ class TestShapeRules:
         assert h.chain.end_block().transactions == ()
 
 
+class TestUnencodable:
+    """A transaction or a block that cannot encode is refused with a rule id
+    and leaves the chain as it was: a field past its wire width, or a miner
+    id with no UTF-8 encoding."""
+
+    @pytest.mark.parametrize("value, wait", [(2**64, 0), (-1, 0), (1, 2**32)], ids=["value-2^64", "value-minus-1", "wait-2^32"])
+    def test_transaction_past_its_wire_widths(self, value, wait):
+        h = Harness()
+        h.grant_pq("fee", "alice", 5_000)
+        h.build()
+        twin = replay_chain(h.config, h.chain.blocks)
+        h.chain.begin_block("m0", h.wallet("m0").pq_address())
+        tx = Transaction(TxKind.TRANSFER, (TxInput(h.outpoints["fee"]),), (TxOutput(h.wallet("bob").pq_address(), value, wait),))
+        assert h.chain.try_add_tx(tx).rule == "tx-unencodable"
+        assert [v[:2] for v in h.chain.violations] == [(1, "tx-unencodable")]
+        assert h.chain.end_block().transactions == ()
+        twin.begin_block("m0", h.wallet("m0").pq_address())
+        twin.end_block()
+        assert same_state(h.chain, twin)
+
+    def test_block_whose_miner_id_cannot_encode(self):
+        h = Harness()
+        h.build()
+        h.mine()
+        before = replay_chain(h.config, h.chain.blocks)
+        h.chain.begin_block("\ud800", h.wallet("m0").pq_address())
+        with pytest.raises(RuleViolation) as err:
+            h.chain.end_block()
+        assert err.value.rule == "block-unencodable"
+        assert (len(h.chain.blocks), h.chain._journal, len(h.chain._undo)) == (2, [], 1)
+        assert h.chain.state_digest() == before.state_digest() and same_state(h.chain, before)
+        h.mine()
+        assert h.chain.blocks[2].parent == h.chain.blocks[1].block_hash() == before.tip_hash
+        # The same block, replayed, is refused as it links.
+        with pytest.raises(RuleViolation, match="block-unencodable"):
+            before.apply_block(h.chain.blocks[2]._replace(miner_id="\ud800"))
+        assert same_state(before, replay_chain(h.config, h.chain.blocks[:2]))
+
+
 class TestUtxoPrimitives:
     def test_adding_an_existing_outpoint_is_a_rule_violation(self):
         h = Harness()
@@ -740,7 +779,6 @@ class TestBoundedReorgSafety:
 
         from qcspend.fawkescoin import RevealMode, RevealPayload
         from qcspend.groups import decode_point, quantum_invert
-        from qcspend.hdwallet import path as parse_path
 
         rng = random.Random(7)
         for trial in range(100):
@@ -775,7 +813,7 @@ class TestBoundedReorgSafety:
             # a fresh commitment can never ripen before the rebroadcast
             # lands, and the direct attempt now finds the output gone.
             eve = h.wallet("eve")
-            sk = quantum_invert(decode_point(h.group, h.wallet("alice").derived_pk(parse_path("m/0h/0/0"))))
+            sk = quantum_invert(decode_point(h.group, h.wallet("alice").derived_pk(path("m/0h/0/0"))))
             payload = RevealPayload(RevealMode.HASHED).serialize(h.group)
             steal = h.signed(
                 TxKind.FC_REVEAL,

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import Harness, encodings_of, same_state
+from helpers import Harness, encodings_of, path, same_state
 from qcspend.consensus import replay_chain
 from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload, commit_payload
-from qcspend.hdwallet import DerivationPath, path
+from qcspend.hdwallet import DerivationPath
 from qcspend.ledger import Transaction, TxInput, TxKind, TxOutput, plain_pk_address
 from qcspend.rules import RuleViolation
 
@@ -453,7 +453,7 @@ class TestFrontRunningImpossibility:
             # The reveal is broadcast: the adversary reads the key out of
             # it and starts its own cycle in the same block.
             eve = h.wallet("eve")
-            pk = h.wallet("alice").derived_pk(__import__("qcspend.hdwallet", fromlist=["path"]).path("m/0h/0/0"))
+            pk = h.wallet("alice").derived_pk(path("m/0h/0/0"))
             sk = quantum_invert(decode_point(h.group, pk))
             from qcspend.fawkescoin import RevealMode, RevealPayload
 

@@ -66,10 +66,10 @@ def naive_dlog(group, point_value):
 class TestPkEc:
     def test_zero_maps_to_identity(self):
         assert pk_ec(G101, 0).is_identity()
-        assert pk_ec(G101, 0).encode() == G101.identity.encode()
+        assert pk_ec(G101, 0).encode() == GroupPoint(G101, 1).encode()
 
     def test_one_maps_to_generator(self):
-        assert pk_ec(G101, 1).encode() == G101.generator.encode()
+        assert pk_ec(G101, 1).encode() == GroupPoint(G101, G101.g).encode()
 
     def test_wraparound_sum(self):
         # 37 + 64 = 101 = 0 mod q, so the group sum lands on the identity.
@@ -130,7 +130,7 @@ class TestFixedBasePkEc:
         # comes from repeated squaring, and g^(2^n - 1) * g must equal it.
         run, lone = pk_ec(self.SG, 2**n - 1), pk_ec(self.SG, 2**n)
         assert lone.value == self.lone_bits()[n]
-        assert run.add(self.SG.generator).value == lone.value
+        assert run.add(GroupPoint(self.SG, self.SG.g)).value == lone.value
         assert run.value == pow(self.SG.g, 2**n - 1, self.SG.p)
 
     @pytest.mark.parametrize("x", [0, 1, "q-1"])
@@ -138,7 +138,7 @@ class TestFixedBasePkEc:
         # 0 maps to the identity, 1 to g, and q - 1 to the inverse of g.
         x = self.SG.q - 1 if x == "q-1" else x
         point = pk_ec(self.SG, x)
-        assert point.add(self.SG.generator).value == pk_ec(self.SG, (x + 1) % self.SG.q).value
+        assert point.add(GroupPoint(self.SG, self.SG.g)).value == pk_ec(self.SG, (x + 1) % self.SG.q).value
         assert point.value == {0: 1, 1: self.SG.g}.get(x, pow(self.SG.g, -1, self.SG.p))
 
     @pytest.mark.parametrize("i", range(1, ROWS))
@@ -156,7 +156,7 @@ class TestFixedBasePkEc:
 
     def test_table_shape(self):
         # Built with the group: one row per digit of q - 1, a power per digit.
-        fresh = GroupParams(p=self.SG.p, q=self.SG.q, g=self.SG.g, mode=self.SG.mode)
+        fresh = GroupParams(p=self.SG.p, q=self.SG.q, g=self.SG.g)
         assert "generator_table" in vars(fresh)
         assert len(fresh.generator_table) == self.ROWS == 43
         assert {len(row) for row in fresh.generator_table} == {1 << self.W}
@@ -227,7 +227,7 @@ class TestEncodings:
 
     def test_secure_group_lengths(self):
         g = secure_group()
-        assert (g.modulus_bits, g.q.bit_length()) == (256, 255)
+        assert (g.p.bit_length(), g.q.bit_length()) == (256, 255)
         assert (g.scalar_len, g.point_len) == (32, 33)
 
     def test_secure_group_is_a_safe_prime_group(self):
@@ -257,8 +257,11 @@ class TestEncodings:
             assert decode_point(G101, p.encode()).value == p.value
 
     def test_vulnerable_mode_caps_order(self):
-        with pytest.raises(GroupError):
-            GroupParams(p=secure_group().p, q=secure_group().q, g=2, mode=GroupMode.QUANTUM_VULNERABLE)
+        # The order decides the mode: a group past the cap is SECURE, and no
+        # toy group has such an order.
+        assert (toy_group(16_777_213).mode, secure_group().mode) == (GroupMode.QUANTUM_VULNERABLE, GroupMode.SECURE)
+        with pytest.raises(GroupError, match=r"^vulnerable groups must have order <= 2\*\*24$"):
+            toy_group(secure_group().q)
 
     @pytest.mark.parametrize(
         "p, q, g, message",
@@ -271,7 +274,7 @@ class TestEncodings:
     )
     def test_bad_group_parameters_rejected(self, p, q, g, message):
         with pytest.raises(GroupError, match=f"^{message}$"):
-            GroupParams(p=p, q=q, g=g, mode=GroupMode.QUANTUM_VULNERABLE)
+            GroupParams(p=p, q=q, g=g)
 
     def test_malformed_scalar_and_point_rejected(self):
         with pytest.raises(DecodeError, match="^bad scalar length$"):
@@ -495,7 +498,7 @@ class TestSingleVerifyMembership:
     def test_key_of_another_group_is_rejected(self, group):
         # The same p and q with the generator g^2: the key's value meets the
         # equation, but it names another group.
-        other = GroupParams(p=group.p, q=group.q, g=group.g**2 % group.p, mode=group.mode)
+        other = GroupParams(p=group.p, q=group.q, g=group.g**2 % group.p)
         pk, msg = pk_ec(group, self.SK), b"another group"
         sig = prequantum_sign(group, self.SK, msg)
         stranger = GroupPoint(other, pk.value)
@@ -590,7 +593,7 @@ class TestQuantumInvert:
         assert quantum_invert(pk_ec(G101, 5)) == 5
 
     def test_identity(self):
-        assert quantum_invert(G101.identity) == 0
+        assert quantum_invert(GroupPoint(G101, 1)) == 0
 
     def test_against_exhaustive_scan_q8191(self):
         g = toy_group(8191)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from games import is_der_suffix, public_child, to_xpk
+from helpers import path
 from qcspend import agents
 from qcspend.agents import Wallet
 from qcspend.encoding import DecodeError
@@ -21,7 +22,6 @@ from qcspend.hdwallet import (
     kdf,
     kdf_pq,
     kdf_pre,
-    path,
 )
 from qcspend.scenarios import load_scenario
 from qcspend.simulation import Simulation
@@ -194,7 +194,7 @@ class TestDerSuffix:
     def test_fresh_key_is_not_a_suffix_for_any_split(self):
         p = path("m/0h/1/2/3h")
         stranger = ExtendedSecretKey(99, bytes(32))
-        for n in range(len(p) + 1):
+        for n in range(len(p.steps) + 1):
             tail = DerivationPath(p.steps[n:])
             assert is_der_suffix(GROUP, (stranger, tail), (PARENT, p)) is None
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import path
 from qcspend import ledger
 from qcspend.groups import pk_ec, toy_group
-from qcspend.hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, derive, path
+from qcspend.hdwallet import DerivationPath, DerivationStep, ExtendedSecretKey, derive
 from qcspend.ledger import (
     Address,
     AddrKind,

@@ -1,13 +1,12 @@
 import pytest
 
-from helpers import Harness, encodings_of, flat_backends, same_state
+from helpers import Harness, encodings_of, flat_backends, path, same_state
 from qcspend import consensus, lifting
 from qcspend.consensus import proof_message, replay_chain
 from qcspend.fawkescoin import RevealMode, RevealPayload
-from qcspend.hdwallet import kdf_pq, path
+from qcspend.hdwallet import kdf_pq
 from qcspend.ledger import Transaction, TxKind, TxOutput, Utxo, pk_hash_address, plain_pk_address
 from qcspend.lifted_fawkescoin import (
-    EpochDecision,
     LfcMempoolMsg,
     LfcState,
     claim_payload,
@@ -720,9 +719,9 @@ class TestFeeAggregation:
 
 class TestExtensionDecision:
     def test_strictly_more_than_half_extends(self):
-        assert extension_decision(6, 10, 1, 2) is EpochDecision.EXTEND
-        assert extension_decision(5, 10, 1, 2) is EpochDecision.ROTATE
-        assert extension_decision(0, 10, 1, 2) is EpochDecision.ROTATE
+        assert extension_decision(6, 10, 1, 2) is True
+        assert extension_decision(5, 10, 1, 2) is False
+        assert extension_decision(0, 10, 1, 2) is False
 
     def test_outcome_trichotomy_at_epoch_end(self):
         h = lfc_harness()

@@ -12,10 +12,10 @@ from games import (
     seedlift_harvest_adversary,
     seedlift_quantum_adversary,
 )
-from helpers import flat_backends
+from helpers import flat_backends, path
 from qcspend.encoding import enc_bytes
 from qcspend.groups import address_hash, decode_point, pk_ec, prequantum_verify, secure_group, toy_group
-from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf, path
+from qcspend.hdwallet import ExtendedSecretKey, Seed, derive, kdf
 from qcspend.lifting import (
     KeyLiftedSig,
     SeedLiftedSig,

@@ -12,8 +12,9 @@ import pytest
 from qcspend.agents import Agent, FrontRunnerAgent, Mempool
 from qcspend.consensus import GenesisGrant, verify_snapshot
 from qcspend.fawkescoin import ChallengeStatus
-from qcspend.ledger import NO_WITNESS, AddrKind, Address, Block, TxKind
-from qcspend.lifted_fawkescoin import EpochDecision, LfcState, extension_decision
+from qcspend.groups import pk_ec
+from qcspend.ledger import NO_WITNESS, AddrKind, Address, Block, TxKind, pk_hash_address, plain_pk_address
+from qcspend.lifted_fawkescoin import LfcState, extension_decision
 from qcspend.rules import RuleViolation
 from qcspend.scenarios import BUNDLED, load_scenario, run_scenario
 from qcspend.simulation import ConfigError, ScenarioConfig, Simulation
@@ -368,7 +369,7 @@ class TestEpochMechanics:
         ]
         params = sim.config.params
         k, num, den = params.proofs_per_100_blocks, params.extension_threshold_num, params.extension_threshold_den
-        assert len(claims) == 6 and extension_decision(len(claims), k, num, den) is EpochDecision.EXTEND
+        assert len(claims) == 6 and extension_decision(len(claims), k, num, den) is True
 
     def test_balance_holds_over_the_full_run(self, sim):
         sim.chain.recompute_balance()
@@ -494,6 +495,23 @@ def test_direct_spend_to_another_agent():
     bob = sim.agents["bob"].wallet.pq_address()
     assert [u.value for u in sim.chain.utxos.values() if u.address == bob] == [9_900]
     assert sim.profits()["bob"] == 9_900
+
+
+@pytest.mark.parametrize("kind, address_of", [("hashed", pk_hash_address), ("derived_plain", plain_pk_address)])
+def test_grant_at_the_master_path_pays_the_master_key(kind, address_of):
+    config = ScenarioConfig.from_dict(
+        {
+            "name": "grant-at-m",
+            "blocks": 1,
+            "agents": [{"id": "m0", "kind": "miner"}, {"id": "u"}],
+            "miners": ["m0"],
+            "grants": [{"name": "u1", "owner": "u", "type": kind, "path": "m", "value": 10_000}],
+        }
+    )
+    sim = Simulation(config)
+    wallet = sim.agents["u"].wallet
+    address = sim.chain.utxos[sim.grant_outpoint("u1")].address
+    assert address == address_of(pk_ec(wallet.group, wallet.msk.sk).encode())
 
 
 def fee_outpoint_by_encoding(agent):

@@ -10,12 +10,11 @@ from functools import partial
 
 import pytest
 
-from helpers import NOT_STATE, Harness, differing_in, same_state
+from helpers import NOT_STATE, Harness, differing_in, path, same_state
 from qcspend.consensus import Chain, proof_message, reorg, replay_chain
 from qcspend.encoding import enc_bytes, enc_u32
 from qcspend.fawkescoin import ChallengeStatus, RevealMode, RevealPayload
 from qcspend.groups import decode_point, prequantum_sign, quantum_invert, toy_group
-from qcspend.hdwallet import path
 from qcspend.ledger import AddrKind, Block, Transaction, TxKind, TxOutput, Utxo, plain_pk_address
 from qcspend.lifted_fawkescoin import LfcState, claim_payload, record_payload
 from qcspend.rules import RuleViolation
